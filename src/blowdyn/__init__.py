@@ -31,7 +31,6 @@ from .scalars import (
     parse_scalar,
     format_scalar,
     RATIONAL,
-    FloatField,
 )
 from .partition import JordanStructure, Splitting, build_structure, splitting, flag_generators
 from .series import (

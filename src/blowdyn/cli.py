@@ -17,12 +17,14 @@ are exact literals ("-3/4", "1/2+1/3i", "0.25" — decimals convert
 exactly).  Every command prints JSON on stdout (except the CSV the orbit
 command writes) and, on failure, a machine-readable error object on
 stderr: exit code 2 for description/schema problems, 1 for any other
-declared error, 3 for unexpected ones.
+declared error, 3 for unexpected ones (whose error object also carries the
+traceback).
 """
 
 import csv
 import json
 import sys
+import traceback
 
 import click
 import mpmath
@@ -101,20 +103,26 @@ def _direction_json(d):
     return out
 
 
+# click.echo always gets the stream: without file=, click caches the current
+# sys.stdout in a table that keeps every stream an in-process caller
+# redirects output to (and all the output in it) alive.
 def _emit(payload):
-    click.echo(json.dumps(payload, indent=2))
+    click.echo(json.dumps(payload, indent=2), file=sys.stdout)
 
 
-def _fail(exc):
+def _fail(exc, code=None, trace=None):
     payload = {"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}
+    if trace is not None:
+        payload["traceback"] = trace
     step = getattr(exc, "step", None)
     if step is not None:
         payload["step"] = step
     stage = getattr(exc, "stage", None)
     if stage is not None:
         payload["stage"] = stage
-    click.echo(json.dumps(payload), err=True)
-    code = 2 if isinstance(exc, SchemaError) else 1
+    click.echo(json.dumps(payload), file=sys.stderr)
+    if code is None:
+        code = 2 if isinstance(exc, SchemaError) else 1
     sys.exit(code)
 
 
@@ -125,6 +133,8 @@ def _guard(fn, *args, **kwargs):
         _fail(exc)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         _fail(SchemaError(str(exc)))
+    except Exception as exc:  # a defect: report it in the same channel
+        _fail(exc, code=3, trace=traceback.format_exc())
 
 
 # -- map description parsing ----------------------------------------------
@@ -639,7 +649,8 @@ def _print_table(lines):
     for status, name, detail in lines:
         pad = name.ljust(width)
         click.echo("%-4s  %s%s" % (status, pad,
-                                   ("  -- " + detail) if detail else ""))
+                                   ("  -- " + detail) if detail else ""),
+                   file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -96,10 +96,6 @@ class InputGerm:
     __slots__ = ("structure", "map")
 
     def __init__(self, structure, polymap):
-        if polymap.field != RATIONAL:
-            raise PreconditionViolated(
-                "input germs use the exact coefficient field"
-            )
         if polymap.n != structure.n:
             raise PreconditionViolated("dimension mismatch")
         J = jordan_matrix(structure)
@@ -214,7 +210,7 @@ def lift(F, k, D):
                     stage=k,
                     component=i,
                 )
-            lead = [e for e in den.coeffs if sum(e) == low]
+            lead = list(den.homogeneous_part(low).coeffs)
             if len(lead) != 1:
                 raise DivisionObstruction(
                     "denominator is not a monomial times a unit",

@@ -365,8 +365,6 @@ def normal_form(F):
     linear part is upper Toeplitz."""
     g = _as_germ(F)
     n, cap, field = g.n, g.cap, g.field
-    if field != RATIONAL:
-        raise PreconditionViolated("normal form reduction requires exact input")
     if n < 2:
         raise PreconditionViolated("dimension must be at least 2")
     if cap < 2:
@@ -487,8 +485,6 @@ def invariants_2d(F):
         raise PreconditionViolated("planar invariants require dimension 2")
     if g.cap < 3:
         raise PreconditionViolated("third-order data needed: cap must be >= 3")
-    if g.field != RATIONAL:
-        raise PreconditionViolated("planar invariants require exact input")
     _require_unipotent_block(g)
     if g.quadratic_coefficient(2, 1, 1):
         raise GenericInput(

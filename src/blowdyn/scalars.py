@@ -1,28 +1,25 @@
-"""Exact Gaussian-rational scalars plus a configurable-precision float field.
+"""Exact Gaussian-rational scalars and the coefficient field tag.
 
-Coefficient arithmetic for the whole package runs over Q(i) by default.  The
-underlying rational type is gmpy2.mpq when available (much faster) and
-fractions.Fraction otherwise; both expose numerator/denominator and exact
-field operations, which is all we rely on.
+All exact coefficient arithmetic in the package runs over Q(i): a
+GaussianRational holds its real and imaginary parts as fractions.Fraction
+values (RAT), which are always kept in lowest terms.
 """
 
 import math
 import re as _re
+from fractions import Fraction as RAT
 
 import mpmath
 
 from .errors import PreconditionViolated, SchemaError
-
-try:
-    from gmpy2 import mpq as RAT
-except ImportError:  # pragma: no cover - gmpy2 is normally present
-    from fractions import Fraction as RAT
 
 _ZERO = RAT(0)
 _ONE = RAT(1)
 
 
 def _as_rat(x):
+    if type(x) is RAT:
+        return x  # already in lowest terms
     if isinstance(x, (int, str)):
         return RAT(x)
     return RAT(x.numerator, x.denominator) if hasattr(x, "numerator") else RAT(x)
@@ -175,9 +172,7 @@ def _parse_real(tok):
             num, den = tok.split("/")
             return RAT(int(num), int(den))
         if "." in tok or "e" in tok or "E" in tok:
-            from fractions import Fraction
-
-            return _as_rat(Fraction(tok))  # exact decimal -> rational
+            return RAT(tok)  # exact decimal -> rational
         return RAT(int(tok))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError("bad numeric literal %r (%s)" % (tok, exc))
@@ -191,9 +186,7 @@ def parse_scalar(text):
     if isinstance(text, int):
         return GaussianRational(text)
     if isinstance(text, float):
-        from fractions import Fraction
-
-        return GaussianRational(_as_rat(Fraction(text)))
+        return GaussianRational(RAT(text))
     if not isinstance(text, str):
         raise PreconditionViolated("cannot parse scalar from %r" % (text,))
     s = text.replace(" ", "")
@@ -346,44 +339,6 @@ class RationalField:
 
     def __repr__(self):
         return "RationalField()"
-
-
-class FloatField:
-    """Tag object for mpmath complex coefficients at a fixed binary precision."""
-
-    name = "float"
-
-    def __init__(self, precision_bits=128):
-        self.precision_bits = int(precision_bits)
-
-    def coerce(self, x):
-        with mpmath.workprec(self.precision_bits):
-            if isinstance(x, GaussianRational):
-                return x.to_mpc(self.precision_bits)
-            if isinstance(x, str):
-                return parse_scalar(x).to_mpc(self.precision_bits)
-            return mpmath.mpc(x)
-
-    def zero(self):
-        return mpmath.mpc(0)
-
-    def one(self):
-        return mpmath.mpc(1)
-
-    def is_zero(self, c):
-        return c == 0
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FloatField)
-            and other.precision_bits == self.precision_bits
-        )
-
-    def __hash__(self):
-        return hash(("float", self.precision_bits))
-
-    def __repr__(self):
-        return "FloatField(%d)" % self.precision_bits
 
 
 RATIONAL = RationalField()

@@ -3,15 +3,33 @@
 A TruncatedSeries is a finite multi-index -> coefficient map together with a
 total-degree cap D; every arithmetic operation is exact modulo degree > D.
 The cap travels with the value: combining series with different caps (or
-different variable counts, or different coefficient fields) raises instead
-of silently truncating.
+different variable counts) raises instead of silently truncating.
 
-Coefficients live either in the exact Gaussian-rational field (default) or
-in an mpmath complex field of fixed binary precision; see scalars.py.
+Coefficients are Gaussian rationals (see scalars.py).  The arithmetic runs
+on an integer form of each series, in the content/primitive-part layout of
+FLINT's fmpq_poly: one common denominator `den`, the lcm of the
+denominators of all real and imaginary parts, and two dicts of integer
+numerators, one for the real and one for the imaginary parts.  A dict is
+keyed by the packed exponent
+
+    deg(e) * B**n + e_1 * B**(n-1) + ... + e_n,    B = cap + 1,
+
+so adding keys multiplies monomials (no digit can carry below the cap),
+and sorting keys sorts terms by degree.  A real series has an empty
+imaginary dict and multiplies with one integer product per term pair.
+
+Series are never mutated after construction.  Each operation normalises
+its result once (zero numerators dropped, the content shared with `den`
+divided out), so equal series have equal integer forms.  The public
+`coeffs` view, {exponent tuple: GaussianRational}, is built from the
+integer form on first use and cached, as the integer form of a series
+built from coefficients is.
 """
 
+import math
+
 from .errors import DivisionObstruction, PreconditionViolated
-from .scalars import RATIONAL
+from .scalars import QI_ZERO, RAT, RATIONAL, GaussianRational
 
 __all__ = [
     "TruncatedSeries",
@@ -26,20 +44,28 @@ __all__ = [
     "germ_inverse",
 ]
 
+# integer forms (den, re, im); their dicts are never mutated once built
+_ZERO_FORM = (1, {}, {})
+_ONE_FORM = (1, {0: 1}, {})  # key 0 is the zero exponent at every cap
+_RAT_ZERO = RAT(0)
+
 
 class TruncatedSeries:
-    __slots__ = ("nvars", "cap", "field", "coeffs")
+    __slots__ = ("nvars", "cap", "field", "_coeffs", "_form")
 
     def __init__(self, nvars, cap, field=RATIONAL, coeffs=None, _canonical=False):
         self.nvars = int(nvars)
         self.cap = int(cap)
-        self.field = field
+        if field != RATIONAL:
+            raise PreconditionViolated("series coefficients are exact Gaussian rationals")
+        self.field = RATIONAL
+        self._form = None
         if self.cap < 0:
             raise PreconditionViolated("negative degree cap")
         if coeffs is None:
-            self.coeffs = {}
+            self._coeffs = {}
         elif _canonical:
-            self.coeffs = coeffs
+            self._coeffs = coeffs
         else:
             clean = {}
             for e, c in coeffs.items():
@@ -50,10 +76,35 @@ class TruncatedSeries:
                     raise PreconditionViolated(
                         "multi-index %r above cap %d" % (e, self.cap)
                     )
-                c = field.coerce(c)
-                if not field.is_zero(c):
+                c = RATIONAL.coerce(c)
+                if c:
                     clean[e] = c
-            self.coeffs = clean
+            self._coeffs = clean
+
+    @classmethod
+    def _of_form(cls, nvars, cap, form):
+        """Series whose value is the normalised integer form `form`."""
+        s = cls.__new__(cls)
+        s.nvars = nvars
+        s.cap = cap
+        s.field = RATIONAL
+        s._coeffs = None
+        s._form = form
+        return s
+
+    @property
+    def coeffs(self):
+        """{exponent tuple: GaussianRational}, nonzero terms only."""
+        c = self._coeffs
+        if c is None:
+            c = self._coeffs = _coeffs_of(self._form, self.nvars, self.cap)
+        return c
+
+    def _int_form(self):
+        f = self._form
+        if f is None:
+            f = self._form = _form_of(self._coeffs, self.cap)
+        return f
 
     # -- constructors ---------------------------------------------------
 
@@ -63,8 +114,8 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value, nvars, cap, field=RATIONAL):
-        c = field.coerce(value)
-        if field.is_zero(c):
+        c = RATIONAL.coerce(value)
+        if not c:
             return cls.zero(nvars, cap, field)
         return cls(nvars, cap, field, {(0,) * nvars: c}, _canonical=True)
 
@@ -77,49 +128,62 @@ class TruncatedSeries:
             raise PreconditionViolated("cap too small to hold a variable")
         e = [0] * nvars
         e[i - 1] = 1
-        return cls(nvars, cap, field, {tuple(e): field.one()}, _canonical=True)
+        return cls(nvars, cap, field, {tuple(e): RATIONAL.one()}, _canonical=True)
 
     @classmethod
     def monomial(cls, exps, nvars, cap, field=RATIONAL, coeff=1):
         e = tuple(int(x) for x in exps)
-        c = field.coerce(coeff)
-        if field.is_zero(c):
+        c = RATIONAL.coerce(coeff)
+        if not c:
             return cls.zero(nvars, cap, field)
         return cls(nvars, cap, field, {e: c})
 
     # -- inspection -----------------------------------------------------
 
     def coefficient(self, exps):
-        return self.coeffs.get(tuple(exps), self.field.zero())
+        e = tuple(exps)
+        if self._coeffs is not None or len(e) != self.nvars:
+            return self.coeffs.get(e, QI_ZERO)
+        den, re, im = self._form
+        k = _pack(e, self.cap + 1)
+        return _scalar(re.get(k, 0), im.get(k, 0), den)
 
     def constant_term(self):
-        return self.coeffs.get((0,) * self.nvars, self.field.zero())
+        return self.coefficient((0,) * self.nvars)
 
     def low_degree(self):
         """Smallest total degree with a nonzero term; None for the zero series."""
-        if not self.coeffs:
+        _, re, im = self._int_form()
+        if not re and not im:
             return None
-        return min(sum(e) for e in self.coeffs)
+        return min(re.keys() | im.keys()) // _shift(self.nvars, self.cap)
 
     def homogeneous_part(self, d):
-        part = {e: c for e, c in self.coeffs.items() if sum(e) == d}
-        return TruncatedSeries(self.nvars, self.cap, self.field, part, _canonical=True)
+        shift = _shift(self.nvars, self.cap)
+        return TruncatedSeries._of_form(
+            self.nvars, self.cap,
+            _select(self._int_form(), lambda k: k // shift == d),
+        )
 
     def is_zero(self):
-        return not self.coeffs
+        if self._coeffs is not None:
+            return not self._coeffs
+        return not (self._form[1] or self._form[2])
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.nvars != other.nvars or self.field != other.field:
+        if self.nvars != other.nvars:
             return False
-        return self.coeffs == other.coeffs
+        if self.cap != other.cap:
+            return self.coeffs == other.coeffs
+        return self._int_form() == other._int_form()
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is not hashable")
 
     def __repr__(self):
-        if not self.coeffs:
+        if self.is_zero():
             body = "0"
         else:
             bits = []
@@ -140,10 +204,12 @@ class TruncatedSeries:
         return series_add(self, other)
 
     def __sub__(self, other):
-        return series_add(self, series_scale(other, -1))
+        return series_add(self, -other)
 
     def __neg__(self):
-        return series_scale(self, -1)
+        return TruncatedSeries._of_form(
+            self.nvars, self.cap, _negate(self._int_form())
+        )
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
@@ -163,87 +229,235 @@ class TruncatedSeries:
                 "cannot raise cap %d -> %d without polynomial semantics"
                 % (self.cap, cap)
             )
-        kept = {e: c for e, c in self.coeffs.items() if sum(e) <= cap}
-        return TruncatedSeries(self.nvars, cap, self.field, kept, _canonical=True)
+        return self.as_polynomial_cap(cap)
 
     def as_polynomial_cap(self, cap):
         """Reinterpret at any cap, treating the stored terms as the complete
         expansion (exact polynomial).  Only sound when the value really is a
         polynomial with no dropped terms — lifting uses this for input maps."""
-        kept = {e: c for e, c in self.coeffs.items() if sum(e) <= cap}
-        return TruncatedSeries(self.nvars, cap, self.field, kept, _canonical=True)
+        if cap == self.cap:
+            return self  # series are immutable
+        return TruncatedSeries._of_form(
+            self.nvars, cap,
+            _rekey(self, cap, lambda e: e if sum(e) <= cap else None),
+        )
 
+
+# -- the integer form ------------------------------------------------------
+
+def _shift(nvars, cap):
+    """Weight of the degree digit in a packed key."""
+    return (cap + 1) ** nvars
+
+
+def _pack(e, base):
+    k = sum(e)
+    for x in e:
+        k = k * base + x
+    return k
+
+
+def _unpack(k, nvars, base):
+    e = [0] * nvars
+    for i in range(nvars - 1, -1, -1):
+        k, e[i] = divmod(k, base)
+    return tuple(e)
+
+
+def _rat(num, den):
+    return RAT(num, den) if num else _RAT_ZERO
+
+
+def _scalar(re, im, den):
+    if not re and not im:
+        return QI_ZERO
+    return GaussianRational(_rat(re, den), _rat(im, den))
+
+
+def _gaussian_ints(c):
+    """(re, im, den) integers with c = (re + i im) / den."""
+    d = math.lcm(c.re.denominator, c.im.denominator)
+    return (c.re.numerator * (d // c.re.denominator),
+            c.im.numerator * (d // c.im.denominator), d)
+
+
+def _form_of(coeffs, cap):
+    if not coeffs:
+        return _ZERO_FORM
+    den = math.lcm(*[q.denominator for c in coeffs.values() for q in (c.re, c.im)])
+    base = cap + 1
+    re, im = {}, {}
+    for e, c in coeffs.items():
+        k = _pack(e, base)
+        if c.re:
+            re[k] = c.re.numerator * (den // c.re.denominator)
+        if c.im:
+            im[k] = c.im.numerator * (den // c.im.denominator)
+    return den, re, im
+
+
+def _coeffs_of(form, nvars, cap):
+    den, re, im = form
+    base = cap + 1
+    return {
+        _unpack(k, nvars, base): _scalar(re.get(k, 0), im.get(k, 0), den)
+        for k in ((re.keys() | im.keys()) if im else re)
+    }
+
+
+def _normal(den, re, im):
+    """The integer form of (re + i im) / den: zero numerators dropped and
+    the content shared with den divided out."""
+    re = {k: v for k, v in re.items() if v}
+    im = {k: v for k, v in im.items() if v}
+    if not re and not im:
+        return _ZERO_FORM
+    if den != 1:
+        g = math.gcd(den, *re.values(), *im.values())
+        if g != 1:
+            den //= g
+            re = {k: v // g for k, v in re.items()}
+            im = {k: v // g for k, v in im.items()}
+    return den, re, im
+
+
+def _select(form, keep):
+    den, re, im = form
+    return _normal(den, {k: v for k, v in re.items() if keep(k)},
+                   {k: v for k, v in im.items() if keep(k)})
+
+
+def _rekey(s, cap, move):
+    """s's integer form re-packed at `cap`, each exponent e moved to
+    move(e); terms with move(e) None are dropped."""
+    den, re, im = s._int_form()
+    old, new = s.cap + 1, cap + 1
+    keys = {}
+    for k in (re.keys() | im.keys()) if im else re:
+        e = move(_unpack(k, s.nvars, old))
+        if e is not None:
+            keys[k] = _pack(e, new)
+    return _normal(den, {keys[k]: v for k, v in re.items() if k in keys},
+                   {keys[k]: v for k, v in im.items() if k in keys})
+
+
+def _negate(form):
+    den, re, im = form
+    return den, {k: -v for k, v in re.items()}, {k: -v for k, v in im.items()}
+
+
+def _add(fa, fb):
+    da, ra, ia = fa
+    db, rb, ib = fb
+    if not ra and not ia:
+        return fb
+    if not rb and not ib:
+        return fa
+    den = math.lcm(da, db)
+    sa, sb = den // da, den // db
+    re = {k: v * sa for k, v in ra.items()}
+    im = {k: v * sa for k, v in ia.items()}
+    for k, v in rb.items():
+        re[k] = re.get(k, 0) + v * sb
+    for k, v in ib.items():
+        im[k] = im.get(k, 0) + v * sb
+    return _normal(den, re, im)
+
+
+def _scale(form, c):
+    """form times the Gaussian rational c."""
+    cr, ci, cd = _gaussian_ints(c)
+    den, r, i = form
+    re = {k: v * cr for k, v in r.items()} if cr else {}
+    im = {k: v * cr for k, v in i.items()} if cr else {}
+    if ci:
+        for k, v in i.items():
+            re[k] = re.get(k, 0) - v * ci
+        for k, v in r.items():
+            im[k] = im.get(k, 0) + v * ci
+    return _normal(den * cd, re, im)
+
+
+def _convolve(out, a, b, cap, shift):
+    """out += a * b on numerator dicts, dropping products above the cap."""
+    if not a or not b:
+        return
+    if len(a) < len(b):
+        a, b = b, a  # the bigger one in the outer loop
+    get = out.get
+    terms = sorted(b.items())  # by degree, since the degree digit leads
+    upto = [0] * (cap + 2)  # upto[d + 1]: how many terms have degree <= d
+    for k in b:
+        upto[k // shift + 1] += 1
+    for d in range(1, cap + 2):
+        upto[d] += upto[d - 1]
+    for ka, ca in a.items():
+        for kb, cb in terms[:upto[cap - ka // shift + 1]]:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+
+
+def _mul(fa, fb, cap, shift):
+    da, ra, ia = fa
+    db, rb, ib = fb
+    re, im = {}, {}
+    _convolve(re, ra, rb, cap, shift)
+    if ia and ib:
+        _convolve(re, ia, {k: -v for k, v in ib.items()}, cap, shift)
+    _convolve(im, ra, ib, cap, shift)
+    _convolve(im, ia, rb, cap, shift)
+    return _normal(da * db, re, im)
+
+
+def _pow(form, p, cap, shift):
+    result = _ONE_FORM
+    while p:
+        if p & 1:
+            result = form if result is _ONE_FORM else _mul(result, form, cap, shift)
+        p >>= 1
+        if p:
+            form = _mul(form, form, cap, shift)
+    return result
+
+
+# -- operations ------------------------------------------------------------
 
 def _check_pair(a, b):
     if a.nvars != b.nvars:
         raise PreconditionViolated("variable count mismatch")
     if a.cap != b.cap:
         raise PreconditionViolated("cap mismatch: %d vs %d" % (a.cap, b.cap))
-    if a.field != b.field:
-        raise PreconditionViolated("coefficient field mismatch")
 
 
 def series_add(a, b):
     _check_pair(a, b)
-    out = dict(a.coeffs)
-    for e, c in b.coeffs.items():
-        prev = out.get(e)
-        s = c if prev is None else prev + c
-        if a.field.is_zero(s):
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return TruncatedSeries(a.nvars, a.cap, a.field, out, _canonical=True)
+    return TruncatedSeries._of_form(
+        a.nvars, a.cap, _add(a._int_form(), b._int_form())
+    )
 
 
 def series_scale(a, scalar):
-    c = a.field.coerce(scalar)
-    if a.field.is_zero(c):
-        return TruncatedSeries.zero(a.nvars, a.cap, a.field)
-    out = {e: c * v for e, v in a.coeffs.items()}
-    out = {e: v for e, v in out.items() if not a.field.is_zero(v)}
-    return TruncatedSeries(a.nvars, a.cap, a.field, out, _canonical=True)
+    c = RATIONAL.coerce(scalar)
+    return TruncatedSeries._of_form(a.nvars, a.cap, _scale(a._int_form(), c))
 
 
 def series_multiply(a, b):
     _check_pair(a, b)
     cap = a.cap
-    if len(b.coeffs) > len(a.coeffs):
-        a, b = b, a  # iterate over the bigger one in the outer loop
-    bydeg = {}
-    for e, c in b.coeffs.items():
-        bydeg.setdefault(sum(e), []).append((e, c))
-    out = {}
-    for ea, ca in a.coeffs.items():
-        da = sum(ea)
-        room = cap - da
-        if room < 0:
-            continue
-        for db, terms in bydeg.items():
-            if db > room:
-                continue
-            for eb, cb in terms:
-                key = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                prev = out.get(key)
-                out[key] = prod if prev is None else prev + prod
-    out = {e: c for e, c in out.items() if not a.field.is_zero(c)}
-    return TruncatedSeries(a.nvars, cap, a.field, out, _canonical=True)
+    return TruncatedSeries._of_form(
+        a.nvars, cap,
+        _mul(a._int_form(), b._int_form(), cap, _shift(a.nvars, cap)),
+    )
 
 
 def series_power(a, p):
     p = int(p)
     if p < 0:
         raise PreconditionViolated("negative powers need series_reciprocal")
-    result = TruncatedSeries.constant(1, a.nvars, a.cap, a.field)
-    base = a
-    while p:
-        if p & 1:
-            result = series_multiply(result, base)
-        p >>= 1
-        if p:
-            base = series_multiply(base, base)
-    return result
+    return TruncatedSeries._of_form(
+        a.nvars, a.cap,
+        _pow(a._int_form(), p, a.cap, _shift(a.nvars, a.cap)),
+    )
 
 
 def series_compose(outer, inner, _power_cache=None):
@@ -252,7 +466,9 @@ def series_compose(outer, inner, _power_cache=None):
     Every inner series must have zero constant term, so truncation order is
     preserved.  Terms of `outer` above the cap cannot contribute and are
     ignored, which also lets polynomial outers stored at higher caps be
-    substituted directly.
+    substituted directly.  `_power_cache` maps an exponent vector e to the
+    integer form of prod_i inner_i^e_i; callers that substitute the same
+    inner series into several outers may share one.
     """
     if len(inner) != outer.nvars:
         raise PreconditionViolated(
@@ -263,58 +479,76 @@ def series_compose(outer, inner, _power_cache=None):
         raise PreconditionViolated("need at least one inner series")
     tmpl = inner[0]
     for s in inner:
-        if s.nvars != tmpl.nvars or s.cap != tmpl.cap or s.field != tmpl.field:
-            raise PreconditionViolated("inner series disagree on nvars/cap/field")
-        if not s.field.is_zero(s.constant_term()):
+        if s.nvars != tmpl.nvars or s.cap != tmpl.cap:
+            raise PreconditionViolated("inner series disagree on nvars/cap")
+        if s.constant_term():
             raise PreconditionViolated("inner series must vanish at the origin")
     cap = tmpl.cap
-    field = tmpl.field
+    shift = _shift(tmpl.nvars, cap)
+    forms = [s._int_form() for s in inner]
     cache = {} if _power_cache is None else _power_cache
+    m = outer.nvars
 
-    def inner_power(i, p):
-        key = (i, p)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        if p == 1:
-            val = inner[i]
-        else:
-            val = series_power(inner[i], p)
-        cache[key] = val
-        return val
+    def monomial(e):
+        """prod_i inner_i^e_i: one product on top of a cached smaller one."""
+        hit = cache.get(e)
+        if hit is None:
+            last = max(i for i, p in enumerate(e) if p)
+            head = e[:last] + (e[last] - 1,) + e[last + 1:]
+            if any(head):
+                hit = _mul(monomial(head), forms[last], cap, shift)
+            else:
+                hit = forms[last]
+            cache[e] = hit
+        return hit
 
-    total = TruncatedSeries.zero(tmpl.nvars, cap, field)
-    for e, c in outer.coeffs.items():
-        if sum(e) > cap:
+    oden, ore, oim = outer._int_form()
+    obase = outer.cap + 1
+    oshift = _shift(m, outer.cap)
+    terms = []
+    for k in (ore.keys() | oim.keys()) if oim else ore:
+        if k // oshift > cap:
             continue
-        term = None
-        for i, p in enumerate(e):
-            if not p:
-                continue
-            f = inner_power(i, p)
-            term = f if term is None else series_multiply(term, f)
-        if term is None:
-            term = TruncatedSeries.constant(1, tmpl.nvars, cap, field)
-        total = series_add(total, series_scale(term, c))
-    return total
+        e = _unpack(k, m, obase)
+        terms.append((ore.get(k, 0), oim.get(k, 0),
+                      monomial(e) if k else _ONE_FORM))
+    # one integer accumulator over the common denominator of every term
+    den = math.lcm(*[f[0] for _, _, f in terms]) if terms else 1
+    re, im = {}, {}
+    for cr, ci, (d, fr, fi) in terms:
+        s = den // d
+        cr, ci = cr * s, ci * s
+        if cr:
+            for k, v in fr.items():
+                re[k] = re.get(k, 0) + cr * v
+            for k, v in fi.items():
+                im[k] = im.get(k, 0) + cr * v
+        if ci:
+            for k, v in fr.items():
+                im[k] = im.get(k, 0) + ci * v
+            for k, v in fi.items():
+                re[k] = re.get(k, 0) - ci * v
+    return TruncatedSeries._of_form(
+        tmpl.nvars, cap, _normal(den * oden, re, im)
+    )
 
 
 def series_reciprocal(u):
     c0 = u.constant_term()
-    if u.field.is_zero(c0):
+    if not c0:
         raise PreconditionViolated("reciprocal of a non-unit (zero constant term)")
-    one = TruncatedSeries.constant(1, u.nvars, u.cap, u.field)
-    inv_c0 = u.field.one() / c0
+    cap = u.cap
+    shift = _shift(u.nvars, cap)
+    inv_c0 = RATIONAL.one() / c0
     # u = c0 (1 - t) with t of positive order; 1/u = (1/c0) sum t^m
-    t = series_add(one, series_scale(u, -inv_c0))
-    acc = one
-    p = one
-    for _ in range(u.cap):
-        p = series_multiply(p, t)
-        if p.is_zero():
+    t = _select(_scale(u._int_form(), -inv_c0), bool)  # drops the constant -1
+    acc = p = _ONE_FORM
+    for _ in range(cap):
+        p = _mul(p, t, cap, shift)
+        if not p[1] and not p[2]:
             break
-        acc = series_add(acc, p)
-    return series_scale(acc, inv_c0)
+        acc = _add(acc, p)
+    return TruncatedSeries._of_form(u.nvars, cap, _scale(acc, inv_c0))
 
 
 def monomial_divide(s, m):
@@ -325,28 +559,26 @@ def monomial_divide(s, m):
     deg = sum(m)
     if deg > s.cap:
         raise PreconditionViolated("divisor degree exceeds cap")
-    out = {}
-    for e, c in s.coeffs.items():
+
+    def move(e):
         q = tuple(x - y for x, y in zip(e, m))
         if any(x < 0 for x in q):
             raise DivisionObstruction(
                 "term w^%r is not divisible by w^%r" % (e, m)
             )
-        out[q] = c
-    return TruncatedSeries(s.nvars, s.cap - deg, s.field, out, _canonical=True)
+        return q
+
+    return TruncatedSeries._of_form(s.nvars, s.cap - deg,
+                                    _rekey(s, s.cap - deg, move))
 
 
 def monomial_multiply(s, m, coeff=1):
     """Multiply by coeff * w^m; exact, so the cap grows by |m|."""
     m = tuple(int(x) for x in m)
-    deg = sum(m)
-    c = s.field.coerce(coeff)
-    out = {}
-    for e, v in s.coeffs.items():
-        val = c * v
-        if not s.field.is_zero(val):
-            out[tuple(x + y for x, y in zip(e, m))] = val
-    return TruncatedSeries(s.nvars, s.cap + deg, s.field, out, _canonical=True)
+    cap = s.cap + sum(m)
+    moved = _rekey(s, cap, lambda e: tuple(x + y for x, y in zip(e, m)))
+    return TruncatedSeries._of_form(s.nvars, cap,
+                                    _scale(moved, RATIONAL.coerce(coeff)))
 
 
 def series_evaluate(s, point, conv=None):
@@ -362,8 +594,7 @@ def series_evaluate(s, point, conv=None):
                 val = val * x ** p
         total = val if total is None else total + val
     if total is None:
-        z = s.field.zero()
-        return conv(z) if conv is not None else z
+        return conv(QI_ZERO) if conv is not None else QI_ZERO
     return total
 
 
@@ -380,9 +611,9 @@ class PolyMapGerm:
         for s in components:
             if not isinstance(s, TruncatedSeries):
                 raise PreconditionViolated("germ components must be series")
-            if s.nvars != tmpl.nvars or s.cap != tmpl.cap or s.field != tmpl.field:
-                raise PreconditionViolated("germ components disagree on nvars/cap/field")
-            if not s.field.is_zero(s.constant_term()):
+            if s.nvars != tmpl.nvars or s.cap != tmpl.cap:
+                raise PreconditionViolated("germ components disagree on nvars/cap")
+            if s.constant_term():
                 raise PreconditionViolated("germ must fix the origin")
         if len(components) != tmpl.nvars:
             raise PreconditionViolated(
@@ -464,8 +695,6 @@ def germ_inverse(chi, cap=None):
         cap = chi.cap
     n = chi.n
     field = chi.field
-    if field != RATIONAL:
-        raise PreconditionViolated("germ inversion implemented for the exact field")
     L = chi.linear_matrix()
     Linv = invert_matrix(L)
     # start from the inverse linear part

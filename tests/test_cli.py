@@ -263,3 +263,44 @@ def test_orbit_start_dimension_check(tmp_path):
     res = run("orbit", "--map", spec, "--start", "1/100",
               "--steps", "5", "--csv", str(tmp_path / "x.csv"))
     assert res.exit_code == 2
+
+
+def test_unexpected_errors_exit_three(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "lift", broken)
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    res = run("lift", "--map", spec, "--stage", "1")
+    assert res.exit_code == 3
+    err = json.loads(res.stderr)
+    assert err["error"] == "RuntimeError" and err["message"] == "boom"
+    assert "RuntimeError: boom" in err["traceback"]
+
+
+# -- in-process use --------------------------------------------------------
+
+def test_in_process_calls_release_their_output_streams(tmp_path):
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    calls = [["lift", "--map", spec, "--stage", "2"],
+             ["partition", "--mu", "2"],
+             ["lift", "--map", str(tmp_path / "missing.json"), "--stage", "1"],
+             ["fatou-demo", "--settle", "10", "--steps", "10"]]
+    refs = []
+    for argv in calls:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                cli.main.main(args=argv, prog_name="blowdyn")
+            except SystemExit:
+                pass
+        assert out.getvalue() or err.getvalue()
+        refs += [weakref.ref(out), weakref.ref(err)]
+        del out, err
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
