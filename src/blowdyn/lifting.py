@@ -164,7 +164,7 @@ def _push_through_monomials(f, forward, cap):
         prev = out.get(key)
         out[key] = c if prev is None else prev + c
     out = {e: c for e, c in out.items() if c}
-    return TruncatedSeries(nvars, cap, f.field, out, _canonical=True)
+    return TruncatedSeries(nvars, cap, RATIONAL, out, _canonical=True)
 
 
 def lift(F, k, D):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import mat_eq, qi, solve_linear
-from .scalars import QI_ONE, QI_ZERO, RATIONAL
+from .scalars import QI_ONE, QI_ZERO
 from .series import PolyMapGerm, TruncatedSeries, germ_inverse
 
 
@@ -95,10 +95,10 @@ def conjugate_form(a, t):
     )
 
 
-def form_series(b, cap, field=RATIONAL):
+def form_series(b, cap):
     """The quadratic form with symmetric matrix b as a truncated series."""
     n = len(b)
-    s = TruncatedSeries.zero(n, cap, field)
+    s = TruncatedSeries.zero(n, cap)
     for h in range(n):
         for k in range(h, n):
             c = b[h][k] if h == k else b[h][k] + b[k][h]
@@ -106,7 +106,7 @@ def form_series(b, cap, field=RATIONAL):
                 e = [0] * n
                 e[h] += 1
                 e[k] += 1
-                s = s + TruncatedSeries.monomial(e, n, cap, field, coeff=c)
+                s = s + TruncatedSeries.monomial(e, n, cap, coeff=c)
     return s
 
 
@@ -340,17 +340,17 @@ def _quad_matrix(g, j):
     )
 
 
-def _jet_map(n, cap, field, linear_rows, quad_forms):
+def _jet_map(n, cap, linear_rows, quad_forms):
     """Polynomial germ with the given linear part plus one quadratic form per
     selected component (1-based keys)."""
     comps = []
     for i in range(n):
-        s = TruncatedSeries.zero(n, cap, field)
+        s = TruncatedSeries.zero(n, cap)
         for j in range(n):
             if linear_rows[i][j]:
-                s = s + TruncatedSeries.variable(j + 1, n, cap, field) * linear_rows[i][j]
+                s = s + TruncatedSeries.variable(j + 1, n, cap) * linear_rows[i][j]
         if i + 1 in quad_forms:
-            s = s + form_series(quad_forms[i + 1], cap, field)
+            s = s + form_series(quad_forms[i + 1], cap)
         comps.append(s)
     return PolyMapGerm(comps)
 
@@ -364,7 +364,7 @@ def normal_form(F):
     normal form.  Exact; the conjugator is a degree-2 polynomial map whose
     linear part is upper Toeplitz."""
     g = _as_germ(F)
-    n, cap, field = g.n, g.cap, g.field
+    n, cap = g.n, g.cap
     if n < 2:
         raise PreconditionViolated("dimension must be at least 2")
     if cap < 2:
@@ -379,7 +379,7 @@ def normal_form(F):
 
     # diagonalize the last component's quadratic form
     psi_a, red_a = eliminate_offdiagonal(_quad_matrix(g, n))
-    chi_a = _jet_map(n, cap, field, identity_rows, {n: psi_a})
+    chi_a = _jet_map(n, cap, identity_rows, {n: psi_a})
     work = _conjugate(work, chi_a, cap)
     steps.append(chi_a)
     if not mat_eq(_quad_matrix(work, n), red_a):
@@ -387,7 +387,7 @@ def normal_form(F):
 
     # Toeplitz reduction of that diagonal to a single square term
     alpha, psi_b, red_b = reduce_diagonal_tail(red_a)
-    chi_b = _jet_map(n, cap, field, toeplitz_upper(alpha), {n: psi_b})
+    chi_b = _jet_map(n, cap, toeplitz_upper(alpha), {n: psi_b})
     work = _conjugate(work, chi_b, cap)
     steps.append(chi_b)
     inv_alpha0 = QI_ONE / alpha[0]
@@ -399,7 +399,7 @@ def normal_form(F):
     # sweep the remaining components; cleaning component h pollutes only h-1
     for h in range(n - 1, 0, -1):
         psi_h, red_h = eliminate_offdiagonal(_quad_matrix(work, h))
-        chi_h = _jet_map(n, cap, field, identity_rows, {h: psi_h})
+        chi_h = _jet_map(n, cap, identity_rows, {h: psi_h})
         work = _conjugate(work, chi_h, cap)
         steps.append(chi_h)
         if not mat_eq(_quad_matrix(work, h), red_h):

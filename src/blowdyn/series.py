@@ -51,14 +51,13 @@ _RAT_ZERO = RAT(0)
 
 
 class TruncatedSeries:
-    __slots__ = ("nvars", "cap", "field", "_coeffs", "_form")
+    __slots__ = ("nvars", "cap", "_coeffs", "_form")
 
     def __init__(self, nvars, cap, field=RATIONAL, coeffs=None, _canonical=False):
         self.nvars = int(nvars)
         self.cap = int(cap)
         if field != RATIONAL:
             raise PreconditionViolated("series coefficients are exact Gaussian rationals")
-        self.field = RATIONAL
         self._form = None
         if self.cap < 0:
             raise PreconditionViolated("negative degree cap")
@@ -87,7 +86,6 @@ class TruncatedSeries:
         s = cls.__new__(cls)
         s.nvars = nvars
         s.cap = cap
-        s.field = RATIONAL
         s._coeffs = None
         s._form = form
         return s
@@ -142,9 +140,9 @@ class TruncatedSeries:
 
     def coefficient(self, exps):
         e = tuple(exps)
-        if self._coeffs is not None or len(e) != self.nvars:
-            return self.coeffs.get(e, QI_ZERO)
-        den, re, im = self._form
+        if len(e) != self.nvars or min(e, default=0) < 0 or sum(e) > self.cap:
+            return QI_ZERO  # no stored term has this exponent
+        den, re, im = self._int_form()
         k = _pack(e, self.cap + 1)
         return _scalar(re.get(k, 0), im.get(k, 0), den)
 
@@ -166,9 +164,8 @@ class TruncatedSeries:
         )
 
     def is_zero(self):
-        if self._coeffs is not None:
-            return not self._coeffs
-        return not (self._form[1] or self._form[2])
+        _, re, im = self._int_form()
+        return not re and not im
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -626,10 +623,6 @@ class PolyMapGerm:
     def cap(self):
         return self.components[0].cap
 
-    @property
-    def field(self):
-        return self.components[0].field
-
     def linear_matrix(self):
         n = self.n
         out = []
@@ -680,9 +673,9 @@ class PolyMapGerm:
         return "PolyMapGerm(%s)" % ", ".join(repr(s) for s in self.components)
 
 
-def identity_germ(n, cap, field=RATIONAL):
+def identity_germ(n, cap):
     return PolyMapGerm(
-        [TruncatedSeries.variable(i + 1, n, cap, field) for i in range(n)]
+        [TruncatedSeries.variable(i + 1, n, cap) for i in range(n)]
     )
 
 
@@ -694,7 +687,6 @@ def germ_inverse(chi, cap=None):
     if cap is None:
         cap = chi.cap
     n = chi.n
-    field = chi.field
     L = chi.linear_matrix()
     Linv = invert_matrix(L)
     # start from the inverse linear part
@@ -706,9 +698,9 @@ def germ_inverse(chi, cap=None):
                 e = [0] * n
                 e[j] = 1
                 coeffs[tuple(e)] = Linv[i][j]
-        comps.append(TruncatedSeries(n, cap, field, coeffs, _canonical=True))
+        comps.append(TruncatedSeries(n, cap, coeffs=coeffs, _canonical=True))
     g = PolyMapGerm(comps)
-    ident = identity_germ(n, cap, field)
+    ident = identity_germ(n, cap)
     chi_cap = chi.as_polynomial_cap(cap)
     for _ in range(2, cap + 1):
         resid = [
@@ -718,7 +710,7 @@ def germ_inverse(chi, cap=None):
             break
         corr = []
         for i in range(n):
-            acc = TruncatedSeries.zero(n, cap, field)
+            acc = TruncatedSeries.zero(n, cap)
             for j in range(n):
                 if Linv[i][j]:
                     acc = series_add(acc, series_scale(resid[j], Linv[i][j]))

@@ -158,6 +158,19 @@ def test_terms_above_the_cap_are_dropped():
     assert (top * top).is_zero()
 
 
+def test_coefficient_reads_stored_terms_only():
+    rng = random.Random(6)
+    coeffs = rand_coeffs(rng, 2, 2, 8)
+    built = series(2, 2, coeffs)
+    product = built * TruncatedSeries.constant(1, 2, 2)
+    for s in (built, product):
+        for e in [(a, b) for a in range(3) for b in range(3 - a)]:
+            assert s.coefficient(e) == coeffs.get(e, ZERO)
+        # exponents no term can have: negative, above the cap, wrong length
+        for e in [(-3, 6), (2, -2), (3, 0), (1, 2), (0,), (0, 0, 0)]:
+            assert s.coefficient(e) == ZERO
+
+
 # -- power, reciprocal, composition --------------------------------------
 
 @pytest.mark.parametrize("nvars,cap", [(1, 10), (2, 8), (3, 6), (4, 4), (6, 3)])
