@@ -25,7 +25,6 @@ from blowdyn import (
     normal_form,
 )
 from blowdyn.normalform import diagonal_cutoff, toeplitz_upper
-from blowdyn.scalars import RATIONAL
 from blowdyn.series import PolyMapGerm, TruncatedSeries, germ_inverse
 
 G = GaussianRational
@@ -55,7 +54,7 @@ def toeplitz_germ(alpha, n, cap):
                 e = [0] * n
                 e[j] = 1
                 coeffs[tuple(e)] = T[i][j]
-        comps.append(TruncatedSeries(n, cap, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(n, cap, coeffs))
     return PolyMapGerm(comps)
 
 

@@ -24,13 +24,11 @@ from .errors import (
     NonConvergent,
     PreconditionViolated,
     InsufficientData,
-    NumericNonConvergence,
 )
 from .scalars import (
     GaussianRational,
     parse_scalar,
     format_scalar,
-    RATIONAL,
 )
 from .partition import JordanStructure, Splitting, build_structure, splitting, flag_generators
 from .series import (

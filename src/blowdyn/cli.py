@@ -42,7 +42,7 @@ from .lifting import (
 )
 from .normalform import epsilon_vector, invariants_2d, normal_form
 from .partition import build_structure, splitting
-from .scalars import RATIONAL, GaussianRational, parse_scalar
+from .scalars import GaussianRational, parse_scalar
 from .series import PolyMapGerm, TruncatedSeries
 
 SCHEMA = "blowdyn/1"
@@ -260,7 +260,7 @@ def lifted_map_from_json(data):
         coeffs = {}
         for row in rows:
             coeffs[tuple(row["exp"])] = parse_scalar(row["coeff"])
-        comps.append(TruncatedSeries(S.n, cap, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(S.n, cap, coeffs))
     return LiftedMap(
         structure=S, stage=stage, cap=cap, series=PolyMapGerm(comps),
         formulas=projection_formulas(S, stage),
@@ -511,9 +511,7 @@ def classify_cmd(map_path, csv_path, tau, window):
         _expect(all(b - a == 1 for a, b in zip(ks, ks[1:])),
                 "CSV k column must increase by 1")
         trace = dynamics.OrbitTrace(
-            points=tuple(pts), precision_bits=53, source=F,
-            zero_flags=tuple(any(not x for x in z) for z in pts),
-        )
+            points=tuple(pts), precision_bits=53, source=F)
         rep = dynamics.regularity_classify(
             trace, F.structure, k0=ks[0], tau=tau, window=window)
         payload = {
@@ -543,7 +541,8 @@ def classify_cmd(map_path, csv_path, tau, window):
 @click.option("--map", "map_path", required=True, type=str)
 def normalform_cmd(map_path):
     """Quadratic normal form for a germ whose linear part is the
-    unipotent Jordan block, with the epsilon table and conjugator."""
+    unipotent Jordan block, with the epsilon table and conjugator.  At
+    degree caps >= 3 the conjugator is exact only modulo degree 3."""
     def run():
         F, _ = load_map_spec(map_path)
         nf = normal_form(F)

@@ -41,14 +41,14 @@ from .errors import (
     UnsupportedSpectrum,
     ZeroCoordinate,
 )
-from .exactalg import mat_vec
 from .lifting import (
     is_diagonalizable,
     lift,
     lifted_linear_part,
     lifted_quadratic_part,
 )
-from .scalars import GaussianRational, gaussian_sqrt
+from .scalars import QI_ZERO, GaussianRational, gaussian_sqrt
+from .series import _as_germ
 
 # Numeric policy (declared, not derived):
 NEWTON_MAX_ITER = 50
@@ -71,6 +71,14 @@ def _to_complex(x):
     if isinstance(x, GaussianRational):
         return x.to_complex()
     return complex(x)
+
+
+def _vanishes(lam):
+    """Whether a multiplier counts as zero: exactly for exact values,
+    within DEGENERATE_EPS for floating-point ones."""
+    if isinstance(lam, GaussianRational):
+        return not lam
+    return abs(lam) <= DEGENERATE_EPS
 
 
 def projective_distance(a, b):
@@ -350,7 +358,7 @@ def _numeric_directions(Q, stats=None):
         stats.update(counters)
     return [
         CharDirection(
-            v=rep, lam=lam_rep, degenerate=abs(lam_rep) <= DEGENERATE_EPS,
+            v=rep, lam=lam_rep, degenerate=_vanishes(lam_rep),
             mode="numeric", residual=float(resid),
         )
         for rep, lam_rep, resid in found
@@ -434,70 +442,14 @@ class HakimData:
     lam: object
 
 
-def _hakim_exact(Q, v, i0):
-    n = Q.n
-    piv = v[i0]
-    w = [x / piv for x in v]
-    lamp = Q.value(i0 + 1, w)
-    for j in range(1, n + 1):
-        if Q.value(j, w) != lamp * w[j - 1]:
-            raise PreconditionViolated(
-                "v is not a fixed direction of this quadratic part (component %d)" % j
-            )
-    if not lamp:
-        raise DegenerateDirection("multiplier vanishes at this direction")
-    idxs = [t for t in range(n) if t != i0]
-    Apiv = mat_vec(Q.matrices[i0], w)
-    rows = []
-    two = GaussianRational(2)
-    for j in idxs:
-        Aj = mat_vec(Q.matrices[j], w)
-        row = []
-        for k in idxs:
-            d = (two / lamp) * (Aj[k] - w[j] * Apiv[k])
-            if j == k:
-                d = d - _ONE
-            row.append(d / two)
-        rows.append(tuple(row))
-    return tuple(rows), lamp
-
-
-def _hakim_numeric(Q, v, i0):
-    n = Q.n
-    mats = [
-        [[_to_complex(Q.matrices[j][h][k]) for k in range(n)] for h in range(n)]
-        for j in range(n)
-    ]
-    piv = _to_complex(v[i0])
-    w = [_to_complex(x) / piv for x in v]
-
-    def qval(j):
-        return sum(
-            mats[j][h][k] * w[h] * w[k] for h in range(n) for k in range(n)
-        )
-
-    lamp = qval(i0)
-    for j in range(n):
-        if abs(qval(j) - lamp * w[j]) > 1e-8 * (1.0 + abs(lamp)):
-            raise PreconditionViolated(
-                "v is not a fixed direction of this quadratic part "
-                "(component %d residual too large)" % (j + 1)
-            )
-    if abs(lamp) <= 1e-10:
-        raise DegenerateDirection("multiplier numerically zero at this direction")
-    idxs = [t for t in range(n) if t != i0]
-    Apiv = [sum(mats[i0][r][k] * w[k] for k in range(n)) for r in range(n)]
-    rows = []
-    for j in idxs:
-        Aj = [sum(mats[j][r][k] * w[k] for k in range(n)) for r in range(n)]
-        row = []
-        for k in idxs:
-            d = (2.0 / lamp) * (Aj[k] - w[j] * Apiv[k])
-            if j == k:
-                d -= 1.0
-            row.append(d / 2.0)
-        rows.append(tuple(row))
-    return tuple(rows), lamp
+def _quad_value(q, w, zero):
+    """w^T q w, summed from `zero` over the terms with no zero factor.
+    Starting from `zero` (0 for floats) rather than from the first term
+    keeps a floating-point value equal to the full sum, signed zeros
+    included."""
+    n = len(w)
+    return sum((q[h][k] * w[h] * w[k] for h in range(n) if w[h]
+                for k in range(n) if q[h][k] and w[k]), zero)
 
 
 def hakim_matrix(Q, v, chart=None):
@@ -506,8 +458,10 @@ def hakim_matrix(Q, v, chart=None):
     The direction is normalized in the affine chart of its largest-modulus
     coordinate (or the 1-based `chart` if given); the matrix is half the
     deviation of the projectivized tangent map from the identity there.
-    Exact input produces an exact matrix; eigenvalues of blocks larger
-    than 1x1 are computed in floating point.
+    Exact input produces an exact matrix; any other input is converted to
+    complex floats, and the fixed-direction and zero-multiplier checks then
+    take tolerances.  Eigenvalues of blocks larger than 1x1 are computed
+    in floating point.
     """
     n = Q.n
     if len(v) != n:
@@ -520,16 +474,48 @@ def hakim_matrix(Q, v, chart=None):
             raise PreconditionViolated("chosen chart coordinate of v vanishes")
     else:
         i0 = _argmax_abs(v)
+    mats = Q.matrices
     exact = all(isinstance(x, GaussianRational) for x in v) and all(
-        isinstance(Q.matrices[j][h][k], GaussianRational)
-        for j in range(n)
-        for h in range(n)
-        for k in range(n)
+        isinstance(x, GaussianRational) for m in mats for row in m for x in row
     )
     if exact:
-        mat, lamp = _hakim_exact(Q, v, i0)
+        zero, one, two = QI_ZERO, _ONE, GaussianRational(2)
     else:
-        mat, lamp = _hakim_numeric(Q, v, i0)
+        mats = [[[_to_complex(x) for x in row] for row in m] for m in mats]
+        v = [_to_complex(x) for x in v]
+        zero, one, two = 0, 1.0, 2.0
+    piv = v[i0]
+    w = [x / piv for x in v]
+    lamp = _quad_value(mats[i0], w, zero)
+    for j in range(n):
+        q, p = _quad_value(mats[j], w, zero), lamp * w[j]
+        if exact and q != p:
+            raise PreconditionViolated(
+                "v is not a fixed direction of this quadratic part (component %d)"
+                % (j + 1)
+            )
+        if not exact and abs(q - p) > 1e-8 * (1.0 + abs(lamp)):
+            raise PreconditionViolated(
+                "v is not a fixed direction of this quadratic part "
+                "(component %d residual too large)" % (j + 1)
+            )
+    if exact and not lamp:
+        raise DegenerateDirection("multiplier vanishes at this direction")
+    if not exact and abs(lamp) <= 1e-10:
+        raise DegenerateDirection("multiplier numerically zero at this direction")
+    idxs = [t for t in range(n) if t != i0]
+    Apiv = [sum((row[k] * w[k] for k in range(n)), zero) for row in mats[i0]]
+    rows = []
+    for j in idxs:
+        Aj = [sum((row[k] * w[k] for k in range(n)), zero) for row in mats[j]]
+        out = []
+        for k in idxs:
+            d = (two / lamp) * (Aj[k] - w[j] * Apiv[k])
+            if j == k:
+                d = d - one
+            out.append(d / two)
+        rows.append(tuple(out))
+    mat = tuple(rows)
     m = len(mat)
     if m == 0:
         spectrum = ()
@@ -624,16 +610,13 @@ def expected_asymptotics(F):
 class OrbitTrace:
     """A finite orbit z^0, ..., z^N stored at fixed binary precision.
 
-    zero_flags marks points with some exactly-zero coordinate (those
-    points cannot be pulled back through every chart).  A diverged orbit
-    is truncated at the last finite in-radius point, with the offending
-    step recorded.
+    A diverged orbit is truncated at the last finite in-radius point, with
+    the offending step recorded.
     """
 
     points: tuple
     precision_bits: int
     source: object = None
-    zero_flags: tuple = ()
     diverged: bool = False
     diverged_at: object = None
 
@@ -645,21 +628,33 @@ class OrbitTrace:
         return len(self.points[0])
 
 
-def _as_polymap(F):
-    m = getattr(F, "map", None)
-    if m is not None and hasattr(m, "components"):
-        return m
-    if hasattr(F, "components"):
-        return F
-    raise PreconditionViolated("expected a polynomial germ or an input germ")
-
-
 def _to_mpc(x, prec):
     if isinstance(x, GaussianRational):
         return x.to_mpc(prec)
     if isinstance(x, Fraction):
         return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
     return mpmath.mpc(x)
+
+
+def _compile_terms(g, prec, min_degree=0):
+    """Per component of g, its terms of degree >= min_degree as
+    (((variable, power), ...), mpc coefficient), in exponent order."""
+    return [
+        [(tuple((i, p) for i, p in enumerate(e) if p), _to_mpc(c, prec))
+         for e, c in sorted(comp.coeffs.items()) if sum(e) >= min_degree]
+        for comp in g.components
+    ]
+
+
+def _eval_terms(terms, z):
+    """The polynomial given by a compiled term list, at the point z."""
+    tot = mpmath.mpc(0)
+    for mono, c in terms:
+        val = c
+        for i, p in mono:
+            val *= z[i] ** p
+        tot += val
+    return tot
 
 
 def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
@@ -669,35 +664,19 @@ def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
     leaves the sup-norm ball of the given radius (or stops being finite)
     the trace is truncated there and flagged; no exception is raised.
     """
-    g = _as_polymap(F)
-    n = g.n
-    if len(z0) != n:
+    g = _as_germ(F)
+    if len(z0) != g.n:
         raise PreconditionViolated("start point has wrong dimension")
     if steps < 1:
         raise PreconditionViolated("need at least one step")
     with mpmath.workprec(precision_bits):
-        terms = []
-        for comp in g.components:
-            tl = []
-            for e, c in sorted(comp.coeffs.items()):
-                mono = tuple((i, p) for i, p in enumerate(e) if p)
-                tl.append((mono, _to_mpc(c, precision_bits)))
-            terms.append(tl)
+        terms = _compile_terms(g, precision_bits)
         z = [_to_mpc(x, precision_bits) for x in z0]
         pts = [tuple(z)]
-        flags = [any(not x for x in z)]
         diverged = False
         diverged_at = None
         for step in range(1, steps + 1):
-            new = []
-            for tl in terms:
-                tot = mpmath.mpc(0)
-                for mono, c in tl:
-                    val = c
-                    for i, p in mono:
-                        val *= z[i] ** p
-                    tot += val
-                new.append(tot)
+            new = [_eval_terms(tl, z) for tl in terms]
             bad = any(not mpmath.isfinite(x) for x in new)
             if bad or max(abs(x) for x in new) > radius:
                 diverged = True
@@ -705,10 +684,9 @@ def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
                 break
             z = new
             pts.append(tuple(z))
-            flags.append(any(not x for x in z))
     return OrbitTrace(
         points=tuple(pts), precision_bits=precision_bits, source=F,
-        zero_flags=tuple(flags), diverged=diverged, diverged_at=diverged_at,
+        diverged=diverged, diverged_at=diverged_at,
     )
 
 
@@ -755,15 +733,7 @@ def _solve_preimage(S, lam, higher, w, max_iter=80):
     tol = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
     floor = mpmath.mpf(2) ** -120
     for _ in range(max_iter):
-        y = []
-        for j in range(S.n):
-            h = mpmath.mpc(0)
-            for mono, c in higher[j]:
-                val = c
-                for i, p in mono:
-                    val *= z[i] ** p
-                h += val
-            y.append(w[j] - h)
+        y = [w[j] - _eval_terms(higher[j], z) for j in range(S.n)]
         x = _jordan_backsolve(S, lam, y)
         delta = max(abs(a - b) for a, b in zip(x, z))
         z = x
@@ -794,17 +764,10 @@ def standard_orbit_seed(F, k0=50, settle=20000, precision_bits=128,
             "need an input germ with a declared linear structure")
     if settle < 1:
         raise PreconditionViolated("settle must be positive")
-    g = _as_polymap(F)
+    g = _as_germ(F)
     work = precision_bits + 32
     with mpmath.workprec(work):
-        higher = []
-        for comp in g.components:
-            tl = []
-            for e, c in sorted(comp.coeffs.items()):
-                if sum(e) >= 2:
-                    mono = tuple((i, p) for i, p in enumerate(e) if p)
-                    tl.append((mono, _to_mpc(c, work)))
-            higher.append(tl)
+        higher = _compile_terms(g, work, min_degree=2)
         lam = [_to_mpc(lv, work) for lv in S.lam]
         z = list(profile_point(F, k0 + settle, precision_bits=work))
         for _ in range(settle):
@@ -1345,34 +1308,25 @@ def parabolic_classification(F):
         notes = []
         if root is not None:
             branches = [root] if not root else [root, -root]
-            half = GaussianRational(Fraction(1, 2))
+            one, half = _ONE, GaussianRational(Fraction(1, 2))
         else:
             rc = cmath.sqrt(complex(eta.to_complex()))
             branches = [rc, -rc]
             a111 = a111.to_complex()
             a212 = a212.to_complex()
             eps = eps.to_complex()
-            half = 0.5
+            one, half = 1.0 + 0.0j, 0.5
             notes.append("square root of the second invariant is irrational; "
                          "directions reported in floating point")
         dirs = []
         for s in branches:
             t = (a212 - a111 + s) * half
             lam = (eps + s) * half
-            if isinstance(lam, GaussianRational):
-                deg = not lam
-                one, att = _ONE, None
-                if not deg:
-                    att = (-2 * s) / (eps + s)
-            else:
-                deg = abs(lam) <= DEGENERATE_EPS
-                one, att = 1.0 + 0.0j, None
-                if not deg:
-                    att = (-2.0 * s) / (eps + s)
+            deg = _vanishes(lam)
             dirs.append(CharDirection(
                 v=(one, t), lam=lam, degenerate=deg, mode="closed-form",
                 allowable=True,
-                hakim_spectrum=None if att is None else (att,),
+                hakim_spectrum=None if deg else ((-2 * s) / (eps + s),),
             ))
         curves = sum(1 for d in dirs if not d.degenerate)
         return ClassificationReport(

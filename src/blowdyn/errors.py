@@ -74,12 +74,8 @@ class NonConvergent(BlowdynError):
 
 
 class PreconditionViolated(BlowdynError):
-    """Arguments violate a documented precondition (caps, fields, shapes)."""
+    """Arguments violate a documented precondition (caps, scalar types, shapes)."""
 
 
 class InsufficientData(BlowdynError):
     """A trace is too short for the requested estimate."""
-
-
-class NumericNonConvergence(BlowdynError):
-    """An iterative numeric solve failed to reach the required residual."""

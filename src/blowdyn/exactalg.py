@@ -41,20 +41,12 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), QI_ZERO) for i in range(len(a))]
-
-
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def mat_eq(a, b):
@@ -148,19 +140,6 @@ def poly_trim(p):
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def poly_mul(p, q):
-    if not p or not q:
-        return []
-    out = [QI_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if not a:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] = out[i + j] + a * b
-    return poly_trim(out)
 
 
 def poly_divmod(p, q):

@@ -28,7 +28,7 @@ from .exactalg import (
     minimal_polynomial,
 )
 from .partition import splitting
-from .scalars import RATIONAL, GaussianRational
+from .scalars import GaussianRational
 from .series import (
     PolyMapGerm,
     TruncatedSeries,
@@ -81,7 +81,7 @@ def germ_from_terms(S, terms, cap=2):
             ee = tuple(exps)
             add = c if isinstance(c, GaussianRational) else GaussianRational(c)
             coeffs[ee] = coeffs.get(ee, GaussianRational(0)) + add
-        comps.append(TruncatedSeries(n, cap, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(n, cap, coeffs))
     return InputGerm(S, PolyMapGerm(comps))
 
 
@@ -164,7 +164,7 @@ def _push_through_monomials(f, forward, cap):
         prev = out.get(key)
         out[key] = c if prev is None else prev + c
     out = {e: c for e, c in out.items() if c}
-    return TruncatedSeries(nvars, cap, RATIONAL, out, _canonical=True)
+    return TruncatedSeries(nvars, cap, out, _canonical=True)
 
 
 def lift(F, k, D):
@@ -308,18 +308,13 @@ def expected_eigenvalue_multiset(S):
     return multis
 
 
-def is_diagonalizable(mat, tol=1e-8):
-    """Exact certificate (squarefree minimal polynomial) for exact matrices;
-    eigenvector-condition test otherwise."""
-    if mat and isinstance(mat[0][0], GaussianRational):
-        return is_squarefree(minimal_polynomial(mat))
-    import numpy as np
-
-    arr = np.array(mat, dtype=complex)
-    vals, vecs = np.linalg.eig(arr)
-    # full set of independent eigenvectors <=> vecs invertible
-    s = np.linalg.svd(vecs, compute_uv=False)
-    return s[-1] > tol * s[0]
+def is_diagonalizable(mat):
+    """Exact certificate: the minimal polynomial of the exact matrix is
+    squarefree."""
+    if not all(isinstance(x, GaussianRational) for row in mat for x in row):
+        raise PreconditionViolated(
+            "diagonalizability is decided for exact matrices only")
+    return is_squarefree(minimal_polynomial(mat))
 
 
 @dataclass(frozen=True)
@@ -562,7 +557,7 @@ def divisor_action_mismatches(F, D=3):
                 e = [0] * (n - 1)
                 e[k - 1] = 1
                 coeffs[tuple(e)] = J[j][k]
-        rows.append(TruncatedSeries(n - 1, D, RATIONAL, coeffs, _canonical=True))
+        rows.append(TruncatedSeries(n - 1, D, coeffs, _canonical=True))
     denom_inv = series_reciprocal(rows[0])
     bad = []
     for j in range(2, n + 1):
@@ -572,7 +567,7 @@ def divisor_action_mismatches(F, D=3):
         for e, c in comp.coeffs.items():
             if e[0] == 0:
                 restricted[tuple(e[1:])] = c
-        got = TruncatedSeries(n - 1, D, RATIONAL, restricted, _canonical=True)
+        got = TruncatedSeries(n - 1, D, restricted, _canonical=True)
         if got != target:
             bad.append(j)
     return bad

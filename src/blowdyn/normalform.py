@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import mat_eq, qi, solve_linear
 from .scalars import QI_ONE, QI_ZERO
-from .series import PolyMapGerm, TruncatedSeries, germ_inverse
+from .series import PolyMapGerm, TruncatedSeries, _as_germ, germ_inverse
 
 
 def diagonal_cutoff(n):
@@ -296,6 +296,11 @@ def reduce_diagonal_tail(phi):
 
 @dataclass(frozen=True)
 class NormalFormResult:
+    """normalized is F conjugated by the full composition of the
+    reduction steps; conjugator is only the degree-2 truncation of that
+    composition.  conjugator o normalized == F o conjugator therefore
+    holds modulo degree 3, and exactly only at cap 2."""
+
     normalized: PolyMapGerm
     conjugator: PolyMapGerm  # degree-2 polynomial germ
     alpha: tuple
@@ -308,15 +313,6 @@ class NormalFormResult:
 
     def epsilon_entry(self, h, k):
         return self.epsilon[h - 1][k - 1]
-
-
-def _as_germ(f):
-    if isinstance(f, PolyMapGerm):
-        return f
-    inner = getattr(f, "map", None)
-    if isinstance(inner, PolyMapGerm):
-        return inner
-    raise PreconditionViolated("expected a polynomial germ or a wrapper exposing one")
 
 
 def _require_unipotent_block(g):
@@ -362,7 +358,9 @@ def _conjugate(g, chi, cap):
 def normal_form(F):
     """Conjugate a germ with unipotent Jordan linear part into quadratic
     normal form.  Exact; the conjugator is a degree-2 polynomial map whose
-    linear part is upper Toeplitz."""
+    linear part is upper Toeplitz.  At cap >= 3 the reported conjugator is
+    the degree-2 truncation of the map actually used to build normalized,
+    so it conjugates F to normalized only modulo degree 3."""
     g = _as_germ(F)
     n, cap = g.n, g.cap
     if n < 2:

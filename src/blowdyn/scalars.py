@@ -1,4 +1,4 @@
-"""Exact Gaussian-rational scalars and the coefficient field tag.
+"""Exact Gaussian-rational scalars.
 
 All exact coefficient arithmetic in the package runs over Q(i): a
 GaussianRational holds its real and imaginary parts as fractions.Fraction
@@ -149,6 +149,15 @@ def _coerce(x):
     if isinstance(x, int) or hasattr(x, "numerator"):
         return GaussianRational(x)
     return NotImplemented
+
+
+def _as_scalar(x):
+    """x as a GaussianRational: strings are parsed, ints and fractions
+    converted; anything else, floats included, is rejected."""
+    c = parse_scalar(x) if isinstance(x, str) else _coerce(x)
+    if c is NotImplemented:
+        raise PreconditionViolated("cannot coerce %r into an exact scalar" % (x,))
+    return c
 
 
 QI_ZERO = GaussianRational(0)
@@ -306,39 +315,3 @@ def gaussian_sqrt(z):
     if w.re < 0 or (w.re == 0 and w.im < 0):
         w = -w
     return w
-
-
-# -- coefficient fields --------------------------------------------------
-
-class RationalField:
-    """Tag object for exact Gaussian-rational coefficients."""
-
-    name = "rational"
-
-    def coerce(self, x):
-        if isinstance(x, GaussianRational):
-            return x
-        if isinstance(x, (int, str)) or hasattr(x, "numerator"):
-            return parse_scalar(x) if isinstance(x, str) else GaussianRational(x)
-        raise PreconditionViolated("cannot coerce %r into rational field" % (x,))
-
-    def zero(self):
-        return QI_ZERO
-
-    def one(self):
-        return QI_ONE
-
-    def is_zero(self, c):
-        return not c
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("rational")
-
-    def __repr__(self):
-        return "RationalField()"
-
-
-RATIONAL = RationalField()

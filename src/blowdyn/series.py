@@ -29,7 +29,7 @@ built from coefficients is.
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
-from .scalars import QI_ZERO, RAT, RATIONAL, GaussianRational
+from .scalars import QI_ONE, QI_ZERO, RAT, GaussianRational, _as_scalar
 
 __all__ = [
     "TruncatedSeries",
@@ -53,11 +53,9 @@ _RAT_ZERO = RAT(0)
 class TruncatedSeries:
     __slots__ = ("nvars", "cap", "_coeffs", "_form")
 
-    def __init__(self, nvars, cap, field=RATIONAL, coeffs=None, _canonical=False):
+    def __init__(self, nvars, cap, coeffs=None, _canonical=False):
         self.nvars = int(nvars)
         self.cap = int(cap)
-        if field != RATIONAL:
-            raise PreconditionViolated("series coefficients are exact Gaussian rationals")
         self._form = None
         if self.cap < 0:
             raise PreconditionViolated("negative degree cap")
@@ -75,7 +73,7 @@ class TruncatedSeries:
                     raise PreconditionViolated(
                         "multi-index %r above cap %d" % (e, self.cap)
                     )
-                c = RATIONAL.coerce(c)
+                c = _as_scalar(c)
                 if c:
                     clean[e] = c
             self._coeffs = clean
@@ -107,18 +105,18 @@ class TruncatedSeries:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, nvars, cap, field=RATIONAL):
-        return cls(nvars, cap, field, {}, _canonical=True)
+    def zero(cls, nvars, cap):
+        return cls(nvars, cap, {}, _canonical=True)
 
     @classmethod
-    def constant(cls, value, nvars, cap, field=RATIONAL):
-        c = RATIONAL.coerce(value)
+    def constant(cls, value, nvars, cap):
+        c = _as_scalar(value)
         if not c:
-            return cls.zero(nvars, cap, field)
-        return cls(nvars, cap, field, {(0,) * nvars: c}, _canonical=True)
+            return cls.zero(nvars, cap)
+        return cls(nvars, cap, {(0,) * nvars: c}, _canonical=True)
 
     @classmethod
-    def variable(cls, i, nvars, cap, field=RATIONAL):
+    def variable(cls, i, nvars, cap):
         """The coordinate w_i (1-based)."""
         if not 1 <= i <= nvars:
             raise PreconditionViolated("variable index out of range")
@@ -126,15 +124,15 @@ class TruncatedSeries:
             raise PreconditionViolated("cap too small to hold a variable")
         e = [0] * nvars
         e[i - 1] = 1
-        return cls(nvars, cap, field, {tuple(e): RATIONAL.one()}, _canonical=True)
+        return cls(nvars, cap, {tuple(e): QI_ONE}, _canonical=True)
 
     @classmethod
-    def monomial(cls, exps, nvars, cap, field=RATIONAL, coeff=1):
+    def monomial(cls, exps, nvars, cap, coeff=1):
         e = tuple(int(x) for x in exps)
-        c = RATIONAL.coerce(coeff)
+        c = _as_scalar(coeff)
         if not c:
-            return cls.zero(nvars, cap, field)
-        return cls(nvars, cap, field, {e: c})
+            return cls.zero(nvars, cap)
+        return cls(nvars, cap, {e: c})
 
     # -- inspection -----------------------------------------------------
 
@@ -434,7 +432,7 @@ def series_add(a, b):
 
 
 def series_scale(a, scalar):
-    c = RATIONAL.coerce(scalar)
+    c = _as_scalar(scalar)
     return TruncatedSeries._of_form(a.nvars, a.cap, _scale(a._int_form(), c))
 
 
@@ -536,7 +534,7 @@ def series_reciprocal(u):
         raise PreconditionViolated("reciprocal of a non-unit (zero constant term)")
     cap = u.cap
     shift = _shift(u.nvars, cap)
-    inv_c0 = RATIONAL.one() / c0
+    inv_c0 = QI_ONE / c0
     # u = c0 (1 - t) with t of positive order; 1/u = (1/c0) sum t^m
     t = _select(_scale(u._int_form(), -inv_c0), bool)  # drops the constant -1
     acc = p = _ONE_FORM
@@ -575,23 +573,23 @@ def monomial_multiply(s, m, coeff=1):
     cap = s.cap + sum(m)
     moved = _rekey(s, cap, lambda e: tuple(x + y for x, y in zip(e, m)))
     return TruncatedSeries._of_form(s.nvars, cap,
-                                    _scale(moved, RATIONAL.coerce(coeff)))
+                                    _scale(moved, _as_scalar(coeff)))
 
 
-def series_evaluate(s, point, conv=None):
-    """Evaluate at a point given as a sequence of coefficients-compatible
-    values; conv converts stored coefficients first (e.g. to mpc)."""
+def series_evaluate(s, point):
+    """Evaluate at a point given as a sequence of values that multiply
+    with Gaussian rationals."""
     if len(point) != s.nvars:
         raise PreconditionViolated("point dimension mismatch")
     total = None
     for e, c in s.coeffs.items():
-        val = conv(c) if conv is not None else c
+        val = c
         for x, p in zip(point, e):
             if p:
                 val = val * x ** p
         total = val if total is None else total + val
     if total is None:
-        return conv(QI_ZERO) if conv is not None else QI_ZERO
+        return QI_ZERO
     return total
 
 
@@ -655,9 +653,6 @@ class PolyMapGerm:
         ]
         return PolyMapGerm(comps)
 
-    def evaluate(self, point, conv=None):
-        return [series_evaluate(s, point, conv) for s in self.components]
-
     def truncated(self, cap):
         return PolyMapGerm([s.truncated(cap) for s in self.components])
 
@@ -671,6 +666,16 @@ class PolyMapGerm:
 
     def __repr__(self):
         return "PolyMapGerm(%s)" % ", ".join(repr(s) for s in self.components)
+
+
+def _as_germ(f):
+    """The PolyMapGerm f, or the one an input germ wraps as f.map."""
+    if isinstance(f, PolyMapGerm):
+        return f
+    inner = getattr(f, "map", None)
+    if isinstance(inner, PolyMapGerm):
+        return inner
+    raise PreconditionViolated("expected a polynomial germ or an input germ")
 
 
 def identity_germ(n, cap):

@@ -41,7 +41,7 @@ from blowdyn.lifting import (
 )
 from blowdyn.normalform import epsilon_vector, normal_form, toeplitz_upper
 from blowdyn.partition import build_structure
-from blowdyn.scalars import RATIONAL, GaussianRational
+from blowdyn.scalars import GaussianRational
 from blowdyn.series import (
     PolyMapGerm,
     TruncatedSeries,
@@ -437,7 +437,7 @@ def _toeplitz_germ(alpha, n, cap):
                 e = [0] * n
                 e[j] = 1
                 coeffs[tuple(e)] = T[i][j]
-        comps.append(TruncatedSeries(n, cap, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(n, cap, coeffs))
     return PolyMapGerm(comps)
 
 
@@ -513,7 +513,7 @@ def _rand_series(rng, max_terms=4, unit=False):
                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     if unit:
         coeffs[(0, 0)] = G(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
-    return TruncatedSeries(2, 3, RATIONAL, coeffs)
+    return TruncatedSeries(2, 3, coeffs)
 
 
 def _rand_origin_germ(rng):
@@ -525,7 +525,7 @@ def _rand_origin_germ(rng):
             if sum(e) == 0:
                 continue
             coeffs[e] = G(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        comps.append(TruncatedSeries(2, 3, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(2, 3, coeffs))
     return PolyMapGerm(comps)
 
 

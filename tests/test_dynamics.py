@@ -5,6 +5,7 @@ import pytest
 
 from blowdyn import dynamics as dyn
 from blowdyn.errors import (
+    DegenerateDirection,
     NoAllowableDirection,
     NonConvergent,
     PreconditionViolated,
@@ -177,6 +178,21 @@ def test_hakim_degenerate_planar_family_values():
     v0 = [d for d in dyn.characteristic_directions(Q0, mode="exact2d")
           if d.v[0]][0]
     assert dyn.hakim_matrix(Q0, v0.v).spectrum == (G(0),)
+
+
+@pytest.mark.parametrize("to_input, degenerate_msg, unfixed_msg", [
+    (lambda x: x, "multiplier vanishes", r"\(component 2\)"),
+    (lambda x: x.to_complex(), "multiplier numerically zero",
+     "component 2 residual too large"),
+])
+def test_hakim_rejects_degenerate_and_unfixed_directions(
+        to_input, degenerate_msg, unfixed_msg):
+    _, Q = planar_stage1(1, 4, 4)
+    # [1 : -1] is fixed with multiplier 0; [1 : 1] is not fixed
+    with pytest.raises(DegenerateDirection, match=degenerate_msg):
+        dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(-1))))
+    with pytest.raises(PreconditionViolated, match=unfixed_msg):
+        dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(1))))
 
 
 def test_single_block_attraction_spectra_nonpositive():
@@ -387,11 +403,31 @@ def test_classification_planar_two_curves():
 
 
 def test_classification_planar_closed_form_matches_chart_matrix():
-    g = mk(S2, {(1, (2, 0)): 1, (2, (1, 1)): 1}, cap=3)
-    cr = dyn.parabolic_classification(g)
-    Q = lifted_quadratic_part(lift(g, 1, 2))
-    for d in cr.directions:
-        assert dyn.hakim_matrix(Q, d.v).spectrum == d.hakim_spectrum
+    rational = {(1, (2, 0)): 1, (2, (1, 1)): 1}
+    # a111 = 1, a212 = 1/3: the second invariant 34/9 has no rational
+    # root, so the closed form runs in floating point
+    irrational = {(1, (2, 0)): 1, (2, (1, 1)): Fraction(2, 3),
+                  (2, (3, 0)): Fraction(5, 3)}
+    for terms, exact in ((rational, True), (irrational, False)):
+        g = mk(S2, terms, cap=3)
+        cr = dyn.parabolic_classification(g)
+        assert cr.curves == 2
+        assert any("irrational" in note for note in cr.notes) is not exact
+        Q = lifted_quadratic_part(lift(g, 1, 2))
+        m11, m12, c11, c12, c22 = (
+            Q.monomial_coefficient(*jhk).to_complex()
+            for jhk in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)))
+        for d in cr.directions:
+            h = dyn.hakim_matrix(Q, d.v, chart=1)
+            if exact:
+                assert h.spectrum == d.hakim_spectrum
+                assert h.lam == d.lam
+                continue
+            t = d.v[1]
+            # the slope solves Q_2(1, t) = t Q_1(1, t)
+            assert abs(c11 + (c12 - m11) * t + (c22 - m12) * t * t) < 1e-12
+            assert abs(h.lam - d.lam) < 1e-12
+            assert abs(h.spectrum[0] - d.hakim_spectrum[0]) < 1e-12
 
 
 def test_classification_planar_one_curve_cases():

@@ -20,7 +20,7 @@ from blowdyn.lifting import (
     verify_semiconjugacy,
 )
 from blowdyn.partition import build_structure
-from blowdyn.scalars import RATIONAL, GaussianRational, parse_scalar
+from blowdyn.scalars import GaussianRational, parse_scalar
 from blowdyn.series import PolyMapGerm, TruncatedSeries
 
 from conftest import STRUCTURES, fatou_germ, rand_lambdas, random_germ
@@ -92,7 +92,7 @@ def test_semiconjugacy_residual_catches_corruption():
     L = lift(F, 1, 3)
     assert verify_semiconjugacy(F, L)
     comp0 = L.series.components[0]
-    bump = TruncatedSeries.monomial((0, 2), 2, comp0.cap, RATIONAL,
+    bump = TruncatedSeries.monomial((0, 2), 2, comp0.cap,
                                     GaussianRational(Fraction(1, 3)))
     bad = PolyMapGerm([comp0 + bump, L.series.components[1]])
     corrupted = replace(L, series=bad)
@@ -199,6 +199,9 @@ def test_lifted_linear_part_becomes_diagonalizable():
     L = lift(F, S.ell, 2)
     M, _ = lifted_linear_part(L)
     assert is_diagonalizable(M)
+    # the certificate is exact: floating-point matrices are refused
+    with pytest.raises(PreconditionViolated):
+        is_diagonalizable([[x.to_complex() for x in row] for row in M])
 
 
 # -- quadratic part of the final lift --------------------------------------

@@ -18,7 +18,7 @@ from blowdyn.normalform import (
     toeplitz_upper,
 )
 from blowdyn.partition import build_structure
-from blowdyn.scalars import RATIONAL, GaussianRational
+from blowdyn.scalars import GaussianRational
 from blowdyn.series import PolyMapGerm, TruncatedSeries, germ_inverse
 
 from conftest import fatou_germ, random_germ
@@ -43,7 +43,7 @@ def toeplitz_germ(alpha, n, cap):
                 e = [0] * n
                 e[j] = 1
                 coeffs[tuple(e)] = T[i][j]
-        comps.append(TruncatedSeries(n, cap, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(n, cap, coeffs))
     return PolyMapGerm(comps)
 
 
@@ -175,6 +175,20 @@ def test_conjugation_identity_exact():
             nf = normal_form(F)
             assert (nf.conjugator.compose(nf.normalized)
                     == F.map.compose(nf.conjugator))
+
+
+def test_conjugation_identity_modulo_degree_three_at_cap_three():
+    # the reported conjugator is the degree-2 truncation of the map that
+    # built the normal form, so at cap 3 the identity holds below degree 3
+    rng = random.Random(79)
+    for n in (2, 3, 4):
+        for _ in range(3):
+            F = random_germ(rng, (n,), lam=("1",), cap=3,
+                            force_generic=False)
+            nf = normal_form(F)
+            lhs = nf.conjugator.compose(nf.normalized)
+            rhs = F.map.compose(nf.conjugator)
+            assert lhs.truncated(2) == rhs.truncated(2)
 
 
 def test_normal_form_requires_unipotent_single_block():

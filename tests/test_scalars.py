@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from blowdyn.errors import SchemaError
+from blowdyn.errors import PreconditionViolated, SchemaError
 from blowdyn.scalars import (
-    RATIONAL,
     GaussianRational,
+    _as_scalar,
     format_scalar,
     gaussian_sqrt,
     parse_scalar,
@@ -102,11 +102,15 @@ def test_gaussian_sqrt_random_squares():
         assert w.re > 0 or (w.re == 0 and w.im >= 0)
 
 
-def test_rational_field_protocol():
-    x = RATIONAL.coerce("3/4")
-    assert RATIONAL.is_zero(x - parse_scalar("3/4"))
-    assert not RATIONAL.is_zero(RATIONAL.one())
-    assert RATIONAL.zero() == GaussianRational(0)
+def test_scalar_coercion():
+    x = _as_scalar("3/4")
+    assert x == parse_scalar("3/4")
+    assert _as_scalar(x) is x
+    assert _as_scalar(3) == GaussianRational(3)
+    assert _as_scalar(Fraction(-1, 2)) == GaussianRational(Fraction(-1, 2))
+    for bad in (0.5, 1j, None, [1]):
+        with pytest.raises(PreconditionViolated):
+            _as_scalar(bad)
 
 
 def test_exact_conversions():

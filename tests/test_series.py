@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blowdyn.errors import DivisionObstruction, PreconditionViolated
-from blowdyn.scalars import RATIONAL, GaussianRational
+from blowdyn.scalars import GaussianRational
 from blowdyn.series import (
     PolyMapGerm,
     TruncatedSeries,
@@ -44,7 +44,7 @@ scalars = st.builds(GaussianRational, small_fraction,
 
 
 def _series(coeff_map):
-    return TruncatedSeries(NVARS, CAP, RATIONAL, coeff_map)
+    return TruncatedSeries(NVARS, CAP, coeff_map)
 
 
 series_strategy = st.builds(
@@ -79,7 +79,7 @@ def _germ(rows):
             if sum(e) == 0:
                 continue
             coeffs[e] = coeffs.get(e, GaussianRational(0)) + c
-        comps.append(TruncatedSeries(NVARS, 3, RATIONAL, coeffs))
+        comps.append(TruncatedSeries(NVARS, 3, coeffs))
     return PolyMapGerm(comps)
 
 
@@ -155,7 +155,7 @@ def test_constructors_and_inspection():
 
 def test_cap_is_enforced():
     with pytest.raises(PreconditionViolated):
-        TruncatedSeries(2, 2, RATIONAL, {(3, 0): GaussianRational(1)})
+        TruncatedSeries(2, 2, {(3, 0): GaussianRational(1)})
     w1 = TruncatedSeries.variable(1, 2, 4)
     s = (w1 * w1) * (w1 * w1)
     assert s.coefficient((4, 0)) == GaussianRational(1)
