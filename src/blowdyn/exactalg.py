@@ -49,12 +49,24 @@ def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
 
 
-def mat_eq(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def trace(a):
     return sum((a[i][i] for i in range(len(a))), QI_ZERO)
+
+
+def _eliminate(m, p, col):
+    """Scale row p of m to a unit pivot in column col, then clear that
+    column in every other row.  Only the pivot row's nonzero entries take
+    part, as in mat_mul."""
+    row = m[p]
+    inv = QI_ONE / row[col]
+    support = [j for j, x in enumerate(row) if x]
+    for j in support:
+        row[j] = row[j] * inv
+    for r, other in enumerate(m):
+        if r != p and other[col]:
+            f = other[col]
+            for j in support:
+                other[j] = other[j] - f * row[j]
 
 
 def solve_linear(rows, rhs):
@@ -80,12 +92,7 @@ def solve_linear(rows, rhs):
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = QI_ONE / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(nrows):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        _eliminate(m, rank, col)
         pivots.append(col)
         rank += 1
         if rank == nrows:
@@ -101,7 +108,7 @@ def solve_linear(rows, rhs):
 
 def invert_matrix(a):
     n = len(a)
-    aug = [list(map(qi, row)) + list(identity(n)[i]) for i, row in enumerate(a)]
+    aug = [list(map(qi, row)) + e for row, e in zip(a, identity(n))]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -111,12 +118,7 @@ def invert_matrix(a):
         if piv is None:
             raise PreconditionViolated("matrix is singular")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = QI_ONE / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        _eliminate(aug, col, col)
     return [row[n:] for row in aug]
 
 

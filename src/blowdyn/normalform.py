@@ -18,12 +18,21 @@ The two building blocks operate on symmetric coefficient matrices:
 * ``reduce_diagonal_tail`` additionally kills the surviving diagonal of the
   *last* component using an upper-triangular Toeplitz change of variables,
   leaving at most the single earliest square term.
+
+``normal_form`` runs every reduction on the n quadratic matrices alone.  A
+step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
+J, changes them by the closed rule of ``transform_forms``.  The step maps
+are composed into one conjugator, the series is conjugated by it once, and
+the quadratic matrices of that one series are compared with the tracked
+prediction.
 """
 
 from dataclasses import dataclass
 
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
-from .exactalg import mat_eq, qi, solve_linear
+from .exactalg import (
+    invert_matrix, mat_add, mat_mul, mat_scale, qi, solve_linear, zeros,
+)
 from .scalars import QI_ONE, QI_ZERO
 from .series import PolyMapGerm, TruncatedSeries, _as_germ, germ_inverse
 
@@ -82,17 +91,34 @@ def toeplitz_upper(alpha):
 
 def conjugate_form(a, t):
     """Coefficient matrix of z -> phi(Tz), i.e. T^t A T."""
-    n = len(a)
-    return tuple(
-        tuple(
-            sum(
-                (t[i][h] * a[i][j] * t[j][k] for i in range(n) for j in range(n)),
-                QI_ZERO,
-            )
-            for k in range(n)
-        )
-        for h in range(n)
-    )
+    tt = [list(col) for col in zip(*t)]
+    return tuple(map(tuple, mat_mul(mat_mul(tt, a), t)))
+
+
+def transform_forms(forms, t, m, b):
+    """Quadratic matrices of chi^{-1} o F o chi for a germ F with the
+    unipotent Jordan linear part J and quadratic matrices forms (forms[k-1]
+    for component k), and the step chi(z) = Tz + e_m z^t B z with T upper
+    Toeplitz, so that T commutes with J.
+
+    With W_k = T^t P_k T, the step subtracts L(B) from W_m and adds B to
+    W_{m-1}; the new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.  When
+    T = I this is P_m - L(B), with B added to component m-1.
+    """
+    n = len(forms)
+    w = [conjugate_form(p, t) for p in forms]
+    w[m - 1] = mat_add(w[m - 1], mat_scale(correction_image(b), -QI_ONE))
+    if m > 1:
+        w[m - 2] = mat_add(w[m - 2], b)
+    tinv = invert_matrix(t)
+    out = []
+    for i in range(n):
+        acc = zeros(n, n)
+        for k in range(i, n):
+            if tinv[i][k]:
+                acc = mat_add(acc, mat_scale(w[k], tinv[i][k]))
+        out.append(tuple(map(tuple, acc)))
+    return tuple(out)
 
 
 def form_series(b, cap):
@@ -108,64 +134,6 @@ def form_series(b, cap):
                 e[k] += 1
                 s = s + TruncatedSeries.monomial(e, n, cap, coeff=c)
     return s
-
-
-def form_value(b, v):
-    n = len(b)
-    v = [qi(x) for x in v]
-    return sum(
-        (b[h][k] * v[h] * v[k] for h in range(n) for k in range(n)), QI_ZERO
-    )
-
-
-@dataclass(frozen=True)
-class QuadraticTuple:
-    """The n symmetric matrices of a germ's quadratic part, with optional
-    third-order data along the first axis (the z_1^3 coefficients)."""
-
-    matrices: tuple
-    cubic_e1: tuple = None
-
-    def __post_init__(self):
-        mats = tuple(_symmetric(m) for m in self.matrices)
-        object.__setattr__(self, "matrices", mats)
-        n = self.n
-        for m in mats:
-            if len(m) != n:
-                raise PreconditionViolated("inconsistent dimensions in quadratic data")
-        if self.cubic_e1 is not None:
-            cub = tuple(qi(x) for x in self.cubic_e1)
-            if len(cub) != n:
-                raise PreconditionViolated("cubic data must have one entry per component")
-            object.__setattr__(self, "cubic_e1", cub)
-
-    @property
-    def n(self):
-        return len(self.matrices)
-
-    @classmethod
-    def from_germ(cls, germ):
-        germ = _as_germ(germ)
-        n = germ.n
-        mats = [
-            [[germ.quadratic_coefficient(j, h, k) for k in range(1, n + 1)]
-             for h in range(1, n + 1)]
-            for j in range(1, n + 1)
-        ]
-        cubic = None
-        if germ.cap >= 3:
-            e1 = [3] + [0] * (n - 1)
-            cubic = [germ.components[j].coefficient(e1) for j in range(n)]
-        return cls(tuple(map(tuple, (map(tuple, m) for m in mats))), cubic)
-
-    def matrix(self, j):
-        return self.matrices[j - 1]
-
-    def entry(self, j, h, k):
-        return self.matrices[j - 1][h - 1][k - 1]
-
-    def value(self, j, v):
-        return form_value(self.matrices[j - 1], v)
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +264,11 @@ def reduce_diagonal_tail(phi):
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """normalized is F conjugated by the full composition of the
-    reduction steps; conjugator is only the degree-2 truncation of that
-    composition.  conjugator o normalized == F o conjugator therefore
-    holds modulo degree 3, and exactly only at cap 2."""
+    """normalized is F conjugated once by the full composition chi of the
+    reduction steps, and its quadratic matrices are the ones the step rule
+    predicted; conjugator is only the degree-2 truncation of chi.
+    conjugator o normalized == F o conjugator therefore holds modulo
+    degree 3, and exactly only at cap 2."""
 
     normalized: PolyMapGerm
     conjugator: PolyMapGerm  # degree-2 polynomial germ
@@ -336,31 +305,33 @@ def _quad_matrix(g, j):
     )
 
 
-def _jet_map(n, cap, linear_rows, quad_forms):
-    """Polynomial germ with the given linear part plus one quadratic form per
-    selected component (1-based keys)."""
+def _jet_map(cap, t, m, b):
+    """The step map z -> Tz + e_m z^t B z as a polynomial germ."""
+    n = len(t)
     comps = []
     for i in range(n):
         s = TruncatedSeries.zero(n, cap)
         for j in range(n):
-            if linear_rows[i][j]:
-                s = s + TruncatedSeries.variable(j + 1, n, cap) * linear_rows[i][j]
-        if i + 1 in quad_forms:
-            s = s + form_series(quad_forms[i + 1], cap)
+            if t[i][j]:
+                s = s + TruncatedSeries.variable(j + 1, n, cap) * t[i][j]
+        if i + 1 == m:
+            s = s + form_series(b, cap)
         comps.append(s)
     return PolyMapGerm(comps)
-
-
-def _conjugate(g, chi, cap):
-    return germ_inverse(chi, cap).compose(g.compose(chi))
 
 
 def normal_form(F):
     """Conjugate a germ with unipotent Jordan linear part into quadratic
     normal form.  Exact; the conjugator is a degree-2 polynomial map whose
-    linear part is upper Toeplitz.  At cap >= 3 the reported conjugator is
-    the degree-2 truncation of the map actually used to build normalized,
-    so it conjugates F to normalized only modulo degree 3."""
+    linear part is upper Toeplitz.
+
+    Each reduction step chi_s(z) = T_s z + e_m z^t B_s z is chosen on the
+    tracked quadratic matrices, which ``transform_forms`` carries through
+    the step.  The steps compose into chi = chi_1 o ... o chi_{n+1}, F is
+    conjugated once by chi, and every component's quadratic matrix in that
+    series must equal the tracked prediction.  At cap >= 3 the reported
+    conjugator is the degree-2 truncation of chi, so it conjugates F to
+    normalized only modulo degree 3."""
     g = _as_germ(F)
     n, cap = g.n, g.cap
     if n < 2:
@@ -369,54 +340,43 @@ def normal_form(F):
         raise PreconditionViolated("truncation cap must be at least 2")
     _require_unipotent_block(g)
 
-    identity_rows = tuple(
-        tuple(QI_ONE if i == j else QI_ZERO for j in range(n)) for i in range(n)
-    )
+    identity_rows = toeplitz_upper([QI_ONE] + [QI_ZERO] * (n - 1))
+    forms = tuple(_quad_matrix(g, j) for j in range(1, n + 1))
     steps = []
-    work = g
+
+    def step(forms, t, m, b):
+        steps.append(_jet_map(cap, t, m, b))
+        return transform_forms(forms, t, m, b)
 
     # diagonalize the last component's quadratic form
-    psi_a, red_a = eliminate_offdiagonal(_quad_matrix(g, n))
-    chi_a = _jet_map(n, cap, identity_rows, {n: psi_a})
-    work = _conjugate(work, chi_a, cap)
-    steps.append(chi_a)
-    if not mat_eq(_quad_matrix(work, n), red_a):
-        raise BlowdynError("last component did not diagonalize as predicted")
+    psi, _ = eliminate_offdiagonal(forms[n - 1])
+    forms = step(forms, identity_rows, n, psi)
 
     # Toeplitz reduction of that diagonal to a single square term
-    alpha, psi_b, red_b = reduce_diagonal_tail(red_a)
-    chi_b = _jet_map(n, cap, toeplitz_upper(alpha), {n: psi_b})
-    work = _conjugate(work, chi_b, cap)
-    steps.append(chi_b)
-    inv_alpha0 = QI_ONE / alpha[0]
-    target_last = tuple(tuple(inv_alpha0 * x for x in row) for row in red_b)
-    if not mat_eq(_quad_matrix(work, n), target_last):
-        raise BlowdynError("diagonal tail reduction did not land as predicted")
-    _require_unipotent_block(work)
+    alpha, psi, _ = reduce_diagonal_tail(forms[n - 1])
+    forms = step(forms, toeplitz_upper(alpha), n, psi)
 
     # sweep the remaining components; cleaning component h pollutes only h-1
     for h in range(n - 1, 0, -1):
-        psi_h, red_h = eliminate_offdiagonal(_quad_matrix(work, h))
-        chi_h = _jet_map(n, cap, identity_rows, {h: psi_h})
-        work = _conjugate(work, chi_h, cap)
-        steps.append(chi_h)
-        if not mat_eq(_quad_matrix(work, h), red_h):
-            raise BlowdynError("component %d did not reduce as predicted" % h)
-        if not mat_eq(_quad_matrix(work, n), target_last):
-            raise BlowdynError("sweep disturbed the last component")
+        psi, _ = eliminate_offdiagonal(forms[h - 1])
+        forms = step(forms, identity_rows, h, psi)
 
     chi = steps[0]
-    for step in steps[1:]:
-        chi = chi.compose(step)
+    for s in steps[1:]:
+        chi = chi.compose(s)
+    work = germ_inverse(chi, cap).compose(g.compose(chi))
+    _require_unipotent_block(work)
+    for h in range(1, n + 1):
+        if _quad_matrix(work, h) != forms[h - 1]:
+            raise BlowdynError(
+                "quadratic part of component %d differs from the step-rule "
+                "prediction" % (h,)
+            )
     chi = chi.truncated(2).as_polynomial_cap(cap)
 
-    epsilon = tuple(
-        tuple(work.quadratic_coefficient(h, k, k) for k in range(1, n + 1))
-        for h in range(1, n + 1)
-    )
+    epsilon = tuple(tuple(m[k][k] for k in range(n)) for m in forms)
     cut = diagonal_cutoff(n)
-    for h in range(1, n + 1):
-        m = _quad_matrix(work, h)
+    for h, m in enumerate(forms, 1):
         for i in range(n):
             for j in range(n):
                 if i != j and m[i][j]:
@@ -429,8 +389,7 @@ def normal_form(F):
                     "square term beyond the cutoff in component %d at index %d"
                     % (h, i + 1)
                 )
-    last = _quad_matrix(work, n)
-    nonzero = [i for i in range(n) if last[i][i]]
+    nonzero = [i for i in range(n) if epsilon[n - 1][i]]
     if len(nonzero) > 1:
         raise BlowdynError("last component carries more than one square term")
     j0 = nonzero[0] + 1 if nonzero else None

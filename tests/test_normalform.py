@@ -1,27 +1,30 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from blowdyn.errors import GenericInput, PreconditionViolated
 from blowdyn.lifting import germ_from_terms
+from blowdyn import normalform
 from blowdyn.normalform import (
-    QuadraticTuple,
     correction_image,
     diagonal_cutoff,
     eliminate_offdiagonal,
     epsilon_vector,
+    form_series,
     invariants_2d,
     leading_epsilon_column,
     normal_form,
     reduce_diagonal_tail,
     toeplitz_upper,
+    transform_forms,
 )
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational
 from blowdyn.series import PolyMapGerm, TruncatedSeries, germ_inverse
 
-from conftest import fatou_germ, random_germ
+from conftest import fatou_germ, rand_rat, random_germ
 
 Q = GaussianRational
 ZERO = Q(0)
@@ -278,11 +281,125 @@ def test_invariants_scaling_law():
             assert inv2.xi == inv.xi
 
 
-def test_quadratic_tuple_from_germ():
-    F = fatou_germ()
-    qt = QuadraticTuple.from_germ(F.map)
-    assert qt.n == 2
-    assert qt.entry(2, 1, 1) == Q(1)
-    assert qt.entry(1, 1, 1) == ZERO
-    assert qt.value(2, (Q(3), Q(2))) == Q(9)
-    assert qt.cubic_e1 == (ZERO, ZERO)
+# -- one conjugation against the step-by-step series route ----------------
+
+def jet_step(alpha, m, b, cap):
+    """chi(z) = Tz + e_m z^t B z, with T the upper Toeplitz matrix of alpha."""
+    comps = list(toeplitz_germ(alpha, len(alpha), cap).components)
+    comps[m - 1] = comps[m - 1] + form_series(b, cap)
+    return PolyMapGerm(comps)
+
+
+def quad_matrices(g):
+    n = g.n
+    return tuple(
+        tuple(tuple(g.quadratic_coefficient(j, h, k) for k in range(1, n + 1))
+              for h in range(1, n + 1))
+        for j in range(1, n + 1)
+    )
+
+
+def stepwise_normal_form(F):
+    """The series route: conjugate the whole series after every reduction
+    step and read the next quadratic matrix off the conjugated series.
+    Returns (normalized, conjugator, alpha, epsilon, j0)."""
+    g = F.map
+    n, cap = g.n, g.cap
+    unit = [Q(1)] + [ZERO] * (n - 1)
+    steps = []
+
+    def conjugate(work, chi):
+        steps.append(chi)
+        return germ_inverse(chi, cap).compose(work.compose(chi))
+
+    psi, red = eliminate_offdiagonal(quad_matrices(g)[n - 1])
+    work = conjugate(g, jet_step(unit, n, psi, cap))
+    assert quad_matrices(work)[n - 1] == red
+    alpha, psi, _ = reduce_diagonal_tail(red)
+    work = conjugate(work, jet_step(alpha, n, psi, cap))
+    for h in range(n - 1, 0, -1):
+        psi, red = eliminate_offdiagonal(quad_matrices(work)[h - 1])
+        work = conjugate(work, jet_step(unit, h, psi, cap))
+        assert quad_matrices(work)[h - 1] == red
+    chi = steps[0]
+    for s in steps[1:]:
+        chi = chi.compose(s)
+    chi = chi.truncated(2).as_polynomial_cap(cap)
+    eps = tuple(tuple(m[k][k] for k in range(n)) for m in quad_matrices(work))
+    nonzero = [k for k in range(n) if eps[n - 1][k]]
+    j0 = nonzero[0] + 1 if nonzero else None
+    return work, chi, alpha, eps, j0
+
+
+def random_unipotent_germ(rng, n, cap, last_has_leading_square=True):
+    """Random terms of every degree 2..cap on the unipotent n-block; the
+    z_1^2 term of the last component can be left out, which moves the
+    surviving square of the normal form past index 1."""
+    terms = {}
+    for d in range(2, cap + 1):
+        for mono in combinations_with_replacement(range(n), d):
+            e = tuple(mono.count(i) for i in range(n))
+            for j in range(1, n + 1):
+                if rng.random() < (0.5 if d == 2 else 0.2):
+                    c = rand_rat(rng, span=4)
+                    if c:
+                        terms[(j, e)] = Q(c)
+    lead = (n, (2,) + (0,) * (n - 1))
+    if last_has_leading_square:
+        terms[lead] = Q(rand_rat(rng, nonzero=True, span=4))
+    else:
+        terms.pop(lead, None)
+    return unipotent_germ(n, terms, cap)
+
+
+def test_single_conjugation_matches_stepwise_series_route():
+    rng = random.Random(83)
+    late_squares = 0
+    for n in (2, 3, 4, 5, 6):
+        for cap in (2, 3):
+            for leading in (True, False):
+                F = random_unipotent_germ(rng, n, cap, leading)
+                nf = normal_form(F)
+                got = (nf.normalized, nf.conjugator, nf.alpha, nf.epsilon,
+                       nf.j0)
+                assert got == stepwise_normal_form(F), (n, cap, leading)
+                if nf.j0 is not None and nf.j0 > 1:
+                    late_squares += 1
+    assert late_squares >= 4
+
+
+def test_step_rule_with_toeplitz_linear_part():
+    rng = random.Random(84)
+    for n in (2, 3, 4):
+        for cap in (2, 3):
+            F = random_unipotent_germ(rng, n, cap)
+            alpha = [Q(rand_rat(rng, nonzero=True, span=4))]
+            alpha += [Q(rand_rat(rng, span=4)) for _ in range(n - 1)]
+            b = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    b[i][j] = b[j][i] = Q(rand_rat(rng, span=4))
+            b = tuple(map(tuple, b))
+            for m in range(1, n + 1):
+                chi = jet_step(alpha, m, b, cap)
+                G = germ_inverse(chi, cap).compose(F.map.compose(chi))
+                want = quad_matrices(G)
+                got = transform_forms(quad_matrices(F.map),
+                                      toeplitz_upper(alpha), m, b)
+                assert got == want, (n, cap, m)
+
+
+def test_normal_form_conjugates_the_series_once(monkeypatch):
+    calls = []
+    real = normalform.germ_inverse
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(normalform, "germ_inverse", counted)
+    rng = random.Random(85)
+    for n in (2, 4, 6):
+        del calls[:]
+        normal_form(random_unipotent_germ(rng, n, 3))
+        assert len(calls) == 1
