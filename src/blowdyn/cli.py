@@ -23,11 +23,13 @@ traceback).
 
 import csv
 import json
+import math
 import sys
 import traceback
 
 import click
 import mpmath
+from mpmath.libmp import to_str
 
 from . import dynamics
 from .blowup import projection_formulas
@@ -46,6 +48,11 @@ from .scalars import GaussianRational, parse_scalar
 from .series import PolyMapGerm, TruncatedSeries
 
 SCHEMA = "blowdyn/1"
+# Declared ranges (inclusive) of the orbit-path flags; a value outside
+# its range is a SchemaError (exit code 2).
+PREC_RANGE = (24, 4096)          # --prec, bits; the map spec's floor is 24
+STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
+WINDOW_RANGE = (2, 10 ** 6)      # --window
 
 
 # -- scalar/JSON plumbing --------------------------------------------------
@@ -142,6 +149,12 @@ def _guard(fn, *args, **kwargs):
 def _expect(cond, message):
     if not cond:
         raise SchemaError(message)
+
+
+def _expect_range(flag, value, bounds):
+    lo, hi = bounds
+    _expect(lo <= value <= hi,
+            "%s must be in %d..%d, got %d" % (flag, lo, hi, value))
 
 
 def parse_map_spec(data):
@@ -450,6 +463,10 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
     """Iterate the germ and write the trace as CSV (columns k, then
     re/im per coordinate, full precision)."""
     def run():
+        _expect_range("--steps", steps, STEPS_RANGE)
+        _expect_range("--prec", prec, PREC_RANGE)
+        _expect(math.isfinite(radius) and radius > 0,
+                "--radius must be finite and positive, got %r" % radius)
         F, _ = load_map_spec(map_path)
         z0 = _parse_scalar_list(start_text, "--start")
         _expect(len(z0) == F.structure.n,
@@ -463,15 +480,10 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
             for j in range(1, trace.n + 1):
                 head += ["re_z%d" % j, "im_z%d" % j]
             wr.writerow(head)
-            with mpmath.workprec(prec):
-                for i, z in enumerate(trace.points):
-                    row = [k0 + i]
-                    for x in z:
-                        row.append(mpmath.nstr(mpmath.mpf(x.real), digits))
-                        row.append(mpmath.nstr(mpmath.mpf(x.imag), digits))
-                    wr.writerow(row)
+            for i, raw in enumerate(trace.raw_points()):
+                wr.writerow([k0 + i] + [to_str(x, digits) for x in raw])
         _emit({
-            "schema": SCHEMA, "csv": csv_path, "points": len(trace.points),
+            "schema": SCHEMA, "csv": csv_path, "points": len(trace),
             "precision_bits": prec, "k0": k0,
             "diverged": trace.diverged, "diverged_at": trace.diverged_at,
         })
@@ -491,6 +503,8 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
 def classify_cmd(map_path, csv_path, tau, window):
     """Stage-by-stage regularity verdicts for a stored orbit trace."""
     def run():
+        if window is not None:
+            _expect_range("--window", window, WINDOW_RANGE)
         F, _ = load_map_spec(map_path)
         n = F.structure.n
         pts, ks = [], []
@@ -574,6 +588,9 @@ def fatou_demo_cmd(steps, settle, prec):
     """End-to-end run of the classical planar example (z1+z2, z2+z1^2):
     lift, fixed directions, decay profile, orbits, fits, classification."""
     def run():
+        _expect_range("--steps", steps, STEPS_RANGE)
+        _expect_range("--settle", settle, STEPS_RANGE)
+        _expect_range("--prec", prec, PREC_RANGE)
         lines = []
 
         def row(status, name, detail=""):

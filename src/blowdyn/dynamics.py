@@ -14,6 +14,16 @@ stage-by-stage regularity verdicts obtained by pulling an orbit back
 through the chart transitions, and the Cesaro-type limit used to justify
 the 1/k rates.
 
+Orbits run on the fixed-point engine of orbitplan: the germ compiled
+into a monomial plan over Gaussian-integer coefficients, evaluated on
+block-floating-point points with orbitplan.ORBIT_GUARD_BITS bits beyond
+the requested precision.  Each stored orbit point is the image of the one
+before it to 2^-precision_bits relative to its sup norm; divergence past
+the radius is decided exactly; a preimage step is Newton's method on the
+plan's Jacobian, checked to contract at every iteration.  mpmath is used
+only at the boundaries: input conversion, the decay profile, the mpc
+view of a trace, and the CLI's decimal output.
+
 Conventions.  Directions are stored as projective representatives; the
 multiplier lam scales linearly with the representative (Q(cv) = c lam on
 cv).  All numeric thresholds are module constants, declared once below;
@@ -47,6 +57,7 @@ from .lifting import (
     lifted_linear_part,
     lifted_quadratic_part,
 )
+from .orbitplan import OrbitPlan, mpc_point, radius_test, rounded_parts
 from .scalars import QI_ZERO, GaussianRational, gaussian_sqrt
 from .series import _as_germ
 
@@ -606,88 +617,97 @@ def expected_asymptotics(F):
 
 # -- orbit iteration ------------------------------------------------------
 
-@dataclass(frozen=True)
 class OrbitTrace:
     """A finite orbit z^0, ..., z^N stored at fixed binary precision.
 
-    A diverged orbit is truncated at the last finite in-radius point, with
-    the offending step recorded.
+    A diverged orbit is truncated at the last in-radius point, with the
+    offending step recorded.  `points` is a tuple of points, each a tuple
+    of coordinates: whatever the caller passed in or, for a trace made by
+    orbit_iterate, mpc values rounded to precision_bits that are built on
+    first read from the engine's integer form, which is then dropped.
     """
 
-    points: tuple
-    precision_bits: int
-    source: object = None
-    diverged: bool = False
-    diverged_at: object = None
+    __slots__ = ("_points", "_blocks", "precision_bits", "source",
+                 "diverged", "diverged_at")
+
+    def __init__(self, points, precision_bits, source=None, diverged=False,
+                 diverged_at=None):
+        self._points = tuple(points)
+        self._blocks = None
+        self.precision_bits = precision_bits
+        self.source = source
+        self.diverged = diverged
+        self.diverged_at = diverged_at
+
+    @classmethod
+    def _of_blocks(cls, blocks, precision_bits, source, diverged,
+                   diverged_at):
+        trace = cls((), precision_bits, source, diverged, diverged_at)
+        trace._points = None
+        trace._blocks = blocks
+        return trace
+
+    @property
+    def points(self):
+        pts = self._points
+        if pts is None:
+            pts = self._points = tuple(map(mpc_point, self.raw_points()))
+            self._blocks = None
+        return pts
+
+    def raw_points(self):
+        """Per point, in order, the list of mpmath value tuples (re_1,
+        im_1, ..., re_n, im_n) of its coordinates, rounded to
+        precision_bits."""
+        if self._blocks is None:
+            for z in self._points:
+                with mpmath.workprec(self.precision_bits):
+                    parts = [p for x in z for p in mpmath.mpc(x)._mpc_]
+                yield parts
+            return
+        for pt in self._blocks:
+            yield rounded_parts(pt, self.precision_bits)
 
     def __len__(self):
-        return len(self.points)
+        return len(self._points if self._blocks is None else self._blocks)
 
     @property
     def n(self):
-        return len(self.points[0])
-
-
-def _to_mpc(x, prec):
-    if isinstance(x, GaussianRational):
-        return x.to_mpc(prec)
-    if isinstance(x, Fraction):
-        return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
-    return mpmath.mpc(x)
-
-
-def _compile_terms(g, prec, min_degree=0):
-    """Per component of g, its terms of degree >= min_degree as
-    (((variable, power), ...), mpc coefficient), in exponent order."""
-    return [
-        [(tuple((i, p) for i, p in enumerate(e) if p), _to_mpc(c, prec))
-         for e, c in sorted(comp.coeffs.items()) if sum(e) >= min_degree]
-        for comp in g.components
-    ]
-
-
-def _eval_terms(terms, z):
-    """The polynomial given by a compiled term list, at the point z."""
-    tot = mpmath.mpc(0)
-    for mono, c in terms:
-        val = c
-        for i, p in mono:
-            val *= z[i] ** p
-        tot += val
-    return tot
+        if self._blocks is None:
+            return len(self._points[0])
+        return len(self._blocks[0][1]) // 2
 
 
 def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
     """Iterate the polynomial germ F from z0 for `steps` steps.
 
-    Arithmetic runs at precision_bits of mpmath precision.  If the orbit
-    leaves the sup-norm ball of the given radius (or stops being finite)
-    the trace is truncated there and flagged; no exception is raised.
+    The orbit runs on the compiled fixed-point engine with
+    orbitplan.ORBIT_GUARD_BITS bits beyond precision_bits, so each stored
+    point is the image of the one before it to 2^-precision_bits relative
+    to its sup norm.  If a coordinate leaves the disc of the given radius
+    (|z_j| > radius, decided exactly) the trace is truncated before that
+    point and flagged with the offending step; no exception is raised.
+    The radius must be finite and positive.
     """
     g = _as_germ(F)
     if len(z0) != g.n:
         raise PreconditionViolated("start point has wrong dimension")
     if steps < 1:
         raise PreconditionViolated("need at least one step")
-    with mpmath.workprec(precision_bits):
-        terms = _compile_terms(g, precision_bits)
-        z = [_to_mpc(x, precision_bits) for x in z0]
-        pts = [tuple(z)]
-        diverged = False
-        diverged_at = None
-        for step in range(1, steps + 1):
-            new = [_eval_terms(tl, z) for tl in terms]
-            bad = any(not mpmath.isfinite(x) for x in new)
-            if bad or max(abs(x) for x in new) > radius:
-                diverged = True
-                diverged_at = step
-                break
-            z = new
-            pts.append(tuple(z))
-    return OrbitTrace(
-        points=tuple(pts), precision_bits=precision_bits, source=F,
-        diverged=diverged, diverged_at=diverged_at,
-    )
+    outside = radius_test(radius)
+    plan = OrbitPlan(g, precision_bits)
+    forward = plan.forward
+    pt = plan.point(z0)
+    pts = [pt]
+    diverged_at = None
+    for step in range(1, steps + 1):
+        pt = forward(pt)
+        if outside(pt):
+            diverged_at = step
+            break
+        pts.append(pt)
+    return OrbitTrace._of_blocks(
+        pts, precision_bits, F, diverged_at is not None, diverged_at)
 
 
 def profile_point(F, k, precision_bits=128):
@@ -705,48 +725,15 @@ def profile_point(F, k, precision_bits=128):
             if row.constant is None:
                 z.append(mpmath.mpc(0))
             else:
-                c = _to_mpc(row.constant, precision_bits)
+                c = row.constant.to_mpc(precision_bits)
                 z.append(c / mpmath.mpf(k) ** row.exponent)
         return tuple(z)
-
-
-def _jordan_backsolve(S, lam, y):
-    """Solve (Jordan linear part) x = y by per-block back substitution."""
-    x = [None] * S.n
-    for l in range(1, S.rho + 1):
-        idx = S.block_range(l)
-        lv = lam[l - 1]
-        acc = mpmath.mpc(0)
-        for j in reversed(idx):
-            acc = (y[j - 1] - acc) / lv
-            x[j - 1] = acc
-    return x
-
-
-def _solve_preimage(S, lam, higher, w, max_iter=80):
-    """One inverse step: solve F(z) = w for z near w.
-
-    Fixed-point form z <- J^{-1} (w - H(z)) with H the degree >= 2 part;
-    contracts whenever w is small enough that ||J^{-1}|| Lip(H) < 1.
-    """
-    z = list(w)
-    tol = mpmath.mpf(2) ** (8 - mpmath.mp.prec)
-    floor = mpmath.mpf(2) ** -120
-    for _ in range(max_iter):
-        y = [w[j] - _eval_terms(higher[j], z) for j in range(S.n)]
-        x = _jordan_backsolve(S, lam, y)
-        delta = max(abs(a - b) for a, b in zip(x, z))
-        z = x
-        scale = max(max(abs(a) for a in z), floor)
-        if delta <= tol * scale:
-            return z
-    raise NonConvergent("inverse step fixed-point iteration stalled")
 
 
 def standard_orbit_seed(F, k0=50, settle=20000, precision_bits=128,
                         radius=DEFAULT_RADIUS):
     """Starting point of a standard orbit at time k0, refined onto the
-    invariant curve by contracting inverse iteration.
+    invariant curve by backward iteration.
 
     The leading-order profile alone is off the curve by a relative
     O(1/k0), and the transverse modes grow polynomially under the forward
@@ -757,6 +744,13 @@ def standard_orbit_seed(F, k0=50, settle=20000, precision_bits=128,
     is smaller by roughly (k0/K)^p.  Forward iteration from the returned
     point then tracks the predicted decay over a span that grows with
     `settle`, without ever computing a curve parametrization.
+
+    Each preimage step solves F(z) = w by Newton's method on the compiled
+    engine at precision_bits + orbitplan.ORBIT_GUARD_BITS bits (see
+    OrbitPlan.preimage).  A step whose Newton iteration stops contracting,
+    or whose result leaves the radius, raises NonConvergent with that
+    step's number (1 for the first preimage taken from the profile
+    point).  The result is rounded to precision_bits.
     """
     S = getattr(F, "structure", None)
     if S is None:
@@ -764,20 +758,16 @@ def standard_orbit_seed(F, k0=50, settle=20000, precision_bits=128,
             "need an input germ with a declared linear structure")
     if settle < 1:
         raise PreconditionViolated("settle must be positive")
-    g = _as_germ(F)
-    work = precision_bits + 32
-    with mpmath.workprec(work):
-        higher = _compile_terms(g, work, min_degree=2)
-        lam = [_to_mpc(lv, work) for lv in S.lam]
-        z = list(profile_point(F, k0 + settle, precision_bits=work))
-        for _ in range(settle):
-            z = _solve_preimage(S, lam, higher, z)
-            if max(abs(x) for x in z) > radius:
-                raise NonConvergent(
-                    "backward refinement left the orbit radius; "
-                    "reduce settle or start further out")
-    with mpmath.workprec(precision_bits):
-        return tuple(mpmath.mpc(x.real, x.imag) for x in z)
+    outside = radius_test(radius)
+    plan = OrbitPlan(_as_germ(F), precision_bits)
+    z = plan.point(profile_point(F, k0 + settle, precision_bits=plan.work))
+    for step in range(1, settle + 1):
+        z = plan.preimage(z, step)
+        if outside(z):
+            raise NonConvergent(
+                "backward refinement left the orbit radius; "
+                "reduce settle or start further out", step=step)
+    return mpc_point(rounded_parts(z, precision_bits))
 
 
 # -- power-law fitting ----------------------------------------------------

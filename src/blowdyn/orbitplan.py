@@ -1,0 +1,403 @@
+"""Compiled fixed-point orbit engine.
+
+A polynomial germ is compiled once into a monomial plan over
+Gaussian-integer coefficients (OrbitPlan) and then into straight-line
+integer code.  A point is a block-floating-point pair (exp, man): one
+binary exponent and the integer mantissas man = (re_1, im_1, ..., re_n,
+im_n), so that z_j = 2^exp (re_j + i im_j).  After every step it is
+renormalised so that its largest mantissa has work = precision_bits +
+ORBIT_GUARD_BITS bits, whether the orbit passes near zero or far out.  The
+forward step, the Jacobian and the Newton preimage step run on the same
+plan, and nothing is converted to a float.  mpmath appears only where a
+point enters (OrbitPlan.point) or leaves (rounded_parts, mpc_point).
+
+dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
+entry points.
+"""
+
+from fractions import Fraction
+
+import mpmath
+from mpmath.libmp import from_man_exp, round_nearest
+
+from .errors import NonConvergent, PreconditionViolated
+from .scalars import GaussianRational
+
+# Precision policy (declared, not derived):
+ORBIT_GUARD_BITS = 32           # bits carried beyond precision_bits
+PREIMAGE_TOL_BITS = 8           # Newton residual goal, in units of w's last bit
+PREIMAGE_MAX_ITER = 40          # Newton steps per preimage
+PLAN_LINE_TERMS = 64            # summands per line of compiled plan code
+
+
+def _exact_parts(x, prec):
+    """(re, im) of a scalar as exact Fractions.  Values mpmath holds
+    (mpf, mpc, float, complex) are dyadic and convert without rounding;
+    anything else goes through mpmath.mpc at `prec` bits."""
+    if isinstance(x, GaussianRational):
+        return x.re, x.im
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0)
+    with mpmath.workprec(prec):
+        parts = mpmath.mpc(x)._mpc_
+    out = []
+    for sign, man, exp, bc in parts:
+        if not man and bc:
+            raise PreconditionViolated("orbit points must be finite")
+        v = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+        out.append(-v if sign else v)
+    return tuple(out)
+
+
+def rounded_parts(pt, prec):
+    """The mpmath value tuples (re_1, im_1, ..., re_n, im_n) of an engine
+    point, rounded to prec bits."""
+    exp, man = pt
+    return [from_man_exp(m, exp, prec, round_nearest) for m in man]
+
+
+def mpc_point(parts):
+    """The tuple of mpc coordinates with the given (re, im) value tuples."""
+    make = mpmath.mp.make_mpc
+    return tuple(make(pair) for pair in zip(parts[::2], parts[1::2]))
+
+
+def _renormalize(exp, man, work):
+    """The point 2^exp man rescaled so that its largest mantissa has
+    `work` bits (rounding toward -infinity).  The zero point gets the
+    exponent of a point of size about 1."""
+    s = max(map(int.bit_length, man)) - work
+    if s == -work:
+        return -work, tuple(man)
+    if s > 0:
+        return exp + s, tuple(m >> s for m in man)
+    return exp + s, tuple(m << -s for m in man)
+
+
+def _fixed(q, scale):
+    """round(q * 2^scale) for a Fraction q."""
+    return ((q.numerator << (scale + 1)) // q.denominator + 1) >> 1
+
+
+def radius_test(radius):
+    """Predicate on points: is some |z_j| > radius?  Decided exactly,
+    on the exact rational value of `radius`."""
+    try:
+        r = Fraction(radius)
+    except (OverflowError, ValueError, TypeError):
+        r = None
+    if r is None or r <= 0:
+        raise PreconditionViolated("radius must be finite and positive")
+    rn2, rd2 = r.numerator ** 2, r.denominator ** 2
+    # 2^safe <= radius, so a point whose mantissas have at most
+    # safe - exp - 1 bits is inside without squaring anything
+    safe = r.numerator.bit_length() - r.denominator.bit_length()
+    while Fraction(2) ** safe > r:
+        safe -= 1
+
+    def outside(pt):
+        exp, man = pt
+        if max(map(int.bit_length, man)) + exp + 1 <= safe:
+            return False
+        sq = max(x * x + y * y for x, y in zip(man[::2], man[1::2]))
+        if exp >= 0:
+            return (sq * rd2) << (2 * exp) > rn2
+        return sq * rd2 > rn2 << (-2 * exp)
+    return outside
+
+
+class OrbitPlan:
+    """A polynomial germ compiled for block-floating-point evaluation.
+
+    Every coefficient is a Gaussian integer (re, im) at the declared scale
+    2^-scale, chosen so that the smallest nonzero coefficient part keeps
+    work = precision_bits + ORBIT_GUARD_BITS significant bits; dyadic
+    coefficients, such as the Jordan part's, are exact.  The monomial
+    plan lists the variables, the constant 1, and each product that the
+    germ's terms and their partial derivatives need, built as a smaller
+    monomial times one variable; every component and every Jacobian entry
+    is a sum of (degree, [(slot, re, im), ...]) groups over it.
+
+    The plan is compiled once into straight-line integer code (`source`):
+    image(m, exp, target) gives F at the point 2^exp m minus `target`, on
+    the grid 2^(exp - work), and jacobian(m, exp) gives DF there, as the
+    matrices of real and of imaginary parts at scale 2^-scale.  Each
+    degree's exact sum is rounded once (toward -infinity) onto that grid.
+    The grid lies work bits below the point's own last bit, so F(z) loses
+    nothing at the point's precision unless |F(z)| < 2^-work |z|.
+    """
+
+    def __init__(self, g, precision_bits):
+        n = self.n = g.n
+        work = self.work = precision_bits + ORBIT_GUARD_BITS
+        terms = [(j, e, c) for j, comp in enumerate(g.components)
+                 for e, c in sorted(comp.coeffs.items())]
+        mags = [p.numerator.bit_length() - p.denominator.bit_length()
+                for _, _, c in terms for p in (c.re, c.im) if p]
+        scale = self.scale = work + max(0, -min(mags, default=0)) + 1
+        products = {}           # slot -> (parent slot, variable)
+        slots = {tuple(int(i == h) for h in range(n)): i for i in range(n)}
+        slots[(0,) * n] = n
+
+        def slot(e):
+            k = slots.get(e)
+            if k is None:
+                i = max(h for h in range(n) if e[h])
+                parent = slot(e[:i] + (e[i] - 1,) + e[i + 1:])
+                k = slots[e] = n + 1 + len(products)
+                products[k] = (parent, i)
+            return k
+
+        comps = [{} for _ in range(n)]
+        jac = [[{} for _ in range(n)] for _ in range(n)]
+        for j, e, c in terms:
+            cr, ci = _fixed(c.re, scale), _fixed(c.im, scale)
+            comps[j].setdefault(sum(e), []).append((slot(e), cr, ci))
+            for i in range(n):
+                if e[i]:
+                    de = e[:i] + (e[i] - 1,) + e[i + 1:]
+                    jac[j][i].setdefault(sum(de), []).append(
+                        (slot(de), e[i] * cr, e[i] * ci))
+        self.source = _plan_source(n, work, scale, products, comps, jac)
+        space = {}
+        exec(compile(self.source, "<orbit plan>", "exec"), space)
+        self.image, self.jacobian = space["image"], space["jacobian"]
+        self._inverse = None
+
+    def point(self, z):
+        """Engine form of a point given by scalars of any supported kind."""
+        parts = [q for x in z for q in _exact_parts(x, self.work)]
+        mags = [q.numerator.bit_length() - q.denominator.bit_length()
+                for q in parts if q]
+        exp = max(mags, default=0) - self.work - 1   # then shifted right
+        man = [(q.numerator << -exp) // q.denominator if exp <= 0
+               else q.numerator // (q.denominator << exp) for q in parts]
+        return _renormalize(exp, man, self.work)
+
+    def forward(self, pt):
+        exp, man = pt
+        return _renormalize(exp - self.work, self.image(man, exp, None),
+                            self.work)
+
+    def solve(self, jac, r):
+        """x with A x = r, for A = jac (as returned by jacobian, and
+        overwritten) and r, x flat re/im mantissa lists on one grid.
+        Gaussian elimination with partial pivoting; multipliers and pivot
+        reciprocals are held at scale 2^-scale.  None when A is singular."""
+        n, sc = self.n, self.scale
+        ar, ai = jac
+        rr, ri = r[::2], r[1::2]
+        inv = []
+        for k in range(n):
+            p, den = k, 0
+            for q in range(k, n):
+                x, y = ar[q][k], ai[q][k]
+                m = x * x + y * y
+                if m > den:
+                    p, den = q, m
+            if not den:
+                return None
+            if p != k:
+                for v in (ar, ai, rr, ri):
+                    v[k], v[p] = v[p], v[k]
+            kr, ki = ar[k], ai[k]
+            # 1/pivot = conj(pivot) / |pivot|^2
+            ur = (kr[k] << 2 * sc) // den
+            ui = (-ki[k] << 2 * sc) // den
+            inv.append((ur, ui))
+            for q in range(k + 1, n):
+                qr, qi = ar[q], ai[q]
+                x, y = qr[k], qi[k]
+                if not (x or y):
+                    continue
+                mr = (x * ur - y * ui) >> sc
+                mi = (x * ui + y * ur) >> sc
+                for c in range(k + 1, n):
+                    x, y = kr[c], ki[c]
+                    qr[c] -= (mr * x - mi * y) >> sc
+                    qi[c] -= (mr * y + mi * x) >> sc
+                x, y = rr[k], ri[k]
+                rr[q] -= (mr * x - mi * y) >> sc
+                ri[q] -= (mr * y + mi * x) >> sc
+        out = [0] * (2 * n)
+        for k in range(n - 1, -1, -1):
+            kr, ki = ar[k], ai[k]
+            tr, ti = rr[k], ri[k]
+            for c in range(k + 1, n):
+                x, y = out[2 * c], out[2 * c + 1]
+                tr -= (kr[c] * x - ki[c] * y) >> sc
+                ti -= (kr[c] * y + ki[c] * x) >> sc
+            ur, ui = inv[k]
+            out[2 * k] = (tr * ur - ti * ui) >> sc
+            out[2 * k + 1] = (tr * ui + ti * ur) >> sc
+        return out
+
+    def _linear(self):
+        """J^-1 for the linear part J = DF(0), as rows of (column, re, im)
+        at scale 2^-scale, and the bits by which |J| may exceed 1."""
+        if self._inverse is None:
+            n, sc = self.n, self.scale
+            zero = (0,) * (2 * n)
+            jr, ji = self.jacobian(zero, 0)
+            norm = max(sum(abs(x) + abs(y) for x, y in zip(rr, ri))
+                       for rr, ri in zip(jr, ji))
+            cols = []
+            for i in range(n):
+                unit = [0] * (2 * n)
+                unit[2 * i] = 1 << sc
+                col = self.solve(self.jacobian(zero, 0), unit)
+                if col is None:
+                    raise PreconditionViolated("linear part is singular")
+                cols.append(col)
+            rows = [[(i, col[2 * j], col[2 * j + 1])
+                     for i, col in enumerate(cols)
+                     if col[2 * j] or col[2 * j + 1]] for j in range(n)]
+            self._inverse = rows, max(0, norm.bit_length() - sc)
+        return self._inverse
+
+    def preimage(self, w, step):
+        """The point z near w with F(z) = w, by Newton's method.
+
+        The seed is the first Jordan back-substitution J^-1 (w - H(w)),
+        with H the nonlinear part.  The iterates share one exponent, as
+        many bits below w's as |J| exceeds 1, so that their last bit moves
+        F by at most one unit of w's last bit.  Each Newton step must at
+        least halve the residual F(z) - w, which is done once it is within
+        2^PREIMAGE_TOL_BITS units of w's last bit; otherwise, or after
+        PREIMAGE_MAX_ITER steps, NonConvergent is raised with `step`."""
+        work, sc = self.work, self.scale
+        back, gain = self._linear()
+        half = 1 << (work - 1)
+        image, jacobian, solve = self.image, self.jacobian, self.solve
+        exp, wm = w
+        exp -= gain
+        wm = [m << gain for m in wm]
+        target = [m << work for m in wm]     # w on the image grid
+        res = [(x + half) >> work for x in image(wm, exp, target)]
+        z = list(wm)
+        for j, row in enumerate(back):
+            for i, cr, ci in row:
+                xr, xi = res[2 * i], res[2 * i + 1]
+                z[2 * j] -= (cr * xr - ci * xi) >> sc
+                z[2 * j + 1] -= (cr * xi + ci * xr) >> sc
+        goal = work + gain + PREIMAGE_TOL_BITS
+        last = None
+        for _ in range(PREIMAGE_MAX_ITER):
+            res = image(z, exp, target)
+            size = max(map(int.bit_length, res))
+            if size <= goal:
+                return _renormalize(exp, z, work)
+            if last is not None and size > last - 1:
+                raise NonConvergent(
+                    "preimage Newton iteration stopped contracting",
+                    step=step)
+            last = size
+            delta = solve(jacobian(z, exp), [(x + half) >> work for x in res])
+            if delta is None:
+                raise NonConvergent(
+                    "singular Jacobian in the preimage Newton iteration",
+                    step=step)
+            z = [m - d for m, d in zip(z, delta)]
+        raise NonConvergent("preimage Newton iteration stalled", step=step)
+
+
+def _plan_source(n, work, scale, products, comps, jac):
+    """Python source of a plan's image and jacobian functions.
+
+    Slot k's value is x<k> + i y<k>; slot n is the constant 1 and is
+    folded into the coefficients.  Only the slots a function reads are
+    computed, and zero coefficient parts are left out."""
+
+    def needed(groups):
+        out = set()
+        for _, terms in groups:
+            for k, _, _ in terms:
+                while k > n:
+                    out.add(k)
+                    k = products[k][0]
+        return out
+
+    def table(slots):
+        lines = []
+        for k in sorted(slots):
+            p, i = products[k]
+            lines.append("    x%d = x%d * x%d - y%d * y%d"
+                         % (k, p, i, p, i))
+            lines.append("    y%d = x%d * y%d + y%d * x%d"
+                         % (k, p, i, p, i))
+        return lines
+
+    def part(terms, im):
+        """Summands of the real or imaginary part of sum c v_slot."""
+        out = []
+        for k, cr, ci in terms:
+            if k == n:
+                pairs = [(ci if im else cr, None)]
+            elif im:
+                pairs = [(cr, "y%d" % k), (ci, "x%d" % k)]
+            else:
+                pairs = [(cr, "x%d" % k), (-ci, "y%d" % k)]
+            out += ["%d * %s" % (c, v) if v else "%d" % c
+                    for c, v in pairs if c]
+        return out
+
+    def assign(name, summands):
+        """Lines setting name to the sum, PLAN_LINE_TERMS summands a line
+        (one long expression would nest too deep for the compiler)."""
+        if not summands:
+            return ["    %s = 0" % name]
+        return ["    %s %s %s" % (name, "+=" if i else "=", " + ".join(
+            summands[i:i + PLAN_LINE_TERMS]))
+            for i in range(0, len(summands), PLAN_LINE_TERMS)]
+
+    def rounded(groups, name, im, const=()):
+        """Lines setting `name` to the constant terms plus the sum of the
+        groups, each degree's exact sum shifted right by s<degree> (left
+        when that is negative)."""
+        lines = assign(name, part(const, im))
+        for d, terms in groups:
+            lines += assign("a", part(terms, im))
+            lines.append("    %s += a >> s%d if s%d >= 0 else a << -s%d"
+                         % (name, d, d, d))
+        return lines
+
+    unpack = "    %s = m" % ", ".join("x%d, y%d" % (i, i) for i in range(n))
+    groups = [g for row in comps for g in row.values()]
+    degrees = sorted({d for row in comps for d in row})
+    src = ["def image(m, exp, target):", unpack]
+    src += ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
+            for d in degrees]
+    src += table(needed([(0, t) for t in groups]))
+    for j, row in enumerate(comps):
+        items = sorted(row.items())
+        src += rounded(items, "r%d" % j, False) + rounded(items, "i%d" % j,
+                                                           True)
+    src.append("    if target is None:")
+    src.append("        return [%s]" % ", ".join(
+        "r%d, i%d" % (j, j) for j in range(n)))
+    src.append("    return [%s]" % ", ".join(
+        "r%d - target[%d], i%d - target[%d]" % (j, 2 * j, j, 2 * j + 1)
+        for j in range(n)))
+
+    entries = [g for row in jac for entry in row for g in entry.items()
+               if g[0]]
+    src += ["", "def jacobian(m, exp):", unpack]
+    src += ["    s%d = %d * exp" % (d, -d)
+            for d in sorted({d for d, _ in entries})]
+    src += table(needed(entries))
+    rows = {0: [], 1: []}
+    for j in range(n):
+        for i in range(n):
+            entry = jac[j][i]
+            const = entry.get(0, [])
+            rest = sorted((d, t) for d, t in entry.items() if d)
+            for im in (0, 1):
+                name = "%s%d_%d" % ("im" if im else "re", j, i)
+                src += rounded(rest, name, im, const)
+                rows[im].append(name)
+    for im in (0, 1):
+        src.append("    %s = [%s]" % ("mi" if im else "mr", ", ".join(
+            "[%s]" % ", ".join(rows[im][j * n:(j + 1) * n])
+            for j in range(n))))
+    src.append("    return mr, mi")
+    return "\n".join(src) + "\n"

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 from blowdyn import cli
 from blowdyn.errors import JordanMismatch, SchemaError
 from blowdyn.lifting import lift
-from blowdyn.scalars import GaussianRational
+from blowdyn.scalars import GaussianRational, parse_scalar
 
 from conftest import fatou_germ
 
@@ -263,6 +263,76 @@ def test_orbit_start_dimension_check(tmp_path):
     res = run("orbit", "--map", spec, "--start", "1/100",
               "--steps", "5", "--csv", str(tmp_path / "x.csv"))
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("flag,values", [
+    ("--prec", ["-5", "23", "4097"]),
+    ("--steps", ["0", "1000001"]),
+    ("--settle", ["0", "1000001"]),
+    ("--window", ["1", "1000001"]),
+    ("--radius", ["inf", "nan", "0", "-1"]),
+])
+def test_orbit_path_flag_bounds(tmp_path, flag, values):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = str(tmp_path / "x.csv")
+    orbit = ["orbit", "--map", spec, "--start", "1/100,1/100",
+             "--steps", "5", "--csv", csv_path]
+    commands = {
+        "--prec": [orbit, ["fatou-demo"]],
+        "--steps": [orbit[:-4] + ["--csv", csv_path], ["fatou-demo"]],
+        "--settle": [["fatou-demo"]],
+        "--window": [["classify", "--map", spec, "--csv", csv_path]],
+        "--radius": [orbit],
+    }[flag]
+    for argv in commands:
+        for value in values:
+            res = run(*(argv + [flag, value]))
+            assert res.exit_code == 2, (argv, value, res.output)
+            err = json.loads(res.stderr)
+            assert err["error"] == "SchemaError"
+            assert err["message"].startswith(flag)
+    if flag != "--window":
+        res = run(*(commands[0] + [flag, "64" if flag == "--prec" else "2"]))
+        assert res.exit_code == 0, res.output
+
+
+def test_orbit_csv_spells_values_as_nstr(tmp_path):
+    import mpmath
+
+    from blowdyn import dynamics
+
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "orbit.csv"
+    res = run("orbit", "--map", spec, "--start", "1/3,-2/7+1/9i",
+              "--steps", "12", "--prec", "96", "--csv", str(csv_path))
+    assert res.exit_code == 0, res.output
+    rows = csv_path.read_text().splitlines()[1:]
+    start = (parse_scalar("1/3"), parse_scalar("-2/7+1/9i"))
+    trace = dynamics.orbit_iterate(fatou_germ(), start, 12, precision_bits=96)
+    digits = int(96 * 0.30103) + 3
+    want = []
+    with mpmath.workprec(96):
+        for i, z in enumerate(trace.points):
+            cells = [str(i)]
+            for x in z:
+                cells.append(mpmath.nstr(mpmath.mpf(x.real), digits))
+                cells.append(mpmath.nstr(mpmath.mpf(x.imag), digits))
+            want.append(",".join(cells))
+    assert rows == want
+
+
+def test_preimage_failure_reports_its_step(monkeypatch):
+    from blowdyn import dynamics
+    from blowdyn.errors import NonConvergent
+
+    def stalls(*args, **kwargs):
+        raise NonConvergent("preimage Newton iteration stalled", step=7)
+
+    monkeypatch.setattr(dynamics, "standard_orbit_seed", stalls)
+    res = run("fatou-demo", "--settle", "10", "--steps", "10")
+    assert res.exit_code == 1
+    err = json.loads(res.stderr)
+    assert err["error"] == "NonConvergent" and err["step"] == 7
 
 
 def test_unexpected_errors_exit_three(tmp_path, monkeypatch):

@@ -142,3 +142,52 @@ def test_invert_unimodular_int_matrix():
 def test_invert_unimodular_int_matrix_rejects_non_integral_inverse():
     with pytest.raises(PreconditionViolated):
         invert_unimodular_int_matrix([[2, 0], [0, 1]])
+
+
+def _partitions(n, largest=None):
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+def test_invert_unimodular_int_matrix_on_every_chart_matrix():
+    # the exponent matrices of every chart of every structure with n <= 7
+    # against the Gaussian-rational inverse
+    from blowdyn.blowup import projection_formulas
+    from blowdyn.partition import build_structure
+
+    checked = 0
+    for n in range(2, 8):
+        for mu in _partitions(n):
+            if mu[0] < 2:
+                continue
+            S = build_structure(mu, [Q(1)] * len(mu))
+            for k in range(1, S.ell + 1):
+                e = [list(r) for r in projection_formulas(S, k).forward]
+                ref = invert_matrix([[Q(x) for x in row] for row in e])
+                assert invert_unimodular_int_matrix(e) == \
+                    [[int(x.re) for x in row] for row in ref]
+                checked += 1
+    assert checked == 132
+
+
+def test_invert_unimodular_int_matrix_random_unimodular():
+    rng = random.Random(17)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        e = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(3 * n):
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if i != j:
+                f = rng.randint(-3, 3)
+                e[i] = [a + f * b for a, b in zip(e[i], e[j])]
+            if rng.random() < 0.3:
+                e[i] = [-a for a in e[i]]
+        rng.shuffle(e)
+        ref = invert_matrix([[Q(x) for x in row] for row in e])
+        assert invert_unimodular_int_matrix(e) == \
+            [[int(x.re) for x in row] for row in ref]
