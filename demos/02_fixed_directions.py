@@ -7,10 +7,13 @@ candidate tangents of parabolic curves; a direction is *allowable* when
 it is transverse to the exceptional divisor, and the eigenvalues of an
 associated attraction matrix govern the orbits that hug the curve.
 
-Three solvers are compared here: a closed form for fully lifted germs, a
-planar quadratic-formula solver, and a Newton multistart.  The planar
-nongeneric family at the end shows the refined invariants deciding
-between one curve, two curves, or an honestly unresolved verdict.
+Three exact solvers are compared here: a closed form for fully lifted
+germs, a planar quadratic-formula solver, and the factored solver that
+finds every fixed direction, and every positive-dimensional set of
+them, by branching on the factors of the lifted quadratic part.  The
+planar nongeneric family at the end shows the refined invariants
+deciding between one curve, two curves, or an honestly unresolved
+verdict.
 
 Run:  python3 demos/02_fixed_directions.py
 """
@@ -27,7 +30,6 @@ from blowdyn import (
     lift,
     lifted_quadratic_part,
     parabolic_classification,
-    projective_distance,
 )
 
 G = GaussianRational
@@ -39,8 +41,9 @@ def banner(text):
 
 
 def fmt_dir(d):
-    v = " : ".join(str(x) for x in d.v)
-    return "[%s]  multiplier %s%s" % (
+    v = " + t ".join("[%s]" % " : ".join(str(x) for x in w)
+                     for w in (d.v,) + d.span)
+    return "%s  multiplier %s%s" % (
         v, d.lam, "  (degenerate)" if d.degenerate else "")
 
 
@@ -68,11 +71,16 @@ def main():
     print("   two rays meet the divisor, so only one direction survives")
     print("   the allowability filter)")
 
-    numeric = characteristic_directions(Q, mode="numeric")
-    target = tuple(c.to_complex() for c in dirs[0].v)
-    best = min(projective_distance(d.v, target) for d in numeric)
-    print("  Newton multistart finds %d directions; nearest is within %.1e"
-          % (len(numeric), best))
+    # Every component of a lifted quadratic part is one coordinate times
+    # a linear form, Q_j(v) = v_k l_j(v).  Writing u = v / lam, the
+    # nondegenerate directions solve Q(u) = u, and each equation splits
+    # into u_k = 0 or l_j(u) = 1: a finite set of exact linear solves.
+    factored = characteristic_directions(Q, mode="factored")
+    print("  factored solver finds %d directions:" % len(factored))
+    for d in factored:
+        print("      ", fmt_dir(d))
+    print("  the closed form is among them, equal as exact vectors:",
+          any(d.v == dirs[0].v and d.lam == dirs[0].lam for d in factored))
 
     banner("the attraction matrix at the allowable direction")
     H = hakim_matrix(Q, dirs[0].v)
@@ -81,6 +89,17 @@ def main():
     print("  spectrum:", [str(s) for s in H.spectrum])
     print("  every eigenvalue has nonpositive real part, so no transverse")
     print("  mode is attracted away from the curve direction.")
+
+    banner("a tied unipotent (2, 2) germ: whole lines of fixed directions")
+    S22 = build_structure((2, 2), (G(1), G(1)))
+    F22 = germ_from_terms(S22, {(2, (2, 0, 0, 0)): G(1),
+                                (4, (2, 0, 0, 0)): G(1),
+                                (1, (1, 1, 0, 0)): G(1)}, cap=2)
+    Q22 = lifted_quadratic_part(lift(F22, S22.ell, 2))
+    for d in characteristic_directions(Q22, mode="factored"):
+        print("      ", fmt_dir(d))
+    print("  '[v] + t [w]' is a positive-dimensional set: every vector")
+    print("  v + t w is fixed with the same multiplier")
 
     banner("planar nongeneric family: the refined invariants decide")
 

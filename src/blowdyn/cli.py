@@ -48,9 +48,11 @@ from .scalars import GaussianRational, parse_scalar
 from .series import PolyMapGerm, TruncatedSeries
 
 SCHEMA = "blowdyn/1"
-# Declared ranges (inclusive) of the orbit-path flags; a value outside
-# its range is a SchemaError (exit code 2).
-PREC_RANGE = (24, 4096)          # --prec, bits; the map spec's floor is 24
+# Declared ranges (inclusive) of the map file's sizes and of the orbit-path
+# flags; a value outside its range is a SchemaError (exit code 2).
+DIM_RANGE = (1, 12)              # dim
+CAP_RANGE = (2, 16)              # options.degree_cap
+PREC_RANGE = (24, 4096)          # --prec and options.precision_bits, bits
 STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
 WINDOW_RANGE = (2, 10 ** 6)      # --window
 
@@ -103,8 +105,8 @@ def _direction_json(d):
         "allowable": d.allowable,
         "mode": d.mode,
     }
-    if d.mode == "numeric":
-        out["residual"] = d.residual
+    if d.span:
+        out["span"] = [[jval(x) for x in b] for b in d.span]
     if d.hakim_spectrum is not None:
         out["attraction_spectrum"] = [jval(x) for x in d.hakim_spectrum]
     return out
@@ -153,8 +155,8 @@ def _expect(cond, message):
 
 def _expect_range(flag, value, bounds):
     lo, hi = bounds
-    _expect(lo <= value <= hi,
-            "%s must be in %d..%d, got %d" % (flag, lo, hi, value))
+    _expect(isinstance(value, int) and lo <= value <= hi,
+            "%s must be an integer in %d..%d, got %r" % (flag, lo, hi, value))
 
 
 def parse_map_spec(data):
@@ -167,7 +169,7 @@ def parse_map_spec(data):
     tag = data.get("schema")
     _expect(tag in (None, SCHEMA), "unknown schema tag %r" % (tag,))
     dim = data.get("dim")
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer")
+    _expect_range("dim", dim, DIM_RANGE)
     blocks = data.get("blocks")
     _expect(isinstance(blocks, list) and blocks, "blocks must be a nonempty list")
     mus, lams = [], []
@@ -220,12 +222,11 @@ def parse_map_spec(data):
         key = (j, tuple(e))
         terms[key] = terms.get(key, GaussianRational(0)) + c
     cap = opts.get("degree_cap", maxdeg)
-    _expect(isinstance(cap, int) and cap >= 2, "degree_cap must be an integer >= 2")
+    _expect_range("degree_cap", cap, CAP_RANGE)
     _expect(cap >= maxdeg, "degree_cap %d below a declared term of degree %d"
             % (cap, maxdeg))
     prec = opts.get("precision_bits", 128)
-    _expect(isinstance(prec, int) and prec >= 24,
-            "precision_bits must be an integer >= 24")
+    _expect_range("precision_bits", prec, PREC_RANGE)
     germ = germ_from_terms(S, terms, cap=cap)
     options = {"degree_cap": cap, "precision_bits": prec, "field": field}
     return germ, options
@@ -391,26 +392,24 @@ def lift_cmd(map_path, stage, degree, out_path):
 @main.command("chardirs")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--mode", type=click.Choice(
-    ["auto", "exact2d", "structured", "numeric"]), default="auto")
+    ["auto", "structured", "factored"]), default="auto")
 def chardirs_cmd(map_path, mode):
     """Fixed directions of the fully lifted quadratic part, with
-    multipliers, allowability and attraction spectra."""
+    multipliers, allowability and, for isolated nondegenerate directions,
+    attraction spectra."""
     def run():
         F, opts = load_map_spec(map_path)
         S = F.structure
         L = lift(F, S.ell, max(2, opts["degree_cap"]))
         Q = lifted_quadratic_part(L)
-        stats = {}
-        dirs = dynamics.characteristic_directions(
-            Q, mode=mode, structure=S, stats=stats)
+        dirs = dynamics.characteristic_directions(Q, mode=mode, structure=S)
         out = []
         for d in dirs:
-            allow = d.allowable
-            if allow is None:
-                allow = bool(dynamics.allowable_filter([d], S))
             entry = _direction_json(d)
-            entry["allowable"] = bool(allow)
-            if not d.degenerate and entry.get("attraction_spectrum") is None:
+            entry["allowable"] = bool(
+                d.allowable or dynamics.allowable_filter([d], S))
+            if not (d.degenerate or d.span
+                    or entry.get("attraction_spectrum") is not None):
                 try:
                     h = dynamics.hakim_matrix(Q, d.v)
                     entry["attraction_spectrum"] = [jval(x) for x in h.spectrum]
@@ -418,11 +417,8 @@ def chardirs_cmd(map_path, mode):
                     entry["attraction_spectrum"] = None
                     entry["attraction_note"] = str(exc)
             out.append(entry)
-        payload = {"schema": SCHEMA, "structure": _structure_json(S),
-                   "stage": S.ell, "mode": mode, "directions": out}
-        if stats:
-            payload["numeric_stats"] = stats
-        _emit(payload)
+        _emit({"schema": SCHEMA, "structure": _structure_json(S),
+               "stage": S.ell, "mode": mode, "directions": out})
     _guard(run)
 
 
@@ -454,7 +450,9 @@ def invariants_cmd(map_path):
 @click.option("--start", "start_text", required=True,
               help="Comma-separated exact coordinates of the start point.")
 @click.option("--steps", type=int, required=True)
-@click.option("--prec", type=int, default=128, help="Working precision, bits.")
+@click.option("--prec", type=int, default=None,
+              help="Working precision, bits (default: the map's "
+              "precision_bits).")
 @click.option("--csv", "csv_path", required=True)
 @click.option("--k0", type=int, default=0,
               help="Index label of the start point in the CSV.")
@@ -464,16 +462,17 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
     re/im per coordinate, full precision)."""
     def run():
         _expect_range("--steps", steps, STEPS_RANGE)
-        _expect_range("--prec", prec, PREC_RANGE)
         _expect(math.isfinite(radius) and radius > 0,
                 "--radius must be finite and positive, got %r" % radius)
-        F, _ = load_map_spec(map_path)
+        F, opts = load_map_spec(map_path)
+        bits = opts["precision_bits"] if prec is None else prec
+        _expect_range("--prec", bits, PREC_RANGE)
         z0 = _parse_scalar_list(start_text, "--start")
         _expect(len(z0) == F.structure.n,
                 "--start needs %d coordinates" % F.structure.n)
-        trace = dynamics.orbit_iterate(F, z0, steps, precision_bits=prec,
+        trace = dynamics.orbit_iterate(F, z0, steps, precision_bits=bits,
                                        radius=radius)
-        digits = int(prec * 0.30103) + 3
+        digits = int(bits * 0.30103) + 3
         with open(csv_path, "w", newline="") as fh:
             wr = csv.writer(fh)
             head = ["k"]
@@ -484,7 +483,7 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
                 wr.writerow([k0 + i] + [to_str(x, digits) for x in raw])
         _emit({
             "schema": SCHEMA, "csv": csv_path, "points": len(trace),
-            "precision_bits": prec, "k0": k0,
+            "precision_bits": bits, "k0": k0,
             "diverged": trace.diverged, "diverged_at": trace.diverged_at,
         })
     _guard(run)

@@ -8,6 +8,11 @@ divisor), the attraction matrix at a fixed direction, the closed-form
 orbit asymptotics in the generic case, and the planar refined invariants
 in the nongeneric one.
 
+Every direction solver is exact.  Besides the paper's closed form and a
+planar quadratic formula, the factored solver finds every fixed
+direction, and every positive-dimensional set of them, by linear
+branching on the factors the lifted quadratic part has.
+
 The second half of the module is numerical plumbing around actual orbits:
 high-precision iteration, power-law fitting of coordinate decay, the
 stage-by-stage regularity verdicts obtained by pulling an orbit back
@@ -31,7 +36,6 @@ nothing is inferred at run time.
 """
 
 import cmath
-import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -51,6 +55,7 @@ from .errors import (
     UnsupportedSpectrum,
     ZeroCoordinate,
 )
+from .exactalg import solve_linear
 from .lifting import (
     is_diagonalizable,
     lift,
@@ -62,11 +67,7 @@ from .scalars import QI_ZERO, GaussianRational, gaussian_sqrt
 from .series import _as_germ
 
 # Numeric policy (declared, not derived):
-NEWTON_MAX_ITER = 50
-NEWTON_RESIDUAL_TOL = 1e-10     # at sup-norm-1 normalization
-DEGENERATE_EPS = 1e-8           # |lam| below this counts as degenerate (numeric)
-PROJECTIVE_DEDUP_TOL = 1e-6
-ALLOWABLE_EPS = 1e-10           # after sup-norm normalization
+DEGENERATE_EPS = 1e-8           # |lam| below this counts as degenerate (floats)
 POWERLAW_RESIDUAL_TOL = 0.02
 EXPONENT_SNAP = 0.125           # snap fitted exponents this close to an integer
 REG_WINDOW = 50                 # samples per window in regularity verdicts
@@ -82,14 +83,6 @@ def _to_complex(x):
     if isinstance(x, GaussianRational):
         return x.to_complex()
     return complex(x)
-
-
-def _vanishes(lam):
-    """Whether a multiplier counts as zero: exactly for exact values,
-    within DEGENERATE_EPS for floating-point ones."""
-    if isinstance(lam, GaussianRational):
-        return not lam
-    return abs(lam) <= DEGENERATE_EPS
 
 
 def projective_distance(a, b):
@@ -143,24 +136,23 @@ class CharDirection:
 
     v is a projective representative; lam is tied to it (rescaling v by c
     rescales lam by c).  allowable is None until the singular-divisor test
-    has been applied.  residual is the max deviation |Q(v)_j - lam v_j|
-    at the stored representative (exactly zero for exact modes).
+    has been applied.  span is empty for an isolated direction; for a
+    positive-dimensional set of fixed directions it holds exact vectors
+    with Q(v + sum t_i span_i) = lam (v + sum t_i span_i) for all t, and
+    the set is the directions of those vectors.
     """
 
     v: tuple
     lam: object
     degenerate: bool
     mode: str
-    residual: float = 0.0
+    span: tuple = ()
     allowable: object = None
     hakim_spectrum: object = None
 
     @property
     def n(self):
         return len(self.v)
-
-    def is_exact(self):
-        return all(isinstance(x, GaussianRational) for x in self.v)
 
 
 def _structured_directions(Q, S):
@@ -212,7 +204,7 @@ def _structured_directions(Q, S):
     return [
         CharDirection(
             v=tuple(v), lam=lam, degenerate=False, mode="structured",
-            residual=0.0, allowable=True,
+            allowable=True,
         )
     ]
 
@@ -279,119 +271,121 @@ def _exact2d_directions(Q):
     return dirs
 
 
-def _numeric_directions(Q, stats=None):
-    """Newton multistart over every affine chart v_c = 1.
+def _dot(l, x):
+    return sum((a * b for a, b in zip(l, x) if a and b), QI_ZERO)
 
-    Deterministic start grid, analytic Jacobian, projective dedup, results
-    sorted by a canonical key.  Non-converged starts are dropped and
-    counted; per-solution residuals are re-checked at sup-norm-1 scale.
-    """
-    n = Q.n
-    if n > 6:
-        raise PreconditionViolated("numeric direction search is limited to n <= 6")
-    import numpy as np
 
-    mats = [
-        np.array(
-            [[_to_complex(Q.matrices[j][h][k]) for k in range(n)] for h in range(n)],
-            dtype=complex,
-        )
-        for j in range(n)
+def _in_space(x, p, basis):
+    """Whether x lies in the affine space (p, basis) that solve_linear
+    returned: each basis vector ends in the 1 at its free unknown."""
+    d = [a - b for a, b in zip(x, p)]
+    for b in basis:
+        f = max(i for i, c in enumerate(b) if c)
+        d = [y - d[f] * c for y, c in zip(d, b)]
+    return not any(d)
+
+
+def _solution_spaces(factors, t):
+    """The maximal affine spaces, as solve_linear's (p, basis), whose union
+    solves u_k l(u) = t u_j for every (k, l) = factors[j], t = 1 or 0.
+
+    If k = j or t = 0 the equation is u_k (l(u) - t) = 0 and branches into
+    u_k = 0 or l(u) = t; otherwise it is one linear row once u_k is
+    constant on the branch, and a branch where it never is raises."""
+    n = len(factors)
+    found = set()
+    todo = [([[QI_ZERO] * n], [QI_ZERO], list(range(n)))]
+    while todo:
+        rows, rhs, pending = todo.pop()
+        sol = solve_linear(rows, rhs)
+        if sol is None:
+            continue
+        p, basis = sol
+        new = None
+        for j in list(pending):
+            k, l = factors[j]
+            a = None if any(b[k] for b in basis) else p[k]
+            if t and k != j:
+                if a is None:
+                    continue
+                row = [a * x for x in l]
+                row[j] -= _ONE
+                new = [(row, QI_ZERO)]
+            elif a == QI_ZERO or _dot(l, p) == t and not any(
+                    _dot(l, b) for b in basis):
+                pending.remove(j)           # holds on the whole branch
+                continue
+            else:
+                unit = [QI_ZERO] * n
+                unit[k] = _ONE
+                new = [(unit, QI_ZERO), (l, t)]
+            pending.remove(j)
+            break
+        if new is not None:
+            todo += [(rows + [row], rhs + [r], list(pending)) for row, r in new]
+        elif pending:
+            raise PreconditionViolated(
+                "component %d stays quadratic on a branch" % (pending[0] + 1))
+        else:
+            found.add((tuple(p), tuple(map(tuple, basis))))
+    kept = []
+    for p, basis in sorted(found, key=lambda s: -len(s[1])):
+        if not any(_in_space(p, *o) and all(
+                _in_space([x + y for x, y in zip(p, b)], *o) for b in basis)
+                for o in kept):
+            kept.append((p, basis))
+    return kept
+
+
+def _factored_directions(Q):
+    """Every fixed direction, exactly, of a quadratic part whose every
+    component is one coordinate times a linear form, Q_j(v) = v_k l(v).
+
+    Nondegenerate directions are the nonzero solutions of Q(u) = u, u =
+    v/lam, degenerate ones those of Q(v) = 0 (see _solution_spaces).  An
+    isolated direction gets lam = 1 or 0, a positive-dimensional set one
+    entry with a span."""
+    factors = []
+    for j, M in enumerate(Q.matrices):
+        n = len(M)
+        ks = [k for k in [j] + list(range(n)) if not any(
+            M[h][m] for h in range(n) if h != k for m in range(n) if m != k)]
+        if not ks:
+            raise PreconditionViolated(
+                "component %d is not one coordinate times a linear form"
+                % (j + 1))
+        factors.append((ks[0], [M[ks[0]][m] * (2 - (m == ks[0]))
+                                for m in range(n)]))
+    dirs = [
+        CharDirection(v=p, lam=_ONE, degenerate=False, mode="factored",
+                      span=basis)
+        for p, basis in _solution_spaces(factors, _ONE) if any(p) or basis
+    ] + [
+        CharDirection(v=basis[0], lam=QI_ZERO, degenerate=True,
+                      mode="factored", span=basis[1:])
+        for _, basis in _solution_spaces(factors, QI_ZERO) if basis
     ]
-    palette = (1.0 + 0.0j, -1.0 + 0.0j, 0.7 + 0.3j, 0.0 + 0.0j)
-    counters = {"starts": 0, "converged": 0, "dropped": 0, "duplicates": 0}
-    found = []  # (rep tuple, lam_rep, residual)
-
-    def sysval(v, lam):
-        return np.array([v @ mats[j] @ v - lam * v[j] for j in range(n)])
-
-    for c in range(n):
-        free = [i for i in range(n) if i != c]
-        for combo in itertools.product(palette, repeat=len(free)):
-            counters["starts"] += 1
-            v = np.zeros(n, dtype=complex)
-            v[c] = 1.0
-            for idx, val in zip(free, combo):
-                v[idx] = val
-            lam = v @ mats[c] @ v
-            ok = False
-            for _ in range(NEWTON_MAX_ITER):
-                r = sysval(v, lam)
-                if np.max(np.abs(r)) < 1e-13:
-                    ok = True
-                    break
-                J = np.zeros((n, n), dtype=complex)
-                for j in range(n):
-                    Av = mats[j] @ v
-                    for idx, k in enumerate(free):
-                        J[j, idx] = 2.0 * Av[k] - (lam if j == k else 0.0)
-                    J[j, n - 1] = -v[j]
-                try:
-                    step = np.linalg.solve(J, -r)
-                except np.linalg.LinAlgError:
-                    break
-                for idx, k in enumerate(free):
-                    v[k] += step[idx]
-                lam += step[n - 1]
-                if np.max(np.abs(v)) > 1e8:
-                    break
-            if not ok:
-                counters["dropped"] += 1
-                continue
-            counters["converged"] += 1
-            rep, i0 = _rep(tuple(v))
-            lam_rep = complex(lam) / complex(v[i0])
-            resid = max(
-                abs(
-                    sum(mats[j][h][k] * rep[h] * rep[k] for h in range(n) for k in range(n))
-                    - lam_rep * rep[j]
-                )
-                for j in range(n)
-            )
-            if resid > NEWTON_RESIDUAL_TOL:
-                counters["dropped"] += 1
-                continue
-            if any(
-                projective_distance(rep, prev[0]) < PROJECTIVE_DEDUP_TOL
-                for prev in found
-            ):
-                counters["duplicates"] += 1
-                continue
-            found.append((rep, lam_rep, resid))
-
-    found.sort(
-        key=lambda item: tuple(
-            (round(x.real, 9), round(x.imag, 9)) for x in item[0]
-        )
-    )
-    counters["unique"] = len(found)
-    if stats is not None:
-        stats.update(counters)
-    return [
-        CharDirection(
-            v=rep, lam=lam_rep, degenerate=_vanishes(lam_rep),
-            mode="numeric", residual=float(resid),
-        )
-        for rep, lam_rep, resid in found
-    ]
+    dirs.sort(key=lambda d: (d.degenerate, len(d.span),
+                             [(x.re, x.im) for x in d.v]))
+    return dirs
 
 
-def characteristic_directions(Q, mode="auto", structure=None, stats=None):
+def characteristic_directions(Q, mode="auto", structure=None):
     """Fixed directions of the n-tuple quadratic form Q: Q(v) = lam v.
 
     mode "structured" builds the closed-form direction of a fully lifted
-    unipotent germ (needs structure); "exact2d" solves the planar slope
-    quadratic in Q(i); "numeric" runs a deterministic Newton multistart
-    (n <= 6).  "auto" tries them in that order, falling through on
-    preconditions.  stats, if given, is filled with numeric-search
-    counters.
+    unipotent germ (needs structure); "factored" finds every direction
+    exactly when each component of Q is one coordinate times a linear
+    form, as in every lifted quadratic part measured so far; "exact2d"
+    solves the planar slope quadratic in Q(i).  "auto" tries them in that
+    order, falling through on preconditions.
     """
     if mode == "structured":
         return _structured_directions(Q, structure)
+    if mode == "factored":
+        return _factored_directions(Q)
     if mode == "exact2d":
         return _exact2d_directions(Q)
-    if mode == "numeric":
-        return _numeric_directions(Q, stats)
     if mode != "auto":
         raise PreconditionViolated("unknown mode %r" % (mode,))
     failures = []
@@ -400,37 +394,32 @@ def characteristic_directions(Q, mode="auto", structure=None, stats=None):
             return _structured_directions(Q, structure)
         except (PreconditionViolated, UnsupportedSpectrum, NoAllowableDirection) as e:
             failures.append("structured: %s" % e)
+    try:
+        return _factored_directions(Q)
+    except PreconditionViolated as e:
+        failures.append("factored: %s" % e)
     if Q.n == 2:
         try:
             return _exact2d_directions(Q)
         except PreconditionViolated as e:
             failures.append("exact2d: %s" % e)
-    try:
-        return _numeric_directions(Q, stats)
-    except PreconditionViolated as e:
-        failures.append("numeric: %s" % e)
     raise PreconditionViolated("; ".join(failures))
 
 
 def allowable_filter(dirs, structure):
     """Keep the directions transverse to the singular divisor.
 
-    A direction survives iff its first mu_1 coordinates are all nonzero
-    (exactly for exact representatives, above ALLOWABLE_EPS after sup-norm
-    normalization otherwise).  Returned directions carry allowable=True.
+    A direction survives iff its first mu_1 coordinates are all nonzero;
+    a positive-dimensional set survives iff a generic member's are, that
+    is iff none of those coordinates vanishes on v and on all of span.
+    Returned directions carry allowable=True.
     """
     mu1 = structure.mu[0]
     kept = []
     for d in dirs:
         if len(d.v) != structure.n:
             raise PreconditionViolated("direction/structure dimension mismatch")
-        if d.is_exact():
-            ok = all(bool(d.v[h]) for h in range(mu1))
-        else:
-            vals = [abs(_to_complex(x)) for x in d.v]
-            m = max(vals)
-            ok = m > 0 and all(vals[h] / m > ALLOWABLE_EPS for h in range(mu1))
-        if ok:
+        if all(any(x[h] for x in (d.v,) + d.span) for h in range(mu1)):
             kept.append(replace(d, allowable=True))
     return kept
 
@@ -985,7 +974,7 @@ def _reference_directions(trace, S):
     try:
         Q = lifted_quadratic_part(lift(src, S.ell, 2))
         dirs = characteristic_directions(Q, mode="auto", structure=S)
-        dirs = allowable_filter(dirs, S)
+        dirs = [d for d in allowable_filter(dirs, S) if not d.span]
     except BlowdynError as e:
         return None, "reference directions unavailable: %s" % e
     if not dirs:
@@ -998,16 +987,18 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     """Classify an orbit through the regularity hierarchy of the tower.
 
     Only single-block structures are handled (the tower then has stages
-    1..n and the hierarchy tests one chart per stage).  Points are pulled
-    back with pi_inverse stage by stage; at each stage the chart copy must
-    either approach a point away from the chart center (first kind, which
-    then persists) or approach the center with converging direction
-    (second kind, which sends the test to the next stage).  An orbit
-    second-kind through stage n is standard when its stage-n direction
-    matches an allowable fixed direction of the lifted quadratic part
-    within STANDARD_MATCH_TOL; reference directions are taken from the
-    germ attached to the trace unless supplied explicitly.  tau and window
-    override DIRECTION_TOL and REG_WINDOW for the windowed verdicts.
+    1..n and the hierarchy tests one chart per stage).  Points are
+    converted to complex floats once, as every verdict is a floating-point
+    test, and pulled back with pi_inverse stage by stage; at each stage
+    the chart copy must either approach a point away from the chart
+    center (first kind, which then persists) or approach the center with
+    converging direction (second kind, which sends the test to the next
+    stage).  An orbit second-kind through stage n is standard when its
+    stage-n direction matches an isolated allowable fixed direction of the
+    lifted quadratic part within STANDARD_MATCH_TOL; reference directions
+    are taken from the germ attached to the trace unless supplied
+    explicitly.  tau and window override DIRECTION_TOL and REG_WINDOW for
+    the windowed verdicts.
     """
     S = structure
     tol = DIRECTION_TOL if tau is None else tau
@@ -1021,8 +1012,7 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     n = S.n
     if trace.n != n:
         raise PreconditionViolated("trace dimension does not match the structure")
-    pts = trace.points
-    if len(pts) < 3 * width:
+    if len(trace) < 3 * width:
         raise InsufficientData(
             "need at least %d points for windowed verdicts" % (3 * width)
         )
@@ -1030,13 +1020,11 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     if trace.diverged:
         notes.append("trace truncated by divergence at step %s" % trace.diverged_at)
     base = []
-    for i, z in enumerate(pts):
+    for i, z in enumerate(trace.points):
         k = k0 + i
-        if k < 1:
+        if k < 1 or not any(z):
             continue
-        if all(not x for x in z):
-            continue
-        base.append((k, z))
+        base.append((k, tuple(map(_to_complex, z))))
     verdicts = []
 
     def fill_rest(from_stage, verdict, note):
@@ -1312,7 +1300,7 @@ def parabolic_classification(F):
         for s in branches:
             t = (a212 - a111 + s) * half
             lam = (eps + s) * half
-            deg = _vanishes(lam)
+            deg = not lam if root is not None else abs(lam) <= DEGENERATE_EPS
             dirs.append(CharDirection(
                 v=(one, t), lam=lam, degenerate=deg, mode="closed-form",
                 allowable=True,

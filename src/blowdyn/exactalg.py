@@ -73,11 +73,13 @@ def solve_linear(rows, rhs):
     """Solve rows * x = rhs exactly.
 
     rows: list of coefficient lists (possibly overdetermined), rhs: list.
-    Returns a particular solution with all free unknowns set to 0, or None
-    if the system is inconsistent.
+    Returns None if the system is inconsistent, else (x, basis): the
+    solution with every free unknown 0, and one null-space vector per free
+    unknown (1 there, 0 at the others).  Equal solution sets give equal
+    pairs.
     """
     if not rows:
-        return []
+        return [], []
     m = [list(map(qi, r)) + [qi(b)] for r, b in zip(rows, rhs)]
     nrows = len(m)
     ncols = len(rows[0])
@@ -103,7 +105,14 @@ def solve_linear(rows, rhs):
     x = [QI_ZERO] * ncols
     for r, col in enumerate(pivots):
         x[col] = m[r][ncols]
-    return x
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        b = [QI_ZERO] * ncols
+        b[f] = QI_ONE
+        for r, col in enumerate(pivots):
+            b[col] = -m[r][f]
+        basis.append(b)
+    return x, basis
 
 
 def invert_matrix(a):
@@ -246,7 +255,7 @@ def minimal_polynomial(a):
             rhs.append(-flat[deg][pos])
         sol = solve_linear(rows, rhs)
         if sol is not None:
-            return poly_trim(sol + [QI_ONE])
+            return poly_trim(sol[0] + [QI_ONE])
     raise PreconditionViolated("no minimal polynomial found (broken matrix?)")
 
 

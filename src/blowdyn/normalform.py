@@ -173,7 +173,7 @@ def eliminate_offdiagonal(phi):
     if sol is None:  # the system is always consistent; defensive only
         raise BlowdynError("off-diagonal elimination system is inconsistent")
     b = [[QI_ZERO] * n for _ in range(n)]
-    for (i, j), c in zip(pairs, sol):
+    for (i, j), c in zip(pairs, sol[0]):
         b[i][j] = c
         b[j][i] = c
     b = tuple(tuple(row) for row in b)

@@ -161,6 +161,29 @@ def test_chardirs_command(tmp_path):
     assert d["lambda"] == "1"
     assert d["allowable"] is True
     assert d["attraction_spectrum"] == ["-3"]
+    assert "span" not in d and "numeric_stats" not in out
+
+
+def test_chardirs_reports_families_once_without_spectra(tmp_path):
+    spec = write_spec(tmp_path, {
+        "dim": 4, "blocks": [{"mu": 2}, {"mu": 2}],
+        "terms": [{"j": 2, "exp": [2, 0, 0, 0]}, {"j": 4, "exp": [2, 0, 0, 0]},
+                  {"j": 1, "exp": [1, 1, 0, 0]}],
+    })
+    res = run("chardirs", "--map", spec)
+    assert res.exit_code == 0, res.output
+    out = json.loads(res.output)
+    assert {d["mode"] for d in out["directions"]} == {"factored"}
+    plane = [d for d in out["directions"] if d["degenerate"]]
+    assert plane == [{"v": ["0", "0", "1", "0"], "lambda": "0",
+                      "degenerate": True, "allowable": False,
+                      "mode": "factored", "span": [["0", "0", "0", "1"]]}]
+    for d in out["directions"]:
+        assert ("attraction_spectrum" in d) == (
+            not d["degenerate"] and "span" not in d)
+    assert run("chardirs", "--map", spec, "--mode", "factored").output \
+        == res.output.replace('"mode": "auto"', '"mode": "factored"')
+    assert run("chardirs", "--map", spec, "--mode", "numeric").exit_code == 2
 
 
 def test_invariants_command(tmp_path):
@@ -294,6 +317,50 @@ def test_orbit_path_flag_bounds(tmp_path, flag, values):
     if flag != "--window":
         res = run(*(commands[0] + [flag, "64" if flag == "--prec" else "2"]))
         assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("mangle,key", [
+    (lambda d: d.update(dim=0), "dim"),
+    (lambda d: d.update(dim=13), "dim"),
+    (lambda d: d["options"].update(degree_cap=17), "degree_cap"),
+    (lambda d: d["options"].update(precision_bits=23), "precision_bits"),
+    (lambda d: d["options"].update(precision_bits=4097), "precision_bits"),
+])
+def test_map_file_bounds(tmp_path, mangle, key):
+    data = json.loads(json.dumps(FATOU_SPEC))
+    mangle(data)
+    with pytest.raises(SchemaError) as info:
+        cli.parse_map_spec(data)
+    assert str(info.value).startswith(key + " must be an integer in")
+    res = run("lift", "--map", write_spec(tmp_path, data), "--stage", "1")
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"] == "SchemaError"
+
+
+def test_map_file_bounds_admit_their_limits():
+    data = {"dim": 12, "blocks": [{"mu": 12}],
+            "options": {"degree_cap": 16, "precision_bits": 4096}}
+    germ, opts = cli.parse_map_spec(data)
+    assert germ.structure.n == 12
+    assert opts["degree_cap"] == 16 and opts["precision_bits"] == 4096
+
+
+def test_orbit_precision_defaults_to_the_map_file(tmp_path):
+    data = json.loads(json.dumps(FATOU_SPEC))
+    data["options"]["precision_bits"] = 64
+    spec = write_spec(tmp_path, data)
+    csv_path = tmp_path / "orbit.csv"
+    args = ["orbit", "--map", spec, "--start", "1/3,1/7", "--steps", "3",
+            "--csv", str(csv_path)]
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["precision_bits"] == 64
+    default_rows = csv_path.read_text()
+    res = run(*(args + ["--prec", "64"]))
+    assert csv_path.read_text() == default_rows
+    res = run(*(args + ["--prec", "96"]))
+    assert json.loads(res.output)["precision_bits"] == 96
+    assert csv_path.read_text() != default_rows
 
 
 def test_orbit_csv_spells_values_as_nstr(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,11 +11,17 @@ from blowdyn.errors import (
     NonConvergent,
     PreconditionViolated,
 )
-from blowdyn.lifting import germ_from_terms, lift, lifted_quadratic_part
+from blowdyn.exactalg import solve_linear
+from blowdyn.lifting import (
+    ChartQuadraticForm,
+    germ_from_terms,
+    lift,
+    lifted_quadratic_part,
+)
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
 
-from conftest import fatou_germ
+from conftest import fatou_germ, random_germ
 
 S2 = build_structure((2,), (G(1),))
 S3 = build_structure((3,), (G(1),))
@@ -127,18 +134,168 @@ def test_exact2d_irrational_discriminant_rejected():
         dyn.characteristic_directions(Q, mode="exact2d")
 
 
-def test_numeric_agrees_with_exact(fatou):
+def final_q(F):
+    return lifted_quadratic_part(lift(F, F.structure.ell, 2))
+
+
+def same_ray(a, b):
+    """Whether the exact vectors a and b span the same complex line."""
+    n = len(a)
+    return all(a[h] * b[k] == a[k] * b[h] for h in range(n) for k in range(n))
+
+
+def assert_fixed(Q, d):
+    """Q(w) = lam w on v + t span_i for three values of t per span vector,
+    which makes the quadratic identity in t hold for every t."""
+    for b in d.span or ((G(0),) * Q.n,):
+        for t in (0, 1, 2):
+            w = [x + t * y for x, y in zip(d.v, b)]
+            assert any(w)
+            assert all(Q.value(j, w) == d.lam * w[j - 1]
+                       for j in range(1, Q.n + 1))
+
+
+def test_factored_agrees_with_exact2d_on_final_stage(fatou):
+    rng = random.Random(21)
+    germs = [fatou] + [random_germ(rng, (2,)) for _ in range(6)] + [
+        random_germ(rng, (2,), lam=("1",)) for _ in range(6)]
+    for F in germs:
+        Q = final_q(F)
+        exact = dyn.characteristic_directions(Q, mode="exact2d")
+        fact = dyn.characteristic_directions(Q, mode="factored")
+        assert len(fact) == len(exact)
+        for d in exact:
+            (e,) = [x for x in fact if same_ray(x.v, d.v)]
+            assert e.degenerate == d.degenerate and not e.span
+    assert (G(3), G(2)) in [d.v for d in dyn.characteristic_directions(
+        final_q(fatou), mode="factored")]
+
+
+def test_factored_gives_no_fabricated_direction_on_recorded_21_case():
+    # the third draw of random_germ(Random(3)) over (3,), (4,), (2, 1):
+    # lambda = (2, 3/5), three nondegenerate and one degenerate direction
+    rng = random.Random(3)
+    for mu in ((3,), (4,), (2, 1)):
+        F = random_germ(rng, mu)
+    assert F.structure.lam == (G(2), G(Fraction(3, 5)))
+    Q = final_q(F)
+    ds = dyn.characteristic_directions(Q, mode="auto", structure=F.structure)
+    got = [([str(x) for x in d.v], str(d.lam), d.degenerate, d.span)
+           for d in ds]
+    assert got == [
+        (["-25/2", "3", "0"], "1", False, ()),
+        (["0", "-2", "0"], "1", False, ()),
+        (["5/2", "0", "0"], "1", False, ()),
+        (["0", "0", "1"], "0", True, ()),
+    ]
+    for d in ds:
+        assert_fixed(Q, d)
+
+
+def test_factored_unipotent_22_degenerate_plane_is_one_span_entry():
+    S22 = build_structure((2, 2), (G(1), G(1)))
+    F = mk(S22, {(2, (2, 0, 0, 0)): 1, (4, (2, 0, 0, 0)): 1,
+                 (1, (1, 1, 0, 0)): 1})
+    Q = final_q(F)
+    ds = dyn.characteristic_directions(Q, mode="auto", structure=S22)
+    assert all(d.mode == "factored" for d in ds)
+    (plane,) = [d for d in ds if d.degenerate]
+    zero, one = G(0), G(1)
+    assert plane.v == (zero, zero, one, zero)
+    assert plane.span == ((zero, zero, zero, one),)
+    for d in ds:
+        assert_fixed(Q, d)
+    # the plane {v1 = v2 = 0} lies in the divisor; a nondegenerate line
+    # whose generic member is transverse to it is allowable
+    kept = dyn.allowable_filter(ds, S22)
+    assert not any(d.degenerate for d in kept)
+    assert any(d.span for d in kept)
+
+
+def test_factored_every_direction_fixed_is_one_family():
+    # Q(v) = (v1 + v2) v fixes every direction: the nondegenerate ones
+    # form the line u1 + u2 = 1, and the branches that pin u1 = 0 or
+    # u2 = 0 give points on that line, which must not be listed again
+    half, zero, one = G(Fraction(1, 2)), G(0), G(1)
+    Q = ChartQuadraticForm(n=2, matrices=(((one, half), (half, zero)),
+                                          ((zero, half), (half, one))))
+    ds = dyn.characteristic_directions(Q, mode="factored")
+    got = [(d.v, d.lam, d.span) for d in ds]
+    assert got == [((one, zero), one, ((G(-1), one),)),
+                   ((G(-1), one), zero, ())]
+    for d in ds:
+        assert_fixed(Q, d)
+    # a generic member of the line is transverse to the divisor, though
+    # its representative v is not
+    assert [d.v for d in dyn.allowable_filter(ds, S2)] == [
+        (one, zero), (G(-1), one)]
+
+
+def test_factored_rejects_stage1_planar_and_auto_falls_back():
     _, Q = planar_stage1(1, 4, 4)
-    exact = dyn.characteristic_directions(Q, mode="exact2d")
-    stats = {}
-    num = dyn.characteristic_directions(Q, mode="numeric", stats=stats)
-    assert len(num) >= 3
-    for d in exact:
-        best = min(dyn.projective_distance(d.v, x.v) for x in num)
-        assert best < 1e-8
-    Q2 = lifted_quadratic_part(lift(fatou, 2, 2))
-    num2 = dyn.characteristic_directions(Q2, mode="numeric")
-    assert min(dyn.projective_distance((3, 2), x.v) for x in num2) < 1e-8
+    with pytest.raises(PreconditionViolated, match="linear form"):
+        dyn.characteristic_directions(Q, mode="factored")
+    ds = dyn.characteristic_directions(Q, mode="auto")
+    assert [d.mode for d in ds] == ["exact2d"] * 3
+
+
+def in_family(v, d):
+    """Whether v lies on the set of entry d: in the affine space
+    d.v + span(d.span) when d is nondegenerate (lam = 1 fixes the scale),
+    in the linear span of d.v and d.span when it is degenerate."""
+    gens = d.span if not d.degenerate else (d.v,) + d.span
+    target = [x - y for x, y in zip(v, d.v)] if not d.degenerate else v
+    return solve_linear([list(col) for col in zip(*gens)], target) is not None
+
+
+def test_factored_entries_are_fixed_distinct_and_maximal():
+    rng = random.Random(8)
+    families = 0
+    for mu in ((3,), (2, 1), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1), (3, 2),
+               (2, 1, 1, 1)):
+        for _ in range(3):
+            Q = final_q(random_germ(rng, mu, density=0.9))
+            ds = dyn.characteristic_directions(Q, mode="factored")
+            for d in ds:
+                assert d.lam in (G(0), G(1)) and d.degenerate == (not d.lam)
+                assert_fixed(Q, d)
+            for d in ds:
+                for e in ds:
+                    if e is d or e.degenerate != d.degenerate or d.span:
+                        continue
+                    # an isolated direction is listed once, on no family
+                    assert not (same_ray(d.v, e.v) or e.span
+                                and in_family(d.v, e))
+            families += sum(1 for d in ds if d.span and not d.degenerate)
+    assert families
+
+
+@pytest.mark.parametrize("mu", [(3,), (2, 1), (2, 2), (3, 1)])
+def test_factored_matches_sympy_solve(mu):
+    sp = pytest.importorskip("sympy")
+    rng = random.Random("sympy/%s" % (mu,))
+    for _ in range(2):
+        Q = final_q(random_germ(rng, mu, density=0.9))
+        u = sp.symbols("u1:%d" % (Q.n + 1))
+
+        def exact(x):
+            return sp.Rational(x.re) + sp.I * sp.Rational(x.im)
+
+        eqs = [sp.expand(sum(exact(Q.matrices[j][h][k]) * u[h] * u[k]
+                             for h in range(Q.n) for k in range(Q.n)) - u[j])
+               for j in range(Q.n)]
+        points, families = set(), 0
+        for sol in sp.solve(eqs, u, dict=True):
+            vals = [sp.sympify(sol.get(x, x)) for x in u]
+            if any(v.free_symbols for v in vals):
+                families += 1
+            elif any(vals):
+                points.add(tuple(vals))
+        ds = [d for d in dyn.characteristic_directions(Q, mode="factored")
+              if not d.degenerate]
+        assert {tuple(exact(x) for x in d.v) for d in ds if not d.span} \
+            == points
+        assert sum(1 for d in ds if d.span) == families
 
 
 def test_allowable_filter_marks_divisor_transversality():

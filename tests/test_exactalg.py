@@ -48,7 +48,7 @@ def test_solve_linear_consistent_square():
     rows = [[2, 1, 0], [0, 1, 1], [1, 0, 3]]
     x = [Q(1), Q(Fraction(-1, 2)), Q(2)]
     sol = solve_linear(rows, apply(rows, x))
-    assert sol == x
+    assert sol == (x, [])
 
 
 def test_solve_linear_inconsistent_returns_none():
@@ -59,12 +59,14 @@ def test_solve_linear_inconsistent_returns_none():
 def test_solve_linear_underdetermined_sets_free_unknowns_to_zero():
     # x1 + x2 = 3, x3 + x4 = 5: the pivots are x1 and x3, x2 and x4 are free
     rows = [[1, 1, 0, 0], [0, 0, 1, 1]]
-    sol = solve_linear(rows, [Q(3), Q(5)])
+    sol, basis = solve_linear(rows, [Q(3), Q(5)])
     assert sol == [Q(3), ZERO, Q(5), ZERO]
+    # one null vector per free unknown: 1 there, 0 at the other free one
+    assert basis == [[Q(-1), Q(1), ZERO, ZERO], [ZERO, ZERO, Q(-1), Q(1)]]
 
 
 def test_solve_linear_empty_system():
-    assert solve_linear([], []) == []
+    assert solve_linear([], []) == ([], [])
 
 
 def test_solve_linear_sparse_01_systems():
@@ -77,14 +79,21 @@ def test_solve_linear_sparse_01_systems():
         x = [Q(Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
              for _ in range(ncols)]
         rhs = apply(rows, x)
-        sol = solve_linear(rows, rhs)
-        assert sol is not None
+        sol, basis = solve_linear(rows, rhs)
         assert apply(rows, sol) == rhs
         # the pivots are the columns independent of the ones before them;
         # every other unknown is free and must come back zero
         free = [j for j in range(ncols)
                 if rank([r[:j + 1] for r in rows]) == rank([r[:j] for r in rows])]
         assert all(sol[j] == ZERO for j in free)
+        # the null space: one vector per free unknown, killed by the rows,
+        # with the identity on the free unknowns, so of full dimension
+        assert len(basis) == len(free) == ncols - rank(rows)
+        for b in basis:
+            assert apply(rows, b) == [ZERO] * nrows
+        assert [[b[j] for j in free] for b in basis] == [
+            [Q(int(i == j)) for j in range(len(free))]
+            for i in range(len(free))]
 
 
 def test_solve_linear_sparse_01_inconsistent():
