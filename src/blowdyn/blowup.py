@@ -10,6 +10,7 @@ usually quoted for these projections are implemented separately
 generated ones — the fold is the source of truth.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import PreconditionViolated, ZeroCoordinate
@@ -73,8 +74,15 @@ class ProjectionFormulas:
 
 
 def projection_formulas(S, k):
+    """The exponent tables of the stage-k projection, computed once per
+    (structure, stage): the returned object is frozen and shared."""
     if not 1 <= k <= S.ell:
         raise PreconditionViolated("stage %d out of range 1..%d" % (k, S.ell))
+    return _projection_formulas(S, k)
+
+
+@functools.lru_cache(maxsize=256)
+def _projection_formulas(S, k):
     n = S.n
     coords = [_SymMono([1 if i == j else 0 for i in range(n)]) for j in range(n)]
     for stage in range(k, 0, -1):

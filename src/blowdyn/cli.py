@@ -26,6 +26,7 @@ import json
 import math
 import sys
 import traceback
+import warnings
 
 import click
 import mpmath
@@ -54,7 +55,7 @@ DIM_RANGE = (1, 12)              # dim
 CAP_RANGE = (2, 16)              # options.degree_cap
 PREC_RANGE = (24, 4096)          # --prec and options.precision_bits, bits
 STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
-WINDOW_RANGE = (2, 10 ** 6)      # --window
+WINDOW_RANGE = (5, 10 ** 6)      # --window
 
 
 # -- scalar/JSON plumbing --------------------------------------------------
@@ -489,6 +490,28 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
     _guard(run)
 
 
+def _read_trace_csv(path, n):
+    """The k column and the points of a trace CSV written by the orbit
+    command, parsed in one pass: k as integers, each re/im pair as one
+    Python complex of the correctly rounded doubles."""
+    import numpy as np
+
+    with open(path) as fh:
+        head = fh.readline().rstrip("\r\n").split(",")
+        _expect(head[:1] == ["k"] and len(head) == 1 + 2 * n,
+                "CSV header does not match a %d-coordinate trace" % n)
+        with warnings.catch_warnings():
+            # no rows at all is reported as an empty trace just below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
+                              dtype=[("k", np.int64), ("z", float, 2 * n)])
+    _expect(len(rows) > 0, "empty trace")
+    ks = rows["k"]
+    _expect(bool((np.diff(ks) == 1).all()), "CSV k column must increase by 1")
+    z = np.ascontiguousarray(rows["z"]).view(complex)
+    return ks.tolist(), z.tolist()
+
+
 @main.command("classify")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--csv", "csv_path", required=True,
@@ -505,26 +528,8 @@ def classify_cmd(map_path, csv_path, tau, window):
         if window is not None:
             _expect_range("--window", window, WINDOW_RANGE)
         F, _ = load_map_spec(map_path)
-        n = F.structure.n
-        pts, ks = [], []
-        with open(csv_path) as fh:
-            rd = csv.reader(fh)
-            head = next(rd, None)
-            _expect(head is not None and head[:1] == ["k"]
-                    and len(head) == 1 + 2 * n,
-                    "CSV header does not match a %d-coordinate trace" % n)
-            for row in rd:
-                ks.append(int(row[0]))
-                z = []
-                for j in range(n):
-                    z.append(complex(float(row[1 + 2 * j]),
-                                     float(row[2 + 2 * j])))
-                pts.append(tuple(z))
-        _expect(bool(pts), "empty trace")
-        _expect(all(b - a == 1 for a, b in zip(ks, ks[1:])),
-                "CSV k column must increase by 1")
-        trace = dynamics.OrbitTrace(
-            points=tuple(pts), precision_bits=53, source=F)
+        ks, pts = _read_trace_csv(csv_path, F.structure.n)
+        trace = dynamics.OrbitTrace(points=pts, precision_bits=53, source=F)
         rep = dynamics.regularity_classify(
             trace, F.structure, k0=ks[0], tau=tau, window=window)
         payload = {

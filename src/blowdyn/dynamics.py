@@ -36,6 +36,7 @@ nothing is inferred at run time.
 """
 
 import cmath
+import functools
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -53,7 +54,6 @@ from .errors import (
     NonGeneric,
     PreconditionViolated,
     UnsupportedSpectrum,
-    ZeroCoordinate,
 )
 from .exactalg import solve_linear
 from .lifting import (
@@ -71,18 +71,14 @@ DEGENERATE_EPS = 1e-8           # |lam| below this counts as degenerate (floats)
 POWERLAW_RESIDUAL_TOL = 0.02
 EXPONENT_SNAP = 0.125           # snap fitted exponents this close to an integer
 REG_WINDOW = 50                 # samples per window in regularity verdicts
+REG_WINDOWS = 6                 # trailing windows a windowed verdict reads
+FIT_TAIL = 1000                 # trailing samples of the direction fit
 DIRECTION_TOL = 1e-3            # tau: Cauchy threshold on window means
 DIRECTION_SCATTER_TOL = 5e-2    # intra-window spread; oscillation detector
 STANDARD_MATCH_TOL = 1e-4       # projective match against a reference direction
 DEFAULT_RADIUS = 10.0           # orbit divergence radius (sup norm)
 
 _ONE = GaussianRational(1)
-
-
-def _to_complex(x):
-    if isinstance(x, GaussianRational):
-        return x.to_complex()
-    return complex(x)
 
 
 def projective_distance(a, b):
@@ -93,8 +89,8 @@ def projective_distance(a, b):
     the phase-aligned difference so that distances far below sqrt(eps)
     remain resolvable.  Zero iff the lines agree.
     """
-    za = [_to_complex(x) for x in a]
-    zb = [_to_complex(x) for x in b]
+    za = [complex(x) for x in a]
+    zb = [complex(x) for x in b]
     if len(za) != len(zb):
         raise PreconditionViolated("dimension mismatch")
     na = math.sqrt(sum(abs(x) ** 2 for x in za))
@@ -121,11 +117,12 @@ def _argmax_abs(v):
 
 
 def _rep(v):
-    """Canonical projective representative v / v_{i0}, i0 the largest
-    coordinate; entries bounded by 1, coordinate i0 exactly 1."""
+    """Canonical projective representative v / v_{i0} of a complex vector,
+    i0 the largest coordinate; entries bounded by 1, coordinate i0
+    exactly 1."""
     i0 = _argmax_abs(v)
     piv = v[i0]
-    return tuple(_to_complex(x) / _to_complex(piv) for x in v), i0
+    return tuple(x / piv for x in v), i0
 
 
 # -- characteristic directions -------------------------------------------
@@ -481,8 +478,8 @@ def hakim_matrix(Q, v, chart=None):
     if exact:
         zero, one, two = QI_ZERO, _ONE, GaussianRational(2)
     else:
-        mats = [[[_to_complex(x) for x in row] for row in m] for m in mats]
-        v = [_to_complex(x) for x in v]
+        mats = [[[complex(x) for x in row] for row in m] for m in mats]
+        v = [complex(x) for x in v]
         zero, one, two = 0, 1.0, 2.0
     piv = v[i0]
     w = [x / piv for x in v]
@@ -525,7 +522,7 @@ def hakim_matrix(Q, v, chart=None):
         import numpy as np
 
         arr = np.array(
-            [[_to_complex(x) for x in row] for row in mat], dtype=complex
+            [[complex(x) for x in row] for row in mat], dtype=complex
         )
         vals = sorted(np.linalg.eigvals(arr), key=lambda z: (z.real, z.imag))
         spectrum = tuple(complex(z) for z in vals)
@@ -872,10 +869,11 @@ class RegularityReport:
         return self.verdicts[r].verdict
 
 
-def _windows(seq, width, maxwin=6):
-    """The trailing full windows of seq, oldest first, at most maxwin."""
+def _windows(seq, width):
+    """The trailing full windows of seq, oldest first, at most
+    REG_WINDOWS."""
     total = len(seq) // width
-    use = min(total, maxwin)
+    use = min(total, REG_WINDOWS)
     if use < 2:
         return []
     out = []
@@ -890,25 +888,26 @@ def _mean_vec(vecs):
     return tuple(sum(v[i] for v in vecs) / len(vecs) for i in range(n))
 
 
-def _direction_cauchy(points, tol=None, width=None):
-    """Test projective convergence of a sequence of nonzero vectors.
+def _direction_cauchy(latest, tol, width):
+    """Test projective convergence of a sequence of complex vectors.
 
-    Each point is replaced by its canonical representative, window means
-    are formed, and the distance between the last two means is compared
-    against the tolerance (DIRECTION_TOL unless overridden).  Window means
-    alone would average away a direction that keeps oscillating, so the
-    spread of the last window around its mean must also stay below
+    latest yields the vectors newest first.  Zero vectors are skipped and
+    only the newest REG_WINDOWS * width others are drawn, as no window
+    reaches further back.  Each is replaced by its canonical
+    representative, window means are formed, and the distance between the
+    last two means is compared against tol.  Window means alone would
+    average away a direction that keeps oscillating, so the spread of the
+    last window around its mean must also stay below
     DIRECTION_SCATTER_TOL.  Returns (converged, last mean rep, distances).
     """
-    tol = DIRECTION_TOL if tol is None else tol
-    width = REG_WINDOW if width is None else width
     reps = []
-    for w in points:
-        vals = [_to_complex(x) for x in w]
-        if max(abs(x) for x in vals) == 0.0:
+    for w in latest:
+        if max(abs(x) for x in w) == 0.0:
             continue
-        rep, _ = _rep(vals)
-        reps.append(rep)
+        reps.append(_rep(w)[0])
+        if len(reps) == REG_WINDOWS * width:
+            break
+    reps.reverse()
     wins = _windows(reps, width)
     if not wins:
         return None, None, ()
@@ -935,11 +934,9 @@ def _log_slope(ks, vals):
 
 
 def _extrapolated_direction(ks, ws):
-    """Direction limit of a vanishing sequence, refined by fitting each
-    affine coordinate as A + B/k and keeping the intercepts."""
-    tail = min(len(ws), 1000)
-    ks = ks[-tail:]
-    ws = [[_to_complex(x) for x in w] for w in ws[-tail:]]
+    """Direction limit of a vanishing sequence, given by its trailing
+    samples, refined by fitting each affine coordinate as A + B/k and
+    keeping the intercepts."""
     meanrep = _mean_vec([_rep(w)[0] for w in ws[-REG_WINDOW:]])
     i0 = _argmax_abs(meanrep)
     xs, us = [], []
@@ -965,6 +962,52 @@ def _extrapolated_direction(ks, ws):
     return tuple(out)
 
 
+class _ChartTail:
+    """The samples of a trace that one chart sees, pulled back on demand
+    from the newest backwards, so that only samples a verdict reads are
+    ever converted.
+
+    Z is the trace as a complex array, rows the indices of the samples
+    (oldest first, time k = k0 + index) and pull maps a point, a list of
+    Python complex numbers, to its chart coordinates (None: identity).
+    """
+
+    def __init__(self, Z, rows, k0, pull=None):
+        self._Z = Z
+        self._rows = rows
+        self._k0 = k0
+        self._pull = pull
+        self._pts = []      # chart points of the trailing len(_pts) rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def _pull_back(self, m):
+        """Make sure the trailing min(m, len) samples are pulled back."""
+        total = len(self._rows)
+        m = min(m, total)
+        have = len(self._pts)
+        if m > have:
+            new = self._Z[self._rows[total - m:total - have]].tolist()
+            if self._pull is not None:
+                new = [self._pull(z) for z in new]
+            self._pts[:0] = new
+        return m
+
+    def last(self, m):
+        """(ks, points) of the trailing min(m, len) samples, oldest first."""
+        m = self._pull_back(m)
+        ks = [self._k0 + i for i in self._rows[len(self._rows) - m:].tolist()]
+        return ks, self._pts[len(self._pts) - m:]
+
+    def newest_first(self, step):
+        """Every point, newest first, pulled back step samples at a time."""
+        for i in range(len(self._rows)):
+            if i == len(self._pts):
+                self._pull_back(i + step)
+            yield self._pts[-1 - i]
+
+
 def _reference_directions(trace, S):
     src = trace.source
     if src is None or getattr(src, "structure", None) is None:
@@ -987,11 +1030,9 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     """Classify an orbit through the regularity hierarchy of the tower.
 
     Only single-block structures are handled (the tower then has stages
-    1..n and the hierarchy tests one chart per stage).  Points are
-    converted to complex floats once, as every verdict is a floating-point
-    test, and pulled back with pi_inverse stage by stage; at each stage
-    the chart copy must either approach a point away from the chart
-    center (first kind, which then persists) or approach the center with
+    1..n and the hierarchy tests one chart per stage).  At each stage the
+    chart copy must either approach a point away from the chart center
+    (first kind, which then persists) or approach the center with
     converging direction (second kind, which sends the test to the next
     stage).  An orbit second-kind through stage n is standard when its
     stage-n direction matches an isolated allowable fixed direction of the
@@ -999,7 +1040,16 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     are taken from the germ attached to the trace unless supplied
     explicitly.  tau and window override DIRECTION_TOL and REG_WINDOW for
     the windowed verdicts.
+
+    Every verdict is a floating-point test on the end of the trace.  One
+    pass over the whole trace finds, per stage, which points are liftable
+    (and how many sit on coordinate hyperplanes); only the trailing
+    max(REG_WINDOWS * window, FIT_TAIL) liftable samples of a stage (and,
+    past zero vectors, the few more the direction test skips) are
+    converted to complex floats and pulled back with pi_inverse.
     """
+    import numpy as np
+
     S = structure
     tol = DIRECTION_TOL if tau is None else tau
     width = REG_WINDOW if window is None else window
@@ -1019,19 +1069,19 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     notes = []
     if trace.diverged:
         notes.append("trace truncated by divergence at step %s" % trace.diverged_at)
-    base = []
-    for i, z in enumerate(trace.points):
-        k = k0 + i
-        if k < 1 or not any(z):
-            continue
-        base.append((k, tuple(map(_to_complex, z))))
+    pts = trace.points
+    Z = np.array(pts, dtype=complex)
+    base = np.fromiter(map(any, pts), bool, len(pts))
+    base[:max(0, 1 - k0)] = False       # times k < 1 carry no verdict
+    base_rows = np.flatnonzero(base)
     verdicts = []
 
     def fill_rest(from_stage, verdict, note):
         for r in range(from_stage, n + 1):
             verdicts.append(StageVerdict(r, verdict, None, note))
 
-    conv, rep0, _ = _direction_cauchy([z for _, z in base], tol, width)
+    conv, rep0, _ = _direction_cauchy(
+        _ChartTail(Z, base_rows, k0).newest_first(width), tol, width)
     if conv is None:
         fill_rest(0, "inconclusive", "not enough nonzero points for windows")
         return RegularityReport(S, tuple(verdicts), "inconclusive", None,
@@ -1053,28 +1103,22 @@ def regularity_classify(trace, structure, k0=0, directions=None,
                                          "inherited from stage %d" % frozen_at))
             continue
         pf = projection_formulas(S, r)
-        lifted = []
-        skipped = 0
-        for k, z in base:
-            try:
-                w = pi_inverse(S, r, z, formulas=pf)
-            except ZeroCoordinate:
-                skipped += 1
-                continue
-            lifted.append((k, w))
+        req = [j - 1 for j in pf.required_nonzero]
+        rows = base_rows[(Z[np.ix_(base_rows, req)] != 0).all(axis=1)]
+        skipped = len(base_rows) - len(rows)
         if skipped:
             notes.append("stage %d: %d points on coordinate hyperplanes skipped"
                          % (r, skipped))
+        lifted = _ChartTail(Z, rows, k0,
+                            functools.partial(pi_inverse, S, r, formulas=pf))
         if len(lifted) < 3 * width:
             verdicts.append(StageVerdict(r, "inconclusive", None,
                                          "too few liftable points"))
             fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
             return RegularityReport(S, tuple(verdicts), "inconclusive", None,
                                     notes=tuple(notes))
-        ks = [k for k, _ in lifted]
-        norms = [max(float(abs(_to_complex(x))) for x in w) for _, w in lifted]
-        tail = min(len(lifted), 6 * width)
-        slope = _log_slope(ks[-tail:], norms[-tail:])
+        ks, ws = lifted.last(REG_WINDOWS * width)
+        slope = _log_slope(ks, [max(abs(x) for x in w) for w in ws])
         if slope is None:
             verdicts.append(StageVerdict(r, "inconclusive", None,
                                          "degenerate norm data"))
@@ -1082,7 +1126,8 @@ def regularity_classify(trace, structure, k0=0, directions=None,
             return RegularityReport(S, tuple(verdicts), "inconclusive", None,
                                     notes=tuple(notes))
         if slope < -0.2:
-            conv, rep, _ = _direction_cauchy([w for _, w in lifted], tol, width)
+            conv, rep, _ = _direction_cauchy(lifted.newest_first(width), tol,
+                                             width)
             if conv is None:
                 verdicts.append(StageVerdict(r, "inconclusive", None,
                                              "not enough points for windows"))
@@ -1107,8 +1152,7 @@ def regularity_classify(trace, structure, k0=0, directions=None,
             frozen_at = r
             continue
         if abs(slope) <= 0.05:
-            vecs = [[_to_complex(x) for x in w] for _, w in lifted]
-            wins = _windows(vecs, width)
+            wins = _windows(ws, width)
             if wins:
                 means = [_mean_vec(w) for w in wins]
                 scale = max(abs(x) for x in means[-1])
@@ -1133,8 +1177,7 @@ def regularity_classify(trace, structure, k0=0, directions=None,
                      "match against the fixed directions" % frozen_at)
         return RegularityReport(S, tuple(verdicts), "regular-nonstandard", False,
                                 notes=tuple(notes))
-    v_est = _extrapolated_direction([k for k, _ in last_lifted],
-                                    [w for _, w in last_lifted])
+    v_est = _extrapolated_direction(*last_lifted.last(FIT_TAIL))
     dirs = directions
     if dirs is None:
         dirs, why = _reference_directions(trace, S)
@@ -1181,15 +1224,15 @@ def cesaro_limit(w, u, window=200, k0=0):
     window = min(window, len(w) // 4)
     if window < 10:
         raise InsufficientData("sequences too short for a tail window")
-    aw = [abs(_to_complex(x)) for x in w]
+    aw = [abs(complex(x)) for x in w]
     if any(x == 0.0 for x in aw):
         raise PreconditionViolated("w must be nonzero along the sequence")
     first = sum(aw[:window]) / window
     last = sum(aw[-window:]) / window
     if not last < 0.5 * first:
         raise PreconditionViolated("|w_k| does not tend to zero")
-    wc = [_to_complex(x) for x in w]
-    uc = [_to_complex(x) for x in u]
+    wc = [complex(x) for x in w]
+    uc = [complex(x) for x in u]
     ts, cs = [], []
     for i in range(len(w) - window, len(w)):
         k = k0 + i

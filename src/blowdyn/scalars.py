@@ -130,6 +130,8 @@ class GaussianRational:
     def to_complex(self):
         return complex(self.re) + 1j * float(self.im)
 
+    __complex__ = to_complex
+
     def to_mpc(self, prec=53):
         with mpmath.workprec(prec):
             re = mpmath.mpf(int(self.re.numerator)) / int(self.re.denominator)

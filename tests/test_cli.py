@@ -1,4 +1,6 @@
+import csv
 import json
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -224,6 +226,43 @@ def test_orbit_and_classify_commands(tmp_path):
     assert rep["match_distance"] < 1e-4
 
 
+def test_classify_reads_the_doubles_float_reads(tmp_path):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "orbit.csv"
+    res = run("orbit", "--map", spec, "--start", "6/2500,-12/125000",
+              "--steps", "200", "--prec", "256", "--csv", str(csv_path),
+              "--k0", "50")
+    assert res.exit_code == 0, res.output
+    ks, pts = cli._read_trace_csv(str(csv_path), 2)
+    rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
+    assert ks == [int(r[0]) for r in rows] == list(range(50, 251))
+    want = [[complex(float(r[1 + 2 * j]), float(r[2 + 2 * j]))
+             for j in range(2)] for r in rows]
+    assert repr(pts) == repr(want)
+
+
+@pytest.mark.parametrize("body,message", [
+    ("1,0.5,0,0.25,0\n1.5,0.5,0,0.25,0\n", "'1.5'"),
+    ("", "empty trace"),
+    ("1,0.5,0,0.25,0\n2,0.5,0,0.25\n", "columns"),
+    ("1,0.5,0,0.25,0\n3,0.5,0,0.25,0\n", "increase by 1"),
+], ids=["non-integer-k", "header-only", "ragged-row", "k-gap"])
+def test_classify_rejects_malformed_csv(tmp_path, body, message):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text("k,re_z1,im_z1,re_z2,im_z2\n" + body)
+    # a warning from the parser would turn into an exit code 3 defect
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run("classify", "--map", spec, "--csv", str(csv_path))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    line, = res.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "SchemaError"
+    assert message in err["message"]
+
+
 def test_normalform_command(tmp_path):
     spec = write_spec(tmp_path, FATOU_SPEC)
     res = run("normalform", "--map", spec)
@@ -292,7 +331,7 @@ def test_orbit_start_dimension_check(tmp_path):
     ("--prec", ["-5", "23", "4097"]),
     ("--steps", ["0", "1000001"]),
     ("--settle", ["0", "1000001"]),
-    ("--window", ["1", "1000001"]),
+    ("--window", ["1", "4", "1000001"]),
     ("--radius", ["inf", "nan", "0", "-1"]),
 ])
 def test_orbit_path_flag_bounds(tmp_path, flag, values):

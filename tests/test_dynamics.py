@@ -321,7 +321,7 @@ def test_hakim_scale_and_chart_invariance(fatou):
     b = dyn.hakim_matrix(Q, (G(6), G(4)))
     assert a.spectrum == b.spectrum
     c = dyn.hakim_matrix(Q, (3.0 + 0j, 2.0 + 0j), chart=2)
-    assert abs(dyn._to_complex(a.spectrum[0]) - c.spectrum[0]) < 1e-10
+    assert abs(complex(a.spectrum[0]) - c.spectrum[0]) < 1e-10
 
 
 def test_hakim_degenerate_planar_family_values():
@@ -364,7 +364,7 @@ def test_single_block_attraction_spectra_nonpositive():
                                           structure=Sn)[0]
         h = dyn.hakim_matrix(Q, d.v)
         for s in h.spectrum:
-            worst = max(worst, dyn._to_complex(s).real)
+            worst = max(worst, complex(s).real)
     assert worst <= 1e-8
 
 
