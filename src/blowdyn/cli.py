@@ -502,7 +502,8 @@ def _read_trace_csv(path, n):
                 "CSV header does not match a %d-coordinate trace" % n)
         with warnings.catch_warnings():
             # no rows at all is reported as an empty trace just below
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            warnings.filterwarnings("ignore",
+                                    "loadtxt: input contained no data")
             rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                               dtype=[("k", np.int64), ("z", float, 2 * n)])
     _expect(len(rows) > 0, "empty trace")
