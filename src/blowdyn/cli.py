@@ -504,6 +504,12 @@ def _read_trace_csv(path, n):
             # no rows at all is reported as an empty trace just below
             warnings.filterwarnings("ignore",
                                     "loadtxt: input contained no data")
+            # numpy 1.23-2.x parse a k like "1.5" or "2.0" as a float and
+            # truncate it, with only this warning; make it the ValueError
+            # later numpy raise
+            warnings.filterwarnings(
+                "error", r"loadtxt\(\): Parsing an integer via a float",
+                DeprecationWarning)
             rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=1,
                               dtype=[("k", np.int64), ("z", float, 2 * n)])
     _expect(len(rows) > 0, "empty trace")
