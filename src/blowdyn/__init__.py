@@ -91,6 +91,7 @@ from .dynamics import (
     regularity_classify,
     cesaro_limit,
     parabolic_classification,
+    planar_classification,
     projective_distance,
 )
 

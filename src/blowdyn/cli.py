@@ -29,7 +29,6 @@ import traceback
 import warnings
 
 import click
-import mpmath
 from mpmath.libmp import to_str
 
 from . import dynamics
@@ -43,7 +42,7 @@ from .lifting import (
     lifted_quadratic_part,
     verify_semiconjugacy,
 )
-from .normalform import epsilon_vector, invariants_2d, normal_form
+from .normalform import epsilon_vector, normal_form
 from .partition import build_structure, splitting
 from .scalars import GaussianRational, parse_scalar
 from .series import PolyMapGerm, TruncatedSeries
@@ -60,31 +59,12 @@ WINDOW_RANGE = (5, 10 ** 6)      # --window
 
 # -- scalar/JSON plumbing --------------------------------------------------
 
-def jval(x, bits=None):
-    """JSON form of a scalar: exact values as strings, floats as full
-    precision decimals (with the bit count when it is declared)."""
+def jval(x):
+    """JSON form of a scalar: an exact value as its string, a complex float
+    as the repr of its real and imaginary parts."""
     if isinstance(x, GaussianRational):
         return str(x)
-    if isinstance(x, int):
-        return str(x)
-    if hasattr(x, "numerator") and hasattr(x, "denominator"):
-        return str(GaussianRational(x))
-    if isinstance(x, complex):
-        return {"re": repr(x.real), "im": repr(x.imag)}
-    if isinstance(x, float):
-        return {"re": repr(x), "im": "0.0"}
-    if isinstance(x, (mpmath.mpf, mpmath.mpc)):
-        b = bits or mpmath.mp.prec
-        digits = int(b * 0.30103) + 3
-        z = mpmath.mpc(x)
-        return {
-            "re": mpmath.nstr(z.real, digits),
-            "im": mpmath.nstr(z.imag, digits),
-            "bits": b,
-        }
-    if x is None:
-        return None
-    return str(x)
+    return {"re": repr(x.real), "im": repr(x.imag)}
 
 
 def _structure_json(S):
@@ -430,8 +410,8 @@ def invariants_cmd(map_path):
     2D germs whose leading quadratic coefficient vanishes."""
     def run():
         F, _ = load_map_spec(map_path)
-        inv = invariants_2d(F)
-        rep = dynamics.parabolic_classification(F)
+        rep = dynamics.planar_classification(F)
+        inv = rep.invariants
         _emit({
             "schema": SCHEMA,
             "epsilon": jval(inv.epsilon),

@@ -644,15 +644,11 @@ class OrbitTrace:
     def raw_points(self):
         """Per point, in order, the list of mpmath value tuples (re_1,
         im_1, ..., re_n, im_n) of its coordinates, rounded to
-        precision_bits."""
+        precision_bits.  Only a trace made by orbit_iterate whose points
+        have not been read keeps this form."""
         if self._blocks is None:
-            for z in self._points:
-                with mpmath.workprec(self.precision_bits):
-                    parts = [p for x in z for p in mpmath.mpc(x)._mpc_]
-                yield parts
-            return
-        for pt in self._blocks:
-            yield rounded_parts(pt, self.precision_bits)
+            raise PreconditionViolated("trace keeps no engine points")
+        return (rounded_parts(pt, self.precision_bits) for pt in self._blocks)
 
     def __len__(self):
         return len(self._points if self._blocks is None else self._blocks)
@@ -778,6 +774,26 @@ class AsymptoticFit:
     window: int
 
 
+def _log_slope(ks, vals):
+    """Least-squares slope of log v against log k over the samples with
+    v > 0; None with fewer than 10 of them or when every log k is equal."""
+    pts = [(math.log(k), math.log(v)) for k, v in zip(ks, vals) if v > 0.0]
+    if len(pts) < 10:
+        return None
+    xbar = sum(p[0] for p in pts) / len(pts)
+    ybar = sum(p[1] for p in pts) / len(pts)
+    var = sum((p[0] - xbar) ** 2 for p in pts)
+    if var == 0.0:
+        return None
+    return sum((p[0] - xbar) * (p[1] - ybar) for p in pts) / var
+
+
+def _complex_median(zs):
+    """Median of the real parts and median of the imaginary parts."""
+    return complex(statistics.median(z.real for z in zs),
+                   statistics.median(z.imag for z in zs))
+
+
 def asymptotic_fit(trace, j, window=200, k0=0):
     """Fit |z_j^k| ~ |c| k^{-m} on the last `window` points of the trace.
 
@@ -797,35 +813,29 @@ def asymptotic_fit(trace, j, window=200, k0=0):
         raise InsufficientData(
             "trace has %d points; cannot form a %d-point window" % (m, window)
         )
-    ks, vals = [], []
+    ks, norms, zs = [], [], []
     for i in range(start, m):
         x = pts[i][j - 1]
         ax = float(abs(x))
         if ax > 0.0:
             ks.append(float(k0 + i))
-            vals.append((ax, complex(x)))
+            norms.append(ax)
+            zs.append(complex(x))
     if len(ks) < 20:
         raise InsufficientData("fewer than 20 usable points in the window")
-    half = len(vals) // 2
-    first = sum(v[0] for v in vals[:half]) / half
-    second = sum(v[0] for v in vals[half:]) / (len(vals) - half)
+    half = len(norms) // 2
+    first = sum(norms[:half]) / half
+    second = sum(norms[half:]) / (len(norms) - half)
     if not second < first:
         raise NonConvergent("window norms are not decreasing")
-    xs = [math.log(k) for k in ks]
-    ys = [math.log(v[0]) for v in vals]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    var = sum((x - xbar) ** 2 for x in xs)
-    cov = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-    slope = cov / var
+    slope = _log_slope(ks, norms)
+    if slope is None:
+        raise InsufficientData("window times too close for a log-log fit")
     fitted = -slope
     snapped_ok = abs(fitted - round(fitted)) < EXPONENT_SNAP
     snapped = float(round(fitted)) if snapped_ok else fitted
-    scaled = [v[1] * (k ** snapped) for k, v in zip(ks, vals)]
-    const = complex(
-        statistics.median(c.real for c in scaled),
-        statistics.median(c.imag for c in scaled),
-    )
+    scaled = [z * (k ** snapped) for k, z in zip(ks, zs)]
+    const = _complex_median(scaled)
     denom = max(abs(const), max(abs(c) for c in scaled), 1e-300)
     residual = max(abs(c - const) for c in scaled) / denom
     return AsymptoticFit(
@@ -864,9 +874,6 @@ class RegularityReport:
     matched_direction: object = None
     match_distance: object = None
     notes: tuple = ()
-
-    def verdict(self, r):
-        return self.verdicts[r].verdict
 
 
 def _windows(seq, width):
@@ -919,18 +926,6 @@ def _direction_cauchy(latest, tol, width):
     rep, _ = _rep(means[-1])
     converged = dists[-1] < tol and scatter < DIRECTION_SCATTER_TOL
     return converged, rep, dists
-
-
-def _log_slope(ks, vals):
-    pts = [(math.log(k), math.log(v)) for k, v in zip(ks, vals) if v > 0.0]
-    if len(pts) < 10:
-        return None
-    xbar = sum(p[0] for p in pts) / len(pts)
-    ybar = sum(p[1] for p in pts) / len(pts)
-    var = sum((p[0] - xbar) ** 2 for p in pts)
-    if var == 0.0:
-        return None
-    return sum((p[0] - xbar) * (p[1] - ybar) for p in pts) / var
 
 
 def _extrapolated_direction(ks, ws):
@@ -1025,6 +1020,44 @@ def _reference_directions(trace, S):
     return dirs, None
 
 
+def _stage_verdict(r, lifted, tol, width):
+    """Verdict at stage r >= 1 from the stage-r chart copy of the orbit."""
+    if len(lifted) < 3 * width:
+        return StageVerdict(r, "inconclusive", None, "too few liftable points")
+    ks, ws = lifted.last(REG_WINDOWS * width)
+    slope = _log_slope(ks, [max(abs(x) for x in w) for w in ws])
+    if slope is None:
+        return StageVerdict(r, "inconclusive", None, "degenerate norm data")
+    if slope < -0.2:
+        conv, rep, _ = _direction_cauchy(lifted.newest_first(width), tol,
+                                         width)
+        if conv is None:
+            return StageVerdict(r, "inconclusive", None,
+                                "not enough points for windows")
+        if not conv:
+            return StageVerdict(
+                r, "not-regular", None,
+                "chart copy vanishes but its direction does not settle")
+        return StageVerdict(r, "second-kind", rep,
+                            "chart copy vanishes with settling direction")
+    if slope > 0.2:
+        return StageVerdict(
+            r, "first-kind", None,
+            "chart copy grows: the limit lies outside this chart")
+    if abs(slope) <= 0.05:
+        wins = _windows(ws, width)      # none, or at least two
+        if wins:
+            means = [_mean_vec(w) for w in wins]
+            scale = max(abs(x) for x in means[-1])
+            gap = max(abs(a - b) for a, b in zip(means[-1], means[-2]))
+            if scale > 1e-8 and gap / scale < tol:
+                return StageVerdict(
+                    r, "first-kind", tuple(means[-1]),
+                    "chart copy settles away from the chart center")
+    return StageVerdict(r, "inconclusive", None,
+                        "norm trend is ambiguous (slope %.3f)" % slope)
+
+
 def regularity_classify(trace, structure, k0=0, directions=None,
                         tau=None, window=None):
     """Classify an orbit through the regularity hierarchy of the tower.
@@ -1076,128 +1109,73 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     base_rows = np.flatnonzero(base)
     verdicts = []
 
-    def fill_rest(from_stage, verdict, note):
-        for r in range(from_stage, n + 1):
-            verdicts.append(StageVerdict(r, verdict, None, note))
-
-    conv, rep0, _ = _direction_cauchy(
-        _ChartTail(Z, base_rows, k0).newest_first(width), tol, width)
-    if conv is None:
-        fill_rest(0, "inconclusive", "not enough nonzero points for windows")
-        return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                notes=tuple(notes))
-    if not conv:
-        verdicts.append(StageVerdict(0, "not-regular", None,
-                                     "direction of the base orbit does not settle"))
-        fill_rest(1, "not-regular", "fails already at stage 0")
-        return RegularityReport(S, tuple(verdicts), "irregular", False,
-                                notes=tuple(notes))
-    verdicts.append(StageVerdict(0, "second-kind", rep0,
-                                 "direction of the base orbit converges"))
+    def report(classification, standard, **match):
+        return RegularityReport(S, tuple(verdicts), classification, standard,
+                                notes=tuple(notes), **match)
 
     frozen_at = None
-    last_lifted = None
-    for r in range(1, n + 1):
-        if frozen_at is not None:
-            verdicts.append(StageVerdict(r, "first-kind", None,
-                                         "inherited from stage %d" % frozen_at))
-            continue
-        pf = projection_formulas(S, r)
-        req = [j - 1 for j in pf.required_nonzero]
-        rows = base_rows[(Z[np.ix_(base_rows, req)] != 0).all(axis=1)]
-        skipped = len(base_rows) - len(rows)
-        if skipped:
-            notes.append("stage %d: %d points on coordinate hyperplanes skipped"
-                         % (r, skipped))
-        lifted = _ChartTail(Z, rows, k0,
-                            functools.partial(pi_inverse, S, r, formulas=pf))
-        if len(lifted) < 3 * width:
-            verdicts.append(StageVerdict(r, "inconclusive", None,
-                                         "too few liftable points"))
-            fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
-            return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                    notes=tuple(notes))
-        ks, ws = lifted.last(REG_WINDOWS * width)
-        slope = _log_slope(ks, [max(abs(x) for x in w) for w in ws])
-        if slope is None:
-            verdicts.append(StageVerdict(r, "inconclusive", None,
-                                         "degenerate norm data"))
-            fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
-            return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                    notes=tuple(notes))
-        if slope < -0.2:
-            conv, rep, _ = _direction_cauchy(lifted.newest_first(width), tol,
-                                             width)
+    for r in range(n + 1):
+        if r == 0:
+            conv, rep, _ = _direction_cauchy(
+                _ChartTail(Z, base_rows, k0).newest_first(width), tol, width)
             if conv is None:
-                verdicts.append(StageVerdict(r, "inconclusive", None,
-                                             "not enough points for windows"))
-                fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
-                return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                        notes=tuple(notes))
-            if not conv:
-                verdicts.append(StageVerdict(
-                    r, "not-regular", None,
-                    "chart copy vanishes but its direction does not settle"))
-                fill_rest(r + 1, "not-regular", "fails at stage %d" % r)
-                return RegularityReport(S, tuple(verdicts), "irregular", False,
-                                        notes=tuple(notes))
-            verdicts.append(StageVerdict(r, "second-kind", rep,
-                                         "chart copy vanishes with settling direction"))
-            last_lifted = lifted
+                v = StageVerdict(0, "inconclusive", None,
+                                 "not enough nonzero points for windows")
+            elif conv:
+                v = StageVerdict(0, "second-kind", rep,
+                                 "direction of the base orbit converges")
+            else:
+                v = StageVerdict(0, "not-regular", None,
+                                 "direction of the base orbit does not settle")
+        elif frozen_at is not None:
+            v = StageVerdict(r, "first-kind", None,
+                             "inherited from stage %d" % frozen_at)
+        else:
+            pf = projection_formulas(S, r)
+            req = [j - 1 for j in pf.required_nonzero]
+            rows = base_rows[(Z[np.ix_(base_rows, req)] != 0).all(axis=1)]
+            skipped = len(base_rows) - len(rows)
+            if skipped:
+                notes.append("stage %d: %d points on coordinate hyperplanes "
+                             "skipped" % (r, skipped))
+            pull = functools.partial(pi_inverse, S, r, formulas=pf)
+            lifted = _ChartTail(Z, rows, k0, pull)
+            v = _stage_verdict(r, lifted, tol, width)
+            if v.verdict == "first-kind":
+                frozen_at = r
+        verdicts.append(v)
+        if v.verdict in ("first-kind", "second-kind"):
             continue
-        if slope > 0.2:
-            verdicts.append(StageVerdict(
-                r, "first-kind", None,
-                "chart copy grows: the limit lies outside this chart"))
-            frozen_at = r
-            continue
-        if abs(slope) <= 0.05:
-            wins = _windows(ws, width)
-            if wins:
-                means = [_mean_vec(w) for w in wins]
-                scale = max(abs(x) for x in means[-1])
-                gap = max(
-                    abs(a - b) for a, b in zip(means[-1], means[-2])
-                ) if len(means) >= 2 else None
-                if scale > 1e-8 and gap is not None and gap / scale < tol:
-                    verdicts.append(StageVerdict(
-                        r, "first-kind", tuple(means[-1]),
-                        "chart copy settles away from the chart center"))
-                    frozen_at = r
-                    continue
-        verdicts.append(StageVerdict(r, "inconclusive", None,
-                                     "norm trend is ambiguous (slope %.3f)" % slope))
-        fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
-        return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                notes=tuple(notes))
+        # the orbit fails or stays undecided here; later stages are not tested
+        failed = v.verdict == "not-regular"
+        if failed:
+            rest = "fails at stage %d" % r if r else "fails already at stage 0"
+        else:
+            rest = "undecided at stage %d" % r if r else v.note
+        verdicts.extend(StageVerdict(later, v.verdict, None, rest)
+                        for later in range(r + 1, n + 1))
+        return (report("irregular", False) if failed
+                else report("inconclusive", None))
 
     # every stage decided first or second kind: the orbit is regular
-    if verdicts[n].verdict != "second-kind":
+    if frozen_at is not None:
         notes.append("regular of first kind from stage %d on; no direction to "
                      "match against the fixed directions" % frozen_at)
-        return RegularityReport(S, tuple(verdicts), "regular-nonstandard", False,
-                                notes=tuple(notes))
-    v_est = _extrapolated_direction(*last_lifted.last(FIT_TAIL))
+        return report("regular-nonstandard", False)
+    # second kind through stage n: lifted is the stage-n chart copy
+    v_est = _extrapolated_direction(*lifted.last(FIT_TAIL))
     dirs = directions
     if dirs is None:
         dirs, why = _reference_directions(trace, S)
         if dirs is None:
             notes.append("standardness not evaluated: %s" % why)
-            return RegularityReport(S, tuple(verdicts), "inconclusive", None,
-                                    notes=tuple(notes))
-    best = None
-    best_d = None
-    for d in dirs:
-        dist = projective_distance(v_est, d.v)
-        if best is None or dist < best:
-            best, best_d = dist, d
-    if best is not None and best < STANDARD_MATCH_TOL:
-        return RegularityReport(S, tuple(verdicts), "standard", True,
-                                matched_direction=best_d, match_distance=best,
-                                notes=tuple(notes))
-    return RegularityReport(S, tuple(verdicts), "regular-nonstandard", False,
-                            matched_direction=best_d, match_distance=best,
-                            notes=tuple(notes))
+            return report("inconclusive", None)
+    best_d = min(dirs, key=lambda d: projective_distance(v_est, d.v),
+                 default=None)
+    best = None if best_d is None else projective_distance(v_est, best_d.v)
+    standard = best is not None and best < STANDARD_MATCH_TOL
+    return report("standard" if standard else "regular-nonstandard", standard,
+                  matched_direction=best_d, match_distance=best)
 
 
 # -- Cesaro-type limit ----------------------------------------------------
@@ -1224,26 +1202,20 @@ def cesaro_limit(w, u, window=200, k0=0):
     window = min(window, len(w) // 4)
     if window < 10:
         raise InsufficientData("sequences too short for a tail window")
-    aw = [abs(complex(x)) for x in w]
+    wc = [complex(x) for x in w]
+    aw = [abs(x) for x in wc]
     if any(x == 0.0 for x in aw):
         raise PreconditionViolated("w must be nonzero along the sequence")
     first = sum(aw[:window]) / window
     last = sum(aw[-window:]) / window
     if not last < 0.5 * first:
         raise PreconditionViolated("|w_k| does not tend to zero")
-    wc = [complex(x) for x in w]
-    uc = [complex(x) for x in u]
     ts, cs = [], []
-    for i in range(len(w) - window, len(w)):
-        k = k0 + i
-        if k < 1:
-            continue
-        ts.append(1.0 / (k * wc[i]))
-        cs.append(uc[i] / wc[i])
-    limit = complex(statistics.median(t.real for t in ts),
-                    statistics.median(t.imag for t in ts))
-    c = complex(statistics.median(x.real for x in cs),
-                statistics.median(x.imag for x in cs))
+    for i in range(max(len(w) - window, 1 - k0), len(w)):    # times k >= 1
+        ts.append(1.0 / ((k0 + i) * wc[i]))
+        cs.append(complex(u[i]) / wc[i])
+    limit = _complex_median(ts)
+    c = _complex_median(cs)
     agreement = abs(limit + c) / max(abs(c), 1e-300)
     return CesaroEstimate(limit=limit, c=c, agreement=agreement, samples=len(ts))
 
@@ -1275,6 +1247,58 @@ class ClassificationReport:
 def _unresolved(reason, invariants=None):
     return ClassificationReport(kind="unresolved", reason=reason,
                                 invariants=invariants)
+
+
+def planar_classification(F):
+    """Parabolic curves of a planar unipotent germ whose leading quadratic
+    coefficient vanishes, decided by the refined invariant pair.
+
+    The pair comes from normalform.invariants_2d, so its checks (dimension
+    2, cap >= 3, one unipotent block, no z_1^2 term in the second
+    component) and its normal-form cross-check run first.  The report is
+    planar-nongeneric with one or two curves, or unresolved when both
+    invariants vanish; either way it carries the invariants.
+    """
+    from .normalform import invariants_2d
+
+    inv = invariants_2d(F)
+    eps, eta = inv.epsilon, inv.eta
+    if not eps and not eta:
+        return _unresolved(
+            "both refined invariants vanish; the analysis does not decide "
+            "this case", invariants=inv,
+        )
+    a111 = F.a(1, 1, 1)
+    a212 = F.a(2, 1, 2)
+    root = gaussian_sqrt(eta)
+    notes = []
+    if root is not None:
+        branches = [root] if not root else [root, -root]
+        one, half = _ONE, GaussianRational(Fraction(1, 2))
+    else:
+        rc = cmath.sqrt(complex(eta.to_complex()))
+        branches = [rc, -rc]
+        a111 = a111.to_complex()
+        a212 = a212.to_complex()
+        eps = eps.to_complex()
+        one, half = 1.0 + 0.0j, 0.5
+        notes.append("square root of the second invariant is irrational; "
+                     "directions reported in floating point")
+    dirs = []
+    for s in branches:
+        t = (a212 - a111 + s) * half
+        lam = (eps + s) * half
+        deg = not lam if root is not None else abs(lam) <= DEGENERATE_EPS
+        dirs.append(CharDirection(
+            v=(one, t), lam=lam, degenerate=deg, mode="closed-form",
+            allowable=True,
+            hakim_spectrum=None if deg else ((-2 * s) / (eps + s),),
+        ))
+    curves = sum(1 for d in dirs if not d.degenerate)
+    return ClassificationReport(
+        kind="planar-nongeneric", curves=curves, stage=1,
+        directions=tuple(dirs), invariants=inv, notes=tuple(notes),
+    )
 
 
 def parabolic_classification(F):
@@ -1310,50 +1334,11 @@ def parabolic_classification(F):
             notes=("one parabolic curve tangent to the first axis",),
         )
     if S.n == 2:
-        from .normalform import invariants_2d
-
         if F.map.cap < 3:
             raise PreconditionViolated(
                 "planar nongeneric classification needs cubic terms (cap >= 3)"
             )
-        inv = invariants_2d(F)
-        eps, eta = inv.epsilon, inv.eta
-        if not eps and not eta:
-            return _unresolved(
-                "both refined invariants vanish; the analysis does not decide "
-                "this case", invariants=inv,
-            )
-        a111 = F.a(1, 1, 1)
-        a212 = F.a(2, 1, 2)
-        root = gaussian_sqrt(eta)
-        notes = []
-        if root is not None:
-            branches = [root] if not root else [root, -root]
-            one, half = _ONE, GaussianRational(Fraction(1, 2))
-        else:
-            rc = cmath.sqrt(complex(eta.to_complex()))
-            branches = [rc, -rc]
-            a111 = a111.to_complex()
-            a212 = a212.to_complex()
-            eps = eps.to_complex()
-            one, half = 1.0 + 0.0j, 0.5
-            notes.append("square root of the second invariant is irrational; "
-                         "directions reported in floating point")
-        dirs = []
-        for s in branches:
-            t = (a212 - a111 + s) * half
-            lam = (eps + s) * half
-            deg = not lam if root is not None else abs(lam) <= DEGENERATE_EPS
-            dirs.append(CharDirection(
-                v=(one, t), lam=lam, degenerate=deg, mode="closed-form",
-                allowable=True,
-                hakim_spectrum=None if deg else ((-2 * s) / (eps + s),),
-            ))
-        curves = sum(1 for d in dirs if not d.degenerate)
-        return ClassificationReport(
-            kind="planar-nongeneric", curves=curves, stage=1,
-            directions=tuple(dirs), invariants=inv, notes=tuple(notes),
-        )
+        return planar_classification(F)
     if S.rho == 1:
         b = F.a(S.mu[0] - 1, 1, 1)
         if b:

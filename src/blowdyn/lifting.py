@@ -122,12 +122,6 @@ class InputGerm:
     def is_generic(self):
         return bool(self.leading_quadratic_coefficient())
 
-    def cubic_e1_coefficient(self, j):
-        """Coefficient of z_1^3 in component j."""
-        e = [0] * self.structure.n
-        e[0] = 3
-        return self.map.components[j - 1].coefficient(e)
-
 
 @dataclass(frozen=True)
 class LiftedMap:

@@ -124,9 +124,6 @@ class GaussianRational:
             return hash(self.re)
         return hash((self.re, self.im))
 
-    def is_rational(self):
-        return self.im == 0
-
     def to_complex(self):
         return complex(self.re) + 1j * float(self.im)
 

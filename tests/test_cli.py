@@ -200,6 +200,93 @@ def test_invariants_command(tmp_path):
     assert out["curves"] == 2
 
 
+def _planar_spec(terms, cap=3, mu=(2,), lam="1"):
+    return {"dim": sum(mu),
+            "blocks": [{"mu": m, "lambda": lam} for m in mu],
+            "terms": [{"j": j, "exp": list(e), "coeff": c}
+                      for j, e, c in terms],
+            "options": {"degree_cap": cap}}
+
+
+def _fl(re, im="0.0"):
+    return {"re": re, "im": im}
+
+
+def _closed_form(v, lam, rate):
+    return {"v": v, "lambda": lam, "degenerate": False, "allowable": True,
+            "mode": "closed-form", "attraction_spectrum": [rate]}
+
+
+IRRATIONAL_NOTE = ("square root of the second invariant is irrational; "
+                   "directions reported in floating point")
+
+# stdout of the invariants command, byte for byte, on a map with a rational
+# root of the second invariant, one with an irrational root, and one where
+# both invariants vanish
+INVARIANTS_OUTPUTS = [
+    ([(1, (2, 0), "1"), (2, (1, 1), "1")],
+     {"epsilon": "3/2", "eta": "1/4", "xi": "1/9",
+      "kind": "planar-nongeneric", "curves": 2, "stage": 1,
+      "directions": [_closed_form(["1", "0"], "1", "-1/2"),
+                     _closed_form(["1", "-1/2"], "1/2", "1")],
+      "notes": []}),
+    ([(1, (2, 0), "1"), (2, (1, 1), "2/3"), (2, (3, 0), "5/3")],
+     {"epsilon": "4/3", "eta": "34/9", "xi": "17/8",
+      "kind": "planar-nongeneric", "curves": 2, "stage": 1,
+      "directions": [
+          _closed_form([_fl("1.0"), _fl("0.6384919824742167")],
+                       _fl("1.6384919824742168"),
+                       _fl("-1.1862436022909775")),
+          _closed_form([_fl("1.0"), _fl("-1.3051586491408833")],
+                       _fl("-0.3051586491408834"),
+                       _fl("-6.369311953264577", "-0.0"))],
+      "notes": [IRRATIONAL_NOTE]}),
+    ([(1, (2, 0), "1"), (2, (1, 1), "-2"), (2, (3, 0), "-2")],
+     {"epsilon": "0", "eta": "0", "xi": None, "kind": "unresolved",
+      "curves": None, "stage": None, "directions": [], "notes": []}),
+]
+
+
+@pytest.mark.parametrize("terms,payload", INVARIANTS_OUTPUTS,
+                         ids=["rational", "irrational-eta", "both-vanish"])
+def test_invariants_output_from_one_normal_form(tmp_path, monkeypatch, terms,
+                                                payload):
+    from blowdyn import normalform
+
+    calls = []
+    real = normalform.normal_form
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(normalform, "normal_form", counted)
+    res = run("invariants", "--map",
+              write_spec(tmp_path, _planar_spec(terms)))
+    assert res.exit_code == 0
+    assert res.stdout == json.dumps({"schema": "blowdyn/1", **payload},
+                                    indent=2) + "\n"
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spec,error,message", [
+    (FATOU_SPEC, "GenericInput",
+     "second component has a z_1^2 term; these invariants only exist in "
+     "the degenerate case"),
+    (_planar_spec([(1, (2, 0, 0), "1")], mu=(3,)), "PreconditionViolated",
+     "planar invariants require dimension 2"),
+    (_planar_spec([(1, (2, 0), "1"), (2, (1, 1), "1")], lam="2"),
+     "NotJordan", "linear part is not the unipotent Jordan block: entry (1,1)"),
+    (_planar_spec([(1, (2, 0), "1"), (2, (1, 1), "1")], cap=2),
+     "PreconditionViolated", "third-order data needed: cap must be >= 3"),
+], ids=["generic", "dimension-3", "lambda-2", "cap-2"])
+def test_invariants_errors(tmp_path, spec, error, message):
+    res = run("invariants", "--map", write_spec(tmp_path, spec))
+    assert res.exit_code == 1 and res.stdout == ""
+    assert json.loads(res.stderr) == {"schema": "blowdyn/1", "error": error,
+                                      "message": message}
+
+
 def test_orbit_and_classify_commands(tmp_path):
     import mpmath
 

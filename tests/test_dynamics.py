@@ -7,6 +7,7 @@ import pytest
 from blowdyn import dynamics as dyn
 from blowdyn.errors import (
     DegenerateDirection,
+    InsufficientData,
     NoAllowableDirection,
     NonConvergent,
     PreconditionViolated,
@@ -451,6 +452,22 @@ def test_log_corrections_flagged_not_power_law():
     syn = dyn.OrbitTrace(points=tuple(pts), precision_bits=53)
     f = dyn.asymptotic_fit(syn, 1, window=400, k0=2)
     assert not f.power_law
+
+
+def test_fit_slope_is_the_least_squares_slope():
+    pts = [((1.0 / (k * math.log(k))) + 0j, 0j) for k in range(2, 1500)]
+    syn = dyn.OrbitTrace(points=tuple(pts), precision_bits=53)
+    f = dyn.asymptotic_fit(syn, 1, window=400, k0=2)
+    tail = range(len(pts) - 400, len(pts))
+    xs = [math.log(float(2 + i)) for i in tail]
+    ys = [math.log(abs(pts[i][0])) for i in tail]
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / sum((x - xbar) ** 2 for x in xs))
+    assert f.exponent_fitted == -slope
+    # beyond 2^53 every time in the window has the same log: no slope
+    with pytest.raises(InsufficientData):
+        dyn.asymptotic_fit(syn, 1, window=400, k0=2 ** 62 - 2 ** 20)
 
 
 def test_fit_rejects_flat_orbit(fatou):

@@ -292,6 +292,37 @@ def kinked(width, count=1200):
     return pts
 
 
+def sparse():
+    """Nonzero at k = 1..8 only: too few for two windows at stage 0."""
+    return [(1.0 / k + 0j, 1.0 / k ** 2 + 0j) if k <= 8 else (0j, 0j)
+            for k in range(1, 201)]
+
+
+def on_second_axis():
+    """Direction [0 : 1]: the base direction settles, but no point has
+    z1 != 0, so none lifts to stage 1."""
+    return [(0j, 1.0 / k + 0j) for k in range(1, 1201)]
+
+
+def fixed_direction():
+    """Direction [1 : 1e-3] at every point; run at times near 2^62, where
+    every log k rounds to one double, so the stage-1 log-log fit has zero
+    variance."""
+    return [(1.0 / i + 0j, 1e-3 / i + 0j) for i in range(1, 401)]
+
+
+def unsettled():
+    """The stage-1 chart copy (1/k, 2/k or 2i/k) vanishes as 1/k, but its
+    direction alternates between [1 : 2] and [1 : 2i]."""
+    return [(1.0 / k + 0j, (2.0 if k % 2 == 0 else 2.0j) / k ** 2)
+            for k in range(1, 1201)]
+
+
+def growing():
+    """The stage-1 chart copy (1/k, k^0.5) grows."""
+    return [(1.0 / k + 0j, k ** -0.5 + 0j) for k in range(1, 1201)]
+
+
 @pytest.fixture(scope="module")
 def refined_trace():
     F = fatou_germ()
@@ -380,3 +411,60 @@ def test_tail_pulls_back_only_what_the_verdicts_read():
     ks, _ = tail.last(1000)
     assert ks[0] == 2001 and len(calls) == 1000
     assert len(tail) == 3000
+
+
+FAR = dyn.CharDirection(v=(G(1), G(5)), lam=G(1), degenerate=False,
+                        mode="closed-form")
+
+# Each trace ends the classification at a different exit; the notes of the
+# verdicts from the first undecided or failing stage on are pinned, so an
+# exit that stops filling the later stages as before fails here.
+EXITS = [
+    ("stage-0-windows", sparse, 1, {}, "inconclusive",
+     ["not enough nonzero points for windows"] * 3),
+    ("too-few-liftable", on_second_axis, 1, {}, "inconclusive",
+     ["direction of the base orbit converges", "too few liftable points",
+      "undecided at stage 1"]),
+    ("degenerate-norms", fixed_direction, 2 ** 62 - 2 ** 20, {},
+     "inconclusive",
+     ["direction of the base orbit converges", "degenerate norm data",
+      "undecided at stage 1"]),
+    ("unsettled-chart-direction", unsettled, 1, {}, "irregular",
+     ["direction of the base orbit converges",
+      "chart copy vanishes but its direction does not settle",
+      "fails at stage 1"]),
+    ("chart-copy-grows", growing, 1, {}, "regular-nonstandard",
+     ["direction of the base orbit converges",
+      "chart copy grows: the limit lies outside this chart",
+      "inherited from stage 1"]),
+    ("matched-nonstandard", power_law, 1, {"directions": [FAR]},
+     "regular-nonstandard", None),
+]
+
+
+@pytest.mark.parametrize("window", [None, 5])
+@pytest.mark.parametrize("name,make,k0,kwargs,label,notes", EXITS,
+                         ids=[e[0] for e in EXITS])
+def test_every_exit_matches_reference(name, make, k0, kwargs, label, notes,
+                                      window):
+    trace = _trace(make())
+    got = dyn.regularity_classify(trace, S2, k0=k0, window=window, **kwargs)
+    want = _reference_classify(trace, S2, k0=k0, window=window, **kwargs)
+    assert got == want and repr(got) == repr(want)
+    assert got.classification == label
+    if notes is not None:
+        assert [v.note for v in got.verdicts] == notes
+    else:
+        assert got.matched_direction is FAR
+        assert got.match_distance > dyn.STANDARD_MATCH_TOL
+        assert [v.verdict for v in got.verdicts] == ["second-kind"] * 3
+
+
+@pytest.mark.parametrize("window", [None, 5])
+def test_divergence_note_leads_the_notes(window):
+    trace = dyn.OrbitTrace(points=tuple(growing()), precision_bits=53,
+                           diverged=True, diverged_at=1201)
+    got = dyn.regularity_classify(trace, S2, k0=1, window=window)
+    want = _reference_classify(trace, S2, k0=1, window=window)
+    assert got == want and repr(got) == repr(want)
+    assert got.notes[0] == "trace truncated by divergence at step 1201"
