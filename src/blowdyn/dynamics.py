@@ -613,13 +613,14 @@ class OrbitTrace:
     first read from the engine's integer form, which is then dropped.
     """
 
-    __slots__ = ("_points", "_blocks", "precision_bits", "source",
-                 "diverged", "diverged_at")
+    __slots__ = ("_points", "_blocks", "_engine", "precision_bits",
+                 "source", "diverged", "diverged_at")
 
     def __init__(self, points, precision_bits, source=None, diverged=False,
                  diverged_at=None):
         self._points = tuple(points)
         self._blocks = None
+        self._engine = False
         self.precision_bits = precision_bits
         self.source = source
         self.diverged = diverged
@@ -631,6 +632,7 @@ class OrbitTrace:
         trace = cls((), precision_bits, source, diverged, diverged_at)
         trace._points = None
         trace._blocks = blocks
+        trace._engine = True
         return trace
 
     @property
@@ -644,10 +646,12 @@ class OrbitTrace:
     def raw_points(self):
         """Per point, in order, the list of mpmath value tuples (re_1,
         im_1, ..., re_n, im_n) of its coordinates, rounded to
-        precision_bits.  Only a trace made by orbit_iterate whose points
-        have not been read keeps this form."""
-        if self._blocks is None:
+        precision_bits.  Only a trace made by orbit_iterate has this
+        form; once its points are read, they give it back exactly."""
+        if not self._engine:
             raise PreconditionViolated("trace keeps no engine points")
+        if self._blocks is None:
+            return ([p for x in z for p in x._mpc_] for z in self._points)
         return (rounded_parts(pt, self.precision_bits) for pt in self._blocks)
 
     def __len__(self):
@@ -879,20 +883,16 @@ class RegularityReport:
 def _windows(seq, width):
     """The trailing full windows of seq, oldest first, at most
     REG_WINDOWS."""
-    total = len(seq) // width
-    use = min(total, REG_WINDOWS)
+    use = min(len(seq) // width, REG_WINDOWS)
     if use < 2:
         return []
-    out = []
-    for t in range(use, 0, -1):
-        hi = len(seq) - (t - 1) * width
-        out.append(seq[hi - width:hi])
-    return out
+    end = len(seq)
+    return [seq[end - t * width:end - (t - 1) * width]
+            for t in range(use, 0, -1)]
 
 
 def _mean_vec(vecs):
-    n = len(vecs[0])
-    return tuple(sum(v[i] for v in vecs) / len(vecs) for i in range(n))
+    return tuple(sum(col) / len(vecs) for col in zip(*vecs))
 
 
 def _direction_cauchy(latest, tol, width):
