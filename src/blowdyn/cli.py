@@ -379,10 +379,9 @@ def chardirs_cmd(map_path, mode):
     multipliers, allowability and, for isolated nondegenerate directions,
     attraction spectra."""
     def run():
-        F, opts = load_map_spec(map_path)
+        F, _ = load_map_spec(map_path)
         S = F.structure
-        L = lift(F, S.ell, max(2, opts["degree_cap"]))
-        Q = lifted_quadratic_part(L)
+        Q = lifted_quadratic_part(lift(F, S.ell, 2))
         dirs = dynamics.characteristic_directions(Q, mode=mode, structure=S)
         out = []
         for d in dirs:
@@ -594,8 +593,7 @@ def fatou_demo_cmd(steps, settle, prec):
             ok = verify_semiconjugacy(F, L)
             row("PASS" if ok else "FAIL",
                 "stage-%d lift semiconjugacy exact" % k)
-        L = lift(F, 2, 4)
-        Q = lifted_quadratic_part(L)
+        Q = lifted_quadratic_part(L)    # L is the stage-2 lift above
         dirs = dynamics.characteristic_directions(Q, mode="structured",
                                                   structure=S)
         d = dirs[0]

@@ -110,7 +110,7 @@ def _argmax_abs(v):
     """Index of the largest-modulus coordinate (first on ties)."""
     best, besta = 0, None
     for i, x in enumerate(v):
-        ax = x.abs2() if isinstance(x, GaussianRational) else abs(x) ** 2
+        ax = x.abs2() if isinstance(x, GaussianRational) else abs(x)
         if besta is None or ax > besta:
             best, besta = i, ax
     return best
@@ -268,8 +268,8 @@ def _exact2d_directions(Q):
     return dirs
 
 
-def _dot(l, x):
-    return sum((a * b for a, b in zip(l, x) if a and b), QI_ZERO)
+def _dot(l, x, zero=QI_ZERO):
+    return sum((a * b for a, b in zip(l, x) if a and b), zero)
 
 
 def _in_space(x, p, basis):
@@ -439,16 +439,6 @@ class HakimData:
     lam: object
 
 
-def _quad_value(q, w, zero):
-    """w^T q w, summed from `zero` over the terms with no zero factor.
-    Starting from `zero` (0 for floats) rather than from the first term
-    keeps a floating-point value equal to the full sum, signed zeros
-    included."""
-    n = len(w)
-    return sum((q[h][k] * w[h] * w[k] for h in range(n) if w[h]
-                for k in range(n) if q[h][k] and w[k]), zero)
-
-
 def hakim_matrix(Q, v, chart=None):
     """Attraction matrix at the fixed direction v, plus its spectrum.
 
@@ -459,6 +449,9 @@ def hakim_matrix(Q, v, chart=None):
     complex floats, and the fixed-direction and zero-multiplier checks then
     take tolerances.  Eigenvalues of blocks larger than 1x1 are computed
     in floating point.
+
+    With w = v / v_{i0} and A_j = M_j w for the matrices M_j of Q: q_j =
+    w . A_j, lam = q_{i0}, H_jk = (A_jk - w_j A_{i0,k}) / lam - delta_jk / 2.
     """
     n = Q.n
     if len(v) != n:
@@ -475,17 +468,17 @@ def hakim_matrix(Q, v, chart=None):
     exact = all(isinstance(x, GaussianRational) for x in v) and all(
         isinstance(x, GaussianRational) for m in mats for row in m for x in row
     )
-    if exact:
-        zero, one, two = QI_ZERO, _ONE, GaussianRational(2)
-    else:
+    if not exact:
         mats = [[[complex(x) for x in row] for row in m] for m in mats]
         v = [complex(x) for x in v]
-        zero, one, two = 0, 1.0, 2.0
+    zero = QI_ZERO if exact else 0
     piv = v[i0]
     w = [x / piv for x in v]
-    lamp = _quad_value(mats[i0], w, zero)
-    for j in range(n):
-        q, p = _quad_value(mats[j], w, zero), lamp * w[j]
+    A = [[_dot(row, w, zero) for row in m] for m in mats]
+    qs = [_dot(w, a, zero) for a in A]
+    lamp = qs[i0]
+    for j, q in enumerate(qs):
+        p = lamp * w[j]
         if exact and q != p:
             raise PreconditionViolated(
                 "v is not a fixed direction of this quadratic part (component %d)"
@@ -501,16 +494,13 @@ def hakim_matrix(Q, v, chart=None):
     if not exact and abs(lamp) <= 1e-10:
         raise DegenerateDirection("multiplier numerically zero at this direction")
     idxs = [t for t in range(n) if t != i0]
-    Apiv = [sum((row[k] * w[k] for k in range(n)), zero) for row in mats[i0]]
+    half = Fraction(1, 2)
     rows = []
     for j in idxs:
-        Aj = [sum((row[k] * w[k] for k in range(n)), zero) for row in mats[j]]
         out = []
         for k in idxs:
-            d = (two / lamp) * (Aj[k] - w[j] * Apiv[k])
-            if j == k:
-                d = d - one
-            out.append(d / two)
+            d = (A[j][k] - w[j] * A[i0][k]) / lamp
+            out.append(d - half if j == k else d)
         rows.append(tuple(out))
     mat = tuple(rows)
     m = len(mat)
@@ -1003,6 +993,19 @@ class _ChartTail:
             yield self._pts[-1 - i]
 
 
+def _chart_point(S, r, pf, z):
+    """The stage-r chart coordinates of the complex point z; raises
+    NonConvergent where one of them does not fit in a double."""
+    try:
+        w = pi_inverse(S, r, z, formulas=pf)
+        if all(map(cmath.isfinite, w)):
+            return w
+    except (OverflowError, ZeroDivisionError):  # x ** p out of range
+        pass
+    raise NonConvergent("stage %d chart coordinates overflow double "
+                        "precision" % r)
+
+
 def _reference_directions(trace, S):
     src = trace.source
     if src is None or getattr(src, "structure", None) is None:
@@ -1138,7 +1141,7 @@ def regularity_classify(trace, structure, k0=0, directions=None,
             if skipped:
                 notes.append("stage %d: %d points on coordinate hyperplanes "
                              "skipped" % (r, skipped))
-            pull = functools.partial(pi_inverse, S, r, formulas=pf)
+            pull = functools.partial(_chart_point, S, r, pf)
             lifted = _ChartTail(Z, rows, k0, pull)
             v = _stage_verdict(r, lifted, tol, width)
             if v.verdict == "first-kind":

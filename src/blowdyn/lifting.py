@@ -32,6 +32,7 @@ from .scalars import GaussianRational
 from .series import (
     PolyMapGerm,
     TruncatedSeries,
+    _quadratic_matrices,
     monomial_divide,
     series_multiply,
     series_power,
@@ -349,22 +350,8 @@ class ChartQuadraticForm:
 def lifted_quadratic_part(L):
     if L.cap < 2:
         raise PreconditionViolated("lift cap too small for quadratic data")
-    n = L.structure.n
-    mats = []
-    for comp in L.series.components:
-        q = [[GaussianRational(0) for _ in range(n)] for _ in range(n)]
-        for e, c in comp.coeffs.items():
-            if sum(e) != 2:
-                continue
-            idx = [i for i, p in enumerate(e) for _ in range(p)]
-            h, k = idx[0], idx[1]
-            if h == k:
-                q[h][k] = c
-            else:
-                q[h][k] = c / 2
-                q[k][h] = c / 2
-        mats.append(tuple(tuple(row) for row in q))
-    return ChartQuadraticForm(n=n, matrices=tuple(mats))
+    return ChartQuadraticForm(n=L.structure.n,
+                              matrices=_quadratic_matrices(L.series))
 
 
 def predicted_quadratic_table(F):

@@ -21,10 +21,10 @@ The two building blocks operate on symmetric coefficient matrices:
 
 ``normal_form`` runs every reduction on the n quadratic matrices alone.  A
 step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
-J, changes them by the closed rule of ``transform_forms``.  The step maps
-are composed into one conjugator, the series is conjugated by it once, and
-the quadratic matrices of that one series are compared with the tracked
-prediction.
+J, changes them by the closed rule of ``transform_forms``, which is
+``_shift_correct`` alone when T = I.  The step maps are composed into one
+conjugator, the series is conjugated by it once, and the quadratic
+matrices of that one series are compared with the tracked prediction.
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,9 @@ from .exactalg import (
     invert_matrix, mat_add, mat_mul, mat_scale, qi, solve_linear, zeros,
 )
 from .scalars import QI_ONE, QI_ZERO
-from .series import PolyMapGerm, TruncatedSeries, _as_germ, germ_inverse
+from .series import (
+    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, germ_inverse,
+)
 
 
 def diagonal_cutoff(n):
@@ -95,21 +97,30 @@ def conjugate_form(a, t):
     return tuple(map(tuple, mat_mul(mat_mul(tt, a), t)))
 
 
+def _shift_correct(forms, m, b):
+    """The quadratic matrices after the step chi(z) = z + e_m z^t B z:
+    L(B) is subtracted from component m and B added to component m-1."""
+    out = list(forms)
+    out[m - 1] = tuple(
+        tuple(x - y for x, y in zip(rp, rl))
+        for rp, rl in zip(forms[m - 1], correction_image(b))
+    )
+    if m > 1:
+        out[m - 2] = tuple(map(tuple, mat_add(forms[m - 2], b)))
+    return tuple(out)
+
+
 def transform_forms(forms, t, m, b):
     """Quadratic matrices of chi^{-1} o F o chi for a germ F with the
     unipotent Jordan linear part J and quadratic matrices forms (forms[k-1]
     for component k), and the step chi(z) = Tz + e_m z^t B z with T upper
     Toeplitz, so that T commutes with J.
 
-    With W_k = T^t P_k T, the step subtracts L(B) from W_m and adds B to
-    W_{m-1}; the new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.  When
-    T = I this is P_m - L(B), with B added to component m-1.
+    With W_k = T^t P_k T, the step applies _shift_correct to the W_k; the
+    new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.
     """
     n = len(forms)
-    w = [conjugate_form(p, t) for p in forms]
-    w[m - 1] = mat_add(w[m - 1], mat_scale(correction_image(b), -QI_ONE))
-    if m > 1:
-        w[m - 2] = mat_add(w[m - 2], b)
+    w = _shift_correct([conjugate_form(p, t) for p in forms], m, b)
     tinv = invert_matrix(t)
     out = []
     for i in range(n):
@@ -181,13 +192,13 @@ def eliminate_offdiagonal(phi):
     red = tuple(
         tuple(a[h][k] - l[h][k] for k in range(n)) for h in range(n)
     )
-    _check_trimmed_diagonal(red, keep_first=True)
+    _check_trimmed_diagonal(red)
     if red[0][0] != a[0][0]:
         raise BlowdynError("leading square coefficient was not preserved")
     return b, red
 
 
-def _check_trimmed_diagonal(red, keep_first):
+def _check_trimmed_diagonal(red):
     n = len(red)
     cut = diagonal_cutoff(n)
     for h in range(n):
@@ -297,14 +308,6 @@ def _require_unipotent_block(g):
                 )
 
 
-def _quad_matrix(g, j):
-    n = g.n
-    return tuple(
-        tuple(g.quadratic_coefficient(j, h, k) for k in range(1, n + 1))
-        for h in range(1, n + 1)
-    )
-
-
 def _jet_map(cap, t, m, b):
     """The step map z -> Tz + e_m z^t B z as a polynomial germ."""
     n = len(t)
@@ -326,10 +329,11 @@ def normal_form(F):
     linear part is upper Toeplitz.
 
     Each reduction step chi_s(z) = T_s z + e_m z^t B_s z is chosen on the
-    tracked quadratic matrices, which ``transform_forms`` carries through
-    the step.  The steps compose into chi = chi_1 o ... o chi_{n+1}, F is
-    conjugated once by chi, and every component's quadratic matrix in that
-    series must equal the tracked prediction.  At cap >= 3 the reported
+    tracked quadratic matrices.  The one Toeplitz step goes through
+    ``transform_forms``; the n steps with T_s = I only shift-correct.  The
+    steps compose into chi = chi_1 o ... o chi_{n+1}, F is conjugated once
+    by chi, and every component's quadratic matrix in that series must
+    equal the tracked prediction.  At cap >= 3 the reported
     conjugator is the degree-2 truncation of chi, so it conjugates F to
     normalized only modulo degree 3."""
     g = _as_germ(F)
@@ -341,60 +345,47 @@ def normal_form(F):
     _require_unipotent_block(g)
 
     identity_rows = toeplitz_upper([QI_ONE] + [QI_ZERO] * (n - 1))
-    forms = tuple(_quad_matrix(g, j) for j in range(1, n + 1))
+    forms = _quadratic_matrices(g)
     steps = []
 
-    def step(forms, t, m, b):
-        steps.append(_jet_map(cap, t, m, b))
-        return transform_forms(forms, t, m, b)
+    def shift_step(forms, m):
+        psi, _ = eliminate_offdiagonal(forms[m - 1])
+        steps.append(_jet_map(cap, identity_rows, m, psi))
+        return _shift_correct(forms, m, psi)
 
     # diagonalize the last component's quadratic form
-    psi, _ = eliminate_offdiagonal(forms[n - 1])
-    forms = step(forms, identity_rows, n, psi)
+    forms = shift_step(forms, n)
 
     # Toeplitz reduction of that diagonal to a single square term
     alpha, psi, _ = reduce_diagonal_tail(forms[n - 1])
-    forms = step(forms, toeplitz_upper(alpha), n, psi)
+    t = toeplitz_upper(alpha)
+    steps.append(_jet_map(cap, t, n, psi))
+    forms = transform_forms(forms, t, n, psi)
 
     # sweep the remaining components; cleaning component h pollutes only h-1
     for h in range(n - 1, 0, -1):
-        psi, _ = eliminate_offdiagonal(forms[h - 1])
-        forms = step(forms, identity_rows, h, psi)
+        forms = shift_step(forms, h)
 
     chi = steps[0]
     for s in steps[1:]:
         chi = chi.compose(s)
     work = germ_inverse(chi, cap).compose(g.compose(chi))
     _require_unipotent_block(work)
-    for h in range(1, n + 1):
-        if _quad_matrix(work, h) != forms[h - 1]:
+    for h, (got, want) in enumerate(zip(_quadratic_matrices(work), forms), 1):
+        if got != want:
             raise BlowdynError(
                 "quadratic part of component %d differs from the step-rule "
                 "prediction" % (h,)
             )
     chi = chi.truncated(2).as_polynomial_cap(cap)
 
+    for m in forms:
+        _check_trimmed_diagonal(m)
     epsilon = tuple(tuple(m[k][k] for k in range(n)) for m in forms)
-    cut = diagonal_cutoff(n)
-    for h, m in enumerate(forms, 1):
-        for i in range(n):
-            for j in range(n):
-                if i != j and m[i][j]:
-                    raise BlowdynError(
-                        "normal form shape violated in component %d at (%d,%d)"
-                        % (h, i + 1, j + 1)
-                    )
-            if h < n and i >= cut and m[i][i]:
-                raise BlowdynError(
-                    "square term beyond the cutoff in component %d at index %d"
-                    % (h, i + 1)
-                )
     nonzero = [i for i in range(n) if epsilon[n - 1][i]]
     if len(nonzero) > 1:
         raise BlowdynError("last component carries more than one square term")
     j0 = nonzero[0] + 1 if nonzero else None
-    if j0 is not None and j0 > cut:
-        raise BlowdynError("surviving square term sits beyond the cutoff")
     return NormalFormResult(work, chi, alpha, epsilon, j0)
 
 

@@ -668,6 +668,20 @@ class PolyMapGerm:
         return "PolyMapGerm(%s)" % ", ".join(repr(s) for s in self.components)
 
 
+def _quadratic_matrices(g):
+    """The symmetric matrices of the quadratic part of the germ g, one per
+    component: m[j-1][h-1][k-1] is g.quadratic_coefficient(j, h, k)."""
+    n = g.n
+    mats = []
+    for comp in g.components:
+        q = [[QI_ZERO] * n for _ in range(n)]
+        for e, c in comp.homogeneous_part(2).coeffs.items():
+            h, k = [i for i, p in enumerate(e) for _ in range(p)]
+            q[h][k] = q[k][h] = c if h == k else c / 2
+        mats.append(tuple(map(tuple, q)))
+    return tuple(mats)
+
+
 def _as_germ(f):
     """The PolyMapGerm f, or the one an input germ wraps as f.map."""
     if isinstance(f, PolyMapGerm):

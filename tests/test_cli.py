@@ -188,6 +188,26 @@ def test_chardirs_reports_families_once_without_spectra(tmp_path):
     assert run("chardirs", "--map", spec, "--mode", "numeric").exit_code == 2
 
 
+def test_chardirs_reads_the_cap_two_lift(tmp_path):
+    terms = [{"j": 3, "exp": [2, 0, 0, 0], "coeff": "2"},
+             {"j": 1, "exp": [1, 1, 0, 0], "coeff": "-1/3"},
+             {"j": 4, "exp": [1, 0, 0, 1], "coeff": "5"},
+             {"j": 2, "exp": [0, 1, 1, 0], "coeff": "1"}]
+    high = [{"j": 1, "exp": [3, 0, 0, 0], "coeff": "7"},
+            {"j": 3, "exp": [2, 1, 0, 1], "coeff": "-2"},
+            {"j": 4, "exp": [0, 0, 5, 0], "coeff": "1/2"}]
+    doc = {"dim": 4, "blocks": [{"mu": 3, "lambda": "1"},
+                                {"mu": 1, "lambda": "1"}]}
+    cap2 = write_spec(tmp_path, dict(doc, terms=terms,
+                                     options={"degree_cap": 2}), "cap2.json")
+    cap8 = write_spec(tmp_path, dict(doc, terms=terms + high,
+                                     options={"degree_cap": 8}), "cap8.json")
+    res2, res8 = run("chardirs", "--map", cap2), run("chardirs", "--map", cap8)
+    assert res2.exit_code == 0, res2.output
+    assert json.loads(res2.output)["directions"]
+    assert res8.output == res2.output
+
+
 def test_invariants_command(tmp_path):
     spec = write_spec(tmp_path, NONGENERIC_SPEC)
     res = run("invariants", "--map", spec)
@@ -352,6 +372,22 @@ def test_classify_rejects_malformed_csv(tmp_path, body, message):
     err = json.loads(line)
     assert err["error"] == "SchemaError"
     assert message in err["message"]
+
+
+def test_classify_trace_beyond_the_double_range(tmp_path):
+    # |z1|^2 and z1^2 / z2 overflow a double; a typed error, not exit 3
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "trace.csv"
+    csv_path.write_text("k,re_z1,im_z1,re_z2,im_z2\n" + "".join(
+        "%d,%r,0,%r,0\n" % (k, 1e160 / k, 1e140 / k ** 2)
+        for k in range(1, 301)))
+    res = run("classify", "--map", spec, "--csv", str(csv_path))
+    assert res.exit_code == 1, res.output
+    assert res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "NonConvergent"
+    assert err["message"] == \
+        "stage 2 chart coordinates overflow double precision"
 
 
 def test_normalform_command(tmp_path):

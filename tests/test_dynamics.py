@@ -21,6 +21,7 @@ from blowdyn.lifting import (
 )
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
+from blowdyn.series import TruncatedSeries, series_reciprocal
 
 from conftest import fatou_germ, random_germ
 
@@ -62,6 +63,13 @@ def test_projective_distance_no_cancellation_floor():
     assert 0.5e-9 < d < 2e-9
     d2 = dyn.projective_distance((1.0, 1e-9), (1.0, 2e-9))
     assert 0.5e-9 < d2 < 2e-9
+
+
+def test_argmax_abs_outside_the_squared_double_range():
+    # |x|^2 overflows above ~1.3e154 and underflows to 0 below ~1e-162
+    assert dyn._argmax_abs((1e160, 1e170j)) == 1
+    assert dyn._argmax_abs((1e-170, -1e-165)) == 1
+    assert dyn._argmax_abs((G(1, 1), G(0, 1))) == 0
 
 
 # -- characteristic directions --------------------------------------------
@@ -351,6 +359,61 @@ def test_hakim_rejects_degenerate_and_unfixed_directions(
         dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(-1))))
     with pytest.raises(PreconditionViolated, match=unfixed_msg):
         dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(1))))
+
+
+def chart_half_deviation(Q, v, i0):
+    """(D phi - I) / 2 at u = 0 for the chart map u -> (Q_j / Q_{i0})(w + u),
+    j != i0, with w = v / v_{i0} and u_{i0} = 0, differentiated as
+    truncated series."""
+    n = Q.n
+    idxs = [t for t in range(n) if t != i0]
+    m = len(idxs)
+    z = [TruncatedSeries.constant(x / v[i0], m, 2) for x in v]
+    for c, t in enumerate(idxs, 1):
+        z[t] = z[t] + TruncatedSeries.variable(c, m, 2)
+
+    def value(M):
+        return sum((z[h] * z[k] * M[h][k] for h in range(n) for k in range(n)
+                    if M[h][k]), TruncatedSeries.zero(m, 2))
+
+    recip = series_reciprocal(value(Q.matrices[i0]))
+    rows = []
+    for j in idxs:
+        phi = value(Q.matrices[j]) * recip
+        row = []
+        for c, k in enumerate(idxs):
+            e = [0] * m
+            e[c] = 1
+            row.append((phi.coefficient(e) - (1 if j == k else 0)) / 2)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def test_hakim_matrix_is_half_the_chart_derivative_deviation():
+    rng = random.Random(31)
+    checked = 0
+    # the tower shapes with a closed-form direction, lifted to the last stage
+    for mu in ((2,), (3,), (4,), (2, 1), (3, 1), (3, 2), (4, 2)):
+        F = random_germ(rng, mu, lam=("1",) * len(mu))
+        Q = final_q(F)
+        (d,) = dyn.characteristic_directions(Q, mode="structured",
+                                             structure=F.structure)
+        h = dyn.hakim_matrix(Q, d.v)
+        assert h.matrix == chart_half_deviation(Q, d.v, h.chart - 1)
+        checked += 1
+    # random eigenvalues: every isolated nondegenerate factored direction
+    for mu in ((2,), (3,), (2, 1), (2, 2), (3, 1), (2, 2, 1)):
+        for _ in range(2):
+            Q = final_q(random_germ(rng, mu, density=0.9))
+            for d in dyn.characteristic_directions(Q, mode="factored"):
+                if d.degenerate or d.span:
+                    continue
+                h = dyn.hakim_matrix(Q, d.v)
+                assert h.lam == Q.value(h.chart, [x / d.v[h.chart - 1]
+                                                  for x in d.v])
+                assert h.matrix == chart_half_deviation(Q, d.v, h.chart - 1)
+                checked += 1
+    assert checked > 20
 
 
 def test_single_block_attraction_spectra_nonpositive():

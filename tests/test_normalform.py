@@ -22,7 +22,9 @@ from blowdyn.normalform import (
 )
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational
-from blowdyn.series import PolyMapGerm, TruncatedSeries, germ_inverse
+from blowdyn.series import (
+    PolyMapGerm, TruncatedSeries, _quadratic_matrices, germ_inverse,
+)
 
 from conftest import fatou_germ, rand_rat, random_germ
 
@@ -375,18 +377,26 @@ def test_step_rule_with_toeplitz_linear_part():
             F = random_unipotent_germ(rng, n, cap)
             alpha = [Q(rand_rat(rng, nonzero=True, span=4))]
             alpha += [Q(rand_rat(rng, span=4)) for _ in range(n - 1)]
+            identity = [Q(1)] + [ZERO] * (n - 1)
             b = [[ZERO] * n for _ in range(n)]
             for i in range(n):
                 for j in range(i, n):
                     b[i][j] = b[j][i] = Q(rand_rat(rng, span=4))
             b = tuple(map(tuple, b))
-            for m in range(1, n + 1):
-                chi = jet_step(alpha, m, b, cap)
-                G = germ_inverse(chi, cap).compose(F.map.compose(chi))
-                want = quad_matrices(G)
-                got = transform_forms(quad_matrices(F.map),
-                                      toeplitz_upper(alpha), m, b)
-                assert got == want, (n, cap, m)
+            forms = quad_matrices(F.map)
+            assert _quadratic_matrices(F.map) == forms
+            for al in (alpha, identity):
+                for m in range(1, n + 1):
+                    chi = jet_step(al, m, b, cap)
+                    G = germ_inverse(chi, cap).compose(F.map.compose(chi))
+                    want = quad_matrices(G)
+                    got = transform_forms(forms, toeplitz_upper(al), m, b)
+                    assert got == want, (n, cap, m, al)
+                    if al is identity:
+                        # the shift-only steps of normal_form use the rule
+                        # without the conjugation and the T^{-1} mix
+                        assert normalform._shift_correct(forms, m, b) \
+                            == want, (n, cap, m)
 
 
 def test_normal_form_conjugates_the_series_once(monkeypatch):
