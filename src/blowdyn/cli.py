@@ -35,7 +35,6 @@ from . import dynamics
 from .blowup import projection_formulas
 from .errors import BlowdynError, JordanMismatch, SchemaError
 from .lifting import (
-    LiftedMap,
     germ_from_terms,
     jordan_matrix,
     lift,
@@ -45,7 +44,6 @@ from .lifting import (
 from .normalform import epsilon_vector, normal_form
 from .partition import build_structure, splitting
 from .scalars import GaussianRational, parse_scalar
-from .series import PolyMapGerm, TruncatedSeries
 
 SCHEMA = "blowdyn/1"
 # Declared ranges (inclusive) of the map file's sizes and of the orbit-path
@@ -239,27 +237,6 @@ def lifted_map_to_json(L):
         "degree_cap": L.cap,
         "components": comps,
     }
-
-
-def lifted_map_from_json(data):
-    _expect(isinstance(data, dict) and data.get("kind") == "lifted-map",
-            "not a lifted-map object")
-    _expect(data.get("schema") == SCHEMA, "unknown schema tag")
-    st = data["structure"]
-    S = build_structure(tuple(st["mu"]),
-                        tuple(parse_scalar(x) for x in st["lambda"]))
-    stage = data["stage"]
-    cap = data["degree_cap"]
-    comps = []
-    for rows in data["components"]:
-        coeffs = {}
-        for row in rows:
-            coeffs[tuple(row["exp"])] = parse_scalar(row["coeff"])
-        comps.append(TruncatedSeries(S.n, cap, coeffs))
-    return LiftedMap(
-        structure=S, stage=stage, cap=cap, series=PolyMapGerm(comps),
-        formulas=projection_formulas(S, stage),
-    )
 
 
 # -- shared option helpers -------------------------------------------------
@@ -494,6 +471,11 @@ def _read_trace_csv(path, n):
     _expect(len(rows) > 0, "empty trace")
     ks = rows["k"]
     _expect(bool((np.diff(ks) == 1).all()), "CSV k column must increase by 1")
+    bad = np.argwhere(~np.isfinite(rows["z"]))
+    if bad.size:
+        r, c = bad[0]
+        raise SchemaError("CSV value %s at k = %d, column %s, is not a finite "
+                          "double" % (rows["z"][r, c], ks[r], head[1 + c]))
     z = np.ascontiguousarray(rows["z"]).view(complex)
     return ks.tolist(), z.tolist()
 

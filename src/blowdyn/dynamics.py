@@ -268,8 +268,8 @@ def _exact2d_directions(Q):
     return dirs
 
 
-def _dot(l, x, zero=QI_ZERO):
-    return sum((a * b for a, b in zip(l, x) if a and b), zero)
+def _dot(l, x):
+    return sum((a * b for a, b in zip(l, x) if a and b), QI_ZERO)
 
 
 def _in_space(x, p, basis):
@@ -445,10 +445,9 @@ def hakim_matrix(Q, v, chart=None):
     The direction is normalized in the affine chart of its largest-modulus
     coordinate (or the 1-based `chart` if given); the matrix is half the
     deviation of the projectivized tangent map from the identity there.
-    Exact input produces an exact matrix; any other input is converted to
-    complex floats, and the fixed-direction and zero-multiplier checks then
-    take tolerances.  Eigenvalues of blocks larger than 1x1 are computed
-    in floating point.
+    v and the matrices of Q must be exact (GaussianRational), and the
+    matrix is exact; eigenvalues of blocks larger than 1x1 are computed in
+    floating point.
 
     With w = v / v_{i0} and A_j = M_j w for the matrices M_j of Q: q_j =
     w . A_j, lam = q_{i0}, H_jk = (A_jk - w_j A_{i0,k}) / lam - delta_jk / 2.
@@ -456,6 +455,11 @@ def hakim_matrix(Q, v, chart=None):
     n = Q.n
     if len(v) != n:
         raise PreconditionViolated("direction has wrong length")
+    mats = Q.matrices
+    if not all(isinstance(x, GaussianRational)
+               for x in (*v, *(x for m in mats for row in m for x in row))):
+        raise PreconditionViolated(
+            "the attraction matrix is computed for exact input only")
     if chart is not None:
         if not 1 <= chart <= n:
             raise PreconditionViolated("chart index out of range")
@@ -464,35 +468,19 @@ def hakim_matrix(Q, v, chart=None):
             raise PreconditionViolated("chosen chart coordinate of v vanishes")
     else:
         i0 = _argmax_abs(v)
-    mats = Q.matrices
-    exact = all(isinstance(x, GaussianRational) for x in v) and all(
-        isinstance(x, GaussianRational) for m in mats for row in m for x in row
-    )
-    if not exact:
-        mats = [[[complex(x) for x in row] for row in m] for m in mats]
-        v = [complex(x) for x in v]
-    zero = QI_ZERO if exact else 0
     piv = v[i0]
     w = [x / piv for x in v]
-    A = [[_dot(row, w, zero) for row in m] for m in mats]
-    qs = [_dot(w, a, zero) for a in A]
+    A = [[_dot(row, w) for row in m] for m in mats]
+    qs = [_dot(w, a) for a in A]
     lamp = qs[i0]
     for j, q in enumerate(qs):
-        p = lamp * w[j]
-        if exact and q != p:
+        if q != lamp * w[j]:
             raise PreconditionViolated(
                 "v is not a fixed direction of this quadratic part (component %d)"
                 % (j + 1)
             )
-        if not exact and abs(q - p) > 1e-8 * (1.0 + abs(lamp)):
-            raise PreconditionViolated(
-                "v is not a fixed direction of this quadratic part "
-                "(component %d residual too large)" % (j + 1)
-            )
-    if exact and not lamp:
+    if not lamp:
         raise DegenerateDirection("multiplier vanishes at this direction")
-    if not exact and abs(lamp) <= 1e-10:
-        raise DegenerateDirection("multiplier numerically zero at this direction")
     idxs = [t for t in range(n) if t != i0]
     half = Fraction(1, 2)
     rows = []

@@ -132,38 +132,13 @@ def invert_matrix(a):
 
 
 def invert_unimodular_int_matrix(e):
-    """Inverse of an integer matrix whose inverse is again integral.
-
-    Fraction-free (Bareiss) Gauss-Jordan elimination on [e | I] in
-    integers: every division by the previous pivot is exact, and at the
-    end the left block is d I and the right block d e^-1, d = +-det e.
-    """
-    n = len(e)
-    m = [[int(x) for x in row] + [int(i == j) for j in range(n)]
-         for i, row in enumerate(e)]
-    prev = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            raise PreconditionViolated("matrix is singular")
-        m[col], m[piv] = m[piv], m[col]
-        prow = m[col]
-        p = prow[col]
-        for r in range(n):
-            if r != col:
-                row = m[r]
-                f = row[col]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
-        prev = p
+    """Inverse of an integer matrix whose inverse is again integral, as
+    lists of ints."""
     out = []
-    for row in m:
-        introw = []
-        for x in row[n:]:
-            q, rem = divmod(x, prev)
-            if rem:
-                raise PreconditionViolated("matrix inverse is not integral")
-            introw.append(q)
-        out.append(introw)
+    for row in invert_matrix(e):
+        if any(x.d != 1 for x in row):
+            raise PreconditionViolated("matrix inverse is not integral")
+        out.append([x.a for x in row])
     return out
 
 

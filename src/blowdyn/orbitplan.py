@@ -74,9 +74,9 @@ def _renormalize(exp, man, work):
     return exp + s, tuple(m << -s for m in man)
 
 
-def _fixed(q, scale):
-    """round(q * 2^scale) for a Fraction q."""
-    return ((q.numerator << (scale + 1)) // q.denominator + 1) >> 1
+def _fixed(num, den, scale):
+    """round(num / den * 2^scale) for integers num and den > 0."""
+    return ((num << (scale + 1)) // den + 1) >> 1
 
 
 def radius_test(radius):
@@ -132,8 +132,8 @@ class OrbitPlan:
         work = self.work = precision_bits + ORBIT_GUARD_BITS
         terms = [(j, e, c) for j, comp in enumerate(g.components)
                  for e, c in sorted(comp.coeffs.items())]
-        mags = [p.numerator.bit_length() - p.denominator.bit_length()
-                for _, _, c in terms for p in (c.re, c.im) if p]
+        mags = [p.bit_length() - c.d.bit_length()
+                for _, _, c in terms for p in (c.a, c.b) if p]
         scale = self.scale = work + max(0, -min(mags, default=0)) + 1
         products = {}           # slot -> (parent slot, variable)
         slots = {tuple(int(i == h) for h in range(n)): i for i in range(n)}
@@ -151,7 +151,7 @@ class OrbitPlan:
         comps = [{} for _ in range(n)]
         jac = [[{} for _ in range(n)] for _ in range(n)]
         for j, e, c in terms:
-            cr, ci = _fixed(c.re, scale), _fixed(c.im, scale)
+            cr, ci = _fixed(c.a, c.d, scale), _fixed(c.b, c.d, scale)
             comps[j].setdefault(sum(e), []).append((slot(e), cr, ci))
             for i in range(n):
                 if e[i]:

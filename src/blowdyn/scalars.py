@@ -1,8 +1,11 @@
 """Exact Gaussian-rational scalars.
 
-All exact coefficient arithmetic in the package runs over Q(i): a
-GaussianRational holds its real and imaginary parts as fractions.Fraction
-values (RAT), which are always kept in lowest terms.
+All exact coefficient arithmetic in the package runs over Q(i).  A
+GaussianRational is stored as three integers (a + b i) / d with d > 0 and
+gcd(a, b, d) = 1, so equal values have equal triples.  Every arithmetic
+result is built by the one reducing constructor `_of`; the series kernel
+reads the triple directly.  The real and imaginary parts are available as
+fractions.Fraction values (RAT) through `.re` and `.im`.
 """
 
 import math
@@ -17,25 +20,28 @@ _ZERO = RAT(0)
 _ONE = RAT(1)
 
 
-def _as_rat(x):
-    if type(x) is RAT:
-        return x  # already in lowest terms
-    if isinstance(x, (int, str)):
-        return RAT(x)
-    return RAT(x.numerator, x.denominator) if hasattr(x, "numerator") else RAT(x)
-
-
 class GaussianRational:
-    """a + b*i with a, b exact rationals."""
+    """(a + b*i) / d with integers a, b, d, d > 0 and gcd(a, b, d) = 1."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_rat(re))
-        object.__setattr__(self, "im", _as_rat(im))
+        re, im = RAT(re), RAT(im)
+        d = math.lcm(re.denominator, im.denominator)
+        _set_a(self, int(re.numerator) * (d // re.denominator))
+        _set_b(self, int(im.numerator) * (d // im.denominator))
+        _set_d(self, int(d))
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
+
+    @property
+    def re(self):
+        return RAT(self.a, self.d)
+
+    @property
+    def im(self):
+        return RAT(self.b, self.d)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -43,7 +49,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        return _of(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
@@ -51,7 +58,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        return _of(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -63,8 +71,8 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational(a * c - b * d, a * d + b * c)
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _of(a * c - b * e, a * e + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -72,11 +80,13 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
+        n = c * c + e * e
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational((a * c + b * d) / n, (b * c - a * d) / n)
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        f = other.d
+        return _of(f * (a * c + b * e), f * (b * c - a * e), self.d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -85,14 +95,14 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _of(-self.a, -self.b, self.d)
 
     def __pow__(self, p):
         if not isinstance(p, int):
             return NotImplemented
         if p < 0:
-            return (GaussianRational(1) / self) ** (-p)
-        result = GaussianRational(1)
+            return (QI_ONE / self) ** (-p)
+        result = QI_ONE
         base = self
         while p:
             if p & 1:
@@ -102,30 +112,28 @@ class GaussianRational:
         return result
 
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _of(self.a, -self.b, self.d)
 
     def abs2(self):
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return RAT(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- predicates / conversions ---------------------------------------
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        return hash((self.re, self.im)) if self.b else hash(self.re)
 
     def to_complex(self):
-        return complex(self.re) + 1j * float(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     __complex__ = to_complex
 
@@ -142,11 +150,31 @@ class GaussianRational:
         return format_scalar(self)
 
 
+_set_a = GaussianRational.a.__set__
+_set_b = GaussianRational.b.__set__
+_set_d = GaussianRational.d.__set__
+
+
+def _of(a, b, d):
+    """The GaussianRational (a + b i) / d, for integers a, b, d with d != 0,
+    in canonical form."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = object.__new__(GaussianRational)
+    _set_a(z, a)
+    _set_b(z, b)
+    _set_d(z, d)
+    return z
+
+
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, int) or hasattr(x, "numerator"):
-        return GaussianRational(x)
+    if hasattr(x, "numerator"):  # ints and fractions
+        return _of(int(x.numerator), 0, int(x.denominator))
     return NotImplemented
 
 
@@ -246,28 +274,23 @@ def parse_scalar(text):
     return GaussianRational(re_part, im_part)
 
 
-def _fmt_rat(q):
-    if q.denominator == 1:
-        return str(q.numerator)
-    return "%s/%s" % (q.numerator, q.denominator)
+def _fmt_part(n, d):
+    """The rational n/d, d > 0, as "p" or "p/q" in lowest terms."""
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    return str(n) if d == 1 else "%d/%d" % (n, d)
 
 
 def format_scalar(z):
     """Canonical "p/q+r/si" text form (shortest faithful variant)."""
     z = _coerce(z)
-    if z.im == 0:
-        return _fmt_rat(z.re)
-    imtxt = _fmt_rat(z.im) + "i" if z.im != 1 else "i"
-    if z.im == -1:
-        imtxt = "-i"
-    elif z.im < 0:
-        imtxt = _fmt_rat(z.im) + "i"
-    if z.re == 0:
+    a, b, d = z.a, z.b, z.d
+    if not b:
+        return _fmt_part(a, d)
+    imtxt = "i" if b == d else "-i" if b == -d else _fmt_part(b, d) + "i"
+    if not a:
         return imtxt
-    if z.im > 0 or imtxt.startswith("-"):
-        sep = "" if imtxt.startswith("-") else "+"
-        return _fmt_rat(z.re) + sep + imtxt
-    return _fmt_rat(z.re) + "+" + imtxt
+    return _fmt_part(a, d) + ("" if b < 0 else "+") + imtxt
 
 
 # -- exact square roots --------------------------------------------------

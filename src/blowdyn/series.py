@@ -5,12 +5,12 @@ total-degree cap D; every arithmetic operation is exact modulo degree > D.
 The cap travels with the value: combining series with different caps (or
 different variable counts) raises instead of silently truncating.
 
-Coefficients are Gaussian rationals (see scalars.py).  The arithmetic runs
-on an integer form of each series, in the content/primitive-part layout of
-FLINT's fmpq_poly: one common denominator `den`, the lcm of the
-denominators of all real and imaginary parts, and two dicts of integer
-numerators, one for the real and one for the imaginary parts.  A dict is
-keyed by the packed exponent
+Coefficients are Gaussian rationals, each the integer triple (a + b i)/d of
+scalars.py.  The arithmetic runs on the same layout widened to a whole
+series, in the content/primitive-part style of FLINT's fmpq_poly: one
+common denominator `den`, the lcm of the coefficients' d, and two dicts of
+integer numerators, one for the real and one for the imaginary parts.  A
+dict is keyed by the packed exponent
 
     deg(e) * B**n + e_1 * B**(n-1) + ... + e_n,    B = cap + 1,
 
@@ -29,7 +29,7 @@ built from coefficients is.
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
-from .scalars import QI_ONE, QI_ZERO, RAT, GaussianRational, _as_scalar
+from .scalars import QI_ONE, QI_ZERO, _as_scalar, _of
 
 __all__ = [
     "TruncatedSeries",
@@ -47,7 +47,6 @@ __all__ = [
 # integer forms (den, re, im); their dicts are never mutated once built
 _ZERO_FORM = (1, {}, {})
 _ONE_FORM = (1, {0: 1}, {})  # key 0 is the zero exponent at every cap
-_RAT_ZERO = RAT(0)
 
 
 class TruncatedSeries:
@@ -142,7 +141,7 @@ class TruncatedSeries:
             return QI_ZERO  # no stored term has this exponent
         den, re, im = self._int_form()
         k = _pack(e, self.cap + 1)
-        return _scalar(re.get(k, 0), im.get(k, 0), den)
+        return _of(re.get(k, 0), im.get(k, 0), den)
 
     def constant_term(self):
         return self.coefficient((0,) * self.nvars)
@@ -259,35 +258,19 @@ def _unpack(k, nvars, base):
     return tuple(e)
 
 
-def _rat(num, den):
-    return RAT(num, den) if num else _RAT_ZERO
-
-
-def _scalar(re, im, den):
-    if not re and not im:
-        return QI_ZERO
-    return GaussianRational(_rat(re, den), _rat(im, den))
-
-
-def _gaussian_ints(c):
-    """(re, im, den) integers with c = (re + i im) / den."""
-    d = math.lcm(c.re.denominator, c.im.denominator)
-    return (c.re.numerator * (d // c.re.denominator),
-            c.im.numerator * (d // c.im.denominator), d)
-
-
 def _form_of(coeffs, cap):
     if not coeffs:
         return _ZERO_FORM
-    den = math.lcm(*[q.denominator for c in coeffs.values() for q in (c.re, c.im)])
+    den = math.lcm(*[c.d for c in coeffs.values()])
     base = cap + 1
     re, im = {}, {}
     for e, c in coeffs.items():
         k = _pack(e, base)
-        if c.re:
-            re[k] = c.re.numerator * (den // c.re.denominator)
-        if c.im:
-            im[k] = c.im.numerator * (den // c.im.denominator)
+        s = den // c.d
+        if c.a:
+            re[k] = c.a * s
+        if c.b:
+            im[k] = c.b * s
     return den, re, im
 
 
@@ -295,7 +278,7 @@ def _coeffs_of(form, nvars, cap):
     den, re, im = form
     base = cap + 1
     return {
-        _unpack(k, nvars, base): _scalar(re.get(k, 0), im.get(k, 0), den)
+        _unpack(k, nvars, base): _of(re.get(k, 0), im.get(k, 0), den)
         for k in ((re.keys() | im.keys()) if im else re)
     }
 
@@ -361,7 +344,7 @@ def _add(fa, fb):
 
 def _scale(form, c):
     """form times the Gaussian rational c."""
-    cr, ci, cd = _gaussian_ints(c)
+    cr, ci, cd = c.a, c.b, c.d
     den, r, i = form
     re = {k: v * cr for k, v in r.items()} if cr else {}
     im = {k: v * cr for k, v in i.items()} if cr else {}

@@ -144,13 +144,8 @@ def test_lift_round_trip(tmp_path):
     summary = json.loads(res.output)
     assert summary["semiconjugacy_exact"] is True
     data = json.loads((tmp_path / "lifted.json").read_text())
-    L = cli.lifted_map_from_json(data)
-    direct = lift(fatou_germ(), 2, 4)
-    assert L.series == direct.series
-    assert L.stage == direct.stage and L.cap == direct.cap
-    emitted = cli.lifted_map_to_json(L)
-    core = {k: v for k, v in data.items() if k != "semiconjugacy_exact"}
-    assert emitted == core
+    want = cli.lifted_map_to_json(lift(fatou_germ(), 2, 4))
+    assert data == dict(want, semiconjugacy_exact=True)
 
 
 def test_chardirs_command(tmp_path):
@@ -388,6 +383,24 @@ def test_classify_trace_beyond_the_double_range(tmp_path):
     assert err["error"] == "NonConvergent"
     assert err["message"] == \
         "stage 2 chart coordinates overflow double precision"
+
+
+@pytest.mark.parametrize("rows,k", [(2000, 10), (300, 150)])
+@pytest.mark.parametrize("value", ["nan", "inf", "1e309"])
+def test_classify_rejects_non_finite_values(tmp_path, rows, k, value):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "trace.csv"
+    lines = ["%d,%r,0,%r,0" % (i, 1 / i, 1 / i ** 2) for i in range(1, rows + 1)]
+    lines[k - 1] = "%d,%s,0,%r,0" % (k, value, 1 / k ** 2)
+    csv_path.write_text("k,re_z1,im_z1,re_z2,im_z2\n" + "\n".join(lines) + "\n")
+    res = run("classify", "--map", spec, "--csv", str(csv_path))
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "SchemaError"
+    shown = "nan" if value == "nan" else "inf"
+    assert err["message"] == ("CSV value %s at k = %d, column re_z1, is not "
+                              "a finite double" % (shown, k))
 
 
 def test_normalform_command(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -329,8 +330,9 @@ def test_hakim_scale_and_chart_invariance(fatou):
     a = dyn.hakim_matrix(Q, (G(3), G(2)))
     b = dyn.hakim_matrix(Q, (G(6), G(4)))
     assert a.spectrum == b.spectrum
-    c = dyn.hakim_matrix(Q, (3.0 + 0j, 2.0 + 0j), chart=2)
-    assert abs(complex(a.spectrum[0]) - c.spectrum[0]) < 1e-10
+    c = dyn.hakim_matrix(Q, (G(3), G(2)), chart=2)
+    assert (a.chart, c.chart) == (1, 2)
+    assert a.spectrum == c.spectrum
 
 
 def test_hakim_degenerate_planar_family_values():
@@ -346,19 +348,22 @@ def test_hakim_degenerate_planar_family_values():
     assert dyn.hakim_matrix(Q0, v0.v).spectrum == (G(0),)
 
 
-@pytest.mark.parametrize("to_input, degenerate_msg, unfixed_msg", [
-    (lambda x: x, "multiplier vanishes", r"\(component 2\)"),
-    (lambda x: x.to_complex(), "multiplier numerically zero",
-     "component 2 residual too large"),
-])
-def test_hakim_rejects_degenerate_and_unfixed_directions(
-        to_input, degenerate_msg, unfixed_msg):
+def test_hakim_rejects_degenerate_and_unfixed_directions():
     _, Q = planar_stage1(1, 4, 4)
     # [1 : -1] is fixed with multiplier 0; [1 : 1] is not fixed
-    with pytest.raises(DegenerateDirection, match=degenerate_msg):
-        dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(-1))))
-    with pytest.raises(PreconditionViolated, match=unfixed_msg):
-        dyn.hakim_matrix(Q, (to_input(G(1)), to_input(G(1))))
+    with pytest.raises(DegenerateDirection, match="multiplier vanishes"):
+        dyn.hakim_matrix(Q, (G(1), G(-1)))
+    with pytest.raises(PreconditionViolated, match=r"\(component 2\)"):
+        dyn.hakim_matrix(Q, (G(1), G(1)))
+    # float directions and float matrices are rejected, not compared
+    # within a tolerance
+    for v in ((1.0, -1.0), (1 + 0j, G(1))):
+        with pytest.raises(PreconditionViolated, match="exact input only"):
+            dyn.hakim_matrix(Q, v)
+    Qf = replace(Q, matrices=tuple(tuple(tuple(x.to_complex() for x in row)
+                                         for row in m) for m in Q.matrices))
+    with pytest.raises(PreconditionViolated, match="exact input only"):
+        dyn.hakim_matrix(Qf, (G(1), G(-1)))
 
 
 def chart_half_deviation(Q, v, i0):
@@ -655,16 +660,23 @@ def test_classification_planar_closed_form_matches_chart_matrix():
             Q.monomial_coefficient(*jhk).to_complex()
             for jhk in ((1, 1, 1), (1, 1, 2), (2, 1, 1), (2, 1, 2), (2, 2, 2)))
         for d in cr.directions:
-            h = dyn.hakim_matrix(Q, d.v, chart=1)
             if exact:
+                h = dyn.hakim_matrix(Q, d.v, chart=1)
                 assert h.spectrum == d.hakim_spectrum
                 assert h.lam == d.lam
                 continue
             t = d.v[1]
             # the slope solves Q_2(1, t) = t Q_1(1, t)
             assert abs(c11 + (c12 - m11) * t + (c22 - m12) * t * t) < 1e-12
-            assert abs(h.lam - d.lam) < 1e-12
-            assert abs(h.spectrum[0] - d.hakim_spectrum[0]) < 1e-12
+            # hakim_matrix takes exact input only; its chart-1 formula in
+            # floats: A_j = M_j (1, t), lam = (1, t) . A_1 and
+            # H = (A_2[2] - t A_1[2]) / lam - 1/2
+            A = [[row[0].to_complex() + row[1].to_complex() * t for row in m]
+                 for m in Q.matrices]
+            lam = A[0][0] + t * A[0][1]
+            assert abs(lam - d.lam) < 1e-12
+            h = (A[1][1] - t * A[0][1]) / lam - 0.5
+            assert abs(h - d.hakim_spectrum[0]) < 1e-12
 
 
 def test_classification_planar_one_curve_cases():

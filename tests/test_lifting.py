@@ -8,7 +8,6 @@ from blowdyn.errors import NotJordan, PreconditionViolated
 from blowdyn.lifting import (
     InputGerm,
     compare_quadratic_with_prediction,
-    divisor_action_mismatches,
     expected_eigenvalue_multiset,
     germ_from_terms,
     is_diagonalizable,
@@ -21,7 +20,12 @@ from blowdyn.lifting import (
 )
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational, parse_scalar
-from blowdyn.series import PolyMapGerm, TruncatedSeries
+from blowdyn.series import (
+    PolyMapGerm,
+    TruncatedSeries,
+    series_multiply,
+    series_reciprocal,
+)
 
 from conftest import STRUCTURES, fatou_germ, rand_lambdas, random_germ
 
@@ -125,6 +129,47 @@ def test_known_planar_lift():
     assert u2.coefficient((0, 1)) == GaussianRational(1)
     assert u2.coefficient((1, 1)) == GaussianRational(-1)
     assert u2.coefficient((0, 2)) == GaussianRational(-1)
+
+
+def divisor_action_mismatches(F, D=3):
+    """Degree-by-degree check that the stage-1 lift restricted to the
+    exceptional locus is the projectivized differential.
+
+    In the distinguished stage-1 chart the exceptional locus is w_1 = 0 and
+    the restricted components j >= 2 must equal u -> (dF(1,u))_j/(dF(1,u))_1
+    as series in (w_2,...,w_n).  Returns a list of component indices that
+    disagree (empty = consistent).
+    """
+    S = F.structure
+    n = S.n
+    L1 = lift(F, 1, D)
+    J = jordan_matrix(S)
+    # build dF (1, u)_j as series in u_2..u_n (n-1 variables), cap D
+    rows = []
+    for j in range(n):
+        coeffs = {}
+        e0 = (0,) * (n - 1)
+        if J[j][0]:
+            coeffs[e0] = J[j][0]
+        for k in range(1, n):
+            if J[j][k]:
+                e = [0] * (n - 1)
+                e[k - 1] = 1
+                coeffs[tuple(e)] = J[j][k]
+        rows.append(TruncatedSeries(n - 1, D, coeffs))
+    denom_inv = series_reciprocal(rows[0])
+    bad = []
+    for j in range(2, n + 1):
+        target = series_multiply(rows[j - 1], denom_inv)
+        comp = L1.component(j)
+        restricted = {}
+        for e, c in comp.coeffs.items():
+            if e[0] == 0:
+                restricted[tuple(e[1:])] = c
+        got = TruncatedSeries(n - 1, D, restricted)
+        if got != target:
+            bad.append(j)
+    return bad
 
 
 def test_divisor_restriction_is_projectivized_differential():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from blowdyn.errors import PreconditionViolated, SchemaError
 from blowdyn.scalars import (
     GaussianRational,
     _as_scalar,
+    _of,
     format_scalar,
     gaussian_sqrt,
     parse_scalar,
@@ -120,3 +122,142 @@ def test_exact_conversions():
     assert abs(complex(m) - (1 / 3 + 2j)) < 1e-15
     assert z.conjugate() == parse_scalar("1/3-2i")
     assert z.abs2() == Fraction(1, 9) + 4
+
+
+# -- differential check against a pair-of-Fractions reference ---------------
+
+def _rand_part(rng):
+    kind = rng.random()
+    if kind < 0.2:
+        return Fraction(0)
+    if kind < 0.4:
+        return Fraction(rng.randint(-5, 5))
+    big = rng.choice((8, 64, 200))
+    return Fraction(rng.randint(-2 ** big, 2 ** big),
+                    rng.randint(1, 2 ** rng.choice((1, 8, 100))))
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def _ref_div(x, y):
+    (a, b), (c, d) = x, y
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def _ref_pow(x, p):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(p)):
+        out = _ref_mul(out, x)
+    return _ref_div((Fraction(1), Fraction(0)), out) if p < 0 else out
+
+
+def _ref_str(x):
+    a, b = x
+    if not b:
+        return str(a)
+    im = "i" if b == 1 else "-i" if b == -1 else "%si" % b
+    if not a:
+        return im
+    return str(a) + ("" if b < 0 else "+") + im
+
+
+def _pair(z):
+    return z.re, z.im
+
+
+def _assert_canonical(z):
+    assert all(type(t) is int for t in (z.a, z.b, z.d))
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (Fraction(z.a, z.d), Fraction(z.b, z.d)) == _pair(z)
+
+
+def test_arithmetic_matches_fraction_pairs():
+    rng = random.Random(20261018)
+    for _ in range(400):
+        x = (_rand_part(rng), _rand_part(rng))
+        y = (_rand_part(rng), _rand_part(rng))
+        zx, zy = GaussianRational(*x), GaussianRational(*y)
+        _assert_canonical(zx)
+        assert _pair(zx) == x
+        results = {
+            "+": (zx + zy, (x[0] + y[0], x[1] + y[1])),
+            "-": (zx - zy, (x[0] - y[0], x[1] - y[1])),
+            "*": (zx * zy, _ref_mul(x, y)),
+            "neg": (-zx, (-x[0], -x[1])),
+            "conj": (zx.conjugate(), (x[0], -x[1])),
+        }
+        if any(y):
+            results["/"] = (zx / zy, _ref_div(x, y))
+        p = rng.randint(-3, 4)
+        if any(x) or p >= 0:
+            results["**"] = (zx ** p, _ref_pow(x, p))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                zx ** p
+        for op, (got, want) in results.items():
+            _assert_canonical(got)
+            assert _pair(got) == want, op
+        assert zx.abs2() == x[0] ** 2 + x[1] ** 2
+        assert bool(zx) == bool(x[0] or x[1])
+        assert str(zx) == _ref_str(x)
+
+
+def test_mixed_operands_match_fraction_pairs():
+    rng = random.Random(5)
+    for _ in range(200):
+        x = (_rand_part(rng), _rand_part(rng))
+        zx = GaussianRational(*x)
+        q = _rand_part(rng)
+        k = rng.randint(-9, 9)
+        assert _pair(zx + k) == _pair(k + zx) == (x[0] + k, x[1])
+        assert _pair(k - zx) == (k - x[0], -x[1])
+        assert _pair(zx - q) == (x[0] - q, x[1])
+        assert _pair(q * zx) == _pair(zx * q) == (q * x[0], q * x[1])
+        if any(x):
+            assert _pair(k / zx) == _ref_div((Fraction(k), Fraction(0)), x)
+        if q:
+            assert _pair(zx / q) == (x[0] / q, x[1] / q)
+
+
+def test_equality_and_hash_against_int_and_fraction():
+    rng = random.Random(9)
+    for _ in range(300):
+        x = (_rand_part(rng), _rand_part(rng) if rng.random() < 0.5 else 0)
+        z = GaussianRational(*x)
+        if x[1]:
+            assert hash(z) == hash(x)
+            assert z != x[0]
+        else:
+            assert z == x[0] and x[0] == z
+            assert hash(z) == hash(x[0])
+            if x[0].denominator == 1:
+                assert z == int(x[0]) and hash(z) == hash(int(x[0]))
+        assert z != x[0] + 1
+
+
+def test_canonical_triples():
+    rng = random.Random(3)
+    for _ in range(200):
+        x = (_rand_part(rng), _rand_part(rng))
+        y = (_rand_part(rng), _rand_part(rng) or Fraction(1))
+        z, w = GaussianRational(*x), GaussianRational(*y)
+        # equal values reached along different paths: equal triples
+        for same in (z * w / w, (z + w) - w, -(-z), z.conjugate().conjugate()):
+            assert (same.a, same.b, same.d) == (z.a, z.b, z.d)
+            assert hash(same) == hash(z)
+        # _of reduces any triple with the same value, sign of d included
+        k = rng.choice((1, -1)) * rng.randint(1, 2 ** 70)
+        u = _of(z.a * k, z.b * k, z.d * k)
+        _assert_canonical(u)
+        assert (u.a, u.b, u.d) == (z.a, z.b, z.d)
+    assert (GaussianRational(0).a, GaussianRational(0).b,
+            GaussianRational(0).d) == (0, 0, 1)
+    assert _of(0, 0, -7).d == 1
+    z = GaussianRational(1, 2)
+    for attr in ("a", "b", "d", "re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(z, attr, 5)
