@@ -348,22 +348,38 @@ def test_hakim_degenerate_planar_family_values():
     assert dyn.hakim_matrix(Q0, v0.v).spectrum == (G(0),)
 
 
-def test_hakim_rejects_degenerate_and_unfixed_directions():
+# Exact input gets the exact checks' messages.  Float input is rejected
+# before any check: the float case names the messages of the tolerance
+# checks hakim_matrix once made, and asserts that they are not reached.
+@pytest.mark.parametrize("to_input, degenerate_msg, unfixed_msg", [
+    (lambda x: x, "multiplier vanishes", r"\(component 2\)"),
+    (lambda x: x.to_complex(), "multiplier numerically zero",
+     "component 2 residual too large"),
+])
+def test_hakim_rejects_degenerate_and_unfixed_directions(
+        to_input, degenerate_msg, unfixed_msg):
     _, Q = planar_stage1(1, 4, 4)
     # [1 : -1] is fixed with multiplier 0; [1 : 1] is not fixed
-    with pytest.raises(DegenerateDirection, match="multiplier vanishes"):
-        dyn.hakim_matrix(Q, (G(1), G(-1)))
-    with pytest.raises(PreconditionViolated, match=r"\(component 2\)"):
-        dyn.hakim_matrix(Q, (G(1), G(1)))
-    # float directions and float matrices are rejected, not compared
-    # within a tolerance
-    for v in ((1.0, -1.0), (1 + 0j, G(1))):
-        with pytest.raises(PreconditionViolated, match="exact input only"):
-            dyn.hakim_matrix(Q, v)
-    Qf = replace(Q, matrices=tuple(tuple(tuple(x.to_complex() for x in row)
+    degenerate = (to_input(G(1)), to_input(G(-1)))
+    unfixed = (to_input(G(1)), to_input(G(1)))
+    if isinstance(degenerate[0], G):
+        with pytest.raises(DegenerateDirection, match=degenerate_msg):
+            dyn.hakim_matrix(Q, degenerate)
+        with pytest.raises(PreconditionViolated, match=unfixed_msg):
+            dyn.hakim_matrix(Q, unfixed)
+        return
+    # float directions, mixed directions and float matrices are rejected,
+    # not compared within a tolerance
+    Qf = replace(Q, matrices=tuple(tuple(tuple(to_input(x) for x in row)
                                          for row in m) for m in Q.matrices))
-    with pytest.raises(PreconditionViolated, match="exact input only"):
-        dyn.hakim_matrix(Qf, (G(1), G(-1)))
+    for q, v, old_msg in ((Q, degenerate, degenerate_msg),
+                          (Q, unfixed, unfixed_msg),
+                          (Q, (degenerate[0], G(-1)), degenerate_msg),
+                          (Qf, (G(1), G(-1)), degenerate_msg)):
+        with pytest.raises(PreconditionViolated,
+                           match="exact input only") as err:
+            dyn.hakim_matrix(q, v)
+        assert old_msg not in str(err.value)
 
 
 def chart_half_deviation(Q, v, i0):
