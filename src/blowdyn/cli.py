@@ -21,7 +21,6 @@ declared error, 3 for unexpected ones (whose error object also carries the
 traceback).
 """
 
-import csv
 import json
 import math
 import sys
@@ -29,7 +28,6 @@ import traceback
 import warnings
 
 import click
-from mpmath.libmp import to_str
 
 from . import dynamics
 from .blowup import projection_formulas
@@ -431,13 +429,10 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
                                        radius=radius)
         digits = int(bits * 0.30103) + 3
         with open(csv_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            head = ["k"]
-            for j in range(1, trace.n + 1):
-                head += ["re_z%d" % j, "im_z%d" % j]
-            wr.writerow(head)
-            for i, raw in enumerate(trace.raw_points()):
-                wr.writerow([k0 + i] + [to_str(x, digits) for x in raw])
+            fh.write("k" + "".join(",re_z%d,im_z%d" % (j, j)
+                                   for j in range(1, trace.n + 1)) + "\r\n")
+            for k, row in enumerate(trace.decimal_points(digits), k0):
+                fh.write("%d,%s\r\n" % (k, ",".join(row)))
         _emit({
             "schema": SCHEMA, "csv": csv_path, "points": len(trace),
             "precision_bits": bits, "k0": k0,

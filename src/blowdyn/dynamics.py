@@ -62,7 +62,13 @@ from .lifting import (
     lifted_linear_part,
     lifted_quadratic_part,
 )
-from .orbitplan import OrbitPlan, mpc_point, radius_test, rounded_parts
+from .orbitplan import (
+    OrbitPlan,
+    decimal_formatter,
+    mpc_point,
+    radius_test,
+    rounded_parts,
+)
 from .scalars import QI_ZERO, GaussianRational, gaussian_sqrt
 from .series import _as_germ
 
@@ -631,6 +637,17 @@ class OrbitTrace:
         if self._blocks is None:
             return ([p for x in z for p in x._mpc_] for z in self._points)
         return (rounded_parts(pt, self.precision_bits) for pt in self._blocks)
+
+    def decimal_points(self, dps):
+        """Per point, in order, the list of strings that
+        mpmath.libmp.to_str(x, dps) gives for each value x of its
+        raw_points entry, spelled from the integers by
+        orbitplan.decimal_formatter."""
+        spell = decimal_formatter(self.precision_bits, dps)
+        if self._blocks is None:
+            return ([spell(-m if s else m, e) for s, m, e, _ in raw]
+                    for raw in self.raw_points())
+        return ([spell(m, exp) for m in man] for exp, man in self._blocks)
 
     def __len__(self):
         return len(self._points if self._blocks is None else self._blocks)

@@ -9,16 +9,19 @@ renormalised so that its largest mantissa has work = precision_bits +
 ORBIT_GUARD_BITS bits, whether the orbit passes near zero or far out.  The
 forward step, the Jacobian and the Newton preimage step run on the same
 plan, and nothing is converted to a float.  mpmath appears only where a
-point enters (OrbitPlan.point) or leaves (rounded_parts, mpc_point).
+point enters (OrbitPlan.point) or leaves as mpmath values (rounded_parts,
+mpc_point).  The orbit CSV is spelled from the integers (decimal_formatter);
+it calls mpmath's to_str only for values more than 3500 binary orders from 1.
 
 dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
 entry points.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .errors import NonConvergent, PreconditionViolated
 from .scalars import GaussianRational
@@ -54,6 +57,71 @@ def rounded_parts(pt, prec):
     point, rounded to prec bits."""
     exp, man = pt
     return [from_man_exp(m, exp, prec, round_nearest) for m in man]
+
+
+_LOG2_10 = math.log(10, 2)     # the float mpmath.libmp.to_digits_exp uses
+
+
+def decimal_formatter(prec, dps):
+    """spell(m, exp): mpmath.libmp.to_str(from_man_exp(m, exp, prec,
+    round_nearest), dps), computed on integers.
+
+    The steps are to_str's, on the integer mantissa: round |m| to prec
+    bits, half to even; take the digits of floor(|x| 10^fixdps) from the
+    fixed-point floor(|x| 2^fixprec), with mpmath's working sizes; round
+    them to dps digits (half up); write them fixed or scientific.  Values
+    more than 3500 binary orders from 1 are left to to_str, which rescales
+    them by a power of ten first."""
+    bitprec = int((dps + 3) * _LOG2_10) + 10
+    min_fixed = min(-(dps // 3), -5)
+    pow10 = {}                  # k -> 10^k
+
+    def spell(m, exp):
+        if not m:
+            return "0.0"
+        a = -m if m < 0 else m
+        e = exp
+        n = a.bit_length() - prec
+        if n > 0:
+            t = a >> (n - 1)
+            if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+                a = (t >> 1) + 1
+            else:
+                a = t >> 1
+            e += n
+        top = e + a.bit_length()
+        if top > 3500 or top < -3500:
+            return to_str(from_man_exp(m, exp, prec, round_nearest), dps)
+        fixprec = bitprec - top if bitprec > top else 0
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        shift = e + fixprec
+        sf = a << shift if shift >= 0 else a >> -shift
+        ten = pow10.get(fixdps)
+        if ten is None:
+            ten = pow10[fixdps] = 10 ** fixdps
+        digits = str(sf * ten >> fixprec)
+        exponent = len(digits) - fixdps - 1
+        if len(digits) > dps and digits[dps] >= "5":
+            digits = str(int(digits[:dps]) + 1)
+            if len(digits) > dps:       # 99...9 carried into 100...0
+                digits = digits[:dps]
+                exponent += 1
+        else:
+            digits = digits[:dps]
+        split = 1
+        if min_fixed < exponent < dps:
+            if exponent < 0:
+                digits = "0" * -exponent + digits
+            else:
+                split = exponent + 1
+            exponent = 0
+        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
+        if digits[-1] == ".":
+            digits += "0"
+        if m < 0:
+            digits = "-" + digits
+        return digits + "e%+d" % exponent if exponent else digits
+    return spell
 
 
 def mpc_point(parts):

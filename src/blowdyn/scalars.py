@@ -35,6 +35,10 @@ class GaussianRational:
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _of, not through __setattr__
+        return _of, (self.a, self.b, self.d)
+
     @property
     def re(self):
         return RAT(self.a, self.d)

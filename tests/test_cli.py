@@ -567,6 +567,34 @@ def test_orbit_csv_spells_values_as_nstr(tmp_path):
     assert rows == want
 
 
+def test_orbit_csv_spells_tiny_values_as_to_str(tmp_path):
+    """Start coordinates near 10^-1100 lie more than 3500 binary orders
+    below 1, where mpmath's to_str rescales by a power of ten first."""
+    from mpmath.libmp import to_str
+
+    from blowdyn import dynamics
+
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "orbit.csv"
+    tiny = "0" * 1100
+    start = ("1/1" + tiny, "-3/7" + tiny + "+1/9" + tiny + "i")
+    res = run("orbit", "--map", spec, "--start", ",".join(start),
+              "--steps", "6", "--prec", "128", "--csv", str(csv_path),
+              "--k0", "-2")
+    assert res.exit_code == 0, res.output
+    trace = dynamics.orbit_iterate(
+        fatou_germ(), [parse_scalar(x) for x in start], 6,
+        precision_bits=128)
+    digits = int(128 * 0.30103) + 3
+    want = ["k,re_z1,im_z1,re_z2,im_z2"] + [
+        ",".join([str(k)] + [to_str(x, digits) for x in raw])
+        for k, raw in enumerate(trace.raw_points(), -2)]
+    text = csv_path.read_bytes().decode()
+    assert text == "".join(row + "\r\n" for row in want)
+    # every value but the start point's zero im_z1, which is "0.0"
+    assert text.count("e-110") == 7 * 4 - 1
+
+
 def test_preimage_failure_reports_its_step(monkeypatch):
     from blowdyn import dynamics
     from blowdyn.errors import NonConvergent

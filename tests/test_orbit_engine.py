@@ -12,12 +12,12 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, round_nearest, to_digits_exp, to_str
 
 from blowdyn import dynamics as dyn
 from blowdyn.errors import NonConvergent, PreconditionViolated
 from blowdyn.lifting import germ_from_terms
-from blowdyn.orbitplan import OrbitPlan
+from blowdyn.orbitplan import OrbitPlan, decimal_formatter
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
 from blowdyn.series import _as_germ
@@ -266,3 +266,126 @@ def test_points_view_rounds_the_integer_form():
     assert syn.n == 2
     with pytest.raises(PreconditionViolated):
         syn.raw_points()
+
+
+# -- the CSV formatter against mpmath's to_str ------------------------------
+
+FORMAT_PRECS = (24, 53, 64, 96, 128, 256, 4096)
+# (prec, k): the prec-bit floor of 10^k spells as 99...9 to dps digits and
+# carries into "1.0e<k>", found by a search over |k| <= 1050
+CARRIES = ((53, 153), (64, 542), (96, -272), (96, -954), (128, 390),
+           (128, -521), (4096, -297))
+
+
+def _dps(prec):
+    return int(0.30103 * prec) + 3
+
+
+def _mp_spell(m, exp, prec, dps):
+    return to_str(from_man_exp(m, exp, prec, round_nearest), dps)
+
+
+def _near(x, prec, up=False):
+    """(m, exp): the prec-bit floor (or ceiling) of the positive rational
+    x, as mantissa and exponent."""
+    x = Fraction(x)
+    s = prec - (x.numerator.bit_length() - x.denominator.bit_length())
+    while True:
+        num, den = (x.numerator << s, x.denominator) if s >= 0 else (
+            x.numerator, x.denominator << -s)
+        m = -(-num // den) if up else num // den
+        if m.bit_length() <= prec:
+            return m, -s
+        s -= 1
+
+
+def _format_cases(prec, rng):
+    """(m, exp) pairs covering each rounding and layout case of to_str."""
+    dps = _dps(prec)
+    cases = [(0, 0), (0, -70), (1, 0), (-1, 5)]
+    # mantissas shorter and longer than prec bits
+    for _ in range(200):
+        m = rng.getrandbits(rng.randint(1, prec + 80)) * rng.choice((1, -1))
+        cases.append((m, rng.randint(-300, 300)))
+    # exact binary halfway cases, to an even and to an odd last bit, one
+    # just above halfway, and the one that carries into a new binary digit
+    for _ in range(10):
+        head = rng.getrandbits(prec - 1) | 1 << (prec - 1)
+        k = rng.randint(1, 40)
+        for h in (head & ~1, head | 1):
+            cases.append(((h << k) | 1 << (k - 1), rng.randint(-200, 0)))
+        cases.append(((head << k) | 1 << (k - 1) | 1, 3))
+    cases.append((((1 << prec) - 1 << 3) | 4, -prec))
+    # decimal exponents on both sides of the fixed/scientific boundaries
+    for e10 in (min(-(dps // 3), -5), dps):
+        for e in range(e10 - 2, e10 + 3):
+            for _ in range(4):
+                x = Fraction(rng.randint(10 ** 6, 10 ** 7 - 1), 10 ** 6)
+                cases.append(_near(x * Fraction(10) ** e, prec))
+    # powers of ten just below and above, and the 3500-bit rescaling
+    # boundary of to_digits_exp on both sides
+    for k in (-40, -7, -1, 0, 1, 6, 25, 300):
+        cases += [_near(Fraction(10) ** k, prec, up) for up in (False, True)]
+    for top in (-3502, -3501, -3500, -3499, 3499, 3500, 3501, 4000):
+        cases.append((rng.getrandbits(prec) | 1 << (prec - 1), top - prec))
+    return cases + [(-m, e) for m, e in cases]
+
+
+@pytest.mark.parametrize("prec", FORMAT_PRECS)
+def test_decimal_formatter_matches_to_str(prec):
+    rng = random.Random("format/%d" % prec)
+    dps = _dps(prec)
+    spell = decimal_formatter(prec, dps)
+    cases = _format_cases(prec, rng)
+    # values whose digit dps (after the dps kept) is a 5
+    fives = 0
+    while fives < 10:
+        m = rng.getrandbits(prec + rng.randint(-5, 5))
+        e = rng.randint(-100, 100)
+        _, digits, _ = to_digits_exp(from_man_exp(m, e, prec, round_nearest),
+                                     dps + 3)
+        if len(digits) > dps and digits[dps] == "5":
+            cases.append((m, e))
+            fives += 1
+    for m, e in cases:
+        assert spell(m, e) == _mp_spell(m, e, prec, dps), (m, e)
+    spelled = {spell(m, e) for m, e in cases}
+    assert any("e" in t for t in spelled)
+    assert any("e" not in t and t != "0.0" for t in spelled)
+    assert "0.0" in spelled and "1.0" in spelled
+
+
+@pytest.mark.parametrize("prec,k", CARRIES)
+def test_decimal_formatter_carries_all_nines(prec, k):
+    dps = _dps(prec)
+    m, e = _near(Fraction(10) ** k, prec)
+    _, digits, _ = to_digits_exp(from_man_exp(m, e), dps + 3)
+    assert digits[:dps] == "9" * dps and digits[dps] >= "5"
+    for sign in (1, -1):
+        got = decimal_formatter(prec, dps)(sign * m, e)
+        assert got == _mp_spell(sign * m, e, prec, dps)
+        assert Fraction(got) == sign * Fraction(10) ** k
+
+
+def test_decimal_formatter_at_other_digit_counts():
+    rng = random.Random("format/dps")
+    for _ in range(2000):
+        prec = rng.choice((24, 53, 113))
+        dps = rng.randint(1, 60)
+        m = rng.getrandbits(rng.randint(1, prec + 10)) * rng.choice((1, -1))
+        e = rng.randint(-150, 150)
+        assert decimal_formatter(prec, dps)(m, e) == \
+            _mp_spell(m, e, prec, dps), (m, e, prec, dps)
+    # 1 - 2^-20 carries at 5 digits
+    assert decimal_formatter(24, 5)((1 << 20) - 1, -20) == "1.0"
+
+
+def test_decimal_points_spell_raw_points():
+    F = fatou_germ()
+    dps = _dps(96)
+    tr = dyn.orbit_iterate(F, (Fraction(1, 3), Fraction(-2, 7)), 5,
+                           precision_bits=96)
+    want = [[to_str(x, dps) for x in raw] for raw in tr.raw_points()]
+    assert list(tr.decimal_points(dps)) == want
+    tr.points                              # the integers are dropped
+    assert list(tr.decimal_points(dps)) == want

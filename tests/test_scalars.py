@@ -1,10 +1,15 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from blowdyn import dynamics as dyn
 from blowdyn.errors import PreconditionViolated, SchemaError
+from blowdyn.lifting import lift, lifted_quadratic_part
+from blowdyn.partition import build_structure
 from blowdyn.scalars import (
     GaussianRational,
     _as_scalar,
@@ -14,6 +19,8 @@ from blowdyn.scalars import (
     parse_scalar,
     sqrt_exact_rational,
 )
+
+from conftest import fatou_germ
 
 
 def test_parse_basic_literals():
@@ -261,3 +268,31 @@ def test_canonical_triples():
     for attr in ("a", "b", "d", "re", "im"):
         with pytest.raises(AttributeError):
             setattr(z, attr, 5)
+
+
+def _copies(x):
+    return (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x)))
+
+
+def test_copy_and_pickle_keep_value_and_hash():
+    rng = random.Random(11)
+    for _ in range(200):
+        z = GaussianRational(_rand_part(rng), _rand_part(rng))
+        for w in _copies(z):
+            assert type(w) is GaussianRational
+            _assert_canonical(w)
+            assert (w.a, w.b, w.d) == (z.a, z.b, z.d)
+            assert w == z and hash(w) == hash(z)
+            assert {w: 1}[z] == 1
+            with pytest.raises(AttributeError):
+                w.a = 5
+
+
+def test_deepcopy_of_objects_holding_scalars():
+    L = lift(fatou_germ(), 2, 4)
+    Q = lifted_quadratic_part(L)
+    ds = dyn.characteristic_directions(Q, mode="structured",
+                                       structure=build_structure([2], [1]))
+    dup_map, dup_dir = copy.deepcopy((L, ds[0]))
+    assert dup_map == L and dup_map is not L
+    assert dup_dir == ds[0] and hash(dup_dir.v) == hash(ds[0].v)

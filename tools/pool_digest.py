@@ -1,0 +1,115 @@
+"""Digest of every distinct benchmark pool request, run against one checkout.
+
+    python3 tools/pool_digest.py CHECKOUT [--workload NAME]
+
+Builds the request pool of each workload from CHECKOUT/perfbench/workloads.py
+(read, never changed) and runs every distinct request once, in-process,
+through the blowdyn CLI imported from CHECKOUT/src.  An orbit request runs
+together with the classify requests that read its CSV, in pool order.  Each
+request prints one line:
+
+    <key> <exit code> <SHA-256 of stdout> [<SHA-256 of the CSV>]
+
+the CSV digest only for orbit requests.  The pool's files live under a
+relative directory of a fresh temporary working directory, so the paths
+inside the outputs are the same for every checkout, and comparing two
+checkouts is one diff of two runs.
+"""
+
+import os
+import sys
+
+# one BLAS/OpenMP thread, set before anything imports numpy
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import shutil  # noqa: E402
+import tempfile  # noqa: E402
+
+WORKLOADS = ("tower", "analysis", "orbit")
+
+
+def sha(data):
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def load(checkout):
+    """The checkout's CLI entry point and its workloads module."""
+    src = os.path.join(checkout, "src")
+    sys.path[:0] = [src, os.path.join(checkout, "perfbench")]
+    import blowdyn.cli
+    import workloads
+    for mod, root in ((blowdyn.cli, src), (workloads, checkout)):
+        if not os.path.abspath(mod.__file__).startswith(root + os.sep):
+            raise SystemExit("pool_digest: imported %s, not from %s"
+                             % (mod.__file__, root))
+    return blowdyn.cli.main, workloads
+
+
+def invoke(main, argv):
+    """(exit code, stdout) of one in-process CLI call."""
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main.main(args=argv, prog_name="blowdyn")
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else (
+                0 if exc.code is None else 1)
+        except Exception:
+            code = 3
+    return code, out.getvalue()
+
+
+def distinct_groups(pool):
+    """Each request group of the pool once, in pool order."""
+    seen = set()
+    for alts in pool.slots:
+        for group in alts:
+            if group[0].key not in seen:
+                seen.add(group[0].key)
+                yield group
+
+
+def digest(main, workloads, name):
+    pool = workloads.Pool(name, "pool")
+    pool.write()
+    for group in distinct_groups(pool):
+        for req in group:
+            code, out = invoke(main, req.argv())
+            cells = [req.key, str(code), sha(out)]
+            if req.cmd == "orbit":
+                with open(req.info["csv"], "rb") as fh:
+                    cells.append(sha(fh.read()))
+            print(" ".join(cells), flush=True)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("checkout")
+    ap.add_argument("--workload", choices=WORKLOADS + ("all",),
+                    default="all")
+    args = ap.parse_args()
+    cli, workloads = load(os.path.abspath(args.checkout))
+    here = os.getcwd()
+    work = tempfile.mkdtemp(prefix="pool-digest-")
+    os.chdir(work)
+    try:
+        for name in (WORKLOADS if args.workload == "all"
+                     else (args.workload,)):
+            digest(cli, workloads, name)
+    finally:
+        os.chdir(here)
+        shutil.rmtree(work, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
