@@ -26,6 +26,7 @@ import math
 import sys
 import traceback
 import warnings
+from json.encoder import encode_basestring_ascii as _quote
 
 import click
 
@@ -41,7 +42,7 @@ from .lifting import (
 )
 from .normalform import epsilon_vector, normal_form
 from .partition import build_structure, splitting
-from .scalars import GaussianRational, parse_scalar
+from .scalars import QI_ONE, GaussianRational, parse_scalar
 
 SCHEMA = "blowdyn/1"
 # Declared ranges (inclusive) of the map file's sizes and of the orbit-path
@@ -89,11 +90,57 @@ def _direction_json(d):
     return out
 
 
+_INTS = {int}
+
+
+def json_text(x, nl="\n"):
+    """The text of json.dumps(x, indent=2), byte for byte, for x built of
+    dicts with str keys, lists, tuples, strings, numbers, bools and None;
+    a dict key of another type raises TypeError.  nl is a newline plus the
+    indent of x's own line.  (json.dumps with an indent runs the
+    pure-Python encoder, which makes several calls per value.)"""
+    if isinstance(x, str):
+        return _quote(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = nl + "  "
+        body = [_quote(k) + ": " + json_text(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(body) + nl + "}"
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = nl + "  "
+        if set(map(type, x)) == _INTS:
+            body = map(int.__repr__, x)
+        else:
+            body = [json_text(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(body) + nl + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == math.inf:
+            return "Infinity"
+        if x == -math.inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(x).__name__)
+
+
 # click.echo always gets the stream: without file=, click caches the current
 # sys.stdout in a table that keeps every stream an in-process caller
 # redirects output to (and all the output in it) alive.
 def _emit(payload):
-    click.echo(json.dumps(payload, indent=2), file=sys.stdout)
+    click.echo(json_text(payload), file=sys.stdout)
 
 
 def _fail(exc, code=None, trace=None):
@@ -125,15 +172,17 @@ def _guard(fn, *args, **kwargs):
 
 # -- map description parsing ----------------------------------------------
 
-def _expect(cond, message):
+def _expect(cond, message, *args):
+    """SchemaError(message % args) unless cond; the message is formatted
+    only on failure."""
     if not cond:
-        raise SchemaError(message)
+        raise SchemaError(message % args if args else message)
 
 
 def _expect_range(flag, value, bounds):
     lo, hi = bounds
     _expect(isinstance(value, int) and lo <= value <= hi,
-            "%s must be an integer in %d..%d, got %r" % (flag, lo, hi, value))
+            "%s must be an integer in %d..%d, got %r", flag, lo, hi, value)
 
 
 def parse_map_spec(data):
@@ -144,24 +193,24 @@ def parse_map_spec(data):
     """
     _expect(isinstance(data, dict), "top level must be a JSON object")
     tag = data.get("schema")
-    _expect(tag in (None, SCHEMA), "unknown schema tag %r" % (tag,))
+    _expect(tag in (None, SCHEMA), "unknown schema tag %r", tag)
     dim = data.get("dim")
     _expect_range("dim", dim, DIM_RANGE)
     blocks = data.get("blocks")
     _expect(isinstance(blocks, list) and blocks, "blocks must be a nonempty list")
     mus, lams = [], []
     for i, b in enumerate(blocks):
-        _expect(isinstance(b, dict), "blocks[%d] must be an object" % i)
+        _expect(isinstance(b, dict), "blocks[%d] must be an object", i)
         mu = b.get("mu")
         _expect(isinstance(mu, int) and mu >= 1,
-                "blocks[%d].mu must be a positive integer" % i)
+                "blocks[%d].mu must be a positive integer", i)
         mus.append(mu)
         try:
             lams.append(parse_scalar(b.get("lambda", "1")))
         except BlowdynError as exc:
             raise SchemaError("blocks[%d].lambda: %s" % (i, exc))
-    _expect(sum(mus) == dim, "block sizes sum to %d, dim says %d"
-            % (sum(mus), dim))
+    _expect(sum(mus) == dim, "block sizes sum to %d, dim says %d",
+            sum(mus), dim)
     S = build_structure(tuple(mus), tuple(lams))
     opts = data.get("options") or {}
     _expect(isinstance(opts, dict), "options must be an object")
@@ -173,16 +222,16 @@ def parse_map_spec(data):
     terms = {}
     maxdeg = 2
     for i, t in enumerate(raw_terms):
-        _expect(isinstance(t, dict), "terms[%d] must be an object" % i)
+        _expect(isinstance(t, dict), "terms[%d] must be an object", i)
         j = t.get("j")
         _expect(isinstance(j, int) and 1 <= j <= dim,
-                "terms[%d].j must be in 1..%d" % (i, dim))
+                "terms[%d].j must be in 1..%d", i, dim)
         e = t.get("exp")
         _expect(isinstance(e, list) and len(e) == dim
                 and all(isinstance(p, int) and p >= 0 for p in e),
-                "terms[%d].exp must be %d nonnegative integers" % (i, dim))
+                "terms[%d].exp must be %d nonnegative integers", i, dim)
         deg = sum(e)
-        _expect(deg >= 1, "terms[%d] has total degree 0" % i)
+        _expect(deg >= 1, "terms[%d] has total degree 0", i)
         try:
             c = parse_scalar(t.get("coeff", "1"))
         except BlowdynError as exc:
@@ -197,11 +246,12 @@ def parse_map_spec(data):
             continue
         maxdeg = max(maxdeg, deg)
         key = (j, tuple(e))
-        terms[key] = terms.get(key, GaussianRational(0)) + c
+        prev = terms.get(key)
+        terms[key] = c if prev is None else prev + c
     cap = opts.get("degree_cap", maxdeg)
     _expect_range("degree_cap", cap, CAP_RANGE)
-    _expect(cap >= maxdeg, "degree_cap %d below a declared term of degree %d"
-            % (cap, maxdeg))
+    _expect(cap >= maxdeg, "degree_cap %d below a declared term of degree %d",
+            cap, maxdeg)
     prec = opts.get("precision_bits", 128)
     _expect_range("precision_bits", prec, PREC_RANGE)
     germ = germ_from_terms(S, terms, cap=cap)
@@ -218,12 +268,8 @@ def load_map_spec(path):
 # -- lifted-map serialization ---------------------------------------------
 
 def lifted_map_to_json(L):
-    comps = []
-    for s in L.series.components:
-        comps.append([
-            {"exp": list(e), "coeff": jval(c)}
-            for e, c in sorted(s.coeffs.items())
-        ])
+    comps = [[{"exp": e, "coeff": c} for e, c in s.spelled_terms()]
+             for s in L.series.components]
     return {
         "schema": SCHEMA,
         "kind": "lifted-map",
@@ -259,7 +305,7 @@ def _parse_scalar_list(text, what):
 def _structure_from_flags(mu_text, lam_text):
     mus = _parse_int_list(mu_text, "--mu")
     lams = _parse_scalar_list(lam_text, "--lambda") if lam_text else \
-        tuple(GaussianRational(1) for _ in mus)
+        (QI_ONE,) * len(mus)
     _expect(len(lams) == len(mus), "--mu and --lambda disagree on block count")
     return build_structure(mus, lams)
 
@@ -336,7 +382,7 @@ def lift_cmd(map_path, stage, degree, out_path):
         payload["semiconjugacy_exact"] = verify_semiconjugacy(F, L)
         if out_path:
             with open(out_path, "w") as fh:
-                json.dump(payload, fh, indent=2)
+                fh.write(json_text(payload))
             _emit({"schema": SCHEMA, "written": out_path,
                    "stage": stage, "degree_cap": D,
                    "semiconjugacy_exact": payload["semiconjugacy_exact"]})
@@ -418,13 +464,13 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
     def run():
         _expect_range("--steps", steps, STEPS_RANGE)
         _expect(math.isfinite(radius) and radius > 0,
-                "--radius must be finite and positive, got %r" % radius)
+                "--radius must be finite and positive, got %r", radius)
         F, opts = load_map_spec(map_path)
         bits = opts["precision_bits"] if prec is None else prec
         _expect_range("--prec", bits, PREC_RANGE)
         z0 = _parse_scalar_list(start_text, "--start")
         _expect(len(z0) == F.structure.n,
-                "--start needs %d coordinates" % F.structure.n)
+                "--start needs %d coordinates", F.structure.n)
         trace = dynamics.orbit_iterate(F, z0, steps, precision_bits=bits,
                                        radius=radius)
         digits = int(bits * 0.30103) + 3
@@ -450,7 +496,7 @@ def _read_trace_csv(path, n):
     with open(path) as fh:
         head = fh.readline().rstrip("\r\n").split(",")
         _expect(head[:1] == ["k"] and len(head) == 1 + 2 * n,
-                "CSV header does not match a %d-coordinate trace" % n)
+                "CSV header does not match a %d-coordinate trace", n)
         with warnings.catch_warnings():
             # no rows at all is reported as an empty trace just below
             warnings.filterwarnings("ignore",
@@ -528,11 +574,9 @@ def normalform_cmd(map_path):
         F, _ = load_map_spec(map_path)
         nf = normal_form(F)
         def germ_terms(g):
-            out = []
-            for j, s in enumerate(g.components, start=1):
-                for e, c in sorted(s.coeffs.items()):
-                    out.append({"j": j, "exp": list(e), "coeff": jval(c)})
-            return out
+            return [{"j": j, "exp": e, "coeff": c}
+                    for j, s in enumerate(g.components, start=1)
+                    for e, c in s.spelled_terms()]
         _emit({
             "schema": SCHEMA,
             "epsilon_table": [[jval(x) for x in row] for row in nf.epsilon],
@@ -563,8 +607,8 @@ def fatou_demo_cmd(steps, settle, prec):
         def row(status, name, detail=""):
             lines.append((status, name, detail))
 
-        S = build_structure((2,), (GaussianRational(1),))
-        F = germ_from_terms(S, {(2, (2, 0)): GaussianRational(1)}, cap=4)
+        S = build_structure((2,), (QI_ONE,))
+        F = germ_from_terms(S, {(2, (2, 0)): QI_ONE}, cap=4)
         for k in (1, 2):
             L = lift(F, k, 4)
             ok = verify_semiconjugacy(F, L)

@@ -184,7 +184,7 @@ def _structured_directions(Q, S):
             "leading quadratic coefficient vanishes; the closed form degenerates"
         )
     lam = _ONE
-    v = [GaussianRational(0) for _ in range(S.n)]
+    v = [QI_ZERO] * S.n
     v[0] = GaussianRational(2 * mu1 - 1) / a
     for j in range(2, mu1 + 1):
         v[j - 1] = GaussianRational(mu1 + j - 2)
@@ -237,7 +237,6 @@ def _exact2d_directions(Q):
             "is not handled exactly"
         )
     s0, s1, s2 = c11, c12 - m11, c22 - m12
-    zero = GaussianRational(0)
     roots = []
     if s2:
         disc = s1 * s1 - 4 * s0 * s2
@@ -268,7 +267,7 @@ def _exact2d_directions(Q):
     lam01 = c22
     dirs.append(
         CharDirection(
-            v=(zero, _ONE), lam=lam01, degenerate=not lam01, mode="exact2d",
+            v=(QI_ZERO, _ONE), lam=lam01, degenerate=not lam01, mode="exact2d",
         )
     )
     return dirs

@@ -28,7 +28,7 @@ from .exactalg import (
     minimal_polynomial,
 )
 from .partition import splitting
-from .scalars import GaussianRational
+from .scalars import QI_ONE, QI_ZERO, GaussianRational
 from .series import (
     PolyMapGerm,
     TruncatedSeries,
@@ -43,7 +43,7 @@ from .series import (
 def jordan_matrix(S):
     """The block upper-bidiagonal matrix encoded by S, as exact scalars."""
     n = S.n
-    m = [[GaussianRational(0) for _ in range(n)] for _ in range(n)]
+    m = [[QI_ZERO] * n for _ in range(n)]
     for l in range(S.rho):
         lam = S.lam[l]
         base = S.nu[l]
@@ -51,7 +51,7 @@ def jordan_matrix(S):
         for j in range(base, base + size):
             m[j][j] = lam
             if j < base + size - 1:
-                m[j][j + 1] = GaussianRational(1)
+                m[j][j + 1] = QI_ONE
     return m
 
 
@@ -63,26 +63,28 @@ def germ_from_terms(S, terms, cap=2):
     """
     n = S.n
     J = jordan_matrix(S)
-    comps = []
+    by_comp = {}  # component j -> its coefficients, linear entries first
     for j in range(1, n + 1):
-        coeffs = {}
+        coeffs = by_comp[j] = {}
         for i in range(n):
             if J[j - 1][i]:
                 e = [0] * n
                 e[i] = 1
                 coeffs[tuple(e)] = J[j - 1][i]
-        for (jj, exps), c in terms.items():
-            if jj != j:
-                continue
-            if sum(exps) < 2:
-                raise PreconditionViolated(
-                    "extra terms must have degree >= 2; the linear part "
-                    "comes from the structure"
-                )
-            ee = tuple(exps)
-            add = c if isinstance(c, GaussianRational) else GaussianRational(c)
-            coeffs[ee] = coeffs.get(ee, GaussianRational(0)) + add
-        comps.append(TruncatedSeries(n, cap, coeffs))
+    for (j, exps), c in terms.items():
+        coeffs = by_comp.get(j)
+        if coeffs is None:
+            continue  # no such component
+        if sum(exps) < 2:
+            raise PreconditionViolated(
+                "extra terms must have degree >= 2; the linear part "
+                "comes from the structure"
+            )
+        ee = tuple(exps)
+        add = c if isinstance(c, GaussianRational) else GaussianRational(c)
+        prev = coeffs.get(ee)
+        coeffs[ee] = add if prev is None else prev + add
+    comps = [TruncatedSeries(n, cap, by_comp[j]) for j in range(1, n + 1)]
     return InputGerm(S, PolyMapGerm(comps))
 
 
@@ -297,7 +299,7 @@ def expected_eigenvalue_multiset(S):
 
     bump(top, 1)
     if S.mu[0] > 1:
-        bump(GaussianRational(1), S.mu[0] - 1)
+        bump(QI_ONE, S.mu[0] - 1)
     for l in range(1, S.rho):
         bump(S.lam[l] / lam1, S.mu[l])
     return multis
@@ -334,7 +336,7 @@ class ChartQuadraticForm:
                     term = row[k] * vh * v[k]
                     total = term if total is None else total + term
         if total is None:
-            total = 0 * v[0] if v else GaussianRational(0)
+            total = 0 * v[0] if v else QI_ZERO
         return total
 
     def entry(self, j, h, k):
@@ -367,7 +369,7 @@ def predicted_quadratic_table(F):
     n = S.n
     mu1 = S.mu[0]
     lam1 = S.lam[0]
-    one = GaussianRational(1)
+    one = QI_ONE
 
     def mono(*pairs):
         e = [0] * n
@@ -461,8 +463,8 @@ def compare_quadratic_with_prediction(L, F):
         want = table[j]
         keys = set(got) | set(want)
         for e in sorted(keys):
-            g = got.get(e, GaussianRational(0))
-            w = want.get(e, GaussianRational(0))
+            g = got.get(e, QI_ZERO)
+            w = want.get(e, QI_ZERO)
             if g != w:
                 item = (j, e, w, g)
                 if j in ambiguous:

@@ -199,6 +199,8 @@ QI_I = GaussianRational(0, 1)
 # -- parsing / formatting -----------------------------------------------
 
 _TERM_SPLIT = _re.compile(r"(?<![eE/*^])([+-])")
+# "p" or "p/q" in ASCII digits: the form of nearly every map-file literal
+_PLAIN_RATIONAL = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_real(tok):
@@ -229,6 +231,14 @@ def parse_scalar(text):
         return GaussianRational(RAT(text))
     if not isinstance(text, str):
         raise PreconditionViolated("cannot parse scalar from %r" % (text,))
+    m = _PLAIN_RATIONAL.fullmatch(text)
+    if m is not None:
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # over int()'s digit limit: reported below
+            den = 0
+        if den:
+            return _of(num, 0, den)
     s = text.replace(" ", "")
     if not s:
         raise SchemaError("empty scalar literal")
@@ -275,7 +285,9 @@ def parse_scalar(text):
             seen_re = True
     if not (seen_re or seen_im):
         raise SchemaError("unparseable scalar %r" % text)
-    return GaussianRational(re_part, im_part)
+    return _of(re_part.numerator * im_part.denominator,
+               im_part.numerator * re_part.denominator,
+               re_part.denominator * im_part.denominator)
 
 
 def _fmt_part(n, d):
@@ -288,7 +300,12 @@ def _fmt_part(n, d):
 def format_scalar(z):
     """Canonical "p/q+r/si" text form (shortest faithful variant)."""
     z = _coerce(z)
-    a, b, d = z.a, z.b, z.d
+    return format_triple(z.a, z.b, z.d)
+
+
+def format_triple(a, b, d):
+    """format_scalar of (a + b i) / d for integers a, b, d with d > 0; the
+    triple need not be reduced."""
     if not b:
         return _fmt_part(a, d)
     imtxt = "i" if b == d else "-i" if b == -d else _fmt_part(b, d) + "i"

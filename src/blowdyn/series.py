@@ -29,7 +29,7 @@ built from coefficients is.
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
-from .scalars import QI_ONE, QI_ZERO, _as_scalar, _of
+from .scalars import QI_ONE, QI_ZERO, _as_scalar, _of, format_triple
 
 __all__ = [
     "TruncatedSeries",
@@ -142,6 +142,20 @@ class TruncatedSeries:
         den, re, im = self._int_form()
         k = _pack(e, self.cap + 1)
         return _of(re.get(k, 0), im.get(k, 0), den)
+
+    def spelled_terms(self):
+        """[(exponent as a list, str(coefficient))] for the nonzero terms,
+        sorted by exponent, spelled straight from the integer form."""
+        den, re, im = self._int_form()
+        base = self.cap + 1
+        # below the degree digit a packed key is the exponent in base B,
+        # so sorting keys modulo B**n sorts terms by exponent
+        keys = sorted((re.keys() | im.keys()) if im else re,
+                      key=_shift(self.nvars, self.cap).__rmod__)
+        weights = [base ** i for i in range(self.nvars - 1, -1, -1)]
+        return [([k // w % base for w in weights],
+                 format_triple(re.get(k, 0), im.get(k, 0), den))
+                for k in keys]
 
     def constant_term(self):
         return self.coefficient((0,) * self.nvars)

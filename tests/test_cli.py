@@ -1,6 +1,12 @@
 import csv
+import enum
+import importlib.util
 import json
+import math
+import pathlib
+import random
 import warnings
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -9,6 +15,7 @@ from blowdyn import cli
 from blowdyn.errors import JordanMismatch, SchemaError
 from blowdyn.lifting import lift
 from blowdyn.scalars import GaussianRational, parse_scalar
+from blowdyn.series import TruncatedSeries
 
 from conftest import fatou_germ
 
@@ -102,6 +109,74 @@ def test_parse_map_spec_field_level_errors(mangle, msgpart):
     assert msgpart in str(info.value)
 
 
+def _reference_forms(doc):
+    """The integer forms of the germ a map description declares, summed
+    with Fraction arithmetic: the Jordan linear part of the blocks plus
+    every term of degree >= 2, duplicates added up."""
+    n = doc["dim"]
+    cap = doc.get("options", {}).get("degree_cap")
+    if cap is None:
+        cap = max([2] + [sum(t["exp"]) for t in doc["terms"]])
+    comps = [{} for _ in range(n)]
+    base = 0
+    for b in doc["blocks"]:
+        lam = Fraction(b.get("lambda", "1"))
+        for j in range(base, base + b["mu"]):
+            comps[j][tuple(int(i == j) for i in range(n))] = lam
+            if j < base + b["mu"] - 1:
+                comps[j][tuple(int(i == j + 1) for i in range(n))] = 1
+        base += b["mu"]
+    for t in doc["terms"]:
+        if sum(t["exp"]) >= 2:
+            c = comps[t["j"] - 1]
+            e = tuple(t["exp"])
+            c[e] = c.get(e, 0) + Fraction(t.get("coeff", "1"))
+    return [TruncatedSeries(n, cap, {e: GaussianRational(q)
+                                     for e, q in c.items()})._int_form()
+            for c in comps]
+
+
+def _pool_maps():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads",
+        pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name in workloads.WORKLOADS:
+        yield from workloads.Pool(name, "pool").maps.values()
+
+
+def test_parse_map_spec_sums_terms_as_fractions():
+    docs = list(_pool_maps())
+    assert len(docs) > 100
+    docs.append({
+        "dim": 3, "blocks": [{"mu": 2, "lambda": "2"}, {"mu": 1, "lambda": "-1/3"}],
+        "terms": [
+            {"j": 1, "exp": [2, 0, 0], "coeff": "1/2"},
+            {"j": 1, "exp": [2, 0, 0], "coeff": "1/3"},      # duplicates
+            {"j": 1, "exp": [2, 0, 0], "coeff": "-007/06"},
+            {"j": 2, "exp": [1, 1, 0], "coeff": "3/4"},
+            {"j": 3, "exp": [0, 1, 2], "coeff": "5"},
+            {"j": 2, "exp": [1, 1, 0], "coeff": "-3/4"},     # sums to zero
+            {"j": 3, "exp": [0, 1, 2], "coeff": "+2/7"},
+            {"j": 1, "exp": [0, 1, 0], "coeff": "1"},        # restated
+            {"j": 3, "exp": [0, 0, 2]},
+        ],
+    })
+    for doc in docs:
+        germ, _ = cli.parse_map_spec(doc)
+        got = [s._int_form() for s in germ.map.components]
+        assert got == _reference_forms(doc)
+
+
+def test_parse_map_spec_component_range_message():
+    data = json.loads(json.dumps(FATOU_SPEC))
+    data["terms"].append({"j": 3, "exp": [2, 0]})
+    with pytest.raises(SchemaError) as info:
+        cli.parse_map_spec(data)
+    assert str(info.value) == "terms[1].j must be in 1..2"
+
+
 def test_degree_cap_defaults_to_largest_term():
     data = {
         "dim": 2,
@@ -111,6 +186,88 @@ def test_degree_cap_defaults_to_largest_term():
     germ, opts = cli.parse_map_spec(data)
     assert opts["degree_cap"] == 3
     assert germ.map.cap == 3
+
+
+# -- the indented JSON writer ---------------------------------------------
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+_TEXT = ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\r", "\b",
+         "\f", "\u00e9", "\u20ac", "\u2028", "\U0001f600", "a", "Z", "0", " "]
+_FLOATS = [-0.0, 0.0, 1e300, -1e-300, 5e-324, 1e16, 0.1, 1 / 3,
+           math.nan, math.inf, -math.inf]
+_LEAVES = [True, False, 1, 0, -1, None, 2 ** 100, -(3 ** 80), Level.LOW]
+
+
+def _random_json(rng, depth):
+    kind = rng.randrange(7 if depth >= 5 else 10)
+    if kind < 2:
+        return "".join(rng.choice(_TEXT) for _ in range(rng.randrange(6)))
+    if kind < 4:
+        return rng.choice(_LEAVES + [rng.randint(-10 ** 30, 10 ** 30)])
+    if kind < 5:
+        return rng.choice(_FLOATS + [rng.uniform(-1e6, 1e6)])
+    if kind < 7:
+        return [rng.choice([0, 1, -5, 2 ** 70]) for _ in range(rng.randrange(4))]
+    size = rng.choice([0, 0, 1, 2, 3, 4])
+    if kind == 7:
+        return {"".join(rng.choice(_TEXT) for _ in range(3)) + str(i):
+                _random_json(rng, depth + 1) for i in range(size)}
+    items = [_random_json(rng, depth + 1) for _ in range(size)]
+    return tuple(items) if kind == 8 else items
+
+
+def test_json_text_matches_json_dumps():
+    rng = random.Random(2024)
+    cases = [_random_json(rng, 0) for _ in range(600)]
+    nested = {}
+    for _ in range(6):  # empty containers at every depth
+        nested = {"a": [nested, [], {}], "b": ({}, []), "c": []}
+    cases += [nested, [], {}, (), [[[]]], [True, 1, False, 0, 1.0],
+              [1, True], [Level.LOW, 2], ["x", 1], {"": ""}]
+    for x in cases:
+        assert cli.json_text(x) == json.dumps(x, indent=2), x
+    assert sum(1 for x in cases if isinstance(x, (dict, list, tuple)) and x) > 200
+
+
+@pytest.mark.parametrize("bad", [{1: "a"}, {"a": {None: 1}}, [{(1,): 2}],
+                                 {"a": object()}, [1, {2, 3}], b"bytes"])
+def test_json_text_rejects_what_it_cannot_spell_alike(bad):
+    with pytest.raises(TypeError):
+        cli.json_text(bad)
+
+
+def _command_argv(tmp_path):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    planar = write_spec(tmp_path, NONGENERIC_SPEC, "planar.json")
+    csv_path = str(tmp_path / "orbit.csv")
+    return [
+        ["partition", "--mu", "2,2", "--lambda", "2,3"],
+        ["charts", "--mu", "3,1"],
+        ["lift", "--map", spec, "--stage", "2"],
+        ["lift", "--map", spec, "--stage", "1", "--out",
+         str(tmp_path / "lifted.json")],
+        ["chardirs", "--map", spec],
+        ["invariants", "--map", planar],
+        ["normalform", "--map", spec],
+        ["orbit", "--map", spec, "--start", "3/1250,-3/31250", "--steps",
+         "400", "--csv", csv_path, "--k0", "50"],
+        ["classify", "--map", spec, "--csv", csv_path],
+    ]
+
+
+def test_every_command_prints_indented_json(tmp_path):
+    calls = _command_argv(tmp_path)
+    assert {argv[0] for argv in calls} == {
+        "partition", "charts", "lift", "chardirs", "invariants",
+        "normalform", "orbit", "classify"}
+    for argv in calls:
+        res = run(*argv)
+        assert res.exit_code == 0, (argv, res.output)
+        out = res.stdout
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 # -- command surface -------------------------------------------------------
@@ -143,9 +300,11 @@ def test_lift_round_trip(tmp_path):
     assert res.exit_code == 0
     summary = json.loads(res.output)
     assert summary["semiconjugacy_exact"] is True
-    data = json.loads((tmp_path / "lifted.json").read_text())
-    want = cli.lifted_map_to_json(lift(fatou_germ(), 2, 4))
-    assert data == dict(want, semiconjugacy_exact=True)
+    want = dict(cli.lifted_map_to_json(lift(fatou_germ(), 2, 4)),
+                semiconjugacy_exact=True)
+    text = (tmp_path / "lifted.json").read_text()
+    assert json.loads(text) == want
+    assert text == json.dumps(want, indent=2)
 
 
 def test_chardirs_command(tmp_path):

@@ -2,11 +2,13 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from blowdyn import dynamics as dyn
+from blowdyn import scalars
 from blowdyn.errors import PreconditionViolated, SchemaError
 from blowdyn.lifting import lift, lifted_quadratic_part
 from blowdyn.partition import build_structure
@@ -43,6 +45,57 @@ def test_parse_accepts_uppercase_and_j_suffix():
 def test_parse_rejects_junk(bad):
     with pytest.raises(SchemaError):
         parse_scalar(bad)
+
+
+def _plain_literals(rng, count):
+    """Signed "p" and "p/q" literals with leading zeros, zero numerators
+    and numerators of up to 200 digits."""
+    out = ["0", "-0", "+0", "0/5", "-0/7", "007", "-007/0014", "1" * 200,
+           "-" + "9" * 200 + "/" + "6" * 50]
+    for _ in range(count):
+        lit = rng.choice(["", "+", "-"]) + "0" * rng.randint(0, 2) + str(
+            rng.randint(0, 10 ** rng.choice([1, 3, 20, 200])))
+        if rng.random() < 0.6:
+            lit += "/" + "0" * rng.randint(0, 2) + str(
+                rng.randint(1, 10 ** rng.choice([1, 5, 60])))
+        out.append(lit)
+    return out
+
+
+def test_plain_literals_parse_as_the_general_path(monkeypatch):
+    lits = _plain_literals(random.Random(13), 400)
+    fast = [parse_scalar(t) for t in lits]
+    # a pattern that matches nothing sends every literal down the general path
+    monkeypatch.setattr(scalars, "_PLAIN_RATIONAL", re.compile(r"(?!)"))
+    slow = [parse_scalar(t) for t in lits]
+    for t, f, g in zip(lits, fast, slow):
+        p, _, q = t.partition("/")
+        want = Fraction(int(p), int(q or 1))
+        assert (f.a, f.b, f.d) == (g.a, g.b, g.d) == (
+            want.numerator, 0, want.denominator), t
+
+
+def test_literals_outside_the_plain_form_keep_their_results(monkeypatch):
+    for bad, message in [
+            ("1/0", "bad numeric literal '+1/0' (Fraction(1, 0))"),
+            ("1/00", "bad numeric literal '+1/00' (Fraction(1, 0))"),
+            ("-3/000", "bad numeric literal '-3/000' (Fraction(-3, 0))")]:
+        with pytest.raises(SchemaError) as info:
+            parse_scalar(bad)
+        assert str(info.value) == message
+    # int() reads underscores and non-ASCII digits; the plain form does not
+    assert parse_scalar("1_000") == GaussianRational(1000)
+    assert parse_scalar("\u0663") == GaussianRational(3)
+    assert parse_scalar("\u0663/\u0666") == GaussianRational(Fraction(1, 2))
+    assert parse_scalar(" 3/4 ") == GaussianRational(Fraction(3, 4))
+    # past int()'s digit limit both paths report the same error
+    big = "1" * 5000
+    with pytest.raises(SchemaError) as fast:
+        parse_scalar(big)
+    monkeypatch.setattr(scalars, "_PLAIN_RATIONAL", re.compile(r"(?!)"))
+    with pytest.raises(SchemaError) as slow:
+        parse_scalar(big)
+    assert str(fast.value) == str(slow.value)
 
 
 def test_format_parse_round_trip_random():

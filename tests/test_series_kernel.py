@@ -225,3 +225,15 @@ def test_compose_ignores_outer_terms_above_the_inner_cap():
     w2 = TruncatedSeries.variable(2, 2, 3)
     got = series_compose(outer, [w1 + w2 * w2, w2])
     assert got.coeffs == {(1, 0): one, (0, 2): 2 * one}
+
+
+@pytest.mark.parametrize("nvars,cap", [(1, 2), (2, 10), (3, 6), (5, 4), (6, 3)])
+@pytest.mark.parametrize("kind", ["real", "imaginary", "coprime", "complex"])
+def test_spelled_terms_match_the_coefficient_view(nvars, cap, kind):
+    rng = random.Random("spell/%d/%d/%s" % (nvars, cap, kind))
+    for _ in range(10):
+        a = series(nvars, cap, rand_coeffs(rng, nvars, cap, 12, kind))
+        b = series(nvars, cap, rand_coeffs(rng, nvars, cap, 12, kind))
+        for s in (a, b, series_multiply(a, b), a - a):  # integer-form results
+            assert s.spelled_terms() == [
+                (list(e), str(c)) for e, c in sorted(s.coeffs.items())]
