@@ -26,8 +26,9 @@ the requested precision.  Each stored orbit point is the image of the one
 before it to 2^-precision_bits relative to its sup norm; divergence past
 the radius is decided exactly; a preimage step is Newton's method on the
 plan's Jacobian, checked to contract at every iteration.  mpmath is used
-only at the boundaries: input conversion, the decay profile, the mpc
-view of a trace, and the CLI's decimal output.
+only at the boundaries: input conversion, the decay profile and the mpc
+view of a trace.  The CLI's decimal output is spelled from the engine's
+integers.
 
 Conventions.  Directions are stored as projective representatives; the
 multiplier lam scales linearly with the representative (Q(cv) = c lam on
@@ -69,7 +70,7 @@ from .orbitplan import (
     radius_test,
     rounded_parts,
 )
-from .scalars import QI_ZERO, GaussianRational, gaussian_sqrt
+from .scalars import QI_ONE, QI_ZERO, GaussianRational, gaussian_sqrt
 from .series import _as_germ
 
 # Numeric policy (declared, not derived):
@@ -83,8 +84,6 @@ DIRECTION_TOL = 1e-3            # tau: Cauchy threshold on window means
 DIRECTION_SCATTER_TOL = 5e-2    # intra-window spread; oscillation detector
 STANDARD_MATCH_TOL = 1e-4       # projective match against a reference direction
 DEFAULT_RADIUS = 10.0           # orbit divergence radius (sup norm)
-
-_ONE = GaussianRational(1)
 
 
 def projective_distance(a, b):
@@ -166,7 +165,7 @@ def _structured_directions(Q, S):
         raise PreconditionViolated("structured mode needs the block structure")
     if Q.n != S.n:
         raise PreconditionViolated("quadratic form / structure dimension mismatch")
-    if any(x != _ONE for x in S.lam):
+    if any(x != QI_ONE for x in S.lam):
         raise UnsupportedSpectrum(
             "structured closed form requires every block eigenvalue equal to 1"
         )
@@ -183,7 +182,7 @@ def _structured_directions(Q, S):
         raise NoAllowableDirection(
             "leading quadratic coefficient vanishes; the closed form degenerates"
         )
-    lam = _ONE
+    lam = QI_ONE
     v = [QI_ZERO] * S.n
     v[0] = GaussianRational(2 * mu1 - 1) / a
     for j in range(2, mu1 + 1):
@@ -260,14 +259,14 @@ def _exact2d_directions(Q):
         lam = m11 + m12 * t
         dirs.append(
             CharDirection(
-                v=(_ONE, t), lam=lam, degenerate=not lam, mode="exact2d",
+                v=(QI_ONE, t), lam=lam, degenerate=not lam, mode="exact2d",
             )
         )
     # [0 : 1] is always fixed once component 1 has no w_2^2 term
     lam01 = c22
     dirs.append(
         CharDirection(
-            v=(QI_ZERO, _ONE), lam=lam01, degenerate=not lam01, mode="exact2d",
+            v=(QI_ZERO, QI_ONE), lam=lam01, degenerate=not lam01, mode="exact2d",
         )
     )
     return dirs
@@ -311,7 +310,7 @@ def _solution_spaces(factors, t):
                 if a is None:
                     continue
                 row = [a * x for x in l]
-                row[j] -= _ONE
+                row[j] -= QI_ONE
                 new = [(row, QI_ZERO)]
             elif a == QI_ZERO or _dot(l, p) == t and not any(
                     _dot(l, b) for b in basis):
@@ -319,7 +318,7 @@ def _solution_spaces(factors, t):
                 continue
             else:
                 unit = [QI_ZERO] * n
-                unit[k] = _ONE
+                unit[k] = QI_ONE
                 new = [(unit, QI_ZERO), (l, t)]
             pending.remove(j)
             break
@@ -359,9 +358,9 @@ def _factored_directions(Q):
         factors.append((ks[0], [M[ks[0]][m] * (2 - (m == ks[0]))
                                 for m in range(n)]))
     dirs = [
-        CharDirection(v=p, lam=_ONE, degenerate=False, mode="factored",
+        CharDirection(v=p, lam=QI_ONE, degenerate=False, mode="factored",
                       span=basis)
-        for p, basis in _solution_spaces(factors, _ONE) if any(p) or basis
+        for p, basis in _solution_spaces(factors, QI_ONE) if any(p) or basis
     ] + [
         CharDirection(v=basis[0], lam=QI_ZERO, degenerate=True,
                       mode="factored", span=basis[1:])
@@ -535,7 +534,7 @@ def expected_asymptotics(F):
     trailing blocks only get an upper bound.
     """
     S = F.structure
-    if any(x != _ONE for x in S.lam):
+    if any(x != QI_ONE for x in S.lam):
         raise UnsupportedSpectrum(
             "closed-form asymptotics require every block eigenvalue equal to 1"
         )
@@ -593,17 +592,16 @@ class OrbitTrace:
     offending step recorded.  `points` is a tuple of points, each a tuple
     of coordinates: whatever the caller passed in or, for a trace made by
     orbit_iterate, mpc values rounded to precision_bits that are built on
-    first read from the engine's integer form, which is then dropped.
+    first read from the engine's integer form, which the trace keeps.
     """
 
-    __slots__ = ("_points", "_blocks", "_engine", "precision_bits",
-                 "source", "diverged", "diverged_at")
+    __slots__ = ("_points", "_blocks", "precision_bits", "source",
+                 "diverged", "diverged_at")
 
     def __init__(self, points, precision_bits, source=None, diverged=False,
                  diverged_at=None):
         self._points = tuple(points)
         self._blocks = None
-        self._engine = False
         self.precision_bits = precision_bits
         self.source = source
         self.diverged = diverged
@@ -615,7 +613,6 @@ class OrbitTrace:
         trace = cls((), precision_bits, source, diverged, diverged_at)
         trace._points = None
         trace._blocks = blocks
-        trace._engine = True
         return trace
 
     @property
@@ -623,19 +620,20 @@ class OrbitTrace:
         pts = self._points
         if pts is None:
             pts = self._points = tuple(map(mpc_point, self.raw_points()))
-            self._blocks = None
         return pts
+
+    def _engine_blocks(self):
+        if self._blocks is None:
+            raise PreconditionViolated("trace keeps no engine points")
+        return self._blocks
 
     def raw_points(self):
         """Per point, in order, the list of mpmath value tuples (re_1,
         im_1, ..., re_n, im_n) of its coordinates, rounded to
         precision_bits.  Only a trace made by orbit_iterate has this
-        form; once its points are read, they give it back exactly."""
-        if not self._engine:
-            raise PreconditionViolated("trace keeps no engine points")
-        if self._blocks is None:
-            return ([p for x in z for p in x._mpc_] for z in self._points)
-        return (rounded_parts(pt, self.precision_bits) for pt in self._blocks)
+        form."""
+        bits = self.precision_bits
+        return (rounded_parts(pt, bits) for pt in self._engine_blocks())
 
     def decimal_points(self, dps):
         """Per point, in order, the list of strings that
@@ -643,10 +641,8 @@ class OrbitTrace:
         raw_points entry, spelled from the integers by
         orbitplan.decimal_formatter."""
         spell = decimal_formatter(self.precision_bits, dps)
-        if self._blocks is None:
-            return ([spell(-m if s else m, e) for s, m, e, _ in raw]
-                    for raw in self.raw_points())
-        return ([spell(m, exp) for m in man] for exp, man in self._blocks)
+        return ([spell(m, exp) for m in man]
+                for exp, man in self._engine_blocks())
 
     def __len__(self):
         return len(self._points if self._blocks is None else self._blocks)
@@ -1281,7 +1277,7 @@ def planar_classification(F):
     notes = []
     if root is not None:
         branches = [root] if not root else [root, -root]
-        one, half = _ONE, GaussianRational(Fraction(1, 2))
+        one, half = QI_ONE, GaussianRational(Fraction(1, 2))
     else:
         rc = cmath.sqrt(complex(eta.to_complex()))
         branches = [rc, -rc]
@@ -1321,7 +1317,7 @@ def parabolic_classification(F):
     - everything else is reported unresolved, never guessed.
     """
     S = F.structure
-    if any(x != _ONE for x in S.lam):
+    if any(x != QI_ONE for x in S.lam):
         raise UnsupportedSpectrum(
             "classification covers germs with every block eigenvalue equal to 1"
         )

@@ -33,7 +33,9 @@ from .series import (
     PolyMapGerm,
     TruncatedSeries,
     _quadratic_matrices,
+    _unit,
     monomial_divide,
+    monomial_substitute,
     series_multiply,
     series_power,
     series_reciprocal,
@@ -58,33 +60,25 @@ def jordan_matrix(S):
 def germ_from_terms(S, terms, cap=2):
     """Input germ over structure S: the Jordan linear part plus extra terms.
 
-    terms maps (component j, exponent tuple) to a coefficient; all entries
-    of degree >= 2.  The usual way to build test and demo germs.
+    terms maps (component j, exponent tuple) to an exact coefficient, with
+    1 <= j <= n; all entries of degree >= 2.  The usual way to build test
+    and demo germs.
     """
     n = S.n
-    J = jordan_matrix(S)
-    by_comp = {}  # component j -> its coefficients, linear entries first
-    for j in range(1, n + 1):
-        coeffs = by_comp[j] = {}
-        for i in range(n):
-            if J[j - 1][i]:
-                e = [0] * n
-                e[i] = 1
-                coeffs[tuple(e)] = J[j - 1][i]
+    # component j - 1 -> its coefficients, the Jordan linear part first
+    by_comp = [{_unit(i, n): c for i, c in enumerate(row) if c}
+               for row in jordan_matrix(S)]
     for (j, exps), c in terms.items():
-        coeffs = by_comp.get(j)
-        if coeffs is None:
-            continue  # no such component
+        if not 1 <= j <= n:
+            raise PreconditionViolated(
+                "term component %r outside 1..%d" % (j, n))
         if sum(exps) < 2:
             raise PreconditionViolated(
                 "extra terms must have degree >= 2; the linear part "
                 "comes from the structure"
             )
-        ee = tuple(exps)
-        add = c if isinstance(c, GaussianRational) else GaussianRational(c)
-        prev = coeffs.get(ee)
-        coeffs[ee] = add if prev is None else prev + add
-    comps = [TruncatedSeries(n, cap, by_comp[j]) for j in range(1, n + 1)]
+        by_comp[j - 1][tuple(exps)] = c
+    comps = [TruncatedSeries(n, cap, coeffs) for coeffs in by_comp]
     return InputGerm(S, PolyMapGerm(comps))
 
 
@@ -138,32 +132,6 @@ class LiftedMap:
         return self.series.components[j - 1]
 
 
-def _push_through_monomials(f, forward, cap):
-    """f(z) with z_j replaced by the forward monomials, truncated at cap.
-
-    Each input term maps to a single monomial in w, so this is exponent
-    bookkeeping, not general composition.
-    """
-    nvars = len(forward[0])
-    out = {}
-    for e, c in f.coeffs.items():
-        new = [0] * nvars
-        for j, p in enumerate(e):
-            if not p:
-                continue
-            row = forward[j]
-            for i in range(nvars):
-                if row[i]:
-                    new[i] += p * row[i]
-        if sum(new) > cap:
-            continue
-        key = tuple(new)
-        prev = out.get(key)
-        out[key] = c if prev is None else prev + c
-    out = {e: c for e, c in out.items() if c}
-    return TruncatedSeries(nvars, cap, out, _canonical=True)
-
-
 def lift(F, k, D):
     """The stage-k lift of F in the distinguished chart, truncated at D."""
     S = F.structure
@@ -186,7 +154,7 @@ def lift(F, k, D):
         def product(pairs, budget):
             acc = None
             for j, t in pairs:
-                fj = _push_through_monomials(
+                fj = monomial_substitute(
                     F.map.components[j], pf.forward, budget
                 )
                 fac = series_power(fj, t) if t != 1 else fj
@@ -506,7 +474,7 @@ def semiconjugacy_residual(F, L):
                 continue
             f = lifted_power(i, p)
             lhs = f if lhs is None else series_multiply(lhs, f)
-        rhs = _push_through_monomials(F.map.components[j - 1], pf.forward, D)
+        rhs = monomial_substitute(F.map.components[j - 1], pf.forward, D)
         resid.append(lhs - rhs)
     return resid
 

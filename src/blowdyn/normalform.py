@@ -35,7 +35,8 @@ from .exactalg import (
 )
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
-    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, germ_inverse,
+    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, _unit,
+    germ_inverse,
 )
 
 
@@ -132,10 +133,10 @@ def transform_forms(forms, t, m, b):
     return tuple(out)
 
 
-def form_series(b, cap):
-    """The quadratic form with symmetric matrix b as a truncated series."""
+def _form_coeffs(b):
+    """{exponent: coefficient} of the quadratic form with symmetric matrix b."""
     n = len(b)
-    s = TruncatedSeries.zero(n, cap)
+    coeffs = {}
     for h in range(n):
         for k in range(h, n):
             c = b[h][k] if h == k else b[h][k] + b[k][h]
@@ -143,8 +144,13 @@ def form_series(b, cap):
                 e = [0] * n
                 e[h] += 1
                 e[k] += 1
-                s = s + TruncatedSeries.monomial(e, n, cap, coeff=c)
-    return s
+                coeffs[tuple(e)] = c
+    return coeffs
+
+
+def form_series(b, cap):
+    """The quadratic form with symmetric matrix b as a truncated series."""
+    return TruncatedSeries(len(b), cap, _form_coeffs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +318,10 @@ def _jet_map(cap, t, m, b):
     """The step map z -> Tz + e_m z^t B z as a polynomial germ."""
     n = len(t)
     comps = []
-    for i in range(n):
-        s = TruncatedSeries.zero(n, cap)
-        for j in range(n):
-            if t[i][j]:
-                s = s + TruncatedSeries.variable(j + 1, n, cap) * t[i][j]
-        if i + 1 == m:
-            s = s + form_series(b, cap)
-        comps.append(s)
+    for i, row in enumerate(t):
+        coeffs = _form_coeffs(b) if i + 1 == m else {}
+        coeffs.update((_unit(j, n), c) for j, c in enumerate(row) if c)
+        comps.append(TruncatedSeries(n, cap, coeffs))
     return PolyMapGerm(comps)
 
 

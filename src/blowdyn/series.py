@@ -18,12 +18,14 @@ so adding keys multiplies monomials (no digit can carry below the cap),
 and sorting keys sorts terms by degree.  A real series has an empty
 imaginary dict and multiplies with one integer product per term pair.
 
-Series are never mutated after construction.  Each operation normalises
-its result once (zero numerators dropped, the content shared with `den`
-divided out), so equal series have equal integer forms.  The public
-`coeffs` view, {exponent tuple: GaussianRational}, is built from the
-integer form on first use and cached, as the integer form of a series
-built from coefficients is.
+The integer form is the only layout a series is built in: the
+constructor packs a coefficient dict into it at once, and every
+operation builds its result's form directly.  Series are never mutated
+after construction.  Each form is normal (zero numerators dropped, the
+content shared with `den` divided out), so equal series have equal
+integer forms.  The public `coeffs` view, {exponent tuple:
+GaussianRational}, is read-only; it is built from the integer form on
+first use and cached.
 """
 
 import math
@@ -40,6 +42,7 @@ __all__ = [
     "series_reciprocal",
     "monomial_divide",
     "monomial_multiply",
+    "monomial_substitute",
     "series_evaluate",
     "germ_inverse",
 ]
@@ -52,30 +55,35 @@ _ONE_FORM = (1, {0: 1}, {})  # key 0 is the zero exponent at every cap
 class TruncatedSeries:
     __slots__ = ("nvars", "cap", "_coeffs", "_form")
 
-    def __init__(self, nvars, cap, coeffs=None, _canonical=False):
-        self.nvars = int(nvars)
-        self.cap = int(cap)
-        self._form = None
-        if self.cap < 0:
+    def __init__(self, nvars, cap, coeffs=None):
+        self.nvars = nvars = int(nvars)
+        self.cap = cap = int(cap)
+        if cap < 0:
             raise PreconditionViolated("negative degree cap")
-        if coeffs is None:
-            self._coeffs = {}
-        elif _canonical:
-            self._coeffs = coeffs
-        else:
-            clean = {}
-            for e, c in coeffs.items():
-                e = tuple(int(x) for x in e)
-                if len(e) != self.nvars or any(x < 0 for x in e):
-                    raise PreconditionViolated("bad multi-index %r" % (e,))
-                if sum(e) > self.cap:
-                    raise PreconditionViolated(
-                        "multi-index %r above cap %d" % (e, self.cap)
-                    )
-                c = _as_scalar(c)
-                if c:
-                    clean[e] = c
-            self._coeffs = clean
+        terms = {}  # packed key -> nonzero GaussianRational
+        for e, c in (coeffs or {}).items():
+            e = tuple(map(int, e))
+            if len(e) != nvars or min(e, default=0) < 0:
+                raise PreconditionViolated("bad multi-index %r" % (e,))
+            if sum(e) > cap:
+                raise PreconditionViolated(
+                    "multi-index %r above cap %d" % (e, cap)
+                )
+            c = _as_scalar(c)
+            if c:
+                terms[_pack(e, cap + 1)] = c
+        # each c is reduced, so no prime divides den (the lcm of the c.d)
+        # and every numerator: the form is already normal
+        den = math.lcm(*[c.d for c in terms.values()])
+        re, im = {}, {}
+        for k, c in terms.items():
+            s = den // c.d
+            if c.a:
+                re[k] = c.a * s
+            if c.b:
+                im[k] = c.b * s
+        self._coeffs = None
+        self._form = den, re, im
 
     @classmethod
     def _of_form(cls, nvars, cap, form):
@@ -95,24 +103,15 @@ class TruncatedSeries:
             c = self._coeffs = _coeffs_of(self._form, self.nvars, self.cap)
         return c
 
-    def _int_form(self):
-        f = self._form
-        if f is None:
-            f = self._form = _form_of(self._coeffs, self.cap)
-        return f
-
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def zero(cls, nvars, cap):
-        return cls(nvars, cap, {}, _canonical=True)
+        return cls(nvars, cap)
 
     @classmethod
     def constant(cls, value, nvars, cap):
-        c = _as_scalar(value)
-        if not c:
-            return cls.zero(nvars, cap)
-        return cls(nvars, cap, {(0,) * nvars: c}, _canonical=True)
+        return cls(nvars, cap, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, i, nvars, cap):
@@ -121,17 +120,11 @@ class TruncatedSeries:
             raise PreconditionViolated("variable index out of range")
         if cap < 1:
             raise PreconditionViolated("cap too small to hold a variable")
-        e = [0] * nvars
-        e[i - 1] = 1
-        return cls(nvars, cap, {tuple(e): QI_ONE}, _canonical=True)
+        return cls(nvars, cap, {_unit(i - 1, nvars): QI_ONE})
 
     @classmethod
     def monomial(cls, exps, nvars, cap, coeff=1):
-        e = tuple(int(x) for x in exps)
-        c = _as_scalar(coeff)
-        if not c:
-            return cls.zero(nvars, cap)
-        return cls(nvars, cap, {e: c})
+        return cls(nvars, cap, {tuple(exps): coeff})
 
     # -- inspection -----------------------------------------------------
 
@@ -139,14 +132,14 @@ class TruncatedSeries:
         e = tuple(exps)
         if len(e) != self.nvars or min(e, default=0) < 0 or sum(e) > self.cap:
             return QI_ZERO  # no stored term has this exponent
-        den, re, im = self._int_form()
+        den, re, im = self._form
         k = _pack(e, self.cap + 1)
         return _of(re.get(k, 0), im.get(k, 0), den)
 
     def spelled_terms(self):
         """[(exponent as a list, str(coefficient))] for the nonzero terms,
         sorted by exponent, spelled straight from the integer form."""
-        den, re, im = self._int_form()
+        den, re, im = self._form
         base = self.cap + 1
         # below the degree digit a packed key is the exponent in base B,
         # so sorting keys modulo B**n sorts terms by exponent
@@ -162,7 +155,7 @@ class TruncatedSeries:
 
     def low_degree(self):
         """Smallest total degree with a nonzero term; None for the zero series."""
-        _, re, im = self._int_form()
+        _, re, im = self._form
         if not re and not im:
             return None
         return min(re.keys() | im.keys()) // _shift(self.nvars, self.cap)
@@ -171,11 +164,11 @@ class TruncatedSeries:
         shift = _shift(self.nvars, self.cap)
         return TruncatedSeries._of_form(
             self.nvars, self.cap,
-            _select(self._int_form(), lambda k: k // shift == d),
+            _select(self._form, lambda k: k // shift == d),
         )
 
     def is_zero(self):
-        _, re, im = self._int_form()
+        _, re, im = self._form
         return not re and not im
 
     def __eq__(self, other):
@@ -185,7 +178,7 @@ class TruncatedSeries:
             return False
         if self.cap != other.cap:
             return self.coeffs == other.coeffs
-        return self._int_form() == other._int_form()
+        return self._form == other._form
 
     def __hash__(self):
         raise TypeError("TruncatedSeries is not hashable")
@@ -216,7 +209,7 @@ class TruncatedSeries:
 
     def __neg__(self):
         return TruncatedSeries._of_form(
-            self.nvars, self.cap, _negate(self._int_form())
+            self.nvars, self.cap, _negate(self._form)
         )
 
     def __mul__(self, other):
@@ -245,9 +238,10 @@ class TruncatedSeries:
         polynomial with no dropped terms — lifting uses this for input maps."""
         if cap == self.cap:
             return self  # series are immutable
+        base = cap + 1
         return TruncatedSeries._of_form(
             self.nvars, cap,
-            _rekey(self, cap, lambda e: e if sum(e) <= cap else None),
+            _rekey(self, lambda e: _pack(e, base) if sum(e) <= cap else None),
         )
 
 
@@ -265,27 +259,16 @@ def _pack(e, base):
     return k
 
 
+def _unit(i, nvars):
+    """The exponent of the coordinate w_(i+1)."""
+    return (0,) * i + (1,) + (0,) * (nvars - 1 - i)
+
+
 def _unpack(k, nvars, base):
     e = [0] * nvars
     for i in range(nvars - 1, -1, -1):
         k, e[i] = divmod(k, base)
     return tuple(e)
-
-
-def _form_of(coeffs, cap):
-    if not coeffs:
-        return _ZERO_FORM
-    den = math.lcm(*[c.d for c in coeffs.values()])
-    base = cap + 1
-    re, im = {}, {}
-    for e, c in coeffs.items():
-        k = _pack(e, base)
-        s = den // c.d
-        if c.a:
-            re[k] = c.a * s
-        if c.b:
-            im[k] = c.b * s
-    return den, re, im
 
 
 def _coeffs_of(form, nvars, cap):
@@ -319,16 +302,16 @@ def _select(form, keep):
                    {k: v for k, v in im.items() if keep(k)})
 
 
-def _rekey(s, cap, move):
-    """s's integer form re-packed at `cap`, each exponent e moved to
-    move(e); terms with move(e) None are dropped."""
-    den, re, im = s._int_form()
-    old, new = s.cap + 1, cap + 1
+def _rekey(s, move):
+    """s's integer form with the term of exponent e moved to the packed
+    key move(e), or dropped where move(e) is None; move is one-to-one."""
+    den, re, im = s._form
+    base = s.cap + 1
     keys = {}
     for k in (re.keys() | im.keys()) if im else re:
-        e = move(_unpack(k, s.nvars, old))
-        if e is not None:
-            keys[k] = _pack(e, new)
+        new = move(_unpack(k, s.nvars, base))
+        if new is not None:
+            keys[k] = new
     return _normal(den, {keys[k]: v for k, v in re.items() if k in keys},
                    {keys[k]: v for k, v in im.items() if k in keys})
 
@@ -424,13 +407,13 @@ def _check_pair(a, b):
 def series_add(a, b):
     _check_pair(a, b)
     return TruncatedSeries._of_form(
-        a.nvars, a.cap, _add(a._int_form(), b._int_form())
+        a.nvars, a.cap, _add(a._form, b._form)
     )
 
 
 def series_scale(a, scalar):
     c = _as_scalar(scalar)
-    return TruncatedSeries._of_form(a.nvars, a.cap, _scale(a._int_form(), c))
+    return TruncatedSeries._of_form(a.nvars, a.cap, _scale(a._form, c))
 
 
 def series_multiply(a, b):
@@ -438,7 +421,7 @@ def series_multiply(a, b):
     cap = a.cap
     return TruncatedSeries._of_form(
         a.nvars, cap,
-        _mul(a._int_form(), b._int_form(), cap, _shift(a.nvars, cap)),
+        _mul(a._form, b._form, cap, _shift(a.nvars, cap)),
     )
 
 
@@ -448,7 +431,7 @@ def series_power(a, p):
         raise PreconditionViolated("negative powers need series_reciprocal")
     return TruncatedSeries._of_form(
         a.nvars, a.cap,
-        _pow(a._int_form(), p, a.cap, _shift(a.nvars, a.cap)),
+        _pow(a._form, p, a.cap, _shift(a.nvars, a.cap)),
     )
 
 
@@ -477,7 +460,7 @@ def series_compose(outer, inner, _power_cache=None):
             raise PreconditionViolated("inner series must vanish at the origin")
     cap = tmpl.cap
     shift = _shift(tmpl.nvars, cap)
-    forms = [s._int_form() for s in inner]
+    forms = [s._form for s in inner]
     cache = {} if _power_cache is None else _power_cache
     m = outer.nvars
 
@@ -494,7 +477,7 @@ def series_compose(outer, inner, _power_cache=None):
             cache[e] = hit
         return hit
 
-    oden, ore, oim = outer._int_form()
+    oden, ore, oim = outer._form
     obase = outer.cap + 1
     oshift = _shift(m, outer.cap)
     terms = []
@@ -533,7 +516,7 @@ def series_reciprocal(u):
     shift = _shift(u.nvars, cap)
     inv_c0 = QI_ONE / c0
     # u = c0 (1 - t) with t of positive order; 1/u = (1/c0) sum t^m
-    t = _select(_scale(u._int_form(), -inv_c0), bool)  # drops the constant -1
+    t = _select(_scale(u._form, -inv_c0), bool)  # drops the constant -1
     acc = p = _ONE_FORM
     for _ in range(cap):
         p = _mul(p, t, cap, shift)
@@ -548,29 +531,52 @@ def monomial_divide(s, m):
     m = tuple(int(x) for x in m)
     if len(m) != s.nvars or any(x < 0 for x in m):
         raise PreconditionViolated("bad divisor multi-index %r" % (m,))
-    deg = sum(m)
-    if deg > s.cap:
+    cap = s.cap - sum(m)
+    if cap < 0:
         raise PreconditionViolated("divisor degree exceeds cap")
 
     def move(e):
-        q = tuple(x - y for x, y in zip(e, m))
+        q = [x - y for x, y in zip(e, m)]
         if any(x < 0 for x in q):
             raise DivisionObstruction(
                 "term w^%r is not divisible by w^%r" % (e, m)
             )
-        return q
+        return _pack(q, cap + 1)
 
-    return TruncatedSeries._of_form(s.nvars, s.cap - deg,
-                                    _rekey(s, s.cap - deg, move))
+    return TruncatedSeries._of_form(s.nvars, cap, _rekey(s, move))
 
 
 def monomial_multiply(s, m, coeff=1):
     """Multiply by coeff * w^m; exact, so the cap grows by |m|."""
     m = tuple(int(x) for x in m)
     cap = s.cap + sum(m)
-    moved = _rekey(s, cap, lambda e: tuple(x + y for x, y in zip(e, m)))
+    km = _pack(m, cap + 1)  # packing is linear: key(e + m) = key(e) + km
+    moved = _rekey(s, lambda e: _pack(e, cap + 1) + km)
     return TruncatedSeries._of_form(s.nvars, cap,
                                     _scale(moved, _as_scalar(coeff)))
+
+
+def monomial_substitute(f, forward, cap):
+    """f(z) with each z_j replaced by the monomial w^forward[j], truncated
+    at cap.  The terms of f are read as a polynomial, whatever f's cap.
+
+    The term z^e becomes w^(e forward): one monomial, so this only re-keys
+    the integer form.  Packing is linear in the exponent, so its key at
+    the new cap is sum_j e_j key(forward[j]), and a key is at least
+    (cap + 1) B^n exactly when its degree exceeds the cap.  The exponent
+    matrix must be invertible, so that no two terms land on one key: the
+    blow-up projections are, as blowup._projection_formulas inverts them
+    with invert_unimodular_int_matrix.
+    """
+    nvars = len(forward[0])
+    weights = [_pack(row, cap + 1) for row in forward]
+    top = (cap + 1) * _shift(nvars, cap)
+
+    def move(e):
+        k = sum(p * w for p, w in zip(e, weights))
+        return k if k < top else None
+
+    return TruncatedSeries._of_form(nvars, cap, _rekey(f, move))
 
 
 def series_evaluate(s, point):
@@ -620,15 +626,8 @@ class PolyMapGerm:
 
     def linear_matrix(self):
         n = self.n
-        out = []
-        for s in self.components:
-            row = []
-            for j in range(n):
-                e = [0] * n
-                e[j] = 1
-                row.append(s.coefficient(e))
-            out.append(row)
-        return out
+        return [[s.coefficient(_unit(j, n)) for j in range(n)]
+                for s in self.components]
 
     def quadratic_coefficient(self, j, h, k):
         """Symmetrized quadratic coefficient a^j_{hk} (1-based); the z_h z_k
@@ -706,16 +705,11 @@ def germ_inverse(chi, cap=None):
     L = chi.linear_matrix()
     Linv = invert_matrix(L)
     # start from the inverse linear part
-    comps = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            if Linv[i][j]:
-                e = [0] * n
-                e[j] = 1
-                coeffs[tuple(e)] = Linv[i][j]
-        comps.append(TruncatedSeries(n, cap, coeffs=coeffs, _canonical=True))
-    g = PolyMapGerm(comps)
+    g = PolyMapGerm([
+        TruncatedSeries(n, cap,
+                        {_unit(j, n): c for j, c in enumerate(row) if c})
+        for row in Linv
+    ])
     ident = identity_germ(n, cap)
     chi_cap = chi.as_polynomial_cap(cap)
     for _ in range(2, cap + 1):

@@ -132,7 +132,7 @@ def _reference_forms(doc):
             e = tuple(t["exp"])
             c[e] = c.get(e, 0) + Fraction(t.get("coeff", "1"))
     return [TruncatedSeries(n, cap, {e: GaussianRational(q)
-                                     for e, q in c.items()})._int_form()
+                                     for e, q in c.items()})._form
             for c in comps]
 
 
@@ -165,7 +165,7 @@ def test_parse_map_spec_sums_terms_as_fractions():
     })
     for doc in docs:
         germ, _ = cli.parse_map_spec(doc)
-        got = [s._int_form() for s in germ.map.components]
+        got = [s._form for s in germ.map.components]
         assert got == _reference_forms(doc)
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from blowdyn.blowup import projection_formulas
 from blowdyn.errors import NotJordan, PreconditionViolated
 from blowdyn.lifting import (
     InputGerm,
@@ -23,11 +24,12 @@ from blowdyn.scalars import GaussianRational, parse_scalar
 from blowdyn.series import (
     PolyMapGerm,
     TruncatedSeries,
+    monomial_substitute,
     series_multiply,
     series_reciprocal,
 )
 
-from conftest import STRUCTURES, fatou_germ, rand_lambdas, random_germ
+from conftest import STRUCTURES, fatou_germ, rand_lambdas, rand_rat, random_germ
 
 
 def S_of(mu, lam=None):
@@ -57,6 +59,40 @@ def test_germ_from_terms_rejects_low_degree_extras():
     S = S_of((2,))
     with pytest.raises(PreconditionViolated):
         germ_from_terms(S, {(1, (0, 1)): GaussianRational(5)})
+
+
+@pytest.mark.parametrize("j", [0, 3, -1])
+def test_germ_from_terms_rejects_components_outside_the_map(j):
+    S = S_of((2,))
+    terms = {(j, (2, 0)): GaussianRational(5), (2, (0, 2)): GaussianRational(7)}
+    with pytest.raises(PreconditionViolated):
+        germ_from_terms(S, terms)
+
+
+def test_germ_from_terms_takes_exact_coefficients_only():
+    S = S_of((2,))
+    with pytest.raises(PreconditionViolated):
+        germ_from_terms(S, {(2, (2, 0)): 0.5})
+    F = germ_from_terms(S, {(2, (2, 0)): Fraction(1, 2), (1, (1, 1)): "i"})
+    assert F.map.components[1].coefficient((2, 0)) == \
+        GaussianRational(Fraction(1, 2))
+    assert F.map.components[0].coefficient((1, 1)) == GaussianRational(0, 1)
+
+
+def test_germ_from_terms_places_each_term_as_given():
+    S = S_of((2, 1), (GaussianRational(2), GaussianRational(-1)))
+    F = germ_from_terms(S, {
+        (1, (2, 0, 0)): Fraction(1, 3),
+        (1, (0, 0, 2)): 0,
+        (2, (1, 1, 1)): 5,
+        (3, (0, 1, 1)): GaussianRational(0, 2),
+    }, cap=3)
+    q = GaussianRational
+    assert [s.coeffs for s in F.map.components] == [
+        {(1, 0, 0): q(2), (0, 1, 0): q(1), (2, 0, 0): q(Fraction(1, 3))},
+        {(0, 1, 0): q(2), (1, 1, 1): q(5)},
+        {(0, 0, 1): q(-1), (0, 1, 1): q(0, 2)},
+    ]
 
 
 def test_input_germ_rejects_wrong_linear_part():
@@ -170,6 +206,59 @@ def divisor_action_mismatches(F, D=3):
         if got != target:
             bad.append(j)
     return bad
+
+
+def push_through_monomials(f, forward, cap):
+    """Term-by-term reference for monomial_substitute: f(z) with z_j
+    replaced by the monomial w^forward[j], truncated at cap, one Gaussian
+    rational per term, colliding terms summed."""
+    nvars = len(forward[0])
+    out = {}
+    for e, c in f.coeffs.items():
+        new = [0] * nvars
+        for j, p in enumerate(e):
+            if not p:
+                continue
+            row = forward[j]
+            for i in range(nvars):
+                if row[i]:
+                    new[i] += p * row[i]
+        if sum(new) > cap:
+            continue
+        key = tuple(new)
+        prev = out.get(key)
+        out[key] = c if prev is None else prev + c
+    out = {e: c for e, c in out.items() if c}
+    return TruncatedSeries(nvars, cap, out)
+
+
+def test_monomial_substitute_matches_the_term_by_term_reference():
+    rng = random.Random(808)
+    truncated = 0
+    for mu in STRUCTURES:
+        F = random_germ(rng, mu, cap=2)
+        n = F.structure.n
+        # complex coefficients with assorted denominators, degrees 2..4
+        terms = {}
+        for _ in range(3 * n):
+            e = [0] * n
+            for _ in range(rng.randint(2, 4)):
+                e[rng.randrange(n)] += 1
+            terms[(rng.randint(1, n), tuple(e))] = GaussianRational(
+                rand_rat(rng, span=9), rand_rat(rng, span=9))
+        G = germ_from_terms(F.structure, terms, cap=4)
+        for k in range(1, F.structure.ell + 1):
+            forward = projection_formulas(F.structure, k).forward
+            for f in F.map.components + G.map.components:
+                top = max(sum(p * sum(row) for p, row in zip(e, forward))
+                          for e in f.coeffs)
+                for budget in range(0, top + 2):
+                    got = monomial_substitute(f, forward, budget)
+                    want = push_through_monomials(f, forward, budget)
+                    assert (got.nvars, got.cap) == (n, budget)
+                    assert got._form == want._form, (mu, k, budget)
+                    truncated += 0 < len(got.coeffs) < len(f.coeffs)
+    assert truncated > 100
 
 
 def test_divisor_restriction_is_projectivized_differential():

@@ -266,6 +266,8 @@ def test_points_view_rounds_the_integer_form():
     assert syn.n == 2
     with pytest.raises(PreconditionViolated):
         syn.raw_points()
+    with pytest.raises(PreconditionViolated):
+        syn.decimal_points(10)
 
 
 # -- the CSV formatter against mpmath's to_str ------------------------------
@@ -387,5 +389,5 @@ def test_decimal_points_spell_raw_points():
                            precision_bits=96)
     want = [[to_str(x, dps) for x in raw] for raw in tr.raw_points()]
     assert list(tr.decimal_points(dps)) == want
-    tr.points                              # the integers are dropped
+    tr.points                              # the integers are kept
     assert list(tr.decimal_points(dps)) == want

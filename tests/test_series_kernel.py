@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from blowdyn.errors import PreconditionViolated
 from blowdyn.scalars import GaussianRational
 from blowdyn.series import (
     TruncatedSeries,
@@ -82,7 +83,7 @@ def assert_canonical(s):
     denominator is the lcm of every part's denominator."""
     assert all(c for c in s.coeffs.values())
     assert all(sum(e) <= s.cap for e in s.coeffs)
-    den, re, im = s._int_form()
+    den, re, im = s._form
     assert 0 not in re.values() and 0 not in im.values()
     parts = [q.denominator for c in s.coeffs.values() for q in (c.re, c.im)]
     assert den == math.lcm(1, *parts)
@@ -112,7 +113,7 @@ def test_coprime_denominators_with_a_large_lcm():
     a = rand_coeffs(rng, 3, 6, 12, "coprime")
     b = rand_coeffs(rng, 3, 6, 12, "coprime")
     sa, sb = series(3, 6, a), series(3, 6, b)
-    assert sa._int_form()[0] > 10 ** 12
+    assert sa._form[0] > 10 ** 12
     got = sa * sb
     assert got.coeffs == ref_mul(a, b, 6)
     assert_canonical(got)
@@ -125,7 +126,7 @@ def test_pure_imaginary_products_are_real():
     got = series(2, 6, a) * series(2, 6, b)
     assert got.coeffs == ref_mul(a, b, 6)
     assert all(c.im == 0 for c in got.coeffs.values())
-    assert not got._int_form()[2]
+    assert not got._form[2]
 
 
 def test_exact_cancellation_is_not_stored():
@@ -237,3 +238,63 @@ def test_spelled_terms_match_the_coefficient_view(nvars, cap, kind):
         for s in (a, b, series_multiply(a, b), a - a):  # integer-form results
             assert s.spelled_terms() == [
                 (list(e), str(c)) for e, c in sorted(s.coeffs.items())]
+
+
+# -- constructors ---------------------------------------------------------
+
+@pytest.mark.parametrize("nvars,cap", [(1, 0), (2, 3), (3, 6), (6, 2)])
+def test_constructors_build_normal_forms(nvars, cap):
+    rng = random.Random("ctor/%d/%d" % (nvars, cap))
+    one = TruncatedSeries.constant(1, nvars, cap)
+    built = [TruncatedSeries.zero(nvars, cap),
+             TruncatedSeries.constant(Fraction(-6, 4), nvars, cap),
+             TruncatedSeries.constant("2/3 - 5/6*i", nvars, cap)]
+    if cap >= 1:
+        built += [TruncatedSeries.variable(i, nvars, cap)
+                  for i in range(1, nvars + 1)]
+    for kind in ("real", "imaginary", "coprime", "complex"):
+        c = rand_scalar(rng, kind)
+        built.append(TruncatedSeries.constant(c, nvars, cap))
+        built.append(TruncatedSeries.monomial(
+            rand_exponent(rng, nvars, cap, 0), nvars, cap, c))
+        built.append(series(nvars, cap, rand_coeffs(rng, nvars, cap, 9, kind)))
+    for s in built:
+        assert_canonical(s)
+        # the form an operation normalises is the one built
+        assert (s * one)._form == s._form
+        assert series(nvars, cap, s.coeffs)._form == s._form
+
+
+def test_zero_coefficients_build_the_zero_series():
+    zero = TruncatedSeries.zero(3, 2)
+    for s in (TruncatedSeries.constant(0, 3, 2),
+              TruncatedSeries.constant(ZERO, 3, 2),
+              TruncatedSeries.constant("0", 3, 2),
+              TruncatedSeries.monomial((1, 0, 1), 3, 2, 0),
+              TruncatedSeries.monomial([0, 2, 0], 3, 2, Fraction(0)),
+              series(3, 2, {(1, 0, 0): ZERO, (0, 0, 0): 0}),
+              series(3, 2, {})):
+        assert s.is_zero() and s.coeffs == {} and s == zero
+        assert s._form == (1, {}, {})
+
+
+@pytest.mark.parametrize("exps", [(1, -1), (1, 0, 0), (1,), (2, 2), (0, 4)])
+@pytest.mark.parametrize("coeff", [1, 0])
+def test_bad_or_above_cap_multi_index_raises(exps, coeff):
+    with pytest.raises(PreconditionViolated):
+        TruncatedSeries.monomial(exps, 2, 3, coeff)
+    with pytest.raises(PreconditionViolated):
+        series(2, 3, {(0, 1): 1, exps: coeff})
+
+
+def test_constructor_rejects_what_is_not_exact():
+    for bad in (0.5, 1j, None, object()):
+        with pytest.raises(PreconditionViolated):
+            TruncatedSeries.constant(bad, 2, 2)
+        with pytest.raises(PreconditionViolated):
+            series(2, 2, {(1, 0): bad})
+    with pytest.raises(PreconditionViolated):
+        TruncatedSeries(2, -1)
+    for i, cap in ((0, 2), (3, 2), (1, 0)):
+        with pytest.raises(PreconditionViolated):
+            TruncatedSeries.variable(i, 2, cap)
