@@ -40,6 +40,7 @@ from .series import (
     series_reciprocal,
     monomial_divide,
     monomial_multiply,
+    germ_solve,
     germ_inverse,
     identity_germ,
 )

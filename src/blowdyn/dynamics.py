@@ -56,7 +56,7 @@ from .errors import (
     PreconditionViolated,
     UnsupportedSpectrum,
 )
-from .exactalg import solve_linear
+from .exactalg import extend_reduced, qi, reduced_solution
 from .lifting import (
     is_diagonalizable,
     lift,
@@ -277,7 +277,7 @@ def _dot(l, x):
 
 
 def _in_space(x, p, basis):
-    """Whether x lies in the affine space (p, basis) that solve_linear
+    """Whether x lies in the affine space (p, basis) that reduced_solution
     returned: each basis vector ends in the 1 at its free unknown."""
     d = [a - b for a, b in zip(x, p)]
     for b in basis:
@@ -287,21 +287,20 @@ def _in_space(x, p, basis):
 
 
 def _solution_spaces(factors, t):
-    """The maximal affine spaces, as solve_linear's (p, basis), whose union
-    solves u_k l(u) = t u_j for every (k, l) = factors[j], t = 1 or 0.
+    """The maximal affine spaces, as reduced_solution's (p, basis), whose
+    union solves u_k l(u) = t u_j for every (k, l) = factors[j], t = 1 or 0.
 
     If k = j or t = 0 the equation is u_k (l(u) - t) = 0 and branches into
     u_k = 0 or l(u) = t; otherwise it is one linear row once u_k is
-    constant on the branch, and a branch where it never is raises."""
+    constant on the branch, and a branch where it never is raises.  Each
+    branch extends its parent's reduced rows by its one new row, and an
+    inconsistent branch is dropped."""
     n = len(factors)
     found = set()
-    todo = [([[QI_ZERO] * n], [QI_ZERO], list(range(n)))]
+    todo = [([], list(range(n)))]
     while todo:
-        rows, rhs, pending = todo.pop()
-        sol = solve_linear(rows, rhs)
-        if sol is None:
-            continue
-        p, basis = sol
+        reduced, pending = todo.pop()
+        p, basis = reduced_solution(reduced, n)
         new = None
         for j in list(pending):
             k, l = factors[j]
@@ -323,7 +322,10 @@ def _solution_spaces(factors, t):
             pending.remove(j)
             break
         if new is not None:
-            todo += [(rows + [row], rhs + [r], list(pending)) for row, r in new]
+            for row, r in new:
+                child = extend_reduced(reduced, row + [r], n)
+                if child is not None:
+                    todo.append((child, list(pending)))
         elif pending:
             raise PreconditionViolated(
                 "component %d stays quadratic on a branch" % (pending[0] + 1))
@@ -355,7 +357,7 @@ def _factored_directions(Q):
             raise PreconditionViolated(
                 "component %d is not one coordinate times a linear form"
                 % (j + 1))
-        factors.append((ks[0], [M[ks[0]][m] * (2 - (m == ks[0]))
+        factors.append((ks[0], [qi(M[ks[0]][m]) * (2 - (m == ks[0]))
                                 for m in range(n)]))
     dirs = [
         CharDirection(v=p, lam=QI_ONE, degenerate=False, mode="factored",

@@ -3,6 +3,11 @@
 Matrices are plain lists of lists of GaussianRational.  Everything here is
 dense and meant for the small dimensions this package works at (n <= 10 or
 so); clarity and exactness beat asymptotics.
+
+There is one elimination: extend_reduced adds one equation to a reduced
+row echelon form.  solve_linear and invert_matrix fold it over their
+rows, and callers that branch on a shared prefix of equations extend the
+prefix's form once per branch.
 """
 
 from .errors import PreconditionViolated
@@ -53,82 +58,92 @@ def trace(a):
     return sum((a[i][i] for i in range(len(a))), QI_ZERO)
 
 
-def _eliminate(m, p, col):
-    """Scale row p of m to a unit pivot in column col, then clear that
-    column in every other row.  Only the pivot row's nonzero entries take
-    part, as in mat_mul."""
-    row = m[p]
-    inv = QI_ONE / row[col]
-    support = [j for j, x in enumerate(row) if x]
+def extend_reduced(reduced, row, ncols):
+    """The reduced row echelon form of a system with one equation more.
+
+    reduced: the pivot rows so far, as (pivot column, row) pairs sorted by
+    pivot column; each row holds ncols coefficients, 1 at its pivot and 0
+    at every other pivot, and then its right-hand side entries.  row: the
+    new equation in the same layout.  Returns the pairs of the extended
+    system, or None when the new equation contradicts the old ones (its
+    coefficients reduce to 0 but its right-hand side does not).  No row
+    is changed in place, so branches may share their parent's pairs.
+    """
+    new = list(row)
+    for col, prow in reduced:
+        f = new[col]
+        if f:
+            for j, x in enumerate(prow):
+                if x:
+                    new[j] = new[j] - f * x
+    piv = next((j for j in range(ncols) if new[j]), None)
+    if piv is None:
+        return None if any(new[ncols:]) else reduced
+    inv = QI_ONE / new[piv]
+    support = [j for j, x in enumerate(new) if x]
     for j in support:
-        row[j] = row[j] * inv
-    for r, other in enumerate(m):
-        if r != p and other[col]:
-            f = other[col]
+        new[j] = new[j] * inv
+    out = []
+    for col, prow in reduced:
+        f = prow[piv]
+        if f:
+            prow = list(prow)
             for j in support:
-                other[j] = other[j] - f * row[j]
+                prow[j] = prow[j] - f * new[j]
+        out.append((col, prow))
+    at = sum(1 for col, _ in reduced if col < piv)
+    out.insert(at, (piv, new))
+    return out
+
+
+def reduced_solution(reduced, ncols):
+    """(x, basis) of a consistent system in the reduced form that
+    extend_reduced builds: the solution with every free unknown 0, and one
+    null-space vector per free unknown (1 there, 0 at the others)."""
+    x = [QI_ZERO] * ncols
+    for col, row in reduced:
+        x[col] = row[ncols]
+    pivots = {col for col, _ in reduced}
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        b = [QI_ZERO] * ncols
+        b[f] = QI_ONE
+        for col, row in reduced:
+            b[col] = -row[f]
+        basis.append(b)
+    return x, basis
 
 
 def solve_linear(rows, rhs):
     """Solve rows * x = rhs exactly.
 
     rows: list of coefficient lists (possibly overdetermined), rhs: list.
-    Returns None if the system is inconsistent, else (x, basis): the
-    solution with every free unknown 0, and one null-space vector per free
-    unknown (1 there, 0 at the others).  Equal solution sets give equal
-    pairs.
+    Returns None if the system is inconsistent, else reduced_solution's
+    (x, basis).  The reduced row echelon form is unique, so equal
+    solution sets give equal pairs.
     """
     if not rows:
         return [], []
-    m = [list(map(qi, r)) + [qi(b)] for r, b in zip(rows, rhs)]
-    nrows = len(m)
     ncols = len(rows[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        _eliminate(m, rank, col)
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    for r in range(rank, nrows):
-        if m[r][ncols]:
-            return None  # inconsistent
-    x = [QI_ZERO] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    basis = []
-    for f in sorted(set(range(ncols)) - set(pivots)):
-        b = [QI_ZERO] * ncols
-        b[f] = QI_ONE
-        for r, col in enumerate(pivots):
-            b[col] = -m[r][f]
-        basis.append(b)
-    return x, basis
+    reduced = []
+    for r, b in zip(rows, rhs):
+        reduced = extend_reduced(reduced, list(map(qi, r)) + [qi(b)], ncols)
+        if reduced is None:
+            return None
+    return reduced_solution(reduced, ncols)
 
 
 def invert_matrix(a):
     n = len(a)
-    aug = [list(map(qi, row)) + e for row, e in zip(a, identity(n))]
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if aug[r][col]:
-                piv = r
-                break
-        if piv is None:
+    reduced = []
+    for row, e in zip(a, identity(n)):
+        # a row that reduces to 0 still carries its identity part
+        reduced = extend_reduced(reduced, list(map(qi, row)) + e, n)
+        if reduced is None:
             raise PreconditionViolated("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        _eliminate(aug, col, col)
-    return [row[n:] for row in aug]
+    return [row[n:] for _, row in reduced]
 
 
 def invert_unimodular_int_matrix(e):

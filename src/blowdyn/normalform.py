@@ -23,20 +23,23 @@ The two building blocks operate on symmetric coefficient matrices:
 step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
 J, changes them by the closed rule of ``transform_forms``, which is
 ``_shift_correct`` alone when T = I.  The step maps are composed into one
-conjugator, the series is conjugated by it once, and the quadratic
-matrices of that one series are compared with the tracked prediction.
+conjugator chi, the normalized series N is solved for once from
+chi o N = F o chi (chi is never inverted), and the quadratic matrices of
+N are compared with the tracked prediction.  ``eliminate_offdiagonal``
+eliminates its linear system once per n and reuses it for every form.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import (
-    invert_matrix, mat_add, mat_mul, mat_scale, qi, solve_linear, zeros,
+    extend_reduced, invert_matrix, mat_add, mat_mul, mat_scale, qi, zeros,
 )
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
     PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, _unit,
-    germ_inverse,
+    germ_solve,
 )
 
 
@@ -157,6 +160,42 @@ def form_series(b, cap):
 # the two reduction steps
 
 
+@functools.lru_cache(maxsize=None)
+def _offdiagonal_operator(n):
+    """The solution operator of eliminate_offdiagonal's system at dimension n.
+
+    The unknowns are the entries B_ij, i <= j; the equations say that
+    L(B) has phi's entries at every off-diagonal (h, k), h < k, and at
+    every diagonal (h, h) beyond the cutoff.  The system has full row
+    rank, so it is consistent for every phi.  Eliminating it with an
+    identity block as its right-hand side gives, for each pivot unknown,
+    its value as a combination of those entries of phi; the free unknowns
+    are 0, as in solve_linear.  Returns ((i, j), ((h, k), weight), ...)
+    for each pivot unknown with a nonzero combination.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    index = {p: c for c, p in enumerate(pairs)}
+    targets = [(h, k) for h in range(n) for k in range(h + 1, n)]
+    targets += [(h, h) for h in range(diagonal_cutoff(n), n)]
+    reduced = []
+    for r, (h, k) in enumerate(targets):
+        row = [QI_ZERO] * (len(pairs) + len(targets))
+        for (i, j) in ((h - 1, k - 1), (h, k - 1), (h - 1, k)):
+            if i >= 0 and j >= 0:
+                c = index[(i, j) if i <= j else (j, i)]
+                row[c] = row[c] + QI_ONE
+        row[len(pairs) + r] = QI_ONE
+        reduced = extend_reduced(reduced, row, len(pairs))
+        if reduced is None:
+            raise BlowdynError("off-diagonal elimination system is "
+                               "inconsistent for some quadratic forms")
+    return tuple(
+        (pairs[col], tuple((t, w) for t, w in zip(targets, row[len(pairs):])
+                           if w))
+        for col, row in reduced
+    )
+
+
 def eliminate_offdiagonal(phi):
     """Pick a symmetric B with phi - L(B) diagonal and free of square terms
     beyond index ceil(n/2).  Returns (B, reduced matrix).
@@ -164,35 +203,18 @@ def eliminate_offdiagonal(phi):
     The (1,1) entry is preserved; the surviving diagonal entries up to the
     cutoff are the same for every valid choice of B, so setting the free
     unknowns to zero keeps the output deterministic without losing anything.
+    B is one product of phi's entries with the operator that
+    _offdiagonal_operator eliminates once per n.
     """
     a = _symmetric(phi)
     n = len(a)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: c for c, p in enumerate(pairs)}
-
-    def lrow(h, k):
-        row = [QI_ZERO] * len(pairs)
-        for (i, j) in ((h - 1, k - 1), (h, k - 1), (h - 1, k)):
-            if i >= 0 and j >= 0:
-                p = (i, j) if i <= j else (j, i)
-                row[index[p]] = row[index[p]] + QI_ONE
-        return row
-
-    rows, rhs = [], []
-    for h in range(n):
-        for k in range(h + 1, n):
-            rows.append(lrow(h, k))
-            rhs.append(a[h][k])
-    for h in range(diagonal_cutoff(n), n):
-        rows.append(lrow(h, h))
-        rhs.append(a[h][h])
-    sol = solve_linear(rows, rhs)
-    if sol is None:  # the system is always consistent; defensive only
-        raise BlowdynError("off-diagonal elimination system is inconsistent")
     b = [[QI_ZERO] * n for _ in range(n)]
-    for (i, j), c in zip(pairs, sol[0]):
-        b[i][j] = c
-        b[j][i] = c
+    for (i, j), weights in _offdiagonal_operator(n):
+        c = QI_ZERO
+        for (h, k), w in weights:
+            if a[h][k]:
+                c = c + w * a[h][k]
+        b[i][j] = b[j][i] = c
     b = tuple(tuple(row) for row in b)
     l = correction_image(b)
     red = tuple(
@@ -281,9 +303,10 @@ def reduce_diagonal_tail(phi):
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    """normalized is F conjugated once by the full composition chi of the
-    reduction steps, and its quadratic matrices are the ones the step rule
-    predicted; conjugator is only the degree-2 truncation of chi.
+    """normalized is solved for from chi o normalized = F o chi, with chi
+    the full composition of the reduction steps, and its quadratic
+    matrices are the ones the step rule predicted; conjugator is only the
+    degree-2 truncation of chi.
     conjugator o normalized == F o conjugator therefore holds modulo
     degree 3, and exactly only at cap 2."""
 
@@ -333,11 +356,11 @@ def normal_form(F):
     Each reduction step chi_s(z) = T_s z + e_m z^t B_s z is chosen on the
     tracked quadratic matrices.  The one Toeplitz step goes through
     ``transform_forms``; the n steps with T_s = I only shift-correct.  The
-    steps compose into chi = chi_1 o ... o chi_{n+1}, F is conjugated once
-    by chi, and every component's quadratic matrix in that series must
-    equal the tracked prediction.  At cap >= 3 the reported
-    conjugator is the degree-2 truncation of chi, so it conjugates F to
-    normalized only modulo degree 3."""
+    steps compose into chi = chi_1 o ... o chi_{n+1}, normalized is solved
+    for once from chi o normalized = F o chi, and every component's
+    quadratic matrix in that series must equal the tracked prediction.  At
+    cap >= 3 the reported conjugator is the degree-2 truncation of chi, so
+    it conjugates F to normalized only modulo degree 3."""
     g = _as_germ(F)
     n, cap = g.n, g.cap
     if n < 2:
@@ -371,7 +394,7 @@ def normal_form(F):
     chi = steps[0]
     for s in steps[1:]:
         chi = chi.compose(s)
-    work = germ_inverse(chi, cap).compose(g.compose(chi))
+    work = germ_solve(chi, g.compose(chi))
     _require_unipotent_block(work)
     for h, (got, want) in enumerate(zip(_quadratic_matrices(work), forms), 1):
         if got != want:

@@ -31,6 +31,7 @@ first use and cached.
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
+from .exactalg import invert_matrix
 from .scalars import QI_ONE, QI_ZERO, _as_scalar, _of, format_triple
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "monomial_multiply",
     "monomial_substitute",
     "series_evaluate",
+    "germ_solve",
     "germ_inverse",
 ]
 
@@ -151,7 +153,8 @@ class TruncatedSeries:
                 for k in keys]
 
     def constant_term(self):
-        return self.coefficient((0,) * self.nvars)
+        den, re, im = self._form
+        return _of(re.get(0, 0), im.get(0, 0), den)  # key 0: the zero exponent
 
     def low_degree(self):
         """Smallest total degree with a nonzero term; None for the zero series."""
@@ -239,9 +242,11 @@ class TruncatedSeries:
         if cap == self.cap:
             return self  # series are immutable
         base = cap + 1
+        # the terms of degree > cap are the keys from (cap + 1) B**n up
         return TruncatedSeries._of_form(
             self.nvars, cap,
-            _rekey(self, lambda e: _pack(e, base) if sum(e) <= cap else None),
+            _rekey(self, lambda e: _pack(e, base),
+                   below=(cap + 1) * _shift(self.nvars, self.cap)),
         )
 
 
@@ -302,13 +307,16 @@ def _select(form, keep):
                    {k: v for k, v in im.items() if keep(k)})
 
 
-def _rekey(s, move):
+def _rekey(s, move, below=None):
     """s's integer form with the term of exponent e moved to the packed
-    key move(e), or dropped where move(e) is None; move is one-to-one."""
+    key move(e), or dropped where move(e) is None; move is one-to-one.
+    Terms whose key is at least `below` are dropped unread."""
     den, re, im = s._form
     base = s.cap + 1
     keys = {}
     for k in (re.keys() | im.keys()) if im else re:
+        if below is not None and k >= below:
+            continue
         new = move(_unpack(k, s.nvars, base))
         if new is not None:
             keys[k] = new
@@ -625,9 +633,11 @@ class PolyMapGerm:
         return self.components[0].cap
 
     def linear_matrix(self):
-        n = self.n
-        return [[s.coefficient(_unit(j, n)) for j in range(n)]
-                for s in self.components]
+        n, cap = self.n, self.cap
+        # the packed key of w_(j+1) is B**n + B**(n-1-j)
+        keys = [_shift(n, cap) + (cap + 1) ** (n - 1 - j) for j in range(n)]
+        return [[_of(re.get(k, 0), im.get(k, 0), den) for k in keys]
+                for den, re, im in (s._form for s in self.components)]
 
     def quadratic_coefficient(self, j, h, k):
         """Symmetrized quadratic coefficient a^j_{hk} (1-based); the z_h z_k
@@ -694,36 +704,47 @@ def identity_germ(n, cap):
     )
 
 
+def germ_solve(chi, h):
+    """The germ N with chi o N = h, at h's cap.
+
+    chi is read as a polynomial, and its linear part T must be invertible;
+    h must fix the origin.  Write chi = T + R, with R the terms of degree
+    >= 2.  Then N = T^-1 (h - R o N), and the part of R o N of degree d
+    reads only the terms of N below degree d.  So N starts as T^-1 h at
+    cap 1, and pass d = 2..cap solves again at cap d, with the previous
+    pass's N inside R.
+    """
+    n, cap = h.n, h.cap
+    if chi.n != n:
+        raise PreconditionViolated("variable count mismatch")
+    tinv = invert_matrix(chi.linear_matrix())
+    shift = _shift(n, chi.cap)
+    rest = [
+        TruncatedSeries._of_form(n, s.cap, _select(s._form,
+                                                   lambda k: k >= 2 * shift))
+        for s in chi.components
+    ]
+    N = None
+    for d in range(1, cap + 1):
+        rhs = [s.truncated(d)._form for s in h.components]
+        if N is not None:
+            inner = [s.as_polynomial_cap(d) for s in N]
+            cache = {}
+            rhs = [_add(f, _negate(series_compose(r, inner, cache)._form))
+                   for f, r in zip(rhs, rest)]
+        N = []
+        for row in tinv:
+            acc = _ZERO_FORM
+            for c, f in zip(row, rhs):
+                if c:
+                    acc = _add(acc, _scale(f, c))
+            N.append(TruncatedSeries._of_form(n, d, acc))
+    return PolyMapGerm(N)
+
+
 def germ_inverse(chi, cap=None):
     """Compositional inverse of a germ with invertible linear part, to the
-    requested cap (default: chi's cap).  Degree-by-degree correction."""
-    from .exactalg import invert_matrix
-
+    requested cap (default: chi's cap): germ_solve with h the identity."""
     if cap is None:
         cap = chi.cap
-    n = chi.n
-    L = chi.linear_matrix()
-    Linv = invert_matrix(L)
-    # start from the inverse linear part
-    g = PolyMapGerm([
-        TruncatedSeries(n, cap,
-                        {_unit(j, n): c for j, c in enumerate(row) if c})
-        for row in Linv
-    ])
-    ident = identity_germ(n, cap)
-    chi_cap = chi.as_polynomial_cap(cap)
-    for _ in range(2, cap + 1):
-        resid = [
-            a - b for a, b in zip(chi_cap.compose(g).components, ident.components)
-        ]
-        if all(r.is_zero() for r in resid):
-            break
-        corr = []
-        for i in range(n):
-            acc = TruncatedSeries.zero(n, cap)
-            for j in range(n):
-                if Linv[i][j]:
-                    acc = series_add(acc, series_scale(resid[j], Linv[i][j]))
-            corr.append(acc)
-        g = PolyMapGerm([a - b for a, b in zip(g.components, corr)])
-    return g
+    return germ_solve(chi, identity_germ(chi.n, cap))

@@ -280,6 +280,85 @@ def test_factored_entries_are_fixed_distinct_and_maximal():
     assert families
 
 
+def reference_solution_spaces(factors, t):
+    """_solution_spaces with every branch solved from scratch by
+    solve_linear (reference only).  Returns (spaces, number of
+    inconsistent branches)."""
+    n = len(factors)
+    found, inconsistent = set(), 0
+    todo = [([[G(0)] * n], [G(0)], list(range(n)))]
+    while todo:
+        rows, rhs, pending = todo.pop()
+        sol = solve_linear(rows, rhs)
+        if sol is None:
+            inconsistent += 1
+            continue
+        p, basis = sol
+        new = None
+        for j in list(pending):
+            k, l = factors[j]
+            a = None if any(b[k] for b in basis) else p[k]
+            if t and k != j:
+                if a is None:
+                    continue
+                row = [a * x for x in l]
+                row[j] -= G(1)
+                new = [(row, G(0))]
+            elif a == G(0) or dyn._dot(l, p) == t and not any(
+                    dyn._dot(l, b) for b in basis):
+                pending.remove(j)
+                continue
+            else:
+                unit = [G(0)] * n
+                unit[k] = G(1)
+                new = [(unit, G(0)), (l, t)]
+            pending.remove(j)
+            break
+        if new is not None:
+            todo += [(rows + [row], rhs + [r], list(pending))
+                     for row, r in new]
+        elif pending:
+            raise PreconditionViolated(
+                "component %d stays quadratic on a branch" % (pending[0] + 1))
+        else:
+            found.add((tuple(p), tuple(map(tuple, basis))))
+    kept = []
+    for p, basis in sorted(found, key=lambda s: -len(s[1])):
+        if not any(dyn._in_space(p, *o) and all(
+                dyn._in_space([x + y for x, y in zip(p, b)], *o)
+                for b in basis) for o in kept):
+            kept.append((p, basis))
+    return kept, inconsistent
+
+
+def test_solution_spaces_match_from_scratch_branches():
+    rng = random.Random(9)
+    spans = inconsistent = raised = 0
+    for n in range(2, 8):
+        for _ in range(12):
+            factors = []
+            for j in range(n):
+                k = j if rng.random() < 0.4 else rng.randrange(n)
+                l = [G(rng.randint(-2, 2), rng.randint(-1, 1))
+                     if rng.random() < 0.4 else G(0) for _ in range(n)]
+                factors.append((k, l))
+            for t in (G(1), G(0)):
+                try:
+                    want, bad = reference_solution_spaces(factors, t)
+                except PreconditionViolated as e:
+                    with pytest.raises(PreconditionViolated,
+                                       match=str(e)):
+                        dyn._solution_spaces(factors, t)
+                    raised += 1
+                    continue
+                got = dyn._solution_spaces(factors, t)
+                assert [(tuple(p), tuple(map(tuple, b))) for p, b in got] \
+                    == want, (n, factors, t)
+                spans += sum(1 for _, b in want if b)
+                inconsistent += bad
+    assert spans and inconsistent and raised
+
+
 @pytest.mark.parametrize("mu", [(3,), (2, 1), (2, 2), (3, 1)])
 def test_factored_matches_sympy_solve(mu):
     sp = pytest.importorskip("sympy")

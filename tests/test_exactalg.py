@@ -108,6 +108,64 @@ def test_solve_linear_sparse_01_inconsistent():
         assert solve_linear(rows, rhs) is None
 
 
+def gauss_jordan(rows, rhs):
+    """Column-by-column Gauss-Jordan elimination of the whole augmented
+    matrix, read out as solve_linear's (x, basis) (reference only)."""
+    m = [list(r) + [b] for r, b in zip(rows, rhs)]
+    ncols = len(rows[0])
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        p = next((r for r in range(r0, len(m)) if m[r][col]), None)
+        if p is None:
+            continue
+        m[r0], m[p] = m[p], m[r0]
+        m[r0] = [x / m[r0][col] for x in m[r0]]
+        for r in range(len(m)):
+            if r != r0 and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[r0])]
+        pivots.append(col)
+    if any(m[r][ncols] for r in range(len(pivots), len(m))):
+        return None
+    x = [ZERO] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            b = [ZERO] * ncols
+            b[f] = Q(1)
+            for r, col in enumerate(pivots):
+                b[col] = -m[r][f]
+            basis.append(b)
+    return x, basis
+
+
+def test_solve_linear_matches_gauss_jordan():
+    # one row at a time gives the same reduced form as eliminating the
+    # whole matrix at once, on complex, rank-deficient and inconsistent
+    # systems alike
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[Q(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   rng.randint(-1, 1)) if rng.random() < 0.5 else ZERO
+                 for _ in range(ncols)] for _ in range(nrows)]
+        if nrows > 1 and rng.random() < 0.4:
+            rows[-1] = [x + y for x, y in zip(rows[0], rows[-2])]
+        rhs = [Q(rng.randint(-3, 3), rng.randint(-2, 2))
+               for _ in range(nrows)]
+        if rng.random() < 0.5:
+            x = [Q(rng.randint(-3, 3)) for _ in range(ncols)]
+            rhs = [sum((a * b for a, b in zip(r, x)), ZERO) for r in rows]
+        want = gauss_jordan(rows, rhs)
+        assert solve_linear(rows, rhs) == want
+        outcomes.add(None if want is None else bool(want[1]))
+    assert outcomes == {None, False, True}
+
+
 # -- invert_matrix -------------------------------------------------------------
 
 def test_invert_matrix_random():

@@ -5,8 +5,9 @@ from itertools import combinations_with_replacement
 import pytest
 
 from blowdyn.errors import GenericInput, PreconditionViolated
+from blowdyn.exactalg import solve_linear
 from blowdyn.lifting import germ_from_terms
-from blowdyn import normalform
+from blowdyn import normalform, series
 from blowdyn.normalform import (
     correction_image,
     diagonal_cutoff,
@@ -110,6 +111,63 @@ def test_eliminate_random_shape_contract():
                 if i >= cut:
                     assert red[i][i] == ZERO
             assert red[0][0] == a[0][0]
+
+
+def offdiagonal_system(n):
+    """eliminate_offdiagonal's system as rows over the unknowns B_ij,
+    i <= j, and the (h, k) entry of phi each row's right-hand side reads."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    targets = [(h, k) for h in range(n) for k in range(h + 1, n)]
+    targets += [(h, h) for h in range(diagonal_cutoff(n), n)]
+    rows = []
+    for h, k in targets:
+        row = [ZERO] * len(pairs)
+        for i, j in ((h - 1, k - 1), (h, k - 1), (h - 1, k)):
+            if i >= 0 and j >= 0:
+                c = pairs.index((min(i, j), max(i, j)))
+                row[c] = row[c] + Q(1)
+        rows.append(row)
+    return pairs, targets, rows
+
+
+def reference_eliminate_offdiagonal(phi):
+    """One solve_linear of the whole system per call (reference only)."""
+    n = len(phi)
+    pairs, targets, rows = offdiagonal_system(n)
+    x, _ = solve_linear(rows, [phi[h][k] for h, k in targets])
+    b = [[ZERO] * n for _ in range(n)]
+    for (i, j), c in zip(pairs, x):
+        b[i][j] = b[j][i] = c
+    b = tuple(map(tuple, b))
+    l = correction_image(b)
+    red = tuple(tuple(phi[h][k] - l[h][k] for k in range(n))
+                for h in range(n))
+    return b, red
+
+
+def test_offdiagonal_system_has_full_row_rank():
+    # so every phi gives a consistent system, and one elimination per n
+    # serves every right-hand side
+    for n in range(2, 9):
+        pairs, targets, rows = offdiagonal_system(n)
+        _, basis = solve_linear(rows, [ZERO] * len(rows))
+        assert len(pairs) - len(basis) == len(rows), n
+        assert len(normalform._offdiagonal_operator(n)) == len(rows), n
+
+
+def test_eliminate_matches_one_solve_per_call():
+    rng = random.Random(22)
+    for n in range(2, 9):
+        for _ in range(6):
+            a = [[ZERO] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    if rng.random() < 0.7:
+                        a[i][j] = a[j][i] = Q(rand_rat(rng, span=5),
+                                              rand_rat(rng, span=5))
+            a = tuple(map(tuple, a))
+            assert eliminate_offdiagonal(a) \
+                == reference_eliminate_offdiagonal(a), n
 
 
 def test_tail_reduction_kills_late_square_planar():
@@ -400,14 +458,20 @@ def test_step_rule_with_toeplitz_linear_part():
 
 
 def test_normal_form_conjugates_the_series_once(monkeypatch):
+    # one solve of chi o N = F o chi, and no inverse of chi
     calls = []
-    real = normalform.germ_inverse
+    real = normalform.germ_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(normalform, "germ_inverse", counted)
+    def inverted(*args, **kwargs):
+        raise AssertionError("normal_form inverted its conjugator")
+
+    monkeypatch.setattr(normalform, "germ_solve", counted)
+    monkeypatch.setattr(series, "germ_inverse", inverted)
+    assert not hasattr(normalform, "germ_inverse")
     rng = random.Random(85)
     for n in (2, 4, 6):
         del calls[:]

@@ -5,6 +5,7 @@ reciprocal, monomial division) run 1000 deterministic cases each; the
 remaining tests pin down constructors and the germ-level helpers.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from blowdyn.errors import DivisionObstruction, PreconditionViolated
+from blowdyn.exactalg import invert_matrix
 from blowdyn.scalars import GaussianRational
 from blowdyn.series import (
     PolyMapGerm,
     TruncatedSeries,
     germ_inverse,
+    germ_solve,
     identity_germ,
     monomial_divide,
     monomial_multiply,
@@ -218,6 +221,110 @@ def test_germ_inverse_needs_invertible_linear_part():
     w2 = TruncatedSeries.variable(2, n, cap)
     with pytest.raises(PreconditionViolated):
         germ_inverse(PolyMapGerm([w1, w1 + w2 * w2 - w2 * w2]))
+
+
+def reference_germ_inverse(chi, cap):
+    """The inverse by full-cap residual correction (reference only): start
+    from the inverse linear part and subtract T^-1 (chi o g - id) until
+    the residual vanishes."""
+    n = chi.n
+    Linv = invert_matrix(chi.linear_matrix())
+    g = PolyMapGerm([
+        TruncatedSeries(n, cap, {
+            tuple(int(i == j) for i in range(n)): c
+            for j, c in enumerate(row) if c})
+        for row in Linv
+    ])
+    ident = identity_germ(n, cap)
+    chi_cap = chi.as_polynomial_cap(cap)
+    for _ in range(2, cap + 1):
+        resid = [a - b for a, b in zip(chi_cap.compose(g).components,
+                                       ident.components)]
+        if all(r.is_zero() for r in resid):
+            break
+        corr = []
+        for i in range(n):
+            acc = TruncatedSeries.zero(n, cap)
+            for j in range(n):
+                if Linv[i][j]:
+                    acc = acc + Linv[i][j] * resid[j]
+            corr.append(acc)
+        g = PolyMapGerm([a - b for a, b in zip(g.components, corr)])
+    return g
+
+
+def random_complex(rng, nonzero=False):
+    """A small Gaussian rational, real about half of the time."""
+    while True:
+        re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        im = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        c = GaussianRational(re, im if rng.random() < 0.5 else 0)
+        if c or not nonzero:
+            return c
+
+
+def random_invertible_germ(rng, n, cap, toeplitz):
+    """A germ with up to two complex terms of each degree 2..cap, over an
+    upper Toeplitz linear part with alpha_0 != 1 or a dense invertible
+    one."""
+    while True:
+        if toeplitz:
+            alpha = [random_complex(rng, nonzero=True)] + [
+                random_complex(rng) for _ in range(n - 1)]
+            if alpha[0] == GaussianRational(1):
+                continue
+            lin = [[alpha[k - h] if k >= h else GaussianRational(0)
+                    for k in range(n)] for h in range(n)]
+        else:
+            lin = [[random_complex(rng) for _ in range(n)] for _ in range(n)]
+        try:
+            invert_matrix(lin)
+        except PreconditionViolated:
+            continue
+        break
+    comps = []
+    for i in range(n):
+        coeffs = {tuple(int(k == j) for k in range(n)): c
+                  for j, c in enumerate(lin[i]) if c}
+        for d in range(2, cap + 1):
+            for _ in range(rng.randint(0, 2)):
+                mono = [rng.randrange(n) for _ in range(d)]
+                coeffs[tuple(mono.count(k) for k in range(n))] = \
+                    random_complex(rng)
+        comps.append(TruncatedSeries(n, cap, coeffs))
+    return PolyMapGerm(comps)
+
+
+def test_germ_solve_matches_residual_inverse():
+    # germ_inverse is germ_solve with h = id.  chi o N = h has one solution,
+    # N = chi^-1 o h, the old route of normal_form; that composition is
+    # dense, so it is only compared up to n = 4.  Dense linear parts, too,
+    # only up to n = 4, where their coefficients stay small.
+    rng = random.Random(86)
+    for n in range(1, 7):
+        for cap in range(2, 6):
+            for toeplitz in (True, False) if n <= 4 else (True,):
+                chi = random_invertible_germ(rng, n, cap, toeplitz)
+                ref = reference_germ_inverse(chi, cap)
+                assert germ_inverse(chi) == ref, (n, cap, toeplitz)
+                h = random_invertible_germ(rng, n, cap, True)
+                got = germ_solve(chi, h)
+                assert chi.compose(got) == h, (n, cap, toeplitz)
+                if n <= 4:
+                    assert got == ref.compose(h), (n, cap, toeplitz)
+
+
+def test_germ_solve_reads_chi_as_a_polynomial():
+    # a degree-2 conjugator stored at cap 2, solved against a cap-4 target,
+    # as normal_form does: the same as chi stored at the target's cap
+    rng = random.Random(87)
+    for n in (2, 3, 4):
+        chi = random_invertible_germ(rng, n, 2, True)
+        h = random_invertible_germ(rng, n, 4, False)
+        want = reference_germ_inverse(chi, 4).compose(h)
+        assert germ_solve(chi, h) == want
+        assert germ_solve(chi.as_polynomial_cap(4), h) == want
+        assert germ_inverse(chi, 4) == reference_germ_inverse(chi, 4)
 
 
 def test_quadratic_coefficient_symmetrization():
