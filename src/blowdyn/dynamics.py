@@ -38,6 +38,7 @@ nothing is inferred at run time.
 
 import cmath
 import functools
+import itertools
 import math
 import statistics
 from dataclasses import dataclass, replace
@@ -65,7 +66,7 @@ from .lifting import (
 )
 from .orbitplan import (
     OrbitPlan,
-    decimal_formatter,
+    decimal_speller,
     mpc_point,
     radius_test,
     rounded_parts,
@@ -640,11 +641,11 @@ class OrbitTrace:
     def decimal_points(self, dps):
         """Per point, in order, the list of strings that
         mpmath.libmp.to_str(x, dps) gives for each value x of its
-        raw_points entry, spelled from the integers by
-        orbitplan.decimal_formatter."""
-        spell = decimal_formatter(self.precision_bits, dps)
-        return ([spell(m, exp) for m in man]
-                for exp, man in self._engine_blocks())
+        raw_points entry, spelled from the integers by one
+        orbitplan.decimal_speller for the whole trace, so that points of
+        one binary order share its cached sizes."""
+        return itertools.starmap(decimal_speller(self.precision_bits, dps),
+                                 self._engine_blocks())
 
     def __len__(self):
         return len(self._points if self._blocks is None else self._blocks)
@@ -662,10 +663,13 @@ def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
     The orbit runs on the compiled fixed-point engine with
     orbitplan.ORBIT_GUARD_BITS bits beyond precision_bits, so each stored
     point is the image of the one before it to 2^-precision_bits relative
-    to its sup norm.  If a coordinate leaves the disc of the given radius
-    (|z_j| > radius, decided exactly) the trace is truncated before that
-    point and flagged with the offending step; no exception is raised.
-    The radius must be finite and positive.
+    to its sup norm; each step is one call of the compiled OrbitPlan.step.
+    If a coordinate leaves the disc of the given radius (|z_j| > radius,
+    decided exactly) the trace is truncated before that point and flagged
+    with the offending step; no exception is raised.  The exact test runs
+    only on points whose exponent is above the radius test's safe bound
+    (orbitplan.radius_test), since a renormalised point below it is
+    inside.  The radius must be finite and positive.
     """
     g = _as_germ(F)
     if len(z0) != g.n:
@@ -674,16 +678,18 @@ def orbit_iterate(F, z0, steps, precision_bits=128, radius=DEFAULT_RADIUS):
         raise PreconditionViolated("need at least one step")
     outside = radius_test(radius)
     plan = OrbitPlan(g, precision_bits)
-    forward = plan.forward
+    step = plan.step
+    inside = outside.safe - plan.work - 1
     pt = plan.point(z0)
     pts = [pt]
+    append = pts.append
     diverged_at = None
-    for step in range(1, steps + 1):
-        pt = forward(pt)
-        if outside(pt):
-            diverged_at = step
+    for k in range(1, steps + 1):
+        pt = step(*pt)
+        if pt[0] > inside and outside(pt):
+            diverged_at = k
             break
-        pts.append(pt)
+        append(pt)
     return OrbitTrace._of_blocks(
         pts, precision_bits, F, diverged_at is not None, diverged_at)
 
@@ -738,10 +744,11 @@ def standard_orbit_seed(F, k0=50, settle=20000, precision_bits=128,
         raise PreconditionViolated("settle must be positive")
     outside = radius_test(radius)
     plan = OrbitPlan(_as_germ(F), precision_bits)
+    inside = outside.safe - plan.work - 1
     z = plan.point(profile_point(F, k0 + settle, precision_bits=plan.work))
     for step in range(1, settle + 1):
         z = plan.preimage(z, step)
-        if outside(z):
+        if z[0] > inside and outside(z):
             raise NonConvergent(
                 "backward refinement left the orbit radius; "
                 "reduce settle or start further out", step=step)

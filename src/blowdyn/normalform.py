@@ -70,18 +70,18 @@ def _symmetric(rows):
 
 def correction_image(b):
     """Apply the shift-correction operator L to a symmetric matrix."""
-    b = _symmetric(b)
-    n = len(b)
+    return _correction_image(_symmetric(b))
 
-    def ent(i, j):
-        return b[i][j] if i >= 0 and j >= 0 else QI_ZERO
 
-    return tuple(
-        tuple(
-            ent(h - 1, k - 1) + ent(h, k - 1) + ent(h - 1, k) for k in range(n)
-        )
-        for h in range(n)
-    )
+def _correction_image(b):
+    """L(B) for a symmetric tuple b of Gaussian rationals, as built in
+    this module: only the in-range entries are added, so row 0 and
+    column 0 are shifted copies of b."""
+    out = [(QI_ZERO,) + row[:-1] for row in b[:1]]
+    for up, row in zip(b, b[1:]):
+        out.append((up[0],) + tuple(
+            x + y + z for x, y, z in zip(up, row, up[1:])))
+    return tuple(out)
 
 
 def toeplitz_upper(alpha):
@@ -107,7 +107,7 @@ def _shift_correct(forms, m, b):
     out = list(forms)
     out[m - 1] = tuple(
         tuple(x - y for x, y in zip(rp, rl))
-        for rp, rl in zip(forms[m - 1], correction_image(b))
+        for rp, rl in zip(forms[m - 1], _correction_image(b))
     )
     if m > 1:
         out[m - 2] = tuple(map(tuple, mat_add(forms[m - 2], b)))
@@ -124,7 +124,8 @@ def transform_forms(forms, t, m, b):
     new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.
     """
     n = len(forms)
-    w = _shift_correct([conjugate_form(p, t) for p in forms], m, b)
+    w = _shift_correct([conjugate_form(p, t) for p in forms], m,
+                       _symmetric(b))
     tinv = invert_matrix(t)
     out = []
     for i in range(n):
@@ -216,7 +217,7 @@ def eliminate_offdiagonal(phi):
                 c = c + w * a[h][k]
         b[i][j] = b[j][i] = c
     b = tuple(tuple(row) for row in b)
-    l = correction_image(b)
+    l = _correction_image(b)
     red = tuple(
         tuple(a[h][k] - l[h][k] for k in range(n)) for h in range(n)
     )

@@ -7,11 +7,14 @@ binary exponent and the integer mantissas man = (re_1, im_1, ..., re_n,
 im_n), so that z_j = 2^exp (re_j + i im_j).  After every step it is
 renormalised so that its largest mantissa has work = precision_bits +
 ORBIT_GUARD_BITS bits, whether the orbit passes near zero or far out.  The
-forward step, the Jacobian and the Newton preimage step run on the same
-plan, and nothing is converted to a float.  mpmath appears only where a
-point enters (OrbitPlan.point) or leaves as mpmath values (rounded_parts,
-mpc_point).  The orbit CSV is spelled from the integers (decimal_formatter);
-it calls mpmath's to_str only for values more than 3500 binary orders from 1.
+forward step (OrbitPlan.step, the image and the renormalisation in one
+compiled function), the Jacobian and the Newton preimage step run on the
+same plan, and nothing is converted to a float.  mpmath appears only where
+a point enters (OrbitPlan.point) or leaves as mpmath values (rounded_parts,
+mpc_point).  The orbit CSV is spelled from the integers, one point at a
+time (decimal_speller), with the working sizes of each binary order
+computed once; it calls mpmath's to_str only for values more than 3500
+binary orders from 1.
 
 dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
 entry points.
@@ -62,65 +65,109 @@ def rounded_parts(pt, prec):
 _LOG2_10 = math.log(10, 2)     # the float mpmath.libmp.to_digits_exp uses
 
 
-def decimal_formatter(prec, dps):
-    """spell(m, exp): mpmath.libmp.to_str(from_man_exp(m, exp, prec,
-    round_nearest), dps), computed on integers.
+def decimal_speller(prec, dps):
+    """spell(exp, man): the list of mpmath.libmp.to_str(from_man_exp(m,
+    exp, prec, round_nearest), dps) over the mantissas m of one point,
+    computed on integers.
 
-    The steps are to_str's, on the integer mantissa: round |m| to prec
-    bits, half to even; take the digits of floor(|x| 10^fixdps) from the
-    fixed-point floor(|x| 2^fixprec), with mpmath's working sizes; round
-    them to dps digits (half up); write them fixed or scientific.  Values
-    more than 3500 binary orders from 1 are left to to_str, which rescales
-    them by a power of ten first."""
+    The steps are to_str's, on each integer mantissa: round |m| to prec
+    bits, half to even; take D = floor(|x| 10^fixdps) from the fixed-point
+    floor(|x| 2^fixprec), with mpmath's working sizes; round D to dps
+    digits, half up on its next digit; write them fixed or scientific.
+    Everything that depends only on the binary order top of the rounded
+    value is computed once per top: fixprec, fixdps and 10^fixdps, the
+    power of ten that tells D's two possible digit counts apart, and for
+    each count the rounding unit and the layout.  Rounding is one divmod
+    by a power of ten, and str runs once per value, on the rounded
+    dps-digit integer.  Values more than 3500 binary
+    orders from 1 are left to to_str, which rescales them by a power of
+    ten first."""
     bitprec = int((dps + 3) * _LOG2_10) + 10
     min_fixed = min(-(dps // 3), -5)
-    pow10 = {}                  # k -> 10^k
+    carried = 10 ** dps
+    orders = {}                 # top -> its fixed-point sizes
 
-    def spell(m, exp):
-        if not m:
-            return "0.0"
-        a = -m if m < 0 else m
-        e = exp
-        n = a.bit_length() - prec
-        if n > 0:
-            t = a >> (n - 1)
-            if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
-                a = (t >> 1) + 1
-            else:
-                a = t >> 1
-            e += n
-        top = e + a.bit_length()
-        if top > 3500 or top < -3500:
-            return to_str(from_man_exp(m, exp, prec, round_nearest), dps)
-        fixprec = bitprec - top if bitprec > top else 0
-        fixdps = int(fixprec / _LOG2_10 + 0.5)
-        shift = e + fixprec
-        sf = a << shift if shift >= 0 else a >> -shift
-        ten = pow10.get(fixdps)
-        if ten is None:
-            ten = pow10[fixdps] = 10 ** fixdps
-        digits = str(sf * ten >> fixprec)
-        exponent = len(digits) - fixdps - 1
-        if len(digits) > dps and digits[dps] >= "5":
-            digits = str(int(digits[:dps]) + 1)
-            if len(digits) > dps:       # 99...9 carried into 100...0
-                digits = digits[:dps]
-                exponent += 1
-        else:
-            digits = digits[:dps]
-        split = 1
+    def layout(exponent, k):
+        """(10^k, 10^k / 2, exponent, split, prefix, sign prefix, suffix)
+        for a D of decimal exponent `exponent` with k digits past dps to
+        round off: `split` digits go before the point, after the prefix
+        (split 0 writes 0.<zeros><digits>), and the suffix follows."""
         if min_fixed < exponent < dps:
             if exponent < 0:
-                digits = "0" * -exponent + digits
+                split, prefix, suffix = 0, "0." + "0" * (-exponent - 1), ""
             else:
-                split = exponent + 1
-            exponent = 0
-        digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-        if digits[-1] == ".":
-            digits += "0"
-        if m < 0:
-            digits = "-" + digits
-        return digits + "e%+d" % exponent if exponent else digits
+                split, prefix, suffix = exponent + 1, "", ""
+        else:
+            split, prefix, suffix = 1, "", "e%+d" % exponent
+        if k <= 0:
+            return None, None, exponent, split, prefix, "-" + prefix, suffix
+        return (10 ** k, 5 * 10 ** (k - 1), exponent, split, prefix,
+                "-" + prefix, suffix)
+
+    def order(top):
+        """fixprec, 10^fixdps, the power of ten between D's two possible
+        digit counts, and the layout for each count."""
+        if top > 3500 or top < -3500:
+            return None
+        fixprec = bitprec - top if bitprec > top else 0
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        ten = 10 ** fixdps
+        # 2^(top-1) <= |x| < 2^top, so D spans at most a factor of two
+        digits = len(str((ten << (top - 1 + fixprec)) >> fixprec))
+        entry = orders[top] = (fixprec, ten, 10 ** digits,
+                               layout(digits - fixdps - 1, digits - dps),
+                               layout(digits - fixdps, digits + 1 - dps))
+        return entry
+
+    def spell(exp, man):
+        out = []
+        append = out.append
+        for m in man:
+            if not m:
+                append("0.0")
+                continue
+            a = -m if m < 0 else m
+            e = exp
+            n = a.bit_length() - prec
+            if n > 0:
+                t = a >> (n - 1)
+                if t & 1 and (t & 2 or a & ((1 << (n - 1)) - 1)):
+                    a = (t >> 1) + 1
+                else:
+                    a = t >> 1
+                e += n
+            top = e + a.bit_length()
+            sizes = orders.get(top) or order(top)
+            if sizes is None:
+                append(to_str(from_man_exp(m, exp, prec, round_nearest), dps))
+                continue
+            fixprec, ten, above, low, high = sizes
+            shift = e + fixprec
+            if shift >= 0:
+                # exact fixed point: floor(|x| 10^fixdps) in one shift
+                d = a * ten << e if e >= 0 else a * ten >> -e
+            else:
+                d = (a >> -shift) * ten >> fixprec
+            unit, half, exponent, split, prefix, minus, suffix = \
+                high if d >= above else low
+            if unit is not None:
+                d, rest = divmod(d, unit)
+                if rest >= half:
+                    d += 1
+                    if d == carried:        # 99...9 carried into 100...0
+                        d //= 10
+                        _, _, exponent, split, prefix, minus, suffix = \
+                            layout(exponent + 1, 0)
+            digits = str(d)
+            if m < 0:
+                prefix = minus
+            if split:
+                append("%s%s.%s%s" % (prefix, digits[:split],
+                                      digits[split:].rstrip("0") or "0",
+                                      suffix))
+            else:
+                append(prefix + digits.rstrip("0"))
+        return out
     return spell
 
 
@@ -149,7 +196,11 @@ def _fixed(num, den, scale):
 
 def radius_test(radius):
     """Predicate on points: is some |z_j| > radius?  Decided exactly,
-    on the exact rational value of `radius`."""
+    on the exact rational value of `radius`.  Its attribute `safe` is the
+    largest integer with 2^safe <= radius.  A point whose mantissas are
+    at most 2^(safe - exp - 1) in absolute value is inside, so a
+    renormalised point, whose mantissas are at most 2^work, needs the
+    test only when exp > safe - work - 1."""
     try:
         r = Fraction(radius)
     except (OverflowError, ValueError, TypeError):
@@ -157,8 +208,6 @@ def radius_test(radius):
     if r is None or r <= 0:
         raise PreconditionViolated("radius must be finite and positive")
     rn2, rd2 = r.numerator ** 2, r.denominator ** 2
-    # 2^safe <= radius, so a point whose mantissas have at most
-    # safe - exp - 1 bits is inside without squaring anything
     safe = r.numerator.bit_length() - r.denominator.bit_length()
     while Fraction(2) ** safe > r:
         safe -= 1
@@ -171,6 +220,7 @@ def radius_test(radius):
         if exp >= 0:
             return (sq * rd2) << (2 * exp) > rn2
         return sq * rd2 > rn2 << (-2 * exp)
+    outside.safe = safe
     return outside
 
 
@@ -193,6 +243,8 @@ class OrbitPlan:
     degree's exact sum is rounded once (toward -infinity) onto that grid.
     The grid lies work bits below the point's own last bit, so F(z) loses
     nothing at the point's precision unless |F(z)| < 2^-work |z|.
+    step(exp, m) is the forward step: the same image, renormalised inline
+    as _renormalize does it, returned as a new point (exp, man).
     """
 
     def __init__(self, g, precision_bits):
@@ -229,7 +281,8 @@ class OrbitPlan:
         self.source = _plan_source(n, work, scale, products, comps, jac)
         space = {}
         exec(compile(self.source, "<orbit plan>", "exec"), space)
-        self.image, self.jacobian = space["image"], space["jacobian"]
+        self.image, self.step = space["image"], space["step"]
+        self.jacobian = space["jacobian"]
         self._inverse = None
 
     def point(self, z):
@@ -241,11 +294,6 @@ class OrbitPlan:
         man = [(q.numerator << -exp) // q.denominator if exp <= 0
                else q.numerator // (q.denominator << exp) for q in parts]
         return _renormalize(exp, man, self.work)
-
-    def forward(self, pt):
-        exp, man = pt
-        return _renormalize(exp - self.work, self.image(man, exp, None),
-                            self.work)
 
     def solve(self, jac, r):
         """x with A x = r, for A = jac (as returned by jacobian, and
@@ -370,7 +418,7 @@ class OrbitPlan:
 
 
 def _plan_source(n, work, scale, products, comps, jac):
-    """Python source of a plan's image and jacobian functions.
+    """Python source of a plan's image, step and jacobian functions.
 
     Slot k's value is x<k> + i y<k>; slot n is the constant 1 and is
     folded into the coefficients.  Only the slots a function reads are
@@ -432,20 +480,33 @@ def _plan_source(n, work, scale, products, comps, jac):
     unpack = "    %s = m" % ", ".join("x%d, y%d" % (i, i) for i in range(n))
     groups = [g for row in comps for g in row.values()]
     degrees = sorted({d for row in comps for d in row})
-    src = ["def image(m, exp, target):", unpack]
-    src += ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
-            for d in degrees]
-    src += table(needed([(0, t) for t in groups]))
+    body = [unpack] + ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
+                       for d in degrees]
+    body += table(needed([(0, t) for t in groups]))
     for j, row in enumerate(comps):
         items = sorted(row.items())
-        src += rounded(items, "r%d" % j, False) + rounded(items, "i%d" % j,
-                                                           True)
-    src.append("    if target is None:")
-    src.append("        return [%s]" % ", ".join(
-        "r%d, i%d" % (j, j) for j in range(n)))
+        body += rounded(items, "r%d" % j, False) + rounded(items, "i%d" % j,
+                                                            True)
+    parts = [v for j in range(n) for v in ("r%d" % j, "i%d" % j)]
+
+    def mantissas(fmt):
+        return "(%s,)" % ", ".join(fmt % v for v in parts)
+
+    src = ["def image(m, exp, target):"] + body
     src.append("    return [%s]" % ", ".join(
-        "r%d - target[%d], i%d - target[%d]" % (j, 2 * j, j, 2 * j + 1)
-        for j in range(n)))
+        "%s - target[%d]" % (v, k) for k, v in enumerate(parts)))
+    # step: the image renormalised as _renormalize does it; the largest
+    # bit length is that of the OR of the absolute values
+    src += ["", "def step(exp, m):"] + body
+    src.append("    s = (%s).bit_length() - %d" % (
+        " | ".join("abs(%s)" % v for v in parts), work))
+    src.append("    if s > 0:")
+    src.append("        return exp + s - %d, %s"
+               % (work, mantissas("%s >> s")))
+    src.append("    if s == -%d:" % work)
+    src.append("        return -%d, %s" % (work, mantissas("%s")))
+    src.append("    return exp + s - %d, %s"
+               % (work, mantissas("%s << -s")))
 
     entries = [g for row in jac for entry in row for g in entry.items()
                if g[0]]

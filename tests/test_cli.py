@@ -754,6 +754,33 @@ def test_orbit_csv_spells_tiny_values_as_to_str(tmp_path):
     assert text.count("e-110") == 7 * 4 - 1
 
 
+@pytest.mark.parametrize("prec", (64, 128, 256))
+def test_orbit_csv_bytes_are_to_str_rows(tmp_path, prec):
+    """A profile-like fatou orbit, written row by row, spells every value
+    as to_str does, at each precision the benchmark uses."""
+    from mpmath.libmp import to_str
+
+    from blowdyn import dynamics
+
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "orbit.csv"
+    start = ("6/2500+1/3000000i", "-12/125000")
+    res = run("orbit", "--map", spec, "--start", ",".join(start),
+              "--steps", "400", "--prec", str(prec), "--csv", str(csv_path),
+              "--k0", "50")
+    assert res.exit_code == 0, res.output
+    trace = dynamics.orbit_iterate(
+        fatou_germ(), [parse_scalar(x) for x in start], 400,
+        precision_bits=prec)
+    digits = int(prec * 0.30103) + 3
+    want = ["k,re_z1,im_z1,re_z2,im_z2"] + [
+        ",".join([str(k)] + [to_str(x, digits) for x in raw])
+        for k, raw in enumerate(trace.raw_points(), 50)]
+    assert csv_path.read_bytes() == "".join(
+        row + "\r\n" for row in want).encode()
+    assert len(want) == 1 + len(trace) > 200
+
+
 def test_preimage_failure_reports_its_step(monkeypatch):
     from blowdyn import dynamics
     from blowdyn.errors import NonConvergent

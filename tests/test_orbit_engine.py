@@ -17,7 +17,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_digits_exp, to_str
 from blowdyn import dynamics as dyn
 from blowdyn.errors import NonConvergent, PreconditionViolated
 from blowdyn.lifting import germ_from_terms
-from blowdyn.orbitplan import OrbitPlan, decimal_formatter
+from blowdyn.orbitplan import OrbitPlan, _renormalize, decimal_speller
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
 from blowdyn.series import _as_germ
@@ -159,6 +159,88 @@ def test_zero_start_point_and_orbit_through_zero():
     assert tr.points[2] == (0.25, 0.125 + 0.015625)
 
 
+def reference_step(plan, exp, man):
+    """The forward step as the image followed by _renormalize."""
+    image = plan.image(man, exp, [0] * len(man))
+    return _renormalize(exp - plan.work, image, plan.work)
+
+
+def test_step_matches_image_then_renormalize():
+    rng = random.Random("step")
+    kinds = {"grow": 0, "shrink": 0, "keep": 0, "zero": 0}
+    for mu, cap, prec in CASES:
+        F = random_germ(rng, mu, cap)
+        plan = OrbitPlan(_as_germ(F), prec)
+        n2 = 2 * sum(mu)
+        starts = [(0, (0,) * n2)]
+        for _ in range(300):
+            bits = rng.choice((0, 1, 2, 3, 8, plan.work - 1, plan.work,
+                               plan.work + 40))
+            man = tuple(rng.getrandbits(bits) * rng.choice((1, -1))
+                        if rng.random() < 0.8 else 0 for _ in range(n2))
+            starts.append((rng.randint(-plan.work - 200, 50), man))
+        for exp, man in starts:
+            want = reference_step(plan, exp, man)
+            assert plan.step(exp, man) == want, (mu, exp, man)
+            image = plan.image(man, exp, [0] * n2)
+            s = max(map(int.bit_length, image)) - plan.work
+            kinds["zero" if s == -plan.work else "grow" if s > 0
+                  else "keep" if s == 0 else "shrink"] += 1
+    # the fatou germ sends (1 + d, -1) to (d, 2d + d^2): the image is far
+    # below the point's size, and (1, -1) goes exactly to the origin
+    plan = OrbitPlan(_as_germ(fatou_germ()), 64)
+    for d in (0, 1, 3, 1 << 20, -(1 << 40)):
+        exp, man = plan.point((Fraction(1) + Fraction(d, 1 << 95), -1))
+        want = reference_step(plan, exp, man)
+        assert plan.step(exp, man) == want
+        kinds["zero" if not any(want[1]) else "shrink"] += 1
+    assert all(count >= 3 for count in kinds.values()), kinds
+
+
+def _exact_outside(pt, radius):
+    exp, man = pt
+    scale = Fraction(2) ** exp
+    return any((x * scale) ** 2 + (y * scale) ** 2 > radius ** 2
+               for x, y in zip(man[::2], man[1::2]))
+
+
+@pytest.mark.parametrize("radius", (Fraction(10), Fraction(1, 3),
+                                    Fraction(1, 1 << 20)))
+def test_diverged_at_matches_the_exact_radius_test(radius):
+    F = fatou_germ()
+    # (0, r) steps to (r, r) exactly, on the circle |z_1| = r; (r, 0)
+    # starts on it; (0, c r (1 + i)) steps to a z_1 whose parts lie in
+    # [2^(safe-1), 2^safe), just inside the circle for c = 0.70 and just
+    # outside for c = 0.72; the others cross it after a few or many steps
+    starts = [(0, radius), (radius, 0), (radius / 2, radius / 4),
+              (radius / 64, 0), (radius / 1024, radius / 4096),
+              (radius / 3, -radius / 5)]
+    starts += [(0, G(c * radius, c * radius))
+               for c in (Fraction(7, 10), Fraction(18, 25))]
+    crossed = 0
+    for prec in (64, 128):
+        plan = OrbitPlan(_as_germ(F), prec)
+        for z0 in starts:
+            tr = dyn.orbit_iterate(F, z0, 300, precision_bits=prec,
+                                   radius=radius)
+            pt, want = plan.point(z0), None
+            for k in range(1, 301):
+                pt = reference_step(plan, *pt)
+                if _exact_outside(pt, radius):
+                    want = k
+                    break
+            assert tr.diverged_at == want, (prec, z0)
+            assert tr.diverged == (want is not None)
+            assert len(tr) == (want or 301)
+            crossed += want is not None
+    assert crossed >= 6
+    # the point on the circle is inside
+    tr = dyn.orbit_iterate(F, (0, radius), 1, radius=radius)
+    if radius.denominator & (radius.denominator - 1) == 0:
+        assert tr.points[1] == (radius, radius)
+    assert not tr.diverged
+
+
 def test_literal_profile_seed_diverges_where_mpmath_does():
     F = fatou_germ()
     z0 = (Fraction(6, 2500), Fraction(-12, 125000))
@@ -287,6 +369,13 @@ def _mp_spell(m, exp, prec, dps):
     return to_str(from_man_exp(m, exp, prec, round_nearest), dps)
 
 
+def _spell_value(prec, dps):
+    """spell(m, exp) of one value, through one decimal_speller (so its
+    caches carry over from value to value)."""
+    spell = decimal_speller(prec, dps)
+    return lambda m, exp: spell(exp, [m])[0]
+
+
 def _near(x, prec, up=False):
     """(m, exp): the prec-bit floor (or ceiling) of the positive rational
     x, as mantissa and exponent."""
@@ -337,7 +426,7 @@ def _format_cases(prec, rng):
 def test_decimal_formatter_matches_to_str(prec):
     rng = random.Random("format/%d" % prec)
     dps = _dps(prec)
-    spell = decimal_formatter(prec, dps)
+    spell = _spell_value(prec, dps)
     cases = _format_cases(prec, rng)
     # values whose digit dps (after the dps kept) is a 5
     fives = 0
@@ -364,7 +453,7 @@ def test_decimal_formatter_carries_all_nines(prec, k):
     _, digits, _ = to_digits_exp(from_man_exp(m, e), dps + 3)
     assert digits[:dps] == "9" * dps and digits[dps] >= "5"
     for sign in (1, -1):
-        got = decimal_formatter(prec, dps)(sign * m, e)
+        got = _spell_value(prec, dps)(sign * m, e)
         assert got == _mp_spell(sign * m, e, prec, dps)
         assert Fraction(got) == sign * Fraction(10) ** k
 
@@ -376,10 +465,53 @@ def test_decimal_formatter_at_other_digit_counts():
         dps = rng.randint(1, 60)
         m = rng.getrandbits(rng.randint(1, prec + 10)) * rng.choice((1, -1))
         e = rng.randint(-150, 150)
-        assert decimal_formatter(prec, dps)(m, e) == \
+        assert _spell_value(prec, dps)(m, e) == \
             _mp_spell(m, e, prec, dps), (m, e, prec, dps)
     # 1 - 2^-20 carries at 5 digits
-    assert decimal_formatter(24, 5)((1 << 20) - 1, -20) == "1.0"
+    assert _spell_value(24, 5)((1 << 20) - 1, -20) == "1.0"
+
+
+def test_decimal_speller_rows_with_one_exponent_far_apart():
+    # one exponent per point, as the engine stores it: values of work bits
+    # beside values many binary orders smaller, and values past the
+    # to_str rescaling boundary
+    rng = random.Random("format/rows")
+    for prec in FORMAT_PRECS:
+        dps = _dps(prec)
+        spell = decimal_speller(prec, dps)
+        work = prec + 32
+        for _ in range(60):
+            exp = rng.choice((rng.randint(-work - 400, 100),
+                              rng.randint(-3600 - work, -3400 - work)))
+            man = [rng.getrandbits(max(1, work - drop))
+                   * rng.choice((1, -1)) for drop in
+                   (0, 1, 33, rng.randint(0, work + 60), 300, work - 1)]
+            man += [0, rng.getrandbits(4)]
+            rng.shuffle(man)
+            assert spell(exp, man) == [_mp_spell(m, exp, prec, dps)
+                                       for m in man], (prec, exp, man)
+
+
+def test_decimal_speller_digit_count_changes_within_one_binary_order():
+    # 2^(top-1) <= 10^k < 2^top: values just below and just above 10^k
+    # share their binary order, and floor(|x| 10^fixdps) gains a digit
+    # between them; the rows alternate so one cached order serves both
+    for prec in FORMAT_PRECS:
+        dps = _dps(prec)
+        spell = decimal_speller(prec, dps)
+        for k in (-30, -4, -1, 1, 2, 9, 40):
+            power = Fraction(10) ** k
+            below = _near(power * (1 - Fraction(1, 10 ** 6)), prec)
+            above = _near(power * (1 + Fraction(1, 10 ** 6)), prec)
+            tops = {e + m.bit_length() for m, e in (below, above)}
+            assert len(tops) == 1
+            exps = set()
+            for m, e in (below, above, below, above):
+                for sign in (1, -1):
+                    got = spell(e, [sign * m, 0])
+                    assert got == [_mp_spell(sign * m, e, prec, dps), "0.0"]
+                exps.add(to_digits_exp(from_man_exp(m, e, prec), dps)[2])
+            assert exps == {k - 1, k}, (prec, k)
 
 
 def test_decimal_points_spell_raw_points():
