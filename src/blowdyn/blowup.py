@@ -147,6 +147,28 @@ def pi_inverse(S, k, z, formulas=None):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def compiled_pi_inverse(S, k):
+    """pi_inverse(S, k, .) compiled once per (structure, stage) into one
+    straight-line function of a sequence of exactly n numbers.
+
+    Each chart coordinate is the product pi_inverse forms: z_h ** p for
+    every nonzero exponent p of its row, multiplied left to right, so the
+    results are the same numbers.  The required coordinates are not
+    tested: a zero one raises ZeroDivisionError, not ZeroCoordinate."""
+    pf = projection_formulas(S, k)
+    names = ["z%d" % h for h in range(S.n)]
+    # every row of the unimodular inverse has a nonzero exponent
+    rows = [" * ".join("%s ** %d" % (names[h], p)
+                       for h, p in enumerate(row) if p)
+            for row in pf.inverse]
+    source = "def pull(z):\n    %s, = z\n    return [%s]\n" % (
+        ", ".join(names), ", ".join(rows))
+    space = {}
+    exec(compile(source, "<stage %d pull-back>" % k, "exec"), space)
+    return space["pull"]
+
+
 def on_singular_divisor(S, k, w):
     """Whether the chart-k point w lies over the blown-up locus."""
     if not 1 <= k <= S.ell:

@@ -489,8 +489,9 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
 
 def _read_trace_csv(path, n):
     """The k column and the points of a trace CSV written by the orbit
-    command, parsed in one pass: k as integers, each re/im pair as one
-    Python complex of the correctly rounded doubles."""
+    command, parsed in one pass: k as a list of integers, and the points
+    as the (N, n) complex array that holds each re/im pair as one complex
+    of the correctly rounded doubles."""
     import numpy as np
 
     with open(path) as fh:
@@ -517,8 +518,7 @@ def _read_trace_csv(path, n):
         r, c = bad[0]
         raise SchemaError("CSV value %s at k = %d, column %s, is not a finite "
                           "double" % (rows["z"][r, c], ks[r], head[1 + c]))
-    z = np.ascontiguousarray(rows["z"]).view(complex)
-    return ks.tolist(), z.tolist()
+    return ks.tolist(), np.ascontiguousarray(rows["z"]).view(complex)
 
 
 @main.command("classify")

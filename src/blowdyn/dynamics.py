@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .blowup import pi_inverse, projection_formulas
+from .blowup import compiled_pi_inverse, projection_formulas
 from .errors import (
     BlowdynError,
     DegenerateDirection,
@@ -99,17 +99,24 @@ def projective_distance(a, b):
     zb = [complex(x) for x in b]
     if len(za) != len(zb):
         raise PreconditionViolated("dimension mismatch")
-    na = math.sqrt(sum(abs(x) ** 2 for x in za))
-    nb = math.sqrt(sum(abs(x) ** 2 for x in zb))
-    if na == 0.0 or nb == 0.0:
+    return _unit_distance(_normalised(za), _normalised(zb))
+
+
+def _normalised(z):
+    """The list z of complex numbers divided by its Euclidean norm."""
+    norm = math.sqrt(sum([abs(x) ** 2 for x in z]))
+    if norm == 0.0:
         raise PreconditionViolated("zero vector has no projective class")
-    za = [x / na for x in za]
-    zb = [x / nb for x in zb]
-    inner = sum(x * y.conjugate() for x, y in zip(za, zb))
+    return [x / norm for x in z]
+
+
+def _unit_distance(za, zb):
+    """projective_distance of two unit vectors of one length."""
+    inner = sum([x * y.conjugate() for x, y in zip(za, zb)])
     if inner == 0:
         return math.sqrt(2.0)
     phase = inner / abs(inner)
-    return math.sqrt(sum(abs(x - phase * y) ** 2 for x, y in zip(za, zb)))
+    return math.sqrt(sum([abs(x - phase * y) ** 2 for x, y in zip(za, zb)]))
 
 
 def _argmax_abs(v):
@@ -595,7 +602,8 @@ class OrbitTrace:
     offending step recorded.  `points` is a tuple of points, each a tuple
     of coordinates: whatever the caller passed in or, for a trace made by
     orbit_iterate, mpc values rounded to precision_bits that are built on
-    first read from the engine's integer form, which the trace keeps.
+    first read from the engine's integer form, which the trace keeps.  An
+    (N, n) numpy array passed in is kept as it is, not made a tuple.
     """
 
     __slots__ = ("_points", "_blocks", "precision_bits", "source",
@@ -603,7 +611,8 @@ class OrbitTrace:
 
     def __init__(self, points, precision_bits, source=None, diverged=False,
                  diverged_at=None):
-        self._points = tuple(points)
+        self._points = (points if getattr(points, "ndim", None) == 2
+                        else tuple(points))
         self._blocks = None
         self.precision_bits = precision_bits
         self.source = source
@@ -894,6 +903,14 @@ def _mean_vec(vecs):
     return tuple(sum(col) / len(vecs) for col in zip(*vecs))
 
 
+def _scatter(vecs, center):
+    """max(projective_distance(v, center) for v in vecs) over vectors of
+    center's length, with center normalised once."""
+    zb = _normalised([complex(x) for x in center])
+    return max(_unit_distance(_normalised([complex(x) for x in a]), zb)
+               for a in vecs)
+
+
 def _direction_cauchy(latest, tol, width):
     """Test projective convergence of a sequence of complex vectors.
 
@@ -905,13 +922,20 @@ def _direction_cauchy(latest, tol, width):
     average away a direction that keeps oscillating, so the spread of the
     last window around its mean must also stay below
     DIRECTION_SCATTER_TOL.  Returns (converged, last mean rep, distances).
+
+    Each vector's moduli are taken once, for the zero test and for the
+    pivot of its representative (the first largest, as _rep picks it).
     """
     reps = []
+    need = REG_WINDOWS * width
     for w in latest:
-        if max(abs(x) for x in w) == 0.0:
+        a = list(map(abs, w))
+        top = max(a)
+        if top == 0.0:
             continue
-        reps.append(_rep(w)[0])
-        if len(reps) == REG_WINDOWS * width:
+        piv = w[a.index(top)]
+        reps.append(tuple([x / piv for x in w]))
+        if len(reps) == need:
             break
     reps.reverse()
     wins = _windows(reps, width)
@@ -921,7 +945,7 @@ def _direction_cauchy(latest, tol, width):
     dists = tuple(
         projective_distance(means[t], means[t + 1]) for t in range(len(means) - 1)
     )
-    scatter = max(projective_distance(r, means[-1]) for r in wins[-1])
+    scatter = _scatter(wins[-1], means[-1])
     rep, _ = _rep(means[-1])
     converged = dists[-1] < tol and scatter < DIRECTION_SCATTER_TOL
     return converged, rep, dists
@@ -961,9 +985,11 @@ class _ChartTail:
     from the newest backwards, so that only samples a verdict reads are
     ever converted.
 
-    Z is the trace as a complex array, rows the indices of the samples
-    (oldest first, time k = k0 + index) and pull maps a point, a list of
-    Python complex numbers, to its chart coordinates (None: identity).
+    Z is the trace as an (N, n) complex array, rows the indices of the
+    samples (oldest first, time k = k0 + index) and pull maps a point, a
+    list of Python complex numbers, to its chart coordinates (None:
+    identity); regularity_classify passes the stage's compiled pull-back
+    through _chart_point.  Only the rows read are made Python numbers.
     """
 
     def __init__(self, Z, rows, k0, pull=None):
@@ -1002,11 +1028,12 @@ class _ChartTail:
             yield self._pts[-1 - i]
 
 
-def _chart_point(S, r, pf, z):
-    """The stage-r chart coordinates of the complex point z; raises
-    NonConvergent where one of them does not fit in a double."""
+def _chart_point(pull, r, z):
+    """The stage-r chart coordinates pull(z) of the complex point z, pull
+    being compiled_pi_inverse of the stage; raises NonConvergent where one
+    of them does not fit in a double."""
     try:
-        w = pi_inverse(S, r, z, formulas=pf)
+        w = pull(z)
         if all(map(cmath.isfinite, w)):
             return w
     except (OverflowError, ZeroDivisionError):  # x ** p out of range
@@ -1037,7 +1064,7 @@ def _stage_verdict(r, lifted, tol, width):
     if len(lifted) < 3 * width:
         return StageVerdict(r, "inconclusive", None, "too few liftable points")
     ks, ws = lifted.last(REG_WINDOWS * width)
-    slope = _log_slope(ks, [max(abs(x) for x in w) for w in ws])
+    slope = _log_slope(ks, [max(map(abs, w)) for w in ws])
     if slope is None:
         return StageVerdict(r, "inconclusive", None, "degenerate norm data")
     if slope < -0.2:
@@ -1086,12 +1113,15 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     explicitly.  tau and window override DIRECTION_TOL and REG_WINDOW for
     the windowed verdicts.
 
-    Every verdict is a floating-point test on the end of the trace.  One
-    pass over the whole trace finds, per stage, which points are liftable
-    (and how many sit on coordinate hyperplanes); only the trailing
-    max(REG_WINDOWS * window, FIT_TAIL) liftable samples of a stage (and,
-    past zero vectors, the few more the direction test skips) are
-    converted to complex floats and pulled back with pi_inverse.
+    Every verdict is a floating-point test on the end of the trace.  A
+    trace whose points are an (N, n) complex array, as the CLI reads a
+    CSV, is used as it is; other points are converted to complex floats
+    once, into one array.  One array pass finds, per stage, which points
+    are liftable (and how many sit on coordinate hyperplanes); only the
+    trailing max(REG_WINDOWS * window, FIT_TAIL) liftable samples of a
+    stage (and, past zero vectors, the few more the direction test skips)
+    are made Python complex numbers and pulled back by the stage's
+    compiled_pi_inverse, which computes pi_inverse's floats.
     """
     import numpy as np
 
@@ -1115,8 +1145,13 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     if trace.diverged:
         notes.append("trace truncated by divergence at step %s" % trace.diverged_at)
     pts = trace.points
-    Z = np.array(pts, dtype=complex)
-    base = np.fromiter(map(any, pts), bool, len(pts))
+    if isinstance(pts, np.ndarray) and pts.dtype == complex:
+        Z = pts
+        base = (Z != 0).any(axis=1)
+    else:
+        # an mpc too small for a double is nonzero but converts to 0j
+        Z = np.array(pts, dtype=complex)
+        base = np.fromiter(map(any, pts), bool, len(pts))
     base[:max(0, 1 - k0)] = False       # times k < 1 carry no verdict
     base_rows = np.flatnonzero(base)
     verdicts = []
@@ -1150,7 +1185,8 @@ def regularity_classify(trace, structure, k0=0, directions=None,
             if skipped:
                 notes.append("stage %d: %d points on coordinate hyperplanes "
                              "skipped" % (r, skipped))
-            pull = functools.partial(_chart_point, S, r, pf)
+            pull = functools.partial(_chart_point, compiled_pi_inverse(S, r),
+                                     r)
             lifted = _ChartTail(Z, rows, k0, pull)
             v = _stage_verdict(r, lifted, tol, width)
             if v.verdict == "first-kind":

@@ -20,6 +20,7 @@ dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
 entry points.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -236,7 +237,7 @@ class OrbitPlan:
     monomial times one variable; every component and every Jacobian entry
     is a sum of (degree, [(slot, re, im), ...]) groups over it.
 
-    The plan is compiled once into straight-line integer code (`source`):
+    The plan is compiled into straight-line integer code:
     image(m, exp, target) gives F at the point 2^exp m minus `target`, on
     the grid 2^(exp - work), and jacobian(m, exp) gives DF there, as the
     matrices of real and of imaginary parts at scale 2^-scale.  Each
@@ -244,7 +245,10 @@ class OrbitPlan:
     The grid lies work bits below the point's own last bit, so F(z) loses
     nothing at the point's precision unless |F(z)| < 2^-work |z|.
     step(exp, m) is the forward step: the same image, renormalised inline
-    as _renormalize does it, returned as a new point (exp, man).
+    as _renormalize does it, returned as a new point (exp, man).  Only
+    step is compiled with the plan (its code is `source`); image and
+    jacobian, which only preimage needs, are each compiled the first time
+    it is read.
     """
 
     def __init__(self, g, precision_bits):
@@ -278,12 +282,18 @@ class OrbitPlan:
                     de = e[:i] + (e[i] - 1,) + e[i + 1:]
                     jac[j][i].setdefault(sum(de), []).append(
                         (slot(de), e[i] * cr, e[i] * ci))
-        self.source = _plan_source(n, work, scale, products, comps, jac)
-        space = {}
-        exec(compile(self.source, "<orbit plan>", "exec"), space)
-        self.image, self.step = space["image"], space["step"]
-        self.jacobian = space["jacobian"]
+        self._tables = (n, work, scale, products, comps, jac)
+        self.source = _plan_source(*self._tables, "step")
+        self.step = _compiled(self.source, "step")
         self._inverse = None
+
+    @functools.cached_property
+    def image(self):
+        return _compiled(_plan_source(*self._tables, "image"), "image")
+
+    @functools.cached_property
+    def jacobian(self):
+        return _compiled(_plan_source(*self._tables, "jacobian"), "jacobian")
 
     def point(self, z):
         """Engine form of a point given by scalars of any supported kind."""
@@ -417,8 +427,15 @@ class OrbitPlan:
         raise NonConvergent("preimage Newton iteration stalled", step=step)
 
 
-def _plan_source(n, work, scale, products, comps, jac):
-    """Python source of a plan's image, step and jacobian functions.
+def _compiled(source, name):
+    """The function `name` that the plan source defines."""
+    space = {}
+    exec(compile(source, "<orbit plan>", "exec"), space)
+    return space[name]
+
+
+def _plan_source(n, work, scale, products, comps, jac, function):
+    """Python source of one plan function: image, step or jacobian.
 
     Slot k's value is x<k> + i y<k>; slot n is the constant 1 and is
     folded into the coefficients.  Only the slots a function reads are
@@ -466,51 +483,61 @@ def _plan_source(n, work, scale, products, comps, jac):
             summands[i:i + PLAN_LINE_TERMS]))
             for i in range(0, len(summands), PLAN_LINE_TERMS)]
 
-    def rounded(groups, name, im, const=()):
+    def rounded(groups, name, im, const=(), fixed=None):
         """Lines setting `name` to the constant terms plus the sum of the
         groups, each degree's exact sum shifted right by s<degree> (left
-        when that is negative)."""
+        when that is negative); degree 1's shift is the constant `fixed`
+        when that is given."""
         lines = assign(name, part(const, im))
         for d, terms in groups:
             lines += assign("a", part(terms, im))
-            lines.append("    %s += a >> s%d if s%d >= 0 else a << -s%d"
-                         % (name, d, d, d))
+            if d == 1 and fixed is not None:
+                lines.append("    %s += a >> %d" % (name, fixed))
+            else:
+                lines.append("    %s += a >> s%d if s%d >= 0 else a << -s%d"
+                             % (name, d, d, d))
         return lines
 
     unpack = "    %s = m" % ", ".join("x%d, y%d" % (i, i) for i in range(n))
+    # degree d's sum is shifted by scale - work - (d - 1) exp; for d = 1
+    # that is the constant scale - work > 0
     groups = [g for row in comps for g in row.values()]
-    degrees = sorted({d for row in comps for d in row})
+    degrees = sorted({d for row in comps for d in row} - {1})
     body = [unpack] + ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
                        for d in degrees]
     body += table(needed([(0, t) for t in groups]))
     for j, row in enumerate(comps):
         items = sorted(row.items())
-        body += rounded(items, "r%d" % j, False) + rounded(items, "i%d" % j,
-                                                            True)
+        body += (rounded(items, "r%d" % j, False, fixed=scale - work)
+                 + rounded(items, "i%d" % j, True, fixed=scale - work))
     parts = [v for j in range(n) for v in ("r%d" % j, "i%d" % j)]
 
     def mantissas(fmt):
         return "(%s,)" % ", ".join(fmt % v for v in parts)
 
-    src = ["def image(m, exp, target):"] + body
-    src.append("    return [%s]" % ", ".join(
-        "%s - target[%d]" % (v, k) for k, v in enumerate(parts)))
-    # step: the image renormalised as _renormalize does it; the largest
-    # bit length is that of the OR of the absolute values
-    src += ["", "def step(exp, m):"] + body
-    src.append("    s = (%s).bit_length() - %d" % (
-        " | ".join("abs(%s)" % v for v in parts), work))
-    src.append("    if s > 0:")
-    src.append("        return exp + s - %d, %s"
-               % (work, mantissas("%s >> s")))
-    src.append("    if s == -%d:" % work)
-    src.append("        return -%d, %s" % (work, mantissas("%s")))
-    src.append("    return exp + s - %d, %s"
-               % (work, mantissas("%s << -s")))
+    if function == "image":
+        src = ["def image(m, exp, target):"] + body
+        src.append("    return [%s]" % ", ".join(
+            "%s - target[%d]" % (v, k) for k, v in enumerate(parts)))
+        return "\n".join(src) + "\n"
+    if function == "step":
+        # the image renormalised as _renormalize does it; the largest bit
+        # length is that of the OR of the absolute values
+        src = ["def step(exp, m):"] + body
+        src.append("    s = (%s).bit_length() - %d" % (
+            " | ".join("abs(%s)" % v for v in parts), work))
+        src.append("    if s > 0:")
+        src.append("        return exp + s - %d, %s"
+                   % (work, mantissas("%s >> s")))
+        src.append("    if s == -%d:" % work)
+        src.append("        return -%d, %s" % (work, mantissas("%s")))
+        src.append("    return exp + s - %d, %s"
+                   % (work, mantissas("%s << -s")))
+        return "\n".join(src) + "\n"
 
     entries = [g for row in jac for entry in row for g in entry.items()
                if g[0]]
-    src += ["", "def jacobian(m, exp):", unpack]
+    src = ["def jacobian(m, exp):", unpack]
     src += ["    s%d = %d * exp" % (d, -d)
             for d in sorted({d for d, _ in entries})]
     src += table(needed(entries))

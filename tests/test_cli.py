@@ -494,12 +494,13 @@ def test_classify_reads_the_doubles_float_reads(tmp_path):
               "--steps", "200", "--prec", "256", "--csv", str(csv_path),
               "--k0", "50")
     assert res.exit_code == 0, res.output
-    ks, pts = cli._read_trace_csv(str(csv_path), 2)
+    ks, z = cli._read_trace_csv(str(csv_path), 2)
     rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
     assert ks == [int(r[0]) for r in rows] == list(range(50, 251))
     want = [[complex(float(r[1 + 2 * j]), float(r[2 + 2 * j]))
              for j in range(2)] for r in rows]
-    assert repr(pts) == repr(want)
+    assert z.shape == (201, 2)
+    assert repr(z.tolist()) == repr(want)
 
 
 @pytest.mark.parametrize("body,message", [

@@ -197,6 +197,19 @@ def test_step_matches_image_then_renormalize():
     assert all(count >= 3 for count in kinds.values()), kinds
 
 
+def test_plan_compiles_image_and_jacobian_on_first_use():
+    plan = OrbitPlan(_as_germ(fatou_germ()), 64)
+    # only step is compiled with the plan, its degree-1 shift a constant
+    assert "def step(" in plan.source and "def image(" not in plan.source
+    assert "s1" not in plan.source
+    assert not {"image", "jacobian"} & set(vars(plan))
+    jacobian = plan.jacobian
+    assert "jacobian" in vars(plan) and "image" not in vars(plan)
+    assert plan.jacobian is jacobian
+    image = plan.image
+    assert plan.image is image
+
+
 def _exact_outside(pt, radius):
     exp, man = pt
     scale = Fraction(2) ** exp

@@ -4,16 +4,24 @@ a whole-trace reference.
 _reference_classify below is the whole-trace algorithm: it converts and
 pulls back every point of the trace at every stage, and its windows and
 fits slice the trailing samples out of the full lists.  The library must
-give the same report, float for float, on every trace here.
+give the same report, float for float, on every trace here.  The steps
+the library computes differently (the compiled pull-back, the one-pass
+representative, the scatter with its center normalised once, and the
+array form of a trace) are pinned to their plain forms the same way.
 """
+
+import cmath
+import math
+import random
 
 import numpy as np
 import pytest
 
 from blowdyn import dynamics as dyn
-from blowdyn.blowup import pi_inverse, projection_formulas
+from blowdyn.blowup import compiled_pi_inverse, pi_inverse, projection_formulas
 from blowdyn.errors import (
     InsufficientData,
+    NonConvergent,
     PreconditionViolated,
     ZeroCoordinate,
 )
@@ -468,3 +476,170 @@ def test_divergence_note_leads_the_notes(window):
     want = _reference_classify(trace, S2, k0=1, window=window)
     assert got == want and repr(got) == repr(want)
     assert got.notes[0] == "trace truncated by divergence at step 1201"
+
+
+# -- the compiled steps equal their plain forms ------------------------------
+
+def _reference_chart_point(S, r, z):
+    """The stage-r chart point as pi_inverse gives it, with _chart_point's
+    overflow rule."""
+    try:
+        w = pi_inverse(S, r, z)
+        if all(map(cmath.isfinite, w)):
+            return w
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise NonConvergent("stage %d chart coordinates overflow double "
+                        "precision" % r)
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except NonConvergent as e:
+        return "NonConvergent: %s" % e
+
+
+def _random_part(rng):
+    """A double of any sign and size, now and then a signed zero."""
+    u = rng.random()
+    if u < 0.1:
+        return rng.choice((0.0, -0.0))
+    mag = 10.0 ** rng.uniform(-320, 308) if u < 0.4 else \
+        10.0 ** rng.uniform(-3, 3)
+    return mag if rng.random() < 0.5 else -mag
+
+
+def _random_point(rng, n, required):
+    pts = []
+    for j in range(1, n + 1):
+        while True:
+            z = complex(_random_part(rng), _random_part(rng))
+            if z or j not in required:
+                break
+        pts.append(z)
+    return pts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_compiled_pull_back_equals_pi_inverse(n):
+    S = build_structure((n,), (G(1),))
+    rng = random.Random(n)
+    overflows = 0
+    for r in range(1, S.ell + 1):
+        pull = compiled_pi_inverse(S, r)
+        assert compiled_pi_inverse(S, r) is pull        # compiled once
+        required = projection_formulas(S, r).required_nonzero
+        for _ in range(2000):
+            z = _random_point(rng, n, required)
+            got = _outcome(dyn._chart_point, pull, r, z)
+            assert got == _outcome(_reference_chart_point, S, r, z), (r, z)
+            overflows += got.startswith("NonConvergent")
+    assert overflows > 100
+
+
+def _reference_projective_distance(a, b):
+    """projective_distance written out in one function, each vector
+    normalised where it is used."""
+    za = [complex(x) for x in a]
+    zb = [complex(x) for x in b]
+    assert len(za) == len(zb)
+    na = math.sqrt(sum(abs(x) ** 2 for x in za))
+    nb = math.sqrt(sum(abs(x) ** 2 for x in zb))
+    if na == 0.0 or nb == 0.0:
+        raise PreconditionViolated("zero vector has no projective class")
+    za = [x / na for x in za]
+    zb = [x / nb for x in zb]
+    inner = sum(x * y.conjugate() for x, y in zip(za, zb))
+    if inner == 0:
+        return math.sqrt(2.0)
+    phase = inner / abs(inner)
+    return math.sqrt(sum(abs(x - phase * y) ** 2 for x, y in zip(za, zb)))
+
+
+def test_scatter_equals_projective_distances():
+    rng = random.Random(5)
+    for n in (2, 3, 5):
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-150, 150)
+            center = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) * scale
+                      for _ in range(n)]
+            vecs = [[x * complex(1 + rng.gauss(0, 1e-3), rng.gauss(0, 1e-3))
+                     for x in center] for _ in range(rng.randint(1, 20))]
+            vecs.append(center)
+            vecs.append([complex(rng.gauss(0, 1), 0.0) for _ in range(n)])
+            vecs.append([1j] + [0j] * (n - 1))
+            want = [_reference_projective_distance(v, center) for v in vecs]
+            got = [dyn.projective_distance(v, center) for v in vecs]
+            assert repr(got) == repr(want)
+            assert repr(dyn._scatter(vecs, center)) == repr(max(want))
+    with pytest.raises(PreconditionViolated, match="no projective class"):
+        dyn._scatter([(1j, 1.0)], (0j, 0j))
+
+
+def _tied_vectors(rng, count, n):
+    """Vectors whose largest moduli often tie, with zero vectors and
+    signed zeros among them."""
+    units = (1.0, -1.0, 1j, -1j, complex(0.6, 0.8), complex(-0.0, -1.0))
+    out = []
+    for _ in range(count):
+        u = rng.random()
+        if u < 0.05:
+            out.append([0j] * n)
+        elif u < 0.6:
+            top = 2.0 ** rng.randint(-60, 60)
+            out.append([rng.choice(units) * top if rng.random() < 0.6
+                        else complex(rng.uniform(-1, 1), 0.0) * top
+                        for _ in range(n)])
+        else:
+            out.append([complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                        for _ in range(n)])
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_pass_representatives_equal_rep(n):
+    rng = random.Random(10 + n)
+    for width in (5, 7, 20):
+        vecs = _tied_vectors(rng, 8 * width, n)
+        got = dyn._direction_cauchy(reversed(vecs), 0.5, width)
+        want = _ref_direction_cauchy(vecs, 0.5, width)
+        assert repr(got) == repr(want)
+
+
+ARRAY_CASES = [
+    ("power-law", lambda w: power_law(), 1, {}),
+    ("oscillating", lambda w: oscillating(), 1, {}),
+    ("first-kind", lambda w: first_kind(), 1, {}),
+    ("hyperplanes", on_hyperplanes, -4, {}),
+    ("kinked", kinked, 1, {}),
+] + [(name, lambda w, make=make: make(), k0, kwargs)
+     for name, make, k0, kwargs, _, _ in EXITS]
+
+
+@pytest.mark.parametrize("window", [5, 40, 50])
+@pytest.mark.parametrize("name,make,k0,kwargs", ARRAY_CASES,
+                         ids=[c[0] for c in ARRAY_CASES])
+def test_array_trace_gives_the_tuple_trace_report(name, make, k0, kwargs,
+                                                  window):
+    pts = make(window)
+    array = dyn.OrbitTrace(points=np.array(pts, dtype=complex),
+                           precision_bits=53, diverged=True, diverged_at=9)
+    assert isinstance(array.points, np.ndarray)
+    assert array.n == 2 and len(array) == len(pts)
+    tuples = dyn.OrbitTrace(points=tuple(pts), precision_bits=53,
+                            diverged=True, diverged_at=9)
+    got = dyn.regularity_classify(array, S2, k0=k0, window=window, **kwargs)
+    want = dyn.regularity_classify(tuples, S2, k0=k0, window=window,
+                                   **kwargs)
+    assert repr(got) == repr(want)
+
+
+def test_array_trace_of_refined_orbit(refined_trace):
+    array = dyn.OrbitTrace(
+        points=np.array(refined_trace.points, dtype=complex),
+        precision_bits=53, source=refined_trace.source)
+    got = dyn.regularity_classify(array, S2, k0=50)
+    assert got.classification == "standard"
+    assert repr(got) == repr(dyn.regularity_classify(refined_trace, S2,
+                                                     k0=50))
