@@ -8,7 +8,7 @@ A map description is a JSON object:
       "dim": 2,
       "blocks": [{"mu": 2, "lambda": "1"}],
       "terms": [{"j": 2, "exp": [2, 0], "coeff": "1"}],
-      "options": {"degree_cap": 4, "precision_bits": 128, "field": "exact"}
+      "options": {"degree_cap": 4, "precision_bits": 128}
     }
 
 The linear part is implied by the blocks; a degree-1 entry in `terms` is
@@ -45,10 +45,10 @@ from .partition import build_structure, splitting
 from .scalars import QI_ONE, GaussianRational, parse_scalar
 
 SCHEMA = "blowdyn/1"
-# Declared ranges (inclusive) of the map file's sizes and of the orbit-path
+# Declared ranges (inclusive) of the map file's sizes and of the command
 # flags; a value outside its range is a SchemaError (exit code 2).
 DIM_RANGE = (1, 12)              # dim
-CAP_RANGE = (2, 16)              # options.degree_cap
+CAP_RANGE = (2, 16)              # options.degree_cap and --degree
 PREC_RANGE = (24, 4096)          # --prec and options.precision_bits, bits
 STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
 WINDOW_RANGE = (5, 10 ** 6)      # --window
@@ -188,8 +188,9 @@ def _expect_range(flag, value, bounds):
 def parse_map_spec(data):
     """Validated input germ from a parsed map-description object.
 
-    Returns (germ, options) where options carries degree_cap,
-    precision_bits and field after defaulting.
+    Returns (germ, options) where options carries degree_cap and
+    precision_bits after defaulting.  options.field, when given, must be
+    "exact".
     """
     _expect(isinstance(data, dict), "top level must be a JSON object")
     tag = data.get("schema")
@@ -214,8 +215,8 @@ def parse_map_spec(data):
     S = build_structure(tuple(mus), tuple(lams))
     opts = data.get("options") or {}
     _expect(isinstance(opts, dict), "options must be an object")
-    field = opts.get("field", "exact")
-    _expect(field == "exact", "only the exact coefficient field is supported")
+    _expect(opts.get("field", "exact") == "exact",
+            "only the exact coefficient field is supported")
     raw_terms = data.get("terms") or []
     _expect(isinstance(raw_terms, list), "terms must be a list")
     J = jordan_matrix(S)
@@ -255,8 +256,7 @@ def parse_map_spec(data):
     prec = opts.get("precision_bits", 128)
     _expect_range("precision_bits", prec, PREC_RANGE)
     germ = germ_from_terms(S, terms, cap=cap)
-    options = {"degree_cap": cap, "precision_bits": prec, "field": field}
-    return germ, options
+    return germ, {"degree_cap": cap, "precision_bits": prec}
 
 
 def load_map_spec(path):
@@ -350,7 +350,10 @@ def charts_cmd(mu_text, lam_text, stage):
     """Monomial tables of the chart projections (forward and inverse)."""
     def run():
         S = _structure_from_flags(mu_text, lam_text)
-        stages = [stage] if stage is not None else list(range(1, S.ell + 1))
+        stages = list(range(1, S.ell + 1))
+        if stage is not None:
+            _expect_range("--stage", stage, (1, S.ell))
+            stages = [stage]
         tables = []
         for k in stages:
             pf = projection_formulas(S, k)
@@ -375,7 +378,10 @@ def charts_cmd(mu_text, lam_text, stage):
 def lift_cmd(map_path, stage, degree, out_path):
     """Lift the germ through the first `stage` blow-ups."""
     def run():
+        if degree is not None:
+            _expect_range("--degree", degree, CAP_RANGE)
         F, opts = load_map_spec(map_path)
+        _expect_range("--stage", stage, (1, F.structure.ell))
         D = degree if degree is not None else opts["degree_cap"]
         L = lift(F, stage, D)
         payload = lifted_map_to_json(L)
@@ -536,6 +542,8 @@ def classify_cmd(map_path, csv_path, tau, window):
     def run():
         if window is not None:
             _expect_range("--window", window, WINDOW_RANGE)
+        _expect(tau is None or (math.isfinite(tau) and tau > 0),
+                "--tau must be finite and positive, got %r", tau)
         F, _ = load_map_spec(map_path)
         ks, pts = _read_trace_csv(csv_path, F.structure.n)
         trace = dynamics.OrbitTrace(points=pts, precision_bits=53, source=F)

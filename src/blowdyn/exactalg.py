@@ -6,8 +6,10 @@ so); clarity and exactness beat asymptotics.
 
 There is one elimination: extend_reduced adds one equation to a reduced
 row echelon form.  solve_linear and invert_matrix fold it over their
-rows, and callers that branch on a shared prefix of equations extend the
-prefix's form once per branch.
+rows, callers that branch on a shared prefix of equations extend the
+prefix's form once per branch, and folded over a matrix's rows alone it
+gives the rank, hence kernel dimensions.  Spectra are read off the
+diagonal of matrices that some ordering of the indices makes triangular.
 """
 
 from .errors import PreconditionViolated
@@ -52,10 +54,6 @@ def mat_add(a, b):
 
 def mat_scale(a, c):
     return [[c * x for x in row] for row in a]
-
-
-def trace(a):
-    return sum((a[i][i] for i in range(len(a))), QI_ZERO)
 
 
 def extend_reduced(reduced, row, ncols):
@@ -157,119 +155,20 @@ def invert_unimodular_int_matrix(e):
     return out
 
 
-# -- univariate polynomials (coefficient lists, lowest degree first) ------
-
-def poly_trim(p):
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def poly_divmod(p, q):
-    p = list(p)
-    q = poly_trim(list(q))
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = [QI_ZERO] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    while len(poly_trim(p)) >= len(q):
-        shift = len(p) - len(q)
-        c = p[-1] / lead
-        out[shift] = c
-        for i, b in enumerate(q):
-            p[shift + i] = p[shift + i] - c * b
-        poly_trim(p)
-    return poly_trim(out), poly_trim(p)
-
-
-def poly_gcd(p, q):
-    p = poly_trim(list(p))
-    q = poly_trim(list(q))
-    while q:
-        _, r = poly_divmod(p, q)
-        p, q = q, r
-    if p:
-        lead = p[-1]
-        p = [c / lead for c in p]
-    return p
-
-
-def poly_deriv(p):
-    return poly_trim([GaussianRational(i) * c for i, c in enumerate(p)][1:])
-
-
-def poly_eval(p, x):
-    acc = QI_ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def is_squarefree(p):
-    g = poly_gcd(p, poly_deriv(p))
-    return len(g) <= 1
-
-
-def charpoly(a):
-    """Characteristic polynomial det(xI - A), exact, lowest degree first.
-
-    Faddeev-LeVerrier recursion; fine for the small sizes used here.
-    """
-    n = len(a)
-    coeffs = [QI_ZERO] * (n + 1)
-    coeffs[n] = QI_ONE
-    m = identity(n)
-    for k in range(1, n + 1):
-        am = mat_mul(a, m)
-        c = -(trace(am) / k)
-        coeffs[n - k] = c
-        m = mat_add(am, mat_scale(identity(n), c))
-    return coeffs
-
-
-def minimal_polynomial(a):
-    """Monic minimal polynomial of A via the first dependence of matrix
-    powers, exact."""
-    n = len(a)
-    powers = [identity(n)]
-    for _ in range(n):
-        powers.append(mat_mul(powers[-1], a))
-    flat = [[x for row in p for x in row] for p in powers]
-    for deg in range(1, n + 1):
-        # solve sum_{i<deg} c_i A^i = -A^deg
-        cols = deg
-        rows = []
-        rhs = []
-        for pos in range(n * n):
-            rows.append([flat[i][pos] for i in range(cols)])
-            rhs.append(-flat[deg][pos])
-        sol = solve_linear(rows, rhs)
-        if sol is not None:
-            return poly_trim(sol[0] + [QI_ONE])
-    raise PreconditionViolated("no minimal polynomial found (broken matrix?)")
-
-
-def eigenvalues_from_diagonal_candidates(a):
-    """Exact eigenvalue multiset when every eigenvalue appears on the
-    diagonal (true for triangular and for the lifted linear parts this
-    package produces).  Returns a dict value->multiplicity, or None when the
-    characteristic polynomial does not split over the diagonal candidates.
-    """
-    p = charpoly(a)
-    candidates = []
-    for i in range(len(a)):
-        d = a[i][i]
-        if d not in candidates:
-            candidates.append(d)
+def triangular_diagonal(a):
+    """The eigenvalue multiset {value: count} of a matrix that some
+    ordering of its indices makes triangular: its diagonal, in diagonal
+    order.  The ordering is found by repeatedly removing the indices whose
+    off-diagonal entries among the indices left are all zero; when that
+    stalls, no ordering exists and PreconditionViolated is raised."""
+    left = set(range(len(a)))
+    while left:
+        done = {i for i in left if not any(a[i][j] for j in left if j != i)}
+        if not done:
+            raise PreconditionViolated(
+                "no ordering of the indices makes the matrix triangular")
+        left -= done
     multis = {}
-    for c in candidates:
-        count = 0
-        while len(p) > 1 and not poly_eval(p, c):
-            p, rem = poly_divmod(p, [-c, QI_ONE])
-            assert not rem
-            count += 1
-        if count:
-            multis[c] = count
-    if len(p) > 1:
-        return None
+    for i, row in enumerate(a):
+        multis[row[i]] = multis.get(row[i], 0) + 1
     return multis

@@ -22,11 +22,7 @@ from .errors import (
     NotJordan,
     PreconditionViolated,
 )
-from .exactalg import (
-    eigenvalues_from_diagonal_candidates,
-    is_squarefree,
-    minimal_polynomial,
-)
+from .exactalg import extend_reduced, triangular_diagonal
 from .partition import splitting
 from .scalars import QI_ONE, QI_ZERO, GaussianRational
 from .series import (
@@ -222,31 +218,15 @@ def lift(F, k, D):
 
 
 def lifted_linear_part(L):
-    """Linear part of the lifted germ plus its eigenvalue multiset.
+    """Linear part of the lifted germ plus its exact eigenvalue multiset.
 
-    The multiset is exact whenever the characteristic polynomial splits over
-    the diagonal entries (always the case for the final-stage lifts this
-    package produces, and for the intermediate unipotent stages).
+    The linear part must be triangular under some ordering of its indices,
+    as it is at every stage of every structure; the multiset is then its
+    diagonal, {value: count} in diagonal order.  Any other matrix raises
+    PreconditionViolated.
     """
     mat = L.series.linear_matrix()
-    multis = eigenvalues_from_diagonal_candidates(mat)
-    if multis is None:
-        import numpy as np
-
-        arr = np.array(
-            [[x.to_complex() for x in row] for row in mat], dtype=complex
-        )
-        vals = np.linalg.eigvals(arr)
-        grouped = []
-        for v in vals:
-            for g in grouped:
-                if abs(v - g[0]) < 1e-9:
-                    g[1] += 1
-                    break
-            else:
-                grouped.append([v, 1])
-        multis = {complex(v): c for v, c in grouped}
-    return mat, multis
+    return mat, triangular_diagonal(mat)
 
 
 def expected_eigenvalue_multiset(S):
@@ -256,30 +236,33 @@ def expected_eigenvalue_multiset(S):
         top = lam1 * lam1 / S.lam[1]
     else:
         top = lam1
-    multis = {}
-
-    def bump(v, c):
-        for key in multis:
-            if key == v:
-                multis[key] += c
-                return
-        multis[v] = c
-
-    bump(top, 1)
+    multis = {top: 1}
     if S.mu[0] > 1:
-        bump(QI_ONE, S.mu[0] - 1)
+        multis[QI_ONE] = multis.get(QI_ONE, 0) + S.mu[0] - 1
     for l in range(1, S.rho):
-        bump(S.lam[l] / lam1, S.mu[l])
+        v = S.lam[l] / lam1
+        multis[v] = multis.get(v, 0) + S.mu[l]
     return multis
 
 
 def is_diagonalizable(mat):
-    """Exact certificate: the minimal polynomial of the exact matrix is
-    squarefree."""
+    """Exact certificate: dim ker(M - lambda I), n minus the rank of the
+    shifted rows' reduced form, equals the multiplicity of every
+    eigenvalue lambda.  M must be exact and triangular under some ordering
+    of its indices; any other matrix raises PreconditionViolated."""
     if not all(isinstance(x, GaussianRational) for row in mat for x in row):
         raise PreconditionViolated(
             "diagonalizability is decided for exact matrices only")
-    return is_squarefree(minimal_polynomial(mat))
+    n = len(mat)
+    for lam, mult in triangular_diagonal(mat).items():
+        reduced = []
+        for i, row in enumerate(mat):
+            shifted = list(row)
+            shifted[i] = shifted[i] - lam
+            reduced = extend_reduced(reduced, shifted, n)
+        if n - len(reduced) != mult:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,17 @@ from blowdyn.scalars import GaussianRational
 STRUCTURES = [(2,), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)]
 
 
+def partitions(n, largest=None):
+    """The partitions of n, as non-increasing tuples."""
+    largest = n if largest is None else largest
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
+
+
 def rand_rat(rng, nonzero=False, span=6):
     while True:
         q = Fraction(rng.randint(-span, span), rng.randint(1, span))

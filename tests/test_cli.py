@@ -54,7 +54,7 @@ def test_parse_map_spec_worked_example():
     germ, opts = cli.parse_map_spec(FATOU_SPEC)
     assert germ.structure.mu == (2,)
     assert germ.is_generic()
-    assert opts == {"degree_cap": 4, "precision_bits": 128, "field": "exact"}
+    assert opts == {"degree_cap": 4, "precision_bits": 128}
 
 
 def test_parse_map_spec_schema_tag_is_optional():
@@ -656,6 +656,34 @@ def test_orbit_path_flag_bounds(tmp_path, flag, values):
     if flag != "--window":
         res = run(*(commands[0] + [flag, "64" if flag == "--prec" else "2"]))
         assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("flag,values,admitted", [
+    ("--degree", ["1", "17", "24"], ["2", "16"]),
+    ("--stage", ["0", "-1", "3"], ["1", "2"]),
+    ("--tau", ["-1", "0", "nan", "inf", "-inf"], ["1e-3", "0.5"]),
+])
+def test_lift_charts_classify_flag_bounds(tmp_path, flag, values, admitted):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = str(tmp_path / "x.csv")
+    res = run("orbit", "--map", spec, "--start", "3/1250,-3/31250",
+              "--steps", "400", "--csv", csv_path)
+    assert res.exit_code == 0, res.output
+    commands = {
+        "--degree": [["lift", "--map", spec, "--stage", "2"]],
+        "--stage": [["lift", "--map", spec], ["charts", "--mu", "2"]],
+        "--tau": [["classify", "--map", spec, "--csv", csv_path]],
+    }[flag]
+    for argv in commands:
+        for value in values:
+            res = run(*(argv + [flag, value]))
+            assert res.exit_code == 2, (argv, value, res.output)
+            err = json.loads(res.stderr)
+            assert err["error"] == "SchemaError"
+            assert err["message"].startswith(flag)
+        for value in admitted:
+            res = run(*(argv + [flag, value]))
+            assert res.exit_code == 0, (argv, value, res.output)
 
 
 @pytest.mark.parametrize("mangle,key", [

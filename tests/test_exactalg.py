@@ -10,8 +10,11 @@ from blowdyn.exactalg import (
     invert_unimodular_int_matrix,
     mat_mul,
     solve_linear,
+    triangular_diagonal,
 )
 from blowdyn.scalars import GaussianRational
+
+from conftest import partitions
 
 Q = GaussianRational
 ZERO = Q(0)
@@ -219,16 +222,6 @@ def _assert_integer_inverse(e, inv):
             assert sum(e[i][k] * inv[k][j] for k in range(n)) == int(i == j)
 
 
-def _partitions(n, largest=None):
-    largest = n if largest is None else largest
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, largest), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest
-
-
 def test_invert_unimodular_int_matrix_on_every_chart_matrix():
     # the exponent matrices of every chart of every structure with n <= 7
     # against the Gaussian-rational inverse
@@ -237,7 +230,7 @@ def test_invert_unimodular_int_matrix_on_every_chart_matrix():
 
     checked = 0
     for n in range(2, 8):
-        for mu in _partitions(n):
+        for mu in partitions(n):
             if mu[0] < 2:
                 continue
             S = build_structure(mu, [Q(1)] * len(mu))
@@ -262,3 +255,40 @@ def test_invert_unimodular_int_matrix_random_unimodular():
                 e[i] = [-a for a in e[i]]
         rng.shuffle(e)
         _assert_integer_inverse(e, invert_unimodular_int_matrix(e))
+
+
+# -- triangular_diagonal -------------------------------------------------------
+
+def _permuted(a, p):
+    return [[a[i][j] for j in p] for i in p]
+
+
+def test_triangular_diagonal_reads_the_diagonal_under_any_ordering():
+    rng = random.Random(23)
+    for _ in range(100):
+        n = rng.randint(1, 7)
+        diag = [Q(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(n)]
+        a = [[diag[i] if i == j else
+              Q(rng.randint(-3, 3), rng.randint(-1, 1)) if i < j else ZERO
+              for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:  # lower instead of upper triangular
+            a = [list(col) for col in zip(*a)]
+        want = {}
+        for d in diag:
+            want[d] = want.get(d, 0) + 1
+        p = list(range(n))
+        rng.shuffle(p)
+        got = triangular_diagonal(_permuted(a, p))
+        assert got == want
+        # in diagonal order: first appearances along the permuted diagonal
+        assert list(got) == list(dict.fromkeys(diag[i] for i in p))
+
+
+@pytest.mark.parametrize("a", [
+    [[0, 1], [1, 0]],
+    [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+    [[2, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 3]],
+])
+def test_triangular_diagonal_refuses_a_cycle(a):
+    with pytest.raises(PreconditionViolated):
+        triangular_diagonal([[Q(x) for x in row] for row in a])

@@ -6,6 +6,7 @@ import pytest
 
 from blowdyn.blowup import projection_formulas
 from blowdyn.errors import NotJordan, PreconditionViolated
+from blowdyn.exactalg import invert_matrix, mat_mul
 from blowdyn.lifting import (
     InputGerm,
     compare_quadratic_with_prediction,
@@ -29,7 +30,14 @@ from blowdyn.series import (
     series_reciprocal,
 )
 
-from conftest import STRUCTURES, fatou_germ, rand_lambdas, rand_rat, random_germ
+from conftest import (
+    STRUCTURES,
+    fatou_germ,
+    partitions,
+    rand_lambdas,
+    rand_rat,
+    random_germ,
+)
 
 
 def S_of(mu, lam=None):
@@ -270,29 +278,11 @@ def test_divisor_restriction_is_projectivized_differential():
 
 # -- linear part after the full sequence ----------------------------------
 
-def _multiset_eq(a, b):
-    if len(a) != len(b):
-        return False
-    used = set()
-    for k1, c1 in a.items():
-        hit = None
-        for k2, c2 in b.items():
-            if id(k2) in used:
-                continue
-            if k1 == k2 and c1 == c2:
-                hit = k2
-                break
-        if hit is None:
-            return False
-        used.add(id(hit))
-    return True
-
-
 def test_final_eigenvalues_single_block():
     F = fatou_germ()
     L = lift(F, 2, 2)
     _, multis = lifted_linear_part(L)
-    assert _multiset_eq(multis, {GaussianRational(1): 2})
+    assert multis == {GaussianRational(1): 2}
 
 
 def test_final_eigenvalues_random_structures():
@@ -303,7 +293,7 @@ def test_final_eigenvalues_random_structures():
             S = F.structure
             L = lift(F, S.ell, 2)
             _, multis = lifted_linear_part(L)
-            assert _multiset_eq(multis, expected_eigenvalue_multiset(S)), mu
+            assert multis == expected_eigenvalue_multiset(S), mu
 
 
 def test_tied_top_blocks_shift_the_leading_eigenvalue():
@@ -317,7 +307,7 @@ def test_tied_top_blocks_shift_the_leading_eigenvalue():
                for k, c in want.items())
     L = lift(F, S.ell, 2)
     _, multis = lifted_linear_part(L)
-    assert _multiset_eq(multis, want)
+    assert multis == want
 
 
 def test_lifted_linear_part_becomes_diagonalizable():
@@ -336,6 +326,78 @@ def test_lifted_linear_part_becomes_diagonalizable():
     # the certificate is exact: floating-point matrices are refused
     with pytest.raises(PreconditionViolated):
         is_diagonalizable([[x.to_complex() for x in row] for row in M])
+
+
+def test_every_lifted_linear_part_is_triangular_under_some_ordering():
+    # every stage of every structure with n <= 7, with unipotent, random
+    # and tied eigenvalues and random quadratic terms: lifted_linear_part
+    # raises unless some ordering makes the linear part triangular, and at
+    # the last stage the multiset is the closed form
+    rng = random.Random(29)
+    checked = 0
+    for n in range(2, 8):
+        for mu in partitions(n):
+            if mu[0] < 2:
+                continue
+            tied = GaussianRational(rand_rat(rng, nonzero=True))
+            for lam in ((GaussianRational(1),) * len(mu),
+                        rand_lambdas(rng, len(mu)), (tied,) * len(mu)):
+                F = random_germ(rng, mu, lam=lam, cap=2)
+                S = F.structure
+                for k in range(1, S.ell + 1):
+                    _, multis = lifted_linear_part(lift(F, k, 2))
+                    checked += 1
+                assert multis == expected_eigenvalue_multiset(S), (mu, lam)
+    assert checked == 3 * 132
+
+
+def _random_unit_upper(rng, n):
+    return [[GaussianRational(1) if i == j else
+             GaussianRational(rand_rat(rng, span=3), rand_rat(rng, span=3))
+             if i < j else GaussianRational(0)
+             for j in range(n)] for i in range(n)]
+
+
+def _conjugated(u, t, p):
+    """u t u^-1 with its indices reordered by the permutation p."""
+    m = mat_mul(mat_mul(u, t), invert_matrix(u))
+    return [[m[i][j] for j in p] for i in p]
+
+
+def test_is_diagonalizable_against_constructed_answers():
+    # U D U^-1 is diagonalizable, U (D + N) U^-1 is not when N couples two
+    # equal diagonal entries; U is unit upper-triangular, so both are
+    # triangular, and a random reordering of the indices hides it
+    rng = random.Random(31)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        values = [GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1))
+                  for _ in range(rng.randint(1, n - 1))]
+        diag = [rng.choice(values) for _ in range(n)]
+        a, b = sorted(rng.sample(range(n), 2))
+        diag[b] = diag[a]
+        d = [[diag[i] if i == j else GaussianRational(0) for j in range(n)]
+             for i in range(n)]
+        u = _random_unit_upper(rng, n)
+        p = list(range(n))
+        rng.shuffle(p)
+        M = _conjugated(u, d, p)
+        assert is_diagonalizable(M)
+        d[a][b] = GaussianRational(1)
+        assert not is_diagonalizable(_conjugated(u, d, p))
+
+
+def test_a_matrix_no_ordering_makes_triangular_is_refused():
+    one, zero = GaussianRational(1), GaussianRational(0)
+    swap = [[zero, one], [one, zero]]
+    with pytest.raises(PreconditionViolated):
+        is_diagonalizable(swap)
+    L = lift(fatou_germ(), 1, 2)
+    swapped = PolyMapGerm([TruncatedSeries(2, 2, {(0, 1): one}),
+                           TruncatedSeries(2, 2, {(1, 0): one})])
+    assert swapped.linear_matrix() == swap
+    with pytest.raises(PreconditionViolated):
+        lifted_linear_part(replace(L, series=swapped))
 
 
 # -- quadratic part of the final lift --------------------------------------
