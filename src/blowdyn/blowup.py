@@ -64,13 +64,12 @@ class ProjectionFormulas:
     forward: tuple   # n rows; row j = exponents of z_j as a monomial in w
     inverse: tuple   # n rows; row i = (possibly negative) exponents of w_i in z
     required_nonzero: tuple  # 1-based z-indices that must not vanish for inverse
+    shapes: tuple    # row i of inverse as (j, t, h), 0-based: w_i = z_j^t/z_h,
+                     # or w_i = z_j when h is None
 
     def forward_monomial(self, j):
         """Exponent vector of z_j(w) (1-based j)."""
         return self.forward[j - 1]
-
-    def inverse_exponents(self, i):
-        return self.inverse[i - 1]
 
 
 def projection_formulas(S, k):
@@ -83,6 +82,12 @@ def projection_formulas(S, k):
 
 @functools.lru_cache(maxsize=256)
 def _projection_formulas(S, k):
+    """Fold chart_step into the forward table, invert it, and check that
+    every inverse row has one of the three chart shapes: w_i = z_j,
+    z_j/z_h or z_1^2/z_h.  That is, one positive entry, equal to 1 or to
+    2 at index 0, and at most one negative entry, equal to -1.  Any other
+    row raises PreconditionViolated naming the stage and the row; lift
+    reads the rows as these shapes."""
     n = S.n
     coords = [_SymMono([1 if i == j else 0 for i in range(n)]) for j in range(n)]
     for stage in range(k, 0, -1):
@@ -90,19 +95,30 @@ def _projection_formulas(S, k):
     forward = tuple(m.e for m in coords)
     inverse_rows = invert_unimodular_int_matrix([list(r) for r in forward])
     inverse = tuple(tuple(r) for r in inverse_rows)
-    required = sorted(
-        {j + 1 for row in inverse for j, t in enumerate(row) if t < 0}
-    )
+    shapes = []
+    for i, row in enumerate(inverse, start=1):
+        pos = [(j, t) for j, t in enumerate(row) if t > 0]
+        neg = [h for h, t in enumerate(row) if t < 0]
+        if not (len(pos) == 1 and (pos[0][1] == 1 or pos[0] == (0, 2))
+                and len(neg) <= 1 and all(row[h] == -1 for h in neg)):
+            raise PreconditionViolated(
+                "stage %d inverse row %d is %r, not z_j, z_j/z_h or "
+                "z_1^2/z_h" % (k, i, row))
+        shapes.append(pos[0] + (neg[0] if neg else None,))
+    required = sorted({h + 1 for _, _, h in shapes if h is not None})
     return ProjectionFormulas(
         structure=S,
         k=k,
         forward=forward,
         inverse=inverse,
         required_nonzero=tuple(required),
+        shapes=tuple(shapes),
     )
 
 
 def _eval_monomial(values, exps):
+    """The product of values[h] ** exps[h] over the nonzero exponents; every
+    row of an invertible table has one."""
     out = None
     for x, p in zip(values, exps):
         if not p:
@@ -117,13 +133,7 @@ def pi_forward(S, k, w, formulas=None):
     pf = formulas if formulas is not None else projection_formulas(S, k)
     if len(w) != S.n:
         raise PreconditionViolated("expected %d coordinates" % S.n)
-    out = []
-    for j in range(1, S.n + 1):
-        val = _eval_monomial(w, pf.forward_monomial(j))
-        if val is None:  # cannot happen: every row hits at least one variable
-            raise PreconditionViolated("empty forward monomial")
-        out.append(val)
-    return out
+    return [_eval_monomial(w, row) for row in pf.forward]
 
 
 def pi_inverse(S, k, z, formulas=None):
@@ -138,13 +148,7 @@ def pi_inverse(S, k, z, formulas=None):
     for j in pf.required_nonzero:
         if not z[j - 1]:
             raise ZeroCoordinate("z_%d = 0: chart transition undefined" % j)
-    out = []
-    for i in range(1, S.n + 1):
-        val = _eval_monomial(z, pf.inverse_exponents(i))
-        if val is None:
-            raise PreconditionViolated("empty inverse monomial")
-        out.append(val)
-    return out
+    return [_eval_monomial(z, row) for row in pf.inverse]
 
 
 @functools.lru_cache(maxsize=256)

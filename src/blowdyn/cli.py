@@ -32,7 +32,8 @@ import click
 
 from . import dynamics
 from .blowup import projection_formulas
-from .errors import BlowdynError, JordanMismatch, SchemaError
+from .errors import (BlowdynError, JordanMismatch, PreconditionViolated,
+                     SchemaError)
 from .lifting import (
     germ_from_terms,
     jordan_matrix,
@@ -210,9 +211,10 @@ def parse_map_spec(data):
             lams.append(parse_scalar(b.get("lambda", "1")))
         except BlowdynError as exc:
             raise SchemaError("blocks[%d].lambda: %s" % (i, exc))
+        _expect(lams[-1], "blocks[%d].lambda must be nonzero", i)
     _expect(sum(mus) == dim, "block sizes sum to %d, dim says %d",
             sum(mus), dim)
-    S = build_structure(tuple(mus), tuple(lams))
+    S = _structure("blocks", mus, lams)
     opts = data.get("options") or {}
     _expect(isinstance(opts, dict), "options must be an object")
     _expect(opts.get("field", "exact") == "exact",
@@ -302,12 +304,23 @@ def _parse_scalar_list(text, what):
     return tuple(out)
 
 
+def _structure(what, mus, lams):
+    """build_structure(mus, lams), a refusal a SchemaError naming what."""
+    try:
+        return build_structure(mus, lams)
+    except PreconditionViolated as exc:
+        raise SchemaError("%s: %s" % (what, exc))
+
+
 def _structure_from_flags(mu_text, lam_text):
     mus = _parse_int_list(mu_text, "--mu")
     lams = _parse_scalar_list(lam_text, "--lambda") if lam_text else \
         (QI_ONE,) * len(mus)
     _expect(len(lams) == len(mus), "--mu and --lambda disagree on block count")
-    return build_structure(mus, lams)
+    _expect(DIM_RANGE[0] <= sum(mus) <= DIM_RANGE[1],
+            "--mu block sizes sum to %d, outside %d..%d", sum(mus), *DIM_RANGE)
+    _expect(all(lams), "--lambda entries must be nonzero")
+    return _structure("--mu", mus, lams)
 
 
 # -- commands --------------------------------------------------------------

@@ -2,11 +2,14 @@
 
 Given a germ whose differential is the Jordan arrangement encoded by a
 JordanStructure, the unique lift through stage k is computed in the
-distinguished chart by pure series substitution: each input component is
-pushed through the forward monomial map, the monomial content predicted by
-the inverse exponent table is factored out exactly, and the remaining units
-are divided.  A failed factorization (DivisionObstruction) is precisely the
-degeneracy that would make the lift undefined.
+distinguished chart by pure series substitution.  Every chart coordinate
+is z_j, z_j/z_h or z_1^2/z_h (blowup._projection_formulas checks the
+shape).  The numerator component is pushed through the forward monomial
+map; the pushed denominator F_h is split exactly into a monomial w^c_h
+times a unit, once per lift for each distinct h, and the numerator is
+divided by w^c_h and multiplied by the unit's reciprocal.  A failed
+factorization (DivisionObstruction) is precisely the degeneracy that would
+make the lift undefined.
 
 The closed-form quadratic tables for the fully lifted map are transcribed
 in predicted_quadratic_table and compared — never assumed — against the
@@ -129,89 +132,58 @@ class LiftedMap:
 
 
 def lift(F, k, D):
-    """The stage-k lift of F in the distinguished chart, truncated at D."""
+    """The stage-k lift of F in the distinguished chart, truncated at D.
+
+    Chart coordinate i is z_j^t / z_h or z_j (pf.shapes).  Its lift is
+    F_j^t pushed through the forward monomials, divided by the pushed F_h
+    = w^c_h * unit.  Each distinct h is pushed, split and its unit
+    inverted once per lift, and shared by every row that divides by it.
+    """
     S = F.structure
     if not 1 <= k <= S.ell:
         raise PreconditionViolated("stage %d out of range 1..%d" % (k, S.ell))
     if D < 2:
         raise PreconditionViolated("cap must be at least 2")
     pf = projection_formulas(S, k)
-    n = S.n
+    comps_in = F.map.components
+    # h -> (c_h, reciprocal of F_h's unit at cap D); a row z_j has h None
+    dens = {None: ((), None)}
     comps = []
-    for i in range(1, n + 1):
-        texp = pf.inverse_exponents(i)
-        pos = [(j, t) for j, t in enumerate(texp) if t > 0]
-        neg = [(j, -t) for j, t in enumerate(texp) if t < 0]
-        if not pos:
-            raise PreconditionViolated(
-                "inverse exponent row %d has no positive entries" % i
-            )
-
-        def product(pairs, budget):
-            acc = None
-            for j, t in pairs:
-                fj = monomial_substitute(
-                    F.map.components[j], pf.forward, budget
-                )
-                fac = series_power(fj, t) if t != 1 else fj
-                acc = fac if acc is None else series_multiply(acc, fac)
-            return acc
-
-        if neg:
+    for i, (j, t, h) in enumerate(pf.shapes, start=1):
+        if h not in dens:
             # The denominator must be monomial * unit: that is exactly the
             # non-degeneracy required for the lift to exist in this chart.
-            bound = sum(
-                t * sum(pf.forward_monomial(j + 1)) for j, t in neg
-            )
-            den = product(neg, bound + D)
+            den = monomial_substitute(comps_in[h], pf.forward,
+                                      sum(pf.forward[h]) + D)
             low = den.low_degree()
             if low is None:
                 raise DivisionObstruction(
                     "denominator vanishes identically at this cap",
-                    stage=k,
-                    component=i,
-                )
-            lead = list(den.homogeneous_part(low).coeffs)
-            if len(lead) != 1:
+                    stage=k, component=i)
+            try:  # one lowest term, and every term divisible by it
+                c, = den.homogeneous_part(low).coeffs
+                unit = monomial_divide(den, c)
+            except (ValueError, DivisionObstruction):
                 raise DivisionObstruction(
                     "denominator is not a monomial times a unit",
-                    stage=k,
-                    component=i,
-                )
-            c_den = lead[0]
+                    stage=k, component=i)
+            dens[h] = c, series_reciprocal(unit.truncated(D))
+        c, inv = dens[h]
+        quot = monomial_substitute(comps_in[j], pf.forward, sum(c) + D)
+        if t == 2:
+            quot = series_power(quot, 2)
+        if inv is not None:
             try:
-                den_unit = monomial_divide(den, c_den)
+                quot = monomial_divide(quot, c)
             except DivisionObstruction:
                 raise DivisionObstruction(
-                    "denominator is not a monomial times a unit",
-                    stage=k,
-                    component=i,
-                )
-        else:
-            c_den = (0,) * n
-            den_unit = None
-
-        num = product(pos, sum(c_den) + D)
-        try:
-            quot = monomial_divide(num, c_den)
-        except DivisionObstruction:
-            raise DivisionObstruction(
-                "numerator lacks the denominator's monomial content",
-                stage=k,
-                component=i,
-            )
-        if den_unit is not None:
-            quot = series_multiply(
-                quot.truncated(D), series_reciprocal(den_unit.truncated(D))
-            )
-        else:
-            quot = quot.truncated(D)
+                    "numerator lacks the denominator's monomial content",
+                    stage=k, component=i)
+            quot = series_multiply(quot, inv)
         if quot.constant_term():
             raise DivisionObstruction(
                 "lifted component does not fix the distinguished point",
-                stage=k,
-                component=i,
-            )
+                stage=k, component=i)
         comps.append(quot)
     germ = PolyMapGerm(comps)
     return LiftedMap(structure=S, stage=k, cap=D, series=germ, formulas=pf)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from blowdyn import blowup
 from blowdyn.blowup import (
     chart_step,
     compare_printed_tables,
@@ -15,7 +16,7 @@ from blowdyn.errors import PreconditionViolated, ZeroCoordinate
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational
 
-from conftest import STRUCTURES, rand_lambdas
+from conftest import STRUCTURES, partitions, rand_lambdas
 
 
 def S_of(mu, lam=None):
@@ -55,6 +56,55 @@ def test_forward_times_inverse_is_identity():
                     got = sum(pf.forward[a][t] * pf.inverse[t][b]
                               for t in range(n))
                     assert got == (1 if a == b else 0), (mu, k)
+
+
+def test_every_inverse_row_has_one_of_the_three_chart_shapes():
+    """Every stage of every structure a map file or --mu accepts (n up to
+    12), as pf.shapes spells it: row 1 is z_1 at stage 1 and z_1^2/z_h
+    after it, and every other row is z_j/z_h."""
+    tally = {"z_j/z_h": 0, "z_1^2/z_h": 0, "z_j": 0}
+    pairs = 0
+    for n in range(2, 13):
+        for mu in partitions(n):
+            if mu[0] < 2:
+                continue
+            S = S_of(mu)
+            for k in range(1, S.ell + 1):
+                pf = projection_formulas(S, k)
+                pairs += 1
+                for i, (row, (j, t, h)) in enumerate(
+                        zip(pf.inverse, pf.shapes), start=1):
+                    want = [0] * n
+                    want[j] += t
+                    if h is not None:
+                        want[h] -= 1
+                    assert tuple(want) == row, (mu, k, i)
+                    if (i, k, j, t, h) == (1, 1, 0, 1, None):
+                        shape = "z_j"
+                    elif i == 1 < k and (j, t) == (0, 2) and h is not None:
+                        shape = "z_1^2/z_h"
+                    elif i > 1 and t == 1 and h is not None:
+                        shape = "z_j/z_h"
+                    else:
+                        pytest.fail("stage %d row %d of %r" % (k, i, mu))
+                    tally[shape] += 1
+    assert pairs == 1264
+    assert tally == {"z_j/z_h": 11644, "z_1^2/z_h": 1005, "z_j": 259}
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (-1, 2), (1, -2), (0, 0)])
+def test_an_inverse_row_of_another_shape_is_refused(monkeypatch, bad):
+    S = S_of((2,))
+    monkeypatch.setattr(blowup, "invert_unimodular_int_matrix",
+                        lambda forward: [[1, 0], list(bad)])
+    blowup._projection_formulas.cache_clear()
+    try:
+        with pytest.raises(PreconditionViolated) as info:
+            projection_formulas(S, 1)
+    finally:
+        blowup._projection_formulas.cache_clear()
+    assert str(info.value).startswith(
+        "stage 1 inverse row 2 is %r" % (tuple(bad),))
 
 
 def test_round_trip_at_random_points():

@@ -686,6 +686,43 @@ def test_lift_charts_classify_flag_bounds(tmp_path, flag, values, admitted):
             assert res.exit_code == 0, (argv, value, res.output)
 
 
+def test_block_structure_refusals(tmp_path):
+    refused = [
+        (["charts", "--mu", "40", "--stage", "1"], "--mu"),
+        (["partition", "--mu", "13"], "--mu"),
+        (["partition", "--mu", "0"], "--mu"),
+        (["partition", "--mu", "2,-1"], "--mu"),
+        (["partition", "--mu", "1"], "--mu"),
+        (["charts", "--mu", "1,2"], "--mu"),
+        (["partition", "--mu", "2", "--lambda", "0"], "--lambda"),
+        (["charts", "--mu", "2,1", "--lambda", "2,0"], "--lambda"),
+    ]
+    for sizes, lams in [((1, 2), ("1", "1")), ((1, 1), ("1", "1")),
+                        ((2,), ("0",))]:
+        data = {"dim": sum(sizes),
+                "blocks": [{"mu": m, "lambda": x}
+                           for m, x in zip(sizes, lams)]}
+        path = write_spec(tmp_path, data, name="%s.json" % (sizes,))
+        refused.append((["lift", "--map", path, "--stage", "1"], "blocks"))
+    for argv, prefix in refused:
+        res = run(*argv)
+        assert res.exit_code == 2, (argv, res.output)
+        err = json.loads(res.stderr)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith(prefix), (argv, err)
+    admitted = [
+        ["charts", "--mu", "12", "--stage", "1"],
+        ["partition", "--mu", "4,4,4"],
+        ["partition", "--mu", "2,1", "--lambda", "2,5"],
+        ["lift", "--map", write_spec(tmp_path, {
+            "dim": 3, "blocks": [{"mu": 2}, {"mu": 1, "lambda": "3"}]}),
+         "--stage", "1"],
+    ]
+    for argv in admitted:
+        res = run(*argv)
+        assert res.exit_code == 0, (argv, res.output)
+
+
 @pytest.mark.parametrize("mangle,key", [
     (lambda d: d.update(dim=0), "dim"),
     (lambda d: d.update(dim=13), "dim"),

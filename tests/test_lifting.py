@@ -1,11 +1,13 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from blowdyn import lifting
 from blowdyn.blowup import projection_formulas
-from blowdyn.errors import NotJordan, PreconditionViolated
+from blowdyn.errors import DivisionObstruction, NotJordan, PreconditionViolated
 from blowdyn.exactalg import invert_matrix, mat_mul
 from blowdyn.lifting import (
     InputGerm,
@@ -157,6 +159,56 @@ def test_lift_preconditions():
         lift(F, 3, 3)  # ell = 2 for a single 2-block
     with pytest.raises(PreconditionViolated):
         lift(F, 1, 1)
+
+
+# the nine tower shapes of the benchmark pool
+TOWER_SHAPES = [(2,), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1), (4,), (3, 1),
+                (4, 2)]
+
+
+def test_each_denominator_is_inverted_once_per_lift(monkeypatch):
+    calls = []
+
+    def counting(u):
+        calls.append(u)
+        return series_reciprocal(u)
+
+    monkeypatch.setattr(lifting, "series_reciprocal", counting)
+    rng = random.Random(19)
+    for mu in TOWER_SHAPES:
+        F = random_germ(rng, mu, cap=3)
+        for k in range(1, F.structure.ell + 1):
+            pf = projection_formulas(F.structure, k)
+            dens = {h for row in pf.inverse
+                    for h, t in enumerate(row) if t < 0}
+            del calls[:]
+            L = lift(F, k, 4)
+            assert len(calls) == len(dens), (mu, k)
+            assert verify_semiconjugacy(F, L), (mu, k)
+
+
+def test_a_vanishing_denominator_is_reported_at_its_first_row():
+    """A germ-like object whose component h is the zero series: the lift
+    stops at the first row that divides by F_h, naming stage and row."""
+    rng = random.Random(23)
+    for mu in STRUCTURES:
+        F = random_germ(rng, mu, cap=3)
+        S = F.structure
+        for k in range(1, S.ell + 1):
+            pf = projection_formulas(S, k)
+            for h in pf.required_nonzero:
+                comps = list(F.map.components)
+                comps[h - 1] = TruncatedSeries.zero(S.n, 3)
+                germ = SimpleNamespace(structure=S,
+                                       map=SimpleNamespace(components=comps))
+                first = next(i for i, row in enumerate(pf.inverse, start=1)
+                             if row[h - 1] < 0)
+                with pytest.raises(DivisionObstruction) as info:
+                    lift(germ, k, 4)
+                assert (info.value.stage, info.value.component) == (k, first)
+                assert str(info.value) == (
+                    "denominator vanishes identically at this cap "
+                    "[stage %d, component %d]" % (k, first))
 
 
 def test_known_planar_lift():
