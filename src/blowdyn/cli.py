@@ -21,6 +21,7 @@ declared error, 3 for unexpected ones (whose error object also carries the
 traceback).
 """
 
+import functools
 import json
 import math
 import sys
@@ -53,6 +54,7 @@ CAP_RANGE = (2, 16)              # options.degree_cap and --degree
 PREC_RANGE = (24, 4096)          # --prec and options.precision_bits, bits
 STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
 WINDOW_RANGE = (5, 10 ** 6)      # --window
+K0_RANGE = (-2 ** 62, 2 ** 62)   # --k0: with STEPS_RANGE, every k fits int64
 
 
 # -- scalar/JSON plumbing --------------------------------------------------
@@ -137,13 +139,6 @@ def json_text(x, nl="\n"):
                     % type(x).__name__)
 
 
-# click.echo always gets the stream: without file=, click caches the current
-# sys.stdout in a table that keeps every stream an in-process caller
-# redirects output to (and all the output in it) alive.
-def _emit(payload):
-    click.echo(json_text(payload), file=sys.stdout)
-
-
 def _fail(exc, code=None, trace=None):
     payload = {"schema": SCHEMA, "error": type(exc).__name__, "message": str(exc)}
     if trace is not None:
@@ -158,17 +153,6 @@ def _fail(exc, code=None, trace=None):
     if code is None:
         code = 2 if isinstance(exc, SchemaError) else 1
     sys.exit(code)
-
-
-def _guard(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except BlowdynError as exc:
-        _fail(exc)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        _fail(SchemaError(str(exc)))
-    except Exception as exc:  # a defect: report it in the same channel
-        _fail(exc, code=3, trace=traceback.format_exc())
 
 
 # -- map description parsing ----------------------------------------------
@@ -331,57 +315,80 @@ def main():
     part, and the orbit analysis built on top of it."""
 
 
-@main.command("partition")
+def _command(name):
+    """Register the decorated function as the command `name`.  It runs
+    inside the error channel: a declared error exits 1 (a SchemaError 2),
+    an OSError or ValueError is reported as a SchemaError, and anything
+    else exits 3 with its traceback.  A payload dict it returns is written
+    to stdout as {"schema": SCHEMA, **payload}, in the payload's key order
+    after the tag."""
+    def register(fn):
+        @functools.wraps(fn)
+        def invoke(**flags):
+            try:
+                payload = fn(**flags)
+                if payload is not None:
+                    # click.echo always gets the stream: without file=,
+                    # click caches the current sys.stdout in a table that
+                    # keeps every stream an in-process caller redirects
+                    # output to (and all the output in it) alive.
+                    click.echo(json_text({"schema": SCHEMA, **payload}),
+                               file=sys.stdout)
+            except BlowdynError as exc:
+                _fail(exc)
+            except (OSError, json.JSONDecodeError, ValueError) as exc:
+                _fail(SchemaError(str(exc)))
+            except Exception as exc:  # a defect: report it in the same channel
+                _fail(exc, code=3, trace=traceback.format_exc())
+        return main.command(name)(invoke)
+    return register
+
+
+@_command("partition")
 @click.option("--mu", "mu_text", required=True,
               help="Comma-separated block sizes, largest first.")
 @click.option("--lambda", "lam_text", default="",
               help="Comma-separated block eigenvalues (default all 1).")
 def partition_cmd(mu_text, lam_text):
     """Jordan structure and the stage-by-stage index splittings."""
-    def run():
-        S = _structure_from_flags(mu_text, lam_text)
-        sp = []
-        for k in range(0, S.ell + 1):
-            s = splitting(S, k)
-            sp.append({
-                "k": k,
-                "primed": list(s.primed),
-                "double_primed": list(s.double_primed),
-                "per_block": [list(b) for b in s.per_block],
-            })
-        _emit({"schema": SCHEMA, "structure": _structure_json(S),
-               "splittings": sp})
-    _guard(run)
+    S = _structure_from_flags(mu_text, lam_text)
+    sp = []
+    for k in range(0, S.ell + 1):
+        s = splitting(S, k)
+        sp.append({
+            "k": k,
+            "primed": list(s.primed),
+            "double_primed": list(s.double_primed),
+            "per_block": [list(b) for b in s.per_block],
+        })
+    return {"structure": _structure_json(S), "splittings": sp}
 
 
-@main.command("charts")
+@_command("charts")
 @click.option("--mu", "mu_text", required=True)
 @click.option("--lambda", "lam_text", default="")
 @click.option("--stage", type=int, default=None,
               help="Restrict to one stage (default: all).")
 def charts_cmd(mu_text, lam_text, stage):
     """Monomial tables of the chart projections (forward and inverse)."""
-    def run():
-        S = _structure_from_flags(mu_text, lam_text)
-        stages = list(range(1, S.ell + 1))
-        if stage is not None:
-            _expect_range("--stage", stage, (1, S.ell))
-            stages = [stage]
-        tables = []
-        for k in stages:
-            pf = projection_formulas(S, k)
-            tables.append({
-                "k": k,
-                "forward": [list(r) for r in pf.forward],
-                "inverse": [list(r) for r in pf.inverse],
-                "required_nonzero": list(pf.required_nonzero),
-            })
-        _emit({"schema": SCHEMA, "structure": _structure_json(S),
-               "charts": tables})
-    _guard(run)
+    S = _structure_from_flags(mu_text, lam_text)
+    stages = list(range(1, S.ell + 1))
+    if stage is not None:
+        _expect_range("--stage", stage, (1, S.ell))
+        stages = [stage]
+    tables = []
+    for k in stages:
+        pf = projection_formulas(S, k)
+        tables.append({
+            "k": k,
+            "forward": [list(r) for r in pf.forward],
+            "inverse": [list(r) for r in pf.inverse],
+            "required_nonzero": list(pf.required_nonzero),
+        })
+    return {"structure": _structure_json(S), "charts": tables}
 
 
-@main.command("lift")
+@_command("lift")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--stage", type=int, required=True)
 @click.option("--degree", type=int, default=None,
@@ -390,27 +397,23 @@ def charts_cmd(mu_text, lam_text, stage):
               help="Write the lifted map JSON here instead of stdout.")
 def lift_cmd(map_path, stage, degree, out_path):
     """Lift the germ through the first `stage` blow-ups."""
-    def run():
-        if degree is not None:
-            _expect_range("--degree", degree, CAP_RANGE)
-        F, opts = load_map_spec(map_path)
-        _expect_range("--stage", stage, (1, F.structure.ell))
-        D = degree if degree is not None else opts["degree_cap"]
-        L = lift(F, stage, D)
-        payload = lifted_map_to_json(L)
-        payload["semiconjugacy_exact"] = verify_semiconjugacy(F, L)
-        if out_path:
-            with open(out_path, "w") as fh:
-                fh.write(json_text(payload))
-            _emit({"schema": SCHEMA, "written": out_path,
-                   "stage": stage, "degree_cap": D,
-                   "semiconjugacy_exact": payload["semiconjugacy_exact"]})
-        else:
-            _emit(payload)
-    _guard(run)
+    if degree is not None:
+        _expect_range("--degree", degree, CAP_RANGE)
+    F, opts = load_map_spec(map_path)
+    _expect_range("--stage", stage, (1, F.structure.ell))
+    D = degree if degree is not None else opts["degree_cap"]
+    L = lift(F, stage, D)
+    payload = lifted_map_to_json(L)
+    payload["semiconjugacy_exact"] = verify_semiconjugacy(F, L)
+    if not out_path:
+        return payload
+    with open(out_path, "w") as fh:
+        fh.write(json_text(payload))
+    return {"written": out_path, "stage": stage, "degree_cap": D,
+            "semiconjugacy_exact": payload["semiconjugacy_exact"]}
 
 
-@main.command("chardirs")
+@_command("chardirs")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--mode", type=click.Choice(
     ["auto", "structured", "factored"]), default="auto")
@@ -418,54 +421,49 @@ def chardirs_cmd(map_path, mode):
     """Fixed directions of the fully lifted quadratic part, with
     multipliers, allowability and, for isolated nondegenerate directions,
     attraction spectra."""
-    def run():
-        F, _ = load_map_spec(map_path)
-        S = F.structure
-        Q = lifted_quadratic_part(lift(F, S.ell, 2))
-        dirs = dynamics.characteristic_directions(Q, mode=mode, structure=S)
-        out = []
-        for d in dirs:
-            entry = _direction_json(d)
-            entry["allowable"] = bool(
-                d.allowable or dynamics.allowable_filter([d], S))
-            if not (d.degenerate or d.span
-                    or entry.get("attraction_spectrum") is not None):
-                try:
-                    h = dynamics.hakim_matrix(Q, d.v)
-                    entry["attraction_spectrum"] = [jval(x) for x in h.spectrum]
-                except BlowdynError as exc:
-                    entry["attraction_spectrum"] = None
-                    entry["attraction_note"] = str(exc)
-            out.append(entry)
-        _emit({"schema": SCHEMA, "structure": _structure_json(S),
-               "stage": S.ell, "mode": mode, "directions": out})
-    _guard(run)
+    F, _ = load_map_spec(map_path)
+    S = F.structure
+    Q = lifted_quadratic_part(lift(F, S.ell, 2))
+    dirs = dynamics.characteristic_directions(Q, mode=mode, structure=S)
+    out = []
+    for d in dirs:
+        entry = _direction_json(d)
+        entry["allowable"] = bool(
+            d.allowable or dynamics.allowable_filter([d], S))
+        if not (d.degenerate or d.span
+                or entry.get("attraction_spectrum") is not None):
+            try:
+                h = dynamics.hakim_matrix(Q, d.v)
+                entry["attraction_spectrum"] = [jval(x) for x in h.spectrum]
+            except BlowdynError as exc:
+                entry["attraction_spectrum"] = None
+                entry["attraction_note"] = str(exc)
+        out.append(entry)
+    return {"structure": _structure_json(S), "stage": S.ell, "mode": mode,
+            "directions": out}
 
 
-@main.command("invariants")
+@_command("invariants")
 @click.option("--map", "map_path", required=True, type=str)
 def invariants_cmd(map_path):
     """Planar refined invariants and the curve-count classification for
     2D germs whose leading quadratic coefficient vanishes."""
-    def run():
-        F, _ = load_map_spec(map_path)
-        rep = dynamics.planar_classification(F)
-        inv = rep.invariants
-        _emit({
-            "schema": SCHEMA,
-            "epsilon": jval(inv.epsilon),
-            "eta": jval(inv.eta),
-            "xi": jval(inv.xi) if inv.xi is not None else None,
-            "kind": rep.kind,
-            "curves": rep.curves,
-            "stage": rep.stage,
-            "directions": [_direction_json(d) for d in rep.directions],
-            "notes": list(rep.notes),
-        })
-    _guard(run)
+    F, _ = load_map_spec(map_path)
+    rep = dynamics.planar_classification(F)
+    inv = rep.invariants
+    return {
+        "epsilon": jval(inv.epsilon),
+        "eta": jval(inv.eta),
+        "xi": jval(inv.xi) if inv.xi is not None else None,
+        "kind": rep.kind,
+        "curves": rep.curves,
+        "stage": rep.stage,
+        "directions": [_direction_json(d) for d in rep.directions],
+        "notes": list(rep.notes),
+    }
 
 
-@main.command("orbit")
+@_command("orbit")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--start", "start_text", required=True,
               help="Comma-separated exact coordinates of the start point.")
@@ -480,30 +478,28 @@ def invariants_cmd(map_path):
 def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
     """Iterate the germ and write the trace as CSV (columns k, then
     re/im per coordinate, full precision)."""
-    def run():
-        _expect_range("--steps", steps, STEPS_RANGE)
-        _expect(math.isfinite(radius) and radius > 0,
-                "--radius must be finite and positive, got %r", radius)
-        F, opts = load_map_spec(map_path)
-        bits = opts["precision_bits"] if prec is None else prec
-        _expect_range("--prec", bits, PREC_RANGE)
-        z0 = _parse_scalar_list(start_text, "--start")
-        _expect(len(z0) == F.structure.n,
-                "--start needs %d coordinates", F.structure.n)
-        trace = dynamics.orbit_iterate(F, z0, steps, precision_bits=bits,
-                                       radius=radius)
-        digits = int(bits * 0.30103) + 3
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("k" + "".join(",re_z%d,im_z%d" % (j, j)
-                                   for j in range(1, trace.n + 1)) + "\r\n")
-            for k, row in enumerate(trace.decimal_points(digits), k0):
-                fh.write("%d,%s\r\n" % (k, ",".join(row)))
-        _emit({
-            "schema": SCHEMA, "csv": csv_path, "points": len(trace),
-            "precision_bits": bits, "k0": k0,
-            "diverged": trace.diverged, "diverged_at": trace.diverged_at,
-        })
-    _guard(run)
+    _expect_range("--steps", steps, STEPS_RANGE)
+    _expect_range("--k0", k0, K0_RANGE)
+    _expect(math.isfinite(radius) and radius > 0,
+            "--radius must be finite and positive, got %r", radius)
+    F, opts = load_map_spec(map_path)
+    bits = opts["precision_bits"] if prec is None else prec
+    _expect_range("--prec", bits, PREC_RANGE)
+    z0 = _parse_scalar_list(start_text, "--start")
+    _expect(len(z0) == F.structure.n,
+            "--start needs %d coordinates", F.structure.n)
+    trace = dynamics.orbit_iterate(F, z0, steps, precision_bits=bits,
+                                   radius=radius)
+    digits = int(bits * 0.30103) + 3
+    with open(csv_path, "w", newline="") as fh:
+        fh.write("k" + "".join(",re_z%d,im_z%d" % (j, j)
+                               for j in range(1, trace.n + 1)) + "\r\n")
+        for k, row in enumerate(trace.decimal_points(digits), k0):
+            fh.write("%d,%s\r\n" % (k, ",".join(row)))
+    return {
+        "csv": csv_path, "points": len(trace), "precision_bits": bits,
+        "k0": k0, "diverged": trace.diverged, "diverged_at": trace.diverged_at,
+    }
 
 
 def _read_trace_csv(path, n):
@@ -540,7 +536,7 @@ def _read_trace_csv(path, n):
     return ks.tolist(), np.ascontiguousarray(rows["z"]).view(complex)
 
 
-@main.command("classify")
+@_command("classify")
 @click.option("--map", "map_path", required=True, type=str)
 @click.option("--csv", "csv_path", required=True,
               help="Trace written by the orbit command.")
@@ -552,65 +548,58 @@ def _read_trace_csv(path, n):
               % dynamics.REG_WINDOW)
 def classify_cmd(map_path, csv_path, tau, window):
     """Stage-by-stage regularity verdicts for a stored orbit trace."""
-    def run():
-        if window is not None:
-            _expect_range("--window", window, WINDOW_RANGE)
-        _expect(tau is None or (math.isfinite(tau) and tau > 0),
-                "--tau must be finite and positive, got %r", tau)
-        F, _ = load_map_spec(map_path)
-        ks, pts = _read_trace_csv(csv_path, F.structure.n)
-        trace = dynamics.OrbitTrace(points=pts, precision_bits=53, source=F)
-        rep = dynamics.regularity_classify(
-            trace, F.structure, k0=ks[0], tau=tau, window=window)
-        payload = {
-            "schema": SCHEMA,
-            "classification": rep.classification,
-            "standard": rep.standard,
-            "match_distance": rep.match_distance,
-            "matched_direction": None if rep.matched_direction is None
-            else _direction_json(rep.matched_direction),
-            "verdicts": [
-                {
-                    "stage": v.stage,
-                    "verdict": v.verdict,
-                    "limit": None if v.limit is None
-                    else [jval(x) for x in v.limit],
-                    "note": v.note,
-                }
-                for v in rep.verdicts
-            ],
-            "notes": list(rep.notes),
-        }
-        _emit(payload)
-    _guard(run)
+    if window is not None:
+        _expect_range("--window", window, WINDOW_RANGE)
+    _expect(tau is None or (math.isfinite(tau) and tau > 0),
+            "--tau must be finite and positive, got %r", tau)
+    F, _ = load_map_spec(map_path)
+    ks, pts = _read_trace_csv(csv_path, F.structure.n)
+    trace = dynamics.OrbitTrace(points=pts, precision_bits=53, source=F)
+    rep = dynamics.regularity_classify(
+        trace, F.structure, k0=ks[0], tau=tau, window=window)
+    return {
+        "classification": rep.classification,
+        "standard": rep.standard,
+        "match_distance": rep.match_distance,
+        "matched_direction": None if rep.matched_direction is None
+        else _direction_json(rep.matched_direction),
+        "verdicts": [
+            {
+                "stage": v.stage,
+                "verdict": v.verdict,
+                "limit": None if v.limit is None
+                else [jval(x) for x in v.limit],
+                "note": v.note,
+            }
+            for v in rep.verdicts
+        ],
+        "notes": list(rep.notes),
+    }
 
 
-@main.command("normalform")
+@_command("normalform")
 @click.option("--map", "map_path", required=True, type=str)
 def normalform_cmd(map_path):
     """Quadratic normal form for a germ whose linear part is the
     unipotent Jordan block, with the epsilon table and conjugator.  At
     degree caps >= 3 the conjugator is exact only modulo degree 3."""
-    def run():
-        F, _ = load_map_spec(map_path)
-        nf = normal_form(F)
-        def germ_terms(g):
-            return [{"j": j, "exp": e, "coeff": c}
-                    for j, s in enumerate(g.components, start=1)
-                    for e, c in s.spelled_terms()]
-        _emit({
-            "schema": SCHEMA,
-            "epsilon_table": [[jval(x) for x in row] for row in nf.epsilon],
-            "epsilon_vector": [jval(x) for x in epsilon_vector(nf)],
-            "alpha": [jval(x) for x in nf.alpha],
-            "j0": nf.j0,
-            "normalized": germ_terms(nf.normalized),
-            "conjugator": germ_terms(nf.conjugator),
-        })
-    _guard(run)
+    F, _ = load_map_spec(map_path)
+    nf = normal_form(F)
+    def germ_terms(g):
+        return [{"j": j, "exp": e, "coeff": c}
+                for j, s in enumerate(g.components, start=1)
+                for e, c in s.spelled_terms()]
+    return {
+        "epsilon_table": [[jval(x) for x in row] for row in nf.epsilon],
+        "epsilon_vector": [jval(x) for x in epsilon_vector(nf)],
+        "alpha": [jval(x) for x in nf.alpha],
+        "j0": nf.j0,
+        "normalized": germ_terms(nf.normalized),
+        "conjugator": germ_terms(nf.conjugator),
+    }
 
 
-@main.command("fatou-demo")
+@_command("fatou-demo")
 @click.option("--steps", type=int, default=2500,
               help="Forward steps for the refined standard orbit.")
 @click.option("--settle", type=int, default=10000,
@@ -619,76 +608,74 @@ def normalform_cmd(map_path):
 def fatou_demo_cmd(steps, settle, prec):
     """End-to-end run of the classical planar example (z1+z2, z2+z1^2):
     lift, fixed directions, decay profile, orbits, fits, classification."""
-    def run():
-        _expect_range("--steps", steps, STEPS_RANGE)
-        _expect_range("--settle", settle, STEPS_RANGE)
-        _expect_range("--prec", prec, PREC_RANGE)
-        lines = []
+    _expect_range("--steps", steps, STEPS_RANGE)
+    _expect_range("--settle", settle, STEPS_RANGE)
+    _expect_range("--prec", prec, PREC_RANGE)
+    lines = []
 
-        def row(status, name, detail=""):
-            lines.append((status, name, detail))
+    def row(status, name, detail=""):
+        lines.append((status, name, detail))
 
-        S = build_structure((2,), (QI_ONE,))
-        F = germ_from_terms(S, {(2, (2, 0)): QI_ONE}, cap=4)
-        for k in (1, 2):
-            L = lift(F, k, 4)
-            ok = verify_semiconjugacy(F, L)
-            row("PASS" if ok else "FAIL",
-                "stage-%d lift semiconjugacy exact" % k)
-        Q = lifted_quadratic_part(L)    # L is the stage-2 lift above
-        dirs = dynamics.characteristic_directions(Q, mode="structured",
-                                                  structure=S)
-        d = dirs[0]
-        row("PASS" if tuple(d.v) == (GaussianRational(3), GaussianRational(2))
-            else "FAIL", "allowable direction [3:2]",
-            "v=(%s, %s) multiplier %s" % (d.v[0], d.v[1], d.lam))
-        h = dynamics.hakim_matrix(Q, d.v)
-        row("INFO", "attraction spectrum at the direction",
-            ", ".join(str(x) for x in h.spectrum)
-            + " (no positive real part: curve only, no open basin)")
-        rows = dynamics.expected_asymptotics(F)
-        row("PASS" if [(r.exponent, str(r.constant)) for r in rows]
-            == [(2, "6"), (3, "-12")] else "FAIL",
-            "predicted decay 6/k^2, -12/k^3")
-
-        k0 = 50
-        raw = dynamics.profile_point(F, k0, precision_bits=prec)
-        traw = dynamics.orbit_iterate(F, raw, 5000, precision_bits=prec)
-        if traw.diverged:
-            row("FAIL", "literal profile seed tracks 5000 steps",
-                "escaped the radius at step %d: the modes transverse to the "
-                "curve repel, so the truncated profile cannot persist"
-                % traw.diverged_at)
-        else:
-            row("PASS", "literal profile seed tracks 5000 steps")
-
-        seed = dynamics.standard_orbit_seed(F, k0=k0, settle=settle,
-                                            precision_bits=prec)
-        tr = dynamics.orbit_iterate(F, seed, steps, precision_bits=prec)
-        if tr.diverged:
-            row("FAIL", "refined standard orbit stays bounded",
-                "escaped at step %s" % tr.diverged_at)
-            _print_table(lines)
-            return
-        f1 = dynamics.asymptotic_fit(tr, 1, window=400, k0=k0)
-        f2 = dynamics.asymptotic_fit(tr, 2, window=400, k0=k0)
-        ok = (abs(f1.exponent_fitted - 2) <= 0.02
-              and abs(f2.exponent_fitted - 3) <= 0.02)
-        row("PASS" if ok else "FAIL", "fitted exponents 2 and 3 (+-0.02)",
-            "%.4f, %.4f" % (f1.exponent_fitted, f2.exponent_fitted))
-        ok = (abs(f1.constant - 6) / 6 < 0.05
-              and abs(f2.constant + 12) / 12 < 0.05)
-        row("PASS" if ok else "FAIL", "fitted constants 6 and -12 (+-5%)",
-            "%.4f, %.4f" % (f1.constant.real, f2.constant.real))
-        rep = dynamics.regularity_classify(tr, S, k0=k0)
-        ok = rep.classification == "standard" and (
-            rep.match_distance is not None and rep.match_distance < 1e-4)
+    S = build_structure((2,), (QI_ONE,))
+    F = germ_from_terms(S, {(2, (2, 0)): QI_ONE}, cap=4)
+    for k in (1, 2):
+        L = lift(F, k, 4)
+        ok = verify_semiconjugacy(F, L)
         row("PASS" if ok else "FAIL",
-            "classified standard, direction match < 1e-4",
-            "%s, distance %.3g" % (rep.classification,
-                                   rep.match_distance or float("nan")))
+            "stage-%d lift semiconjugacy exact" % k)
+    Q = lifted_quadratic_part(L)    # L is the stage-2 lift above
+    dirs = dynamics.characteristic_directions(Q, mode="structured",
+                                              structure=S)
+    d = dirs[0]
+    row("PASS" if tuple(d.v) == (GaussianRational(3), GaussianRational(2))
+        else "FAIL", "allowable direction [3:2]",
+        "v=(%s, %s) multiplier %s" % (d.v[0], d.v[1], d.lam))
+    h = dynamics.hakim_matrix(Q, d.v)
+    row("INFO", "attraction spectrum at the direction",
+        ", ".join(str(x) for x in h.spectrum)
+        + " (no positive real part: curve only, no open basin)")
+    rows = dynamics.expected_asymptotics(F)
+    row("PASS" if [(r.exponent, str(r.constant)) for r in rows]
+        == [(2, "6"), (3, "-12")] else "FAIL",
+        "predicted decay 6/k^2, -12/k^3")
+
+    k0 = 50
+    raw = dynamics.profile_point(F, k0, precision_bits=prec)
+    traw = dynamics.orbit_iterate(F, raw, 5000, precision_bits=prec)
+    if traw.diverged:
+        row("FAIL", "literal profile seed tracks 5000 steps",
+            "escaped the radius at step %d: the modes transverse to the "
+            "curve repel, so the truncated profile cannot persist"
+            % traw.diverged_at)
+    else:
+        row("PASS", "literal profile seed tracks 5000 steps")
+
+    seed = dynamics.standard_orbit_seed(F, k0=k0, settle=settle,
+                                        precision_bits=prec)
+    tr = dynamics.orbit_iterate(F, seed, steps, precision_bits=prec)
+    if tr.diverged:
+        row("FAIL", "refined standard orbit stays bounded",
+            "escaped at step %s" % tr.diverged_at)
         _print_table(lines)
-    _guard(run)
+        return
+    f1 = dynamics.asymptotic_fit(tr, 1, window=400, k0=k0)
+    f2 = dynamics.asymptotic_fit(tr, 2, window=400, k0=k0)
+    ok = (abs(f1.exponent_fitted - 2) <= 0.02
+          and abs(f2.exponent_fitted - 3) <= 0.02)
+    row("PASS" if ok else "FAIL", "fitted exponents 2 and 3 (+-0.02)",
+        "%.4f, %.4f" % (f1.exponent_fitted, f2.exponent_fitted))
+    ok = (abs(f1.constant - 6) / 6 < 0.05
+          and abs(f2.constant + 12) / 12 < 0.05)
+    row("PASS" if ok else "FAIL", "fitted constants 6 and -12 (+-5%)",
+        "%.4f, %.4f" % (f1.constant.real, f2.constant.real))
+    rep = dynamics.regularity_classify(tr, S, k0=k0)
+    ok = rep.classification == "standard" and (
+        rep.match_distance is not None and rep.match_distance < 1e-4)
+    row("PASS" if ok else "FAIL",
+        "classified standard, direction match < 1e-4",
+        "%s, distance %.3g" % (rep.classification,
+                               rep.match_distance or float("nan")))
+    _print_table(lines)
 
 
 def _print_table(lines):

@@ -28,6 +28,7 @@ import mpmath
 from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .errors import NonConvergent, PreconditionViolated
+from .exactalg import invert_matrix
 from .scalars import GaussianRational
 
 # Precision policy (declared, not derived):
@@ -285,7 +286,7 @@ class OrbitPlan:
         self._tables = (n, work, scale, products, comps, jac)
         self.source = _plan_source(*self._tables, "step")
         self.step = _compiled(self.source, "step")
-        self._inverse = None
+        self._jordan = g.linear_matrix()
 
     @functools.cached_property
     def image(self):
@@ -358,28 +359,20 @@ class OrbitPlan:
             out[2 * k + 1] = (tr * ui + ti * ur) >> sc
         return out
 
+    @functools.cached_property
     def _linear(self):
-        """J^-1 for the linear part J = DF(0), as rows of (column, re, im)
-        at scale 2^-scale, and the bits by which |J| may exceed 1."""
-        if self._inverse is None:
-            n, sc = self.n, self.scale
-            zero = (0,) * (2 * n)
-            jr, ji = self.jacobian(zero, 0)
-            norm = max(sum(abs(x) + abs(y) for x, y in zip(rr, ri))
-                       for rr, ri in zip(jr, ji))
-            cols = []
-            for i in range(n):
-                unit = [0] * (2 * n)
-                unit[2 * i] = 1 << sc
-                col = self.solve(self.jacobian(zero, 0), unit)
-                if col is None:
-                    raise PreconditionViolated("linear part is singular")
-                cols.append(col)
-            rows = [[(i, col[2 * j], col[2 * j + 1])
-                     for i, col in enumerate(cols)
-                     if col[2 * j] or col[2 * j + 1]] for j in range(n)]
-            self._inverse = rows, max(0, norm.bit_length() - sc)
-        return self._inverse
+        """J^-1 for the germ's exact linear part J, inverted exactly, as
+        rows of (column, re, im) at scale 2^-scale, and the bits by which
+        |J| (the largest row sum of its rounded entries) may exceed 1."""
+        sc = self.scale
+
+        def fixed(x):
+            return _fixed(x.a, x.d, sc), _fixed(x.b, x.d, sc)
+        norm = max(sum(abs(r) + abs(i) for r, i in map(fixed, row))
+                   for row in self._jordan)
+        rows = [[(i, *p) for i, p in enumerate(map(fixed, row)) if any(p)]
+                for row in invert_matrix(self._jordan)]
+        return rows, max(0, norm.bit_length() - sc)
 
     def preimage(self, w, step):
         """The point z near w with F(z) = w, by Newton's method.
@@ -392,7 +385,7 @@ class OrbitPlan:
         2^PREIMAGE_TOL_BITS units of w's last bit; otherwise, or after
         PREIMAGE_MAX_ITER steps, NonConvergent is raised with `step`."""
         work, sc = self.work, self.scale
-        back, gain = self._linear()
+        back, gain = self._linear
         half = 1 << (work - 1)
         image, jacobian, solve = self.image, self.jacobian, self.solve
         exp, wm = w

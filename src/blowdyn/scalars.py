@@ -10,6 +10,7 @@ fractions.Fraction values (RAT) through `.re` and `.im`.
 
 import math
 import re as _re
+import sys
 from fractions import Fraction as RAT
 
 import mpmath
@@ -214,6 +215,12 @@ def _parse_real(tok):
             num, den = tok.split("/")
             return RAT(int(num), int(den))
         if "." in tok or "e" in tok or "E" in tok:
+            # the decimal exponent gets the digit limit int() puts on a
+            # plain literal: RAT("1e10000000") would build 10^10000000
+            exp = tok.lower().partition("e")[2]
+            limit = sys.get_int_max_str_digits()
+            if exp and limit and abs(int(exp)) > limit:
+                raise ValueError("decimal exponent beyond %d" % limit)
             return RAT(tok)  # exact decimal -> rational
         return RAT(int(tok))
     except (ValueError, ZeroDivisionError) as exc:

@@ -723,6 +723,44 @@ def test_block_structure_refusals(tmp_path):
         assert res.exit_code == 0, (argv, res.output)
 
 
+def test_orbit_k0_bounds(tmp_path):
+    spec = write_spec(tmp_path, FATOU_SPEC)
+    csv_path = tmp_path / "x.csv"
+    orbit = ["orbit", "--map", spec, "--start", "3/1250,-3/31250",
+             "--steps", "300", "--csv", str(csv_path), "--k0"]
+    for value in (2 ** 62 + 1, -2 ** 62 - 1):
+        res = run(*orbit, str(value))
+        assert res.exit_code == 2, (value, res.output)
+        err = json.loads(res.stderr)
+        assert err["error"] == "SchemaError"
+        assert err["message"].startswith("--k0")
+    # every k of an admitted orbit fits the int64 column classify reads
+    res = run(*orbit, str(2 ** 62))
+    assert res.exit_code == 0, res.output
+    last = int(csv_path.read_text().splitlines()[-1].split(",")[0])
+    assert 2 ** 62 < last <= 2 ** 62 + 300
+    res = run("classify", "--map", spec, "--csv", str(csv_path))
+    assert res.exit_code == 0, res.output
+
+
+def test_decimal_exponent_bound_in_map_files_and_flags(tmp_path):
+    data = json.loads(json.dumps(FATOU_SPEC))
+    data["terms"][0]["coeff"] = "1e5000"
+    refused = [
+        ["lift", "--map", write_spec(tmp_path, data), "--stage", "1"],
+        ["orbit", "--map", write_spec(tmp_path, FATOU_SPEC, "f.json"),
+         "--start", "1e-5000,0", "--steps", "5",
+         "--csv", str(tmp_path / "x.csv")],
+        ["partition", "--mu", "2", "--lambda", "1e5000"],
+    ]
+    for argv in refused:
+        res = run(*argv)
+        assert res.exit_code == 2, (argv, res.output)
+        err = json.loads(res.stderr)
+        assert err["error"] == "SchemaError"
+        assert "decimal exponent beyond 4300" in err["message"]
+
+
 @pytest.mark.parametrize("mangle,key", [
     (lambda d: d.update(dim=0), "dim"),
     (lambda d: d.update(dim=13), "dim"),

@@ -11,7 +11,9 @@ from blowdyn.errors import (
     InsufficientData,
     NoAllowableDirection,
     NonConvergent,
+    NonGeneric,
     PreconditionViolated,
+    UnsupportedSpectrum,
 )
 from blowdyn.exactalg import solve_linear
 from blowdyn.lifting import (
@@ -808,3 +810,74 @@ def test_classification_early_stage():
     assert cr.kind == "early-stage"
     assert cr.curves == 1
     assert cr.stage == 2
+
+
+# -- documented refusals ---------------------------------------------------
+
+def _refusal_cases():
+    lam2 = build_structure((2,), (G(2),))
+    S22 = build_structure((2, 2), (G(1), G(1)))
+    off = mk(lam2, {(2, (2, 0)): 1})                 # eigenvalue 2
+    tied = mk(S22, {(2, (2, 0, 0, 0)): 1})
+    flat = mk(S2, {(2, (1, 1)): 1})                  # a(2, 1, 1) = 0
+    growing = dyn.OrbitTrace(
+        points=tuple((k + 0j, 1j * k) for k in range(1, 301)),
+        precision_bits=53)
+    # not factored (component 1 is w1^2 + w2^2) and with a w2^2 term in
+    # component 1, for a structure whose eigenvalue is not 1
+    neither = ChartQuadraticForm(2, (
+        ((G(1), G(0)), (G(0), G(1))),
+        ((G(0), G(1)), (G(1), G(0)))))
+    return [
+        ("asymptotics-spectrum", UnsupportedSpectrum,
+         "require every block eigenvalue equal to 1",
+         lambda F: dyn.expected_asymptotics(off)),
+        ("asymptotics-tied", NonGeneric, "tied leading blocks",
+         lambda F: dyn.expected_asymptotics(tied)),
+        ("asymptotics-vanishing", NonGeneric,
+         "leading quadratic coefficient vanishes",
+         lambda F: dyn.expected_asymptotics(flat)),
+        ("classification-spectrum", UnsupportedSpectrum,
+         "covers germs with every block eigenvalue equal to 1",
+         lambda F: dyn.parabolic_classification(off)),
+        ("classification-planar-cap-2", PreconditionViolated,
+         r"needs cubic terms \(cap >= 3\)",
+         lambda F: dyn.parabolic_classification(flat)),
+        ("seed-no-structure", PreconditionViolated,
+         "declared linear structure",
+         lambda F: dyn.standard_orbit_seed(F.map, settle=10)),
+        ("seed-settle", PreconditionViolated, "settle must be positive",
+         lambda F: dyn.standard_orbit_seed(F, settle=0)),
+        ("orbit-start", PreconditionViolated, "wrong dimension",
+         lambda F: dyn.orbit_iterate(F, (G(0),), 5)),
+        ("orbit-steps", PreconditionViolated, "at least one step",
+         lambda F: dyn.orbit_iterate(F, (G(0), G(0)), 0)),
+        ("profile-time", PreconditionViolated, "profile time must be positive",
+         lambda F: dyn.profile_point(F, 0)),
+        ("fit-coordinate", PreconditionViolated,
+         "coordinate index out of range",
+         lambda F: dyn.asymptotic_fit(growing, 3, window=100)),
+        ("fit-growing", NonConvergent, "window norms are not decreasing",
+         lambda F: dyn.asymptotic_fit(growing, 1, window=100)),
+        ("cesaro-lengths", PreconditionViolated, "different lengths",
+         lambda F: dyn.cesaro_limit([0.5] * 100, [0.0] * 99)),
+        ("cesaro-zero", PreconditionViolated, "nonzero along the sequence",
+         lambda F: dyn.cesaro_limit([0.0] + [0.5] * 99, [0.0] * 100)),
+        ("cesaro-not-vanishing", PreconditionViolated,
+         r"\|w_k\| does not tend to zero",
+         lambda F: dyn.cesaro_limit([0.5] * 100, [0.0] * 100)),
+        ("directions-mode", PreconditionViolated, "unknown mode 'newton'",
+         lambda F: dyn.characteristic_directions(neither, mode="newton")),
+        ("directions-auto", PreconditionViolated,
+         "^structured: .*eigenvalue equal to 1; "
+         "factored: component 1 is not one coordinate times a linear form; "
+         "exact2d: component 1 has a w_2\\^2 term",
+         lambda F: dyn.characteristic_directions(neither, structure=lam2)),
+    ]
+
+
+@pytest.mark.parametrize("case", _refusal_cases(), ids=lambda c: c[0])
+def test_documented_refusals(case, fatou):
+    _, error, fragment, call = case
+    with pytest.raises(error, match=fragment):
+        call(fatou)

@@ -210,6 +210,30 @@ def test_plan_compiles_image_and_jacobian_on_first_use():
     assert plan.image is image
 
 
+@pytest.mark.parametrize("mu", [(2,), (3,), (4,), (5,), (2, 1), (2, 2),
+                                (3, 1), (3, 2), (3, 3), (4, 1), (2, 1, 1)])
+def test_linear_inverse_matches_the_fixed_point_solve_on_unipotent_germs(mu):
+    # on a unipotent J the fixed-point elimination of DF(0) is exact, so it
+    # gives the rounded exact inverse the plan keeps, and the same gain
+    S = build_structure(mu, [G(1)] * len(mu))
+    n = S.n
+    F = germ_from_terms(S, {(n, (2,) + (0,) * (n - 1)): G(1)}, cap=3)
+    for prec in (64, 128, 256):
+        plan = OrbitPlan(_as_germ(F), prec)
+        sc, zero = plan.scale, (0,) * (2 * n)
+        jr, ji = plan.jacobian(zero, 0)
+        norm = max(sum(abs(x) + abs(y) for x, y in zip(r, i))
+                   for r, i in zip(jr, ji))
+        cols = []
+        for i in range(n):
+            unit = [0] * (2 * n)
+            unit[2 * i] = 1 << sc
+            cols.append(plan.solve(plan.jacobian(zero, 0), unit))
+        rows = [[(i, c[2 * j], c[2 * j + 1]) for i, c in enumerate(cols)
+                 if c[2 * j] or c[2 * j + 1]] for j in range(n)]
+        assert plan._linear == (rows, max(0, norm.bit_length() - sc))
+
+
 def _exact_outside(pt, radius):
     exp, man = pt
     scale = Fraction(2) ** exp

@@ -47,6 +47,21 @@ def test_parse_rejects_junk(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("big", ["1e5000", "-1e-5000", "2.5e9999i",
+                                 "1/2+1E+4301i"])
+def test_parse_refuses_decimal_exponents_beyond_the_digit_limit(big):
+    # "1e10000000" would otherwise build a numerator of 33 million bits
+    with pytest.raises(SchemaError, match="decimal exponent beyond 4300"):
+        parse_scalar(big)
+
+
+def test_parse_keeps_decimal_exponents_within_the_limit():
+    assert parse_scalar("1e4300") == GaussianRational(10 ** 4300)
+    assert parse_scalar("-1e-4300") == GaussianRational(
+        Fraction(-1, 10 ** 4300))
+    assert parse_scalar("1.5e-3") == GaussianRational(Fraction(3, 2000))
+
+
 def _plain_literals(rng, count):
     """Signed "p" and "p/q" literals with leading zeros, zero numerators
     and numerators of up to 200 digits."""

@@ -1,6 +1,7 @@
 """Digest of every distinct benchmark pool request, run against one checkout.
 
     python3 tools/pool_digest.py CHECKOUT [--workload NAME]
+    python3 tools/pool_digest.py CHECKOUT --against PARENT_CHECKOUT
 
 Builds the request pool of each workload from CHECKOUT/perfbench/workloads.py
 (read, never changed) and runs every distinct request once, in-process,
@@ -14,6 +15,10 @@ the CSV digest only for orbit requests.  The pool's files live under a
 relative directory of a fresh temporary working directory, so the paths
 inside the outputs are the same for every checkout, and comparing two
 checkouts is one diff of two runs.
+
+With --against, each checkout is digested in its own subprocess (a process
+imports blowdyn from one checkout only), the differing lines are printed as
+a unified diff, and the exit status is 1 if any differ.
 """
 
 import os
@@ -25,9 +30,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import difflib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import shutil  # noqa: E402
+import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 
 WORKLOADS = ("tower", "analysis", "orbit")
@@ -91,12 +98,36 @@ def digest(main, workloads, name):
             print(" ".join(cells), flush=True)
 
 
+def compare(checkout, parent, workload):
+    """Digest both checkouts, one subprocess each, and print a diff of the
+    two digests; 1 if they differ, else 0."""
+    digests = []
+    for root in (parent, checkout):
+        out = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), root,
+             "--workload", workload],
+            check=True, stdout=subprocess.PIPE, text=True).stdout
+        digests.append(out.splitlines())
+    diff = list(difflib.unified_diff(*digests, parent, checkout,
+                                     lineterm="", n=0))
+    for line in diff:
+        print(line)
+    print("pool_digest: %d lines, %s" % (len(digests[1]), "differ" if diff
+                                          else "identical"), file=sys.stderr)
+    return 1 if diff else 0
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("checkout")
     ap.add_argument("--workload", choices=WORKLOADS + ("all",),
                     default="all")
+    ap.add_argument("--against", metavar="PARENT_CHECKOUT",
+                    help="compare with this checkout's digest")
     args = ap.parse_args()
+    if args.against:
+        return compare(os.path.abspath(args.checkout),
+                       os.path.abspath(args.against), args.workload)
     cli, workloads = load(os.path.abspath(args.checkout))
     here = os.getcwd()
     work = tempfile.mkdtemp(prefix="pool-digest-")
