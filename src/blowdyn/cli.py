@@ -93,15 +93,45 @@ def _direction_json(d):
     return out
 
 
+class TermTable:
+    """A JSON list with one object per nonzero term of each of `series`,
+    in order: {"exp": [...], "coeff": "..."}, or {"j": j, "exp": [...],
+    "coeff": "..."} when `numbered`, j the series' 1-based position.
+    json_text spells it straight from each series' spelled_terms(),
+    building no object per term."""
+
+    __slots__ = ("series", "numbered")
+
+    def __init__(self, series, numbered=False):
+        self.series = series
+        self.numbered = numbered
+
+    def json_text(self, nl):
+        item = nl + "  "
+        key = item + "  "
+        digit = key + "  "
+        mid = key + '],' + key + '"coeff": '
+        items = []
+        for j, s in enumerate(self.series, start=1):
+            head = "{" + key + ('"j": %d,' % j + key if self.numbered else "")
+            head += '"exp": [' + digit
+            items += [head + ("," + digit).join(map(int.__repr__, e)) + mid
+                      + _quote(c) + item + "}" for e, c in s.spelled_terms()]
+        if not items:
+            return "[]"
+        return "[" + item + ("," + item).join(items) + nl + "]"
+
+
 _INTS = {int}
 
 
 def json_text(x, nl="\n"):
     """The text of json.dumps(x, indent=2), byte for byte, for x built of
-    dicts with str keys, lists, tuples, strings, numbers, bools and None;
-    a dict key of another type raises TypeError.  nl is a newline plus the
-    indent of x's own line.  (json.dumps with an indent runs the
-    pure-Python encoder, which makes several calls per value.)"""
+    dicts with str keys, lists, tuples, strings, numbers, bools and None,
+    with a TermTable spelled as the list it stands for; a dict key of
+    another type raises TypeError.  nl is a newline plus the indent of
+    x's own line.  (json.dumps with an indent runs the pure-Python
+    encoder, which makes several calls per value.)"""
     if isinstance(x, str):
         return _quote(x)
     if isinstance(x, dict):
@@ -135,6 +165,8 @@ def json_text(x, nl="\n"):
         if x == -math.inf:
             return "-Infinity"
         return float.__repr__(x)
+    if isinstance(x, TermTable):
+        return x.json_text(nl)
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(x).__name__)
 
@@ -249,24 +281,6 @@ def load_map_spec(path):
     with open(path) as fh:
         data = json.load(fh)
     return parse_map_spec(data)
-
-
-# -- lifted-map serialization ---------------------------------------------
-
-def lifted_map_to_json(L):
-    comps = [[{"exp": e, "coeff": c} for e, c in s.spelled_terms()]
-             for s in L.series.components]
-    return {
-        "schema": SCHEMA,
-        "kind": "lifted-map",
-        "structure": {
-            "mu": list(L.structure.mu),
-            "lambda": [jval(x) for x in L.structure.lam],
-        },
-        "stage": L.stage,
-        "degree_cap": L.cap,
-        "components": comps,
-    }
 
 
 # -- shared option helpers -------------------------------------------------
@@ -403,12 +417,21 @@ def lift_cmd(map_path, stage, degree, out_path):
     _expect_range("--stage", stage, (1, F.structure.ell))
     D = degree if degree is not None else opts["degree_cap"]
     L = lift(F, stage, D)
-    payload = lifted_map_to_json(L)
-    payload["semiconjugacy_exact"] = verify_semiconjugacy(F, L)
+    payload = {
+        "kind": "lifted-map",
+        "structure": {
+            "mu": list(L.structure.mu),
+            "lambda": [jval(x) for x in L.structure.lam],
+        },
+        "stage": L.stage,
+        "degree_cap": L.cap,
+        "components": [TermTable([s]) for s in L.series.components],
+        "semiconjugacy_exact": verify_semiconjugacy(F, L),
+    }
     if not out_path:
         return payload
     with open(out_path, "w") as fh:
-        fh.write(json_text(payload))
+        fh.write(json_text({"schema": SCHEMA, **payload}))
     return {"written": out_path, "stage": stage, "degree_cap": D,
             "semiconjugacy_exact": payload["semiconjugacy_exact"]}
 
@@ -585,17 +608,13 @@ def normalform_cmd(map_path):
     degree caps >= 3 the conjugator is exact only modulo degree 3."""
     F, _ = load_map_spec(map_path)
     nf = normal_form(F)
-    def germ_terms(g):
-        return [{"j": j, "exp": e, "coeff": c}
-                for j, s in enumerate(g.components, start=1)
-                for e, c in s.spelled_terms()]
     return {
         "epsilon_table": [[jval(x) for x in row] for row in nf.epsilon],
         "epsilon_vector": [jval(x) for x in epsilon_vector(nf)],
         "alpha": [jval(x) for x in nf.alpha],
         "j0": nf.j0,
-        "normalized": germ_terms(nf.normalized),
-        "conjugator": germ_terms(nf.conjugator),
+        "normalized": TermTable(nf.normalized.components, numbered=True),
+        "conjugator": TermTable(nf.conjugator.components, numbered=True),
     }
 
 

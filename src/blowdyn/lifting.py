@@ -407,31 +407,32 @@ def semiconjugacy_residual(F, L):
     """Both sides of the defining identity at cap D: push the lift through
     the forward monomials and compare with the input composed with them.
     Returns the list of per-component differences (all zero series iff the
-    lift is correct)."""
-    S = F.structure
+    lift is correct).
+
+    Row j of the forward table is an exponent vector p, and its side of
+    the identity is the product prod_i L_i^p_i of the lifted components.
+    The rows form a tree: taken in order of total degree, a row whose p
+    minus a unit vector e_i is an earlier row is that row's product times
+    L_i, one multiplication.  A row with no such parent is multiplied out
+    from powers; in every chart of dimension at most 9 there is only one,
+    the row of lowest degree."""
     pf = L.formulas
-    D = L.cap
-    n = S.n
-    cache = {}
-
-    def lifted_power(i, p):
-        key = (i, p)
-        if key not in cache:
-            cache[key] = series_power(L.series.components[i], p)
-        return cache[key]
-
-    resid = []
-    for j in range(1, n + 1):
-        row = pf.forward_monomial(j)
-        lhs = None
-        for i, p in enumerate(row):
-            if not p:
-                continue
-            f = lifted_power(i, p)
-            lhs = f if lhs is None else series_multiply(lhs, f)
-        rhs = monomial_substitute(F.map.components[j - 1], pf.forward, D)
-        resid.append(lhs - rhs)
-    return resid
+    comps = L.series.components
+    products = {}  # exponent vector -> its product of lifted components
+    for p in sorted(set(pf.forward), key=sum):
+        for i, x in enumerate(p):
+            parent = p[:i] + (x - 1,) + p[i + 1:]
+            if x and parent in products:
+                products[p] = series_multiply(products[parent], comps[i])
+                break
+        else:
+            factors = [series_power(comps[i], x) for i, x in enumerate(p) if x]
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = series_multiply(prod, f)
+            products[p] = prod
+    return [products[p] - monomial_substitute(f, pf.forward, L.cap)
+            for p, f in zip(pf.forward, F.map.components)]
 
 
 def verify_semiconjugacy(F, L):

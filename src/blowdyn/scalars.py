@@ -204,7 +204,9 @@ _TERM_SPLIT = _re.compile(r"(?<![eE/*^])([+-])")
 _PLAIN_RATIONAL = _re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _parse_real(tok):
+def _parse_real(tok, written):
+    """The rational tok; a SchemaError quotes `written`, the part of the
+    literal it came from."""
     tok = tok.strip()
     if tok in ("", "+"):
         return _ONE
@@ -224,7 +226,7 @@ def _parse_real(tok):
             return RAT(tok)  # exact decimal -> rational
         return RAT(int(tok))
     except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError("bad numeric literal %r (%s)" % (tok, exc))
+        raise SchemaError("bad numeric literal %r (%s)" % (written, exc))
 
 
 def parse_scalar(text):
@@ -249,24 +251,19 @@ def parse_scalar(text):
     s = text.replace(" ", "")
     if not s:
         raise SchemaError("empty scalar literal")
-    # split into signed terms, keeping signs
+    # split into terms, each with the sign written before it ("" if none)
     parts = _TERM_SPLIT.split(s)
     terms = []
-    sign = "+"
-    pending = False
+    sign = ""
     for piece in parts:
         if piece in ("+", "-"):
-            if pending:
+            if sign:
                 raise SchemaError("consecutive signs in %r" % text)
             sign = piece
-            pending = True
-            continue
-        if piece == "":
-            continue
-        terms.append(sign + piece)
-        sign = "+"
-        pending = False
-    if pending:
+        elif piece:
+            terms.append(sign + piece)
+            sign = ""
+    if sign:
         raise SchemaError("dangling sign in %r" % text)
     re_part = _ZERO
     im_part = _ZERO
@@ -276,19 +273,14 @@ def parse_scalar(text):
             if seen_im:
                 raise SchemaError("two imaginary parts in %r" % text)
             body = t[:-1]
-            if t[0] in "+-":
-                sgn = -_ONE if t[0] == "-" else _ONE
-                body = body[1:]
-            else:
-                sgn = _ONE
             if body.endswith("*"):
                 body = body[:-1]
-            im_part = sgn * _parse_real(body)
+            im_part = _parse_real(body, t)
             seen_im = True
         else:
             if seen_re:
                 raise SchemaError("two real parts in %r" % text)
-            re_part = _parse_real(t)
+            re_part = _parse_real(t, t)
             seen_re = True
     if not (seen_re or seen_im):
         raise SchemaError("unparseable scalar %r" % text)

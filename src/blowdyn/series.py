@@ -517,21 +517,75 @@ def series_compose(outer, inner, _power_cache=None):
 
 
 def series_reciprocal(u):
-    c0 = u.constant_term()
-    if not c0:
+    """1/u for a unit u (nonzero constant term), solved online.
+
+    Write u = N / den with Gaussian-integer numerators N = c + N', c the
+    constant and N' of positive order, and 1/c = (ca + cb i) / q with q a
+    positive integer.  The degree-d part Y_d of 1/N solves
+    c Y_d = -sum_{j=1..d} N'_j Y_(d-j), N'_j the degree-j part of N', so
+    V_d = q^(d+1) Y_d has Gaussian-integer numerators:
+
+        V_0 = ca + cb i,
+        V_d = -(ca + cb i) sum_{j=1..d} q^(j-1) N'_j V_(d-j),
+
+    and 1/u = den sum_d q^(cap-d) V_d / q^(cap+1).  Each product of a term
+    of N' with a term of V is formed once, and the sum is normalised once
+    (the online solution of u y = 1, as in J. van der Hoeven, "Relax, but
+    don't be too lazy", J. Symbolic Comput. 34 (2002)).
+    """
+    den, ur, ui = u._form
+    a, b = ur.get(0, 0), ui.get(0, 0)  # key 0: the zero exponent
+    if not a and not b:
         raise PreconditionViolated("reciprocal of a non-unit (zero constant term)")
     cap = u.cap
     shift = _shift(u.nvars, cap)
-    inv_c0 = QI_ONE / c0
-    # u = c0 (1 - t) with t of positive order; 1/u = (1/c0) sum t^m
-    t = _select(_scale(u._form, -inv_c0), bool)  # drops the constant -1
-    acc = p = _ONE_FORM
-    for _ in range(cap):
-        p = _mul(p, t, cap, shift)
-        if not p[1] and not p[2]:
-            break
-        acc = _add(acc, p)
-    return TruncatedSeries._of_form(u.nvars, cap, _scale(acc, inv_c0))
+    q = a * a + b * b
+    g = math.gcd(a, b, q)  # |a| for a real c, so ca = +-1 and q = |a|
+    ca, cb, q = a // g, -b // g, q // g
+    # the terms of N' by degree j, each scaled by q^(j-1)
+    terms = [[] for _ in range(cap + 1)]
+    for k in (ur.keys() | ui.keys()) if ui else ur:
+        if k:
+            j = k // shift
+            s = q ** (j - 1)
+            terms[j].append((k, ur.get(k, 0) * s, ui.get(k, 0) * s))
+    vr, vi = [{0: ca}], [{0: cb} if cb else {}]  # V_d's numerators
+    for d in range(1, cap + 1):
+        sr, si = {}, {}
+        rget, iget = sr.get, si.get
+        for j in range(1, d + 1):
+            pr, pi = vr[d - j], vi[d - j]
+            for k, nr, ni in terms[j]:
+                if nr:
+                    for kv, v in pr.items():
+                        kv += k
+                        sr[kv] = rget(kv, 0) + nr * v
+                    for kv, v in pi.items():
+                        kv += k
+                        si[kv] = iget(kv, 0) + nr * v
+                if ni:
+                    for kv, v in pi.items():
+                        kv += k
+                        sr[kv] = rget(kv, 0) - ni * v
+                    for kv, v in pr.items():
+                        kv += k
+                        si[kv] = iget(kv, 0) + ni * v
+        if cb:
+            keys = sr.keys() | si.keys()
+            vr.append({k: x for k in keys
+                       if (x := cb * iget(k, 0) - ca * rget(k, 0))})
+            vi.append({k: x for k in keys
+                       if (x := -ca * iget(k, 0) - cb * rget(k, 0))})
+        else:
+            vr.append({k: -ca * x for k, x in sr.items() if x})
+            vi.append({k: -ca * x for k, x in si.items() if x})
+    re, im = {}, {}
+    for d in range(cap + 1):
+        s = den * q ** (cap - d)
+        re.update({k: x * s for k, x in vr[d].items()})
+        im.update({k: x * s for k, x in vi[d].items()})
+    return TruncatedSeries._of_form(u.nvars, cap,
+                                    _normal(q ** (cap + 1), re, im))
 
 
 def monomial_divide(s, m):

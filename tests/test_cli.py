@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from blowdyn import cli
 from blowdyn.errors import JordanMismatch, SchemaError
 from blowdyn.lifting import lift
+from blowdyn.normalform import epsilon_vector, normal_form
 from blowdyn.scalars import GaussianRational, parse_scalar
 from blowdyn.series import TruncatedSeries
 
@@ -36,6 +37,58 @@ NONGENERIC_SPEC = {
     ],
     "options": {"degree_cap": 3},
 }
+
+
+# complex, negative and fractional eigenvalues and coefficients
+COMPLEX_SPEC = {
+    "dim": 3,
+    "blocks": [{"mu": 2, "lambda": "1/2+i"}, {"mu": 1, "lambda": "-3/4"}],
+    "terms": [
+        {"j": 2, "exp": [2, 0, 0], "coeff": "-2/3+1/5i"},
+        {"j": 1, "exp": [1, 1, 0], "coeff": "7/2"},
+        {"j": 3, "exp": [0, 1, 2], "coeff": "-i"},
+        {"j": 3, "exp": [2, 0, 0], "coeff": "5/7"},
+    ],
+    "options": {"degree_cap": 4},
+}
+
+UNIPOTENT_SPEC = {
+    "dim": 3,
+    "blocks": [{"mu": 3, "lambda": "1"}],
+    "terms": [
+        {"j": 3, "exp": [2, 0, 0], "coeff": "-2/3+1/5i"},
+        {"j": 1, "exp": [1, 1, 0], "coeff": "7/2"},
+        {"j": 2, "exp": [0, 1, 1], "coeff": "-i"},
+        {"j": 3, "exp": [1, 2, 0], "coeff": "5/7"},
+    ],
+    "options": {"degree_cap": 3},
+}
+
+
+def term_table(series, numbered=False):
+    """The JSON term list of `series`, built from the public coeffs view."""
+    rows = []
+    for j, s in enumerate(series, start=1):
+        for e, c in sorted(s.coeffs.items()):
+            row = {"j": j} if numbered else {}
+            row["exp"] = list(e)
+            row["coeff"] = str(c)
+            rows.append(row)
+    return rows
+
+
+def lift_reference(F, stage, cap):
+    L = lift(F, stage, cap)
+    return {
+        "schema": "blowdyn/1",
+        "kind": "lifted-map",
+        "structure": {"mu": list(F.structure.mu),
+                      "lambda": [str(x) for x in F.structure.lam]},
+        "stage": stage,
+        "degree_cap": cap,
+        "components": [term_table([s]) for s in L.series.components],
+        "semiconjugacy_exact": True,
+    }
 
 
 def write_spec(tmp_path, data, name="map.json"):
@@ -300,11 +353,61 @@ def test_lift_round_trip(tmp_path):
     assert res.exit_code == 0
     summary = json.loads(res.output)
     assert summary["semiconjugacy_exact"] is True
-    want = dict(cli.lifted_map_to_json(lift(fatou_germ(), 2, 4)),
-                semiconjugacy_exact=True)
+    want = lift_reference(fatou_germ(), 2, 4)
     text = (tmp_path / "lifted.json").read_text()
     assert json.loads(text) == want
     assert text == json.dumps(want, indent=2)
+
+
+@pytest.mark.parametrize("spec,stage", [(FATOU_SPEC, 2), (COMPLEX_SPEC, 1),
+                                        (COMPLEX_SPEC, 2)])
+def test_lift_writes_the_reference_json(tmp_path, spec, stage):
+    path = write_spec(tmp_path, spec)
+    F, opts = cli.load_map_spec(path)
+    want = json.dumps(lift_reference(F, stage, opts["degree_cap"]), indent=2)
+    res = run("lift", "--map", path, "--stage", str(stage))
+    assert res.exit_code == 0, res.output
+    assert res.stdout == want + "\n"
+    out = tmp_path / "lifted.json"
+    res = run("lift", "--map", path, "--stage", str(stage), "--out", str(out))
+    assert res.exit_code == 0, res.output
+    assert out.read_text() == want
+
+
+@pytest.mark.parametrize("spec", [FATOU_SPEC, UNIPOTENT_SPEC])
+def test_normalform_writes_the_reference_json(tmp_path, spec):
+    path = write_spec(tmp_path, spec)
+    nf = normal_form(cli.load_map_spec(path)[0])
+    want = {
+        "schema": "blowdyn/1",
+        "epsilon_table": [[str(x) for x in row] for row in nf.epsilon],
+        "epsilon_vector": [str(x) for x in epsilon_vector(nf)],
+        "alpha": [str(x) for x in nf.alpha],
+        "j0": nf.j0,
+        "normalized": term_table(nf.normalized.components, numbered=True),
+        "conjugator": term_table(nf.conjugator.components, numbered=True),
+    }
+    res = run("normalform", "--map", path)
+    assert res.exit_code == 0, res.output
+    assert res.stdout == json.dumps(want, indent=2) + "\n"
+
+
+def test_term_tables_spell_like_json_dumps():
+    """TermTable inside json_text, at several indents and with empty
+    series, against json.dumps of the reference term list."""
+    rng = random.Random(21)
+    for nvars, cap in [(1, 0), (1, 5), (2, 4), (4, 3)]:
+        comps = [TruncatedSeries(nvars, cap, {
+            tuple(rng.randint(0, cap // nvars) for _ in range(nvars)):
+            GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                             rng.choice([0, Fraction(-1, 3), 2]))
+            for _ in range(rng.randint(0, 4))}) for _ in range(3)]
+        comps.append(TruncatedSeries.zero(nvars, cap))
+        for numbered in (False, True):
+            x = {"a": [cli.TermTable(comps, numbered), cli.TermTable([])],
+                 "b": cli.TermTable(comps[3:], numbered)}
+            want = {"a": [term_table(comps, numbered), []], "b": []}
+            assert cli.json_text(x) == json.dumps(want, indent=2)
 
 
 def test_chardirs_command(tmp_path):

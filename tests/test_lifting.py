@@ -137,18 +137,32 @@ def test_semiconjugacy_all_structures_and_stages():
             assert verify_semiconjugacy(F, L), (mu, k)
 
 
-def test_semiconjugacy_residual_catches_corruption():
-    F = fatou_germ()
-    L = lift(F, 1, 3)
+CORRUPTION_CASES = [(mu, i) for mu in [(2,), (3,), (2, 2), (3, 2), (4, 2),
+                                        (2, 2, 1)]
+                    for i in range(sum(mu))]
+
+
+@pytest.mark.parametrize(
+    "mu,i", CORRUPTION_CASES,
+    ids=["%s-L%d" % ("x".join(map(str, mu)), i + 1)
+         for mu, i in CORRUPTION_CASES])
+def test_semiconjugacy_residual_catches_corruption(mu, i):
+    """A bad term in lifted component i puts off the residual of exactly
+    the rows whose product holds L_i, also the rows that reach L_i only
+    through the product of the row below them."""
+    F = random_germ(random.Random(31 * sum(mu) + i), mu, cap=3)
+    S = F.structure
+    rows = projection_formulas(S, S.ell).forward
+    # a degree-1 bump moves row p's product first at degree |p|
+    L = lift(F, S.ell, max(map(sum, rows)))
     assert verify_semiconjugacy(F, L)
-    comp0 = L.series.components[0]
-    bump = TruncatedSeries.monomial((0, 2), 2, comp0.cap,
-                                    GaussianRational(Fraction(1, 3)))
-    bad = PolyMapGerm([comp0 + bump, L.series.components[1]])
-    corrupted = replace(L, series=bad)
+    comps = list(L.series.components)
+    comps[i] = comps[i] + TruncatedSeries.monomial(
+        (1,) + (0,) * (S.n - 1), S.n, L.cap, GaussianRational(Fraction(1, 3)))
+    corrupted = replace(L, series=PolyMapGerm(comps))
     assert not verify_semiconjugacy(F, corrupted)
     resid = semiconjugacy_residual(F, corrupted)
-    assert any(not r.is_zero() for r in resid)
+    assert [not r.is_zero() for r in resid] == [p[i] > 0 for p in rows]
 
 
 def test_lift_preconditions():

@@ -92,9 +92,16 @@ def test_plain_literals_parse_as_the_general_path(monkeypatch):
 
 def test_literals_outside_the_plain_form_keep_their_results(monkeypatch):
     for bad, message in [
-            ("1/0", "bad numeric literal '+1/0' (Fraction(1, 0))"),
-            ("1/00", "bad numeric literal '+1/00' (Fraction(1, 0))"),
-            ("-3/000", "bad numeric literal '-3/000' (Fraction(-3, 0))")]:
+            ("1/0", "bad numeric literal '1/0' (Fraction(1, 0))"),
+            ("1/00", "bad numeric literal '1/00' (Fraction(1, 0))"),
+            ("-3/000", "bad numeric literal '-3/000' (Fraction(-3, 0))"),
+            ("2-1/0i", "bad numeric literal '-1/0i' (Fraction(-1, 0))"),
+            ("1/0+2i", "bad numeric literal '1/0' (Fraction(1, 0))"),
+            ("1e10000000",
+             "bad numeric literal '1e10000000' (decimal exponent beyond 4300)"),
+            ("3+2.5e9999*I",
+             "bad numeric literal '+2.5e9999*I' (decimal exponent beyond "
+             "4300)")]:
         with pytest.raises(SchemaError) as info:
             parse_scalar(bad)
         assert str(info.value) == message

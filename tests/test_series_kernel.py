@@ -8,9 +8,15 @@ from fractions import Fraction
 import pytest
 
 from blowdyn.errors import PreconditionViolated
-from blowdyn.scalars import GaussianRational
+from blowdyn.scalars import QI_ONE, GaussianRational
 from blowdyn.series import (
+    _ONE_FORM,
     TruncatedSeries,
+    _add,
+    _mul,
+    _scale,
+    _select,
+    _shift,
     series_compose,
     series_multiply,
     series_power,
@@ -198,6 +204,48 @@ def test_reciprocal_is_an_inverse(nvars, cap):
         assert_canonical(inv)
         assert s * inv == one
         assert ref_mul(u, inv.coeffs, cap) == {(0,) * nvars: GaussianRational(1)}
+
+
+def geometric_reciprocal_form(u):
+    """The integer form of 1/u summed as a geometric series: u = c0 (1 - t)
+    with t of positive order, and 1/u = (1/c0) sum_m t^m."""
+    c0 = u.constant_term()
+    cap = u.cap
+    shift = _shift(u.nvars, cap)
+    inv_c0 = QI_ONE / c0
+    t = _select(_scale(u._form, -inv_c0), bool)  # drops the constant -1
+    acc = p = _ONE_FORM
+    for _ in range(cap):
+        p = _mul(p, t, cap, shift)
+        if not p[1] and not p[2]:
+            break
+        acc = _add(acc, p)
+    return _scale(acc, inv_c0)
+
+
+CONSTANTS = {
+    "positive": GaussianRational(Fraction(7, 3)),
+    "negative": GaussianRational(-5),
+    "complex": GaussianRational(Fraction(-2, 5), Fraction(3, 4)),
+    "imaginary": GaussianRational(0, Fraction(-6, 7)),
+}
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+@pytest.mark.parametrize("terms", [3, 30], ids=["sparse", "dense"])
+def test_reciprocal_matches_the_geometric_series(nvars, terms):
+    rng = random.Random(17 * nvars + terms)
+    for cap in range(11):
+        for name, c0 in CONSTANTS.items():
+            kind = "real" if name in ("positive", "negative") else "complex"
+            u = rand_coeffs(rng, nvars, cap, terms if cap else 0, kind, low=1)
+            u[(0,) * nvars] = c0
+            s = series(nvars, cap, u)
+            inv = series_reciprocal(s)
+            assert inv._form == geometric_reciprocal_form(s), (cap, name)
+            assert_canonical(inv)
+    with pytest.raises(PreconditionViolated):
+        series_reciprocal(series(nvars, 3, {(1,) + (0,) * (nvars - 1): c0}))
 
 
 @pytest.mark.parametrize("nvars,cap", [(1, 8), (2, 6), (3, 4), (4, 3)])
