@@ -453,8 +453,7 @@ def chardirs_cmd(map_path, mode):
         entry = _direction_json(d)
         entry["allowable"] = bool(
             d.allowable or dynamics.allowable_filter([d], S))
-        if not (d.degenerate or d.span
-                or entry.get("attraction_spectrum") is not None):
+        if not (d.degenerate or d.span):
             try:
                 h = dynamics.hakim_matrix(Q, d.v)
                 entry["attraction_spectrum"] = [jval(x) for x in h.spectrum]

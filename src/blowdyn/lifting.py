@@ -17,6 +17,7 @@ computed series; rows whose printed index pattern is ambiguous are called
 out in the comparison report.
 """
 
+import functools
 from dataclasses import dataclass
 
 from .blowup import projection_formulas
@@ -41,19 +42,18 @@ from .series import (
 )
 
 
+@functools.lru_cache(maxsize=256)
 def jordan_matrix(S):
-    """The block upper-bidiagonal matrix encoded by S, as exact scalars."""
+    """The block upper-bidiagonal matrix encoded by S, as exact scalars:
+    a tuple of rows, built once per structure."""
     n = S.n
     m = [[QI_ZERO] * n for _ in range(n)]
-    for l in range(S.rho):
-        lam = S.lam[l]
-        base = S.nu[l]
-        size = S.mu[l]
+    for lam, base, size in zip(S.lam, S.nu, S.mu):
         for j in range(base, base + size):
             m[j][j] = lam
             if j < base + size - 1:
                 m[j][j + 1] = QI_ONE
-    return m
+    return tuple(map(tuple, m))
 
 
 def germ_from_terms(S, terms, cap=2):

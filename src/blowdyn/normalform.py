@@ -36,6 +36,8 @@ from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import (
     extend_reduced, invert_matrix, mat_add, mat_mul, mat_scale, qi, zeros,
 )
+from .lifting import jordan_matrix
+from .partition import build_structure
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
     PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, _unit,
@@ -326,12 +328,10 @@ class NormalFormResult:
 
 
 def _require_unipotent_block(g):
-    n = g.n
-    lin = g.linear_matrix()
-    for i in range(n):
-        for j in range(n):
-            want = QI_ONE if (i == j or j == i + 1) else QI_ZERO
-            if lin[i][j] != want:
+    block = jordan_matrix(build_structure((g.n,), (QI_ONE,)))
+    for i, row in enumerate(g.linear_matrix()):
+        for j, x in enumerate(row):
+            if x != block[i][j]:
                 raise NotJordan(
                     "linear part is not the unipotent Jordan block: entry (%d,%d)"
                     % (i + 1, j + 1)

@@ -17,6 +17,10 @@ dict is keyed by the packed exponent
 so adding keys multiplies monomials (no digit can carry below the cap),
 and sorting keys sorts terms by degree.  A real series has an empty
 imaginary dict and multiplies with one integer product per term pair.
+Packing is linear, so a monomial map w^e -> w^(e M) moves a term to the
+key sum_i e_i key(M_i) at the new cap, read off its old key's digits;
+terms landing on one key are summed.  Re-capping, monomial products,
+quotients and substitution are all this one re-key (_rekey).
 
 The integer form is the only layout a series is built in: the
 constructor packs a coefficient dict into it at once, and every
@@ -64,9 +68,7 @@ class TruncatedSeries:
             raise PreconditionViolated("negative degree cap")
         terms = {}  # packed key -> nonzero GaussianRational
         for e, c in (coeffs or {}).items():
-            e = tuple(map(int, e))
-            if len(e) != nvars or min(e, default=0) < 0:
-                raise PreconditionViolated("bad multi-index %r" % (e,))
+            e = _monomial(e, nvars)
             if sum(e) > cap:
                 raise PreconditionViolated(
                     "multi-index %r above cap %d" % (e, cap)
@@ -241,13 +243,7 @@ class TruncatedSeries:
         polynomial with no dropped terms — lifting uses this for input maps."""
         if cap == self.cap:
             return self  # series are immutable
-        base = cap + 1
-        # the terms of degree > cap are the keys from (cap + 1) B**n up
-        return TruncatedSeries._of_form(
-            self.nvars, cap,
-            _rekey(self, lambda e: _pack(e, base),
-                   below=(cap + 1) * _shift(self.nvars, self.cap)),
-        )
+        return TruncatedSeries._of_form(self.nvars, cap, _rekey(self, cap))
 
 
 # -- the integer form ------------------------------------------------------
@@ -307,21 +303,45 @@ def _select(form, keep):
                    {k: v for k, v in im.items() if keep(k)})
 
 
-def _rekey(s, move, below=None):
-    """s's integer form with the term of exponent e moved to the packed
-    key move(e), or dropped where move(e) is None; move is one-to-one.
-    Terms whose key is at least `below` are dropped unread."""
+def _rekey(s, cap, factor=None, rows=None):
+    """s's integer form under the monomial map w^e -> w^((e + factor) rows)
+    at `cap` (factor zero and rows the identity by default), re-keyed as
+    the module docstring says.  No row is zero, so a term is dropped
+    unread where deg(e) + deg(factor) > cap; e_i + factor_i < 0 raises
+    DivisionObstruction."""
     den, re, im = s._form
-    base = s.cap + 1
-    keys = {}
+    n, base = s.nvars, s.cap + 1
+    factor = factor or (0,) * n
+    weights = ([_pack(row, cap + 1) for row in rows] if rows else
+               [_shift(n, cap) + (cap + 1) ** (n - 1 - i) for i in range(n)])
+    steps = list(zip(weights, factor))[::-1]
+    start = sum(w * f for w, f in steps)
+    top = (cap + 1) * _shift(len(rows[0]) if rows else n, cap)
+    unread = (cap + 1 - sum(factor)) * _shift(n, s.cap)
+    out = {}, {}
     for k in (re.keys() | im.keys()) if im else re:
-        if below is not None and k >= below:
+        if k >= unread:
             continue
-        new = move(_unpack(k, s.nvars, base))
-        if new is not None:
-            keys[k] = new
-    return _normal(den, {keys[k]: v for k, v in re.items() if k in keys},
-                   {keys[k]: v for k, v in im.items() if k in keys})
+        new, rest = start, k
+        for w, f in steps:
+            rest, x = divmod(rest, base)
+            if x + f < 0:
+                raise DivisionObstruction("term w^%r is not divisible by w^%r" % (
+                    _unpack(k, n, base), tuple(-d for d in factor)))
+            new += x * w
+        if new < top:
+            for part, acc in zip((re, im), out):
+                if k in part:
+                    acc[new] = acc.get(new, 0) + part[k]
+    return _normal(den, *out)
+
+
+def _monomial(m, nvars):
+    """m as a tuple of nvars nonnegative integers."""
+    m = tuple(map(int, m))
+    if len(m) != nvars or min(m, default=0) < 0:
+        raise PreconditionViolated("bad monomial %r for n = %d" % (m, nvars))
+    return m
 
 
 def _negate(form):
@@ -590,55 +610,33 @@ def series_reciprocal(u):
 
 def monomial_divide(s, m):
     """Divide by the monomial w^m; the result's cap drops by |m|."""
-    m = tuple(int(x) for x in m)
-    if len(m) != s.nvars or any(x < 0 for x in m):
-        raise PreconditionViolated("bad divisor multi-index %r" % (m,))
+    m = _monomial(m, s.nvars)
     cap = s.cap - sum(m)
     if cap < 0:
         raise PreconditionViolated("divisor degree exceeds cap")
-
-    def move(e):
-        q = [x - y for x, y in zip(e, m)]
-        if any(x < 0 for x in q):
-            raise DivisionObstruction(
-                "term w^%r is not divisible by w^%r" % (e, m)
-            )
-        return _pack(q, cap + 1)
-
-    return TruncatedSeries._of_form(s.nvars, cap, _rekey(s, move))
+    return TruncatedSeries._of_form(s.nvars, cap,
+                                    _rekey(s, cap, [-x for x in m]))
 
 
 def monomial_multiply(s, m, coeff=1):
     """Multiply by coeff * w^m; exact, so the cap grows by |m|."""
-    m = tuple(int(x) for x in m)
+    m = _monomial(m, s.nvars)
     cap = s.cap + sum(m)
-    km = _pack(m, cap + 1)  # packing is linear: key(e + m) = key(e) + km
-    moved = _rekey(s, lambda e: _pack(e, cap + 1) + km)
-    return TruncatedSeries._of_form(s.nvars, cap,
-                                    _scale(moved, _as_scalar(coeff)))
+    return TruncatedSeries._of_form(
+        s.nvars, cap, _scale(_rekey(s, cap, m), _as_scalar(coeff)))
 
 
 def monomial_substitute(f, forward, cap):
     """f(z) with each z_j replaced by the monomial w^forward[j], truncated
-    at cap.  The terms of f are read as a polynomial, whatever f's cap.
-
-    The term z^e becomes w^(e forward): one monomial, so this only re-keys
-    the integer form.  Packing is linear in the exponent, so its key at
-    the new cap is sum_j e_j key(forward[j]), and a key is at least
-    (cap + 1) B^n exactly when its degree exceeds the cap.  The exponent
-    matrix must be invertible, so that no two terms land on one key: the
-    blow-up projections are, as blowup._projection_formulas inverts them
-    with invert_unimodular_int_matrix.
-    """
-    nvars = len(forward[0])
-    weights = [_pack(row, cap + 1) for row in forward]
-    top = (cap + 1) * _shift(nvars, cap)
-
-    def move(e):
-        k = sum(p * w for p, w in zip(e, weights))
-        return k if k < top else None
-
-    return TruncatedSeries._of_form(nvars, cap, _rekey(f, move))
+    at cap; terms of f that land on one monomial are summed.  The terms of
+    f are read as a polynomial, whatever f's cap, and forward is f.nvars
+    nonzero rows of nonnegative integers, all of one length."""
+    rows = [_monomial(row, len(forward[0])) for row in forward]
+    if len(rows) != f.nvars or not all(map(any, rows)) or cap < 0:
+        raise PreconditionViolated("bad table %r for %d variables at cap %d"
+                                   % (forward, f.nvars, cap))
+    return TruncatedSeries._of_form(len(rows[0]), cap,
+                                    _rekey(f, cap, rows=rows))
 
 
 def series_evaluate(s, point):

@@ -10,6 +10,10 @@ from blowdyn.scalars import GaussianRational
 # every non-diagonalizable arrangement shape exercised by the suite
 STRUCTURES = [(2,), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1)]
 
+# the nine tower shapes of the benchmark pool
+TOWER_SHAPES = [(2,), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1), (4,), (3, 1),
+                (4, 2)]
+
 
 def partitions(n, largest=None):
     """The partitions of n, as non-increasing tuples."""

@@ -34,6 +34,7 @@ from blowdyn.series import (
 
 from conftest import (
     STRUCTURES,
+    TOWER_SHAPES,
     fatou_germ,
     partitions,
     rand_lambdas,
@@ -173,11 +174,6 @@ def test_lift_preconditions():
         lift(F, 3, 3)  # ell = 2 for a single 2-block
     with pytest.raises(PreconditionViolated):
         lift(F, 1, 1)
-
-
-# the nine tower shapes of the benchmark pool
-TOWER_SHAPES = [(2,), (3,), (2, 1), (2, 2), (3, 2), (2, 2, 1), (4,), (3, 1),
-                (4, 2)]
 
 
 def test_each_denominator_is_inverted_once_per_lift(monkeypatch):

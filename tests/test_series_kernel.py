@@ -7,21 +7,31 @@ from fractions import Fraction
 
 import pytest
 
-from blowdyn.errors import PreconditionViolated
+from blowdyn.blowup import projection_formulas
+from blowdyn.errors import DivisionObstruction, PreconditionViolated
+from blowdyn.partition import build_structure
 from blowdyn.scalars import QI_ONE, GaussianRational
 from blowdyn.series import (
     _ONE_FORM,
     TruncatedSeries,
     _add,
     _mul,
+    _normal,
+    _pack,
     _scale,
     _select,
     _shift,
+    _unpack,
+    monomial_divide,
+    monomial_multiply,
+    monomial_substitute,
     series_compose,
     series_multiply,
     series_power,
     series_reciprocal,
 )
+
+from conftest import TOWER_SHAPES
 
 ZERO = GaussianRational(0)
 PRIMES = [101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151, 157]
@@ -286,6 +296,155 @@ def test_spelled_terms_match_the_coefficient_view(nvars, cap, kind):
         for s in (a, b, series_multiply(a, b), a - a):  # integer-form results
             assert s.spelled_terms() == [
                 (list(e), str(c)) for e, c in sorted(s.coeffs.items())]
+
+
+# -- monomial maps ----------------------------------------------------------
+# The callback re-keying the four monomial maps ran on before they became
+# one data-driven rule, kept as the oracle: move(e) is the new packed key
+# of the term w^e, or None to drop it, and must be one-to-one.
+
+def callback_rekey(s, move, below=None):
+    den, re, im = s._form
+    base = s.cap + 1
+    keys = {}
+    for k in (re.keys() | im.keys()) if im else re:
+        if below is not None and k >= below:
+            continue
+        new = move(_unpack(k, s.nvars, base))
+        if new is not None:
+            keys[k] = new
+    return _normal(den, {keys[k]: v for k, v in re.items() if k in keys},
+                   {keys[k]: v for k, v in im.items() if k in keys})
+
+
+def callback_recap_form(s, cap):
+    return callback_rekey(s, lambda e: _pack(e, cap + 1),
+                          below=(cap + 1) * _shift(s.nvars, s.cap))
+
+
+def callback_divide_form(s, m):
+    cap = s.cap - sum(m)
+
+    def move(e):
+        q = [x - y for x, y in zip(e, m)]
+        if any(x < 0 for x in q):
+            raise DivisionObstruction(
+                "term w^%r is not divisible by w^%r" % (e, m))
+        return _pack(q, cap + 1)
+
+    return callback_rekey(s, move)
+
+
+def callback_multiply_form(s, m, coeff):
+    cap = s.cap + sum(m)
+    km = _pack(m, cap + 1)
+    return _scale(callback_rekey(s, lambda e: _pack(e, cap + 1) + km), coeff)
+
+
+def callback_substitute_form(f, forward, cap):
+    weights = [_pack(row, cap + 1) for row in forward]
+    top = (cap + 1) * _shift(len(forward[0]), cap)
+
+    def move(e):
+        k = sum(p * w for p, w in zip(e, weights))
+        return k if k < top else None
+
+    return callback_rekey(f, move)
+
+
+def rand_series_pairs(seed):
+    """(kind, random series) over 1-4 variables and caps 0-8."""
+    rng = random.Random(seed)
+    for nvars in range(1, 5):
+        for cap in range(9):
+            for kind in ("real", "complex"):
+                yield rng, series(nvars, cap, rand_coeffs(
+                    rng, nvars, cap, rng.randint(0, 15), kind))
+
+
+def test_recap_matches_the_callback_rekey():
+    for _, s in rand_series_pairs("recap"):
+        for cap in range(9):
+            got = s.as_polynomial_cap(cap)
+            assert (got.nvars, got.cap) == (s.nvars, cap)
+            assert got._form == callback_recap_form(s, cap), (s, cap)
+            if cap <= s.cap:
+                assert s.truncated(cap)._form == got._form
+
+
+def test_monomial_multiply_and_divide_match_the_callback_rekey():
+    divided = obstructed = 0
+    for rng, s in rand_series_pairs("muldiv"):
+        for _ in range(3):
+            m = rand_exponent(rng, s.nvars, 3, 0)
+            c = rand_scalar(rng, "complex")
+            prod = monomial_multiply(s, m, c)
+            assert prod.cap == s.cap + sum(m)
+            assert prod._form == callback_multiply_form(s, m, c)
+            # divide both a multiple of w^m and s itself, which mostly is not
+            for t in (prod, s):
+                if sum(m) > t.cap:
+                    continue
+                try:
+                    want = callback_divide_form(t, m)
+                except DivisionObstruction as exc:
+                    with pytest.raises(DivisionObstruction) as got:
+                        monomial_divide(t, m)
+                    assert str(got.value) == str(exc)
+                    obstructed += 1
+                else:
+                    assert monomial_divide(t, m)._form == want
+                    divided += 1
+    assert divided > 250 and obstructed > 90
+
+
+def test_tower_substitutions_match_the_callback_rekey():
+    rng = random.Random("tower")
+    for mu in TOWER_SHAPES:
+        S = build_structure(mu, [1] * len(mu))
+        for k in range(1, S.ell + 1):
+            forward = projection_formulas(S, k).forward
+            for kind in ("real", "complex"):
+                f = series(S.n, 4, rand_coeffs(rng, S.n, 4, 12, kind))
+                for cap in range(9):
+                    got = monomial_substitute(f, forward, cap)
+                    assert (got.nvars, got.cap) == (S.n, cap)
+                    assert got._form == callback_substitute_form(
+                        f, forward, cap), (mu, k, cap)
+
+
+def test_colliding_substitution_sums_the_terms():
+    one = GaussianRational(1)
+    z = series(2, 3, {(1, 0): one, (0, 1): one, (1, 1): 7 * one})
+    got = monomial_substitute(z, [(1, 0), (1, 0)], 3)
+    assert got.coeffs == {(1, 0): 2 * one, (2, 0): 7 * one}
+    # a collision that cancels leaves nothing behind
+    z = series(2, 3, {(1, 0): one, (0, 1): -one})
+    assert monomial_substitute(z, [(0, 1), (0, 1)], 3).is_zero()
+
+
+@pytest.mark.parametrize("m", [(1,), (1, 0, 0), (-1, 0), (0, -2)])
+def test_a_bad_monomial_is_refused(m):
+    w2 = TruncatedSeries.variable(2, 2, 3)
+    with pytest.raises(PreconditionViolated):
+        monomial_multiply(w2, m)
+    with pytest.raises(PreconditionViolated):
+        monomial_divide(monomial_multiply(w2, (2, 2)), m)
+
+
+@pytest.mark.parametrize("table", [
+    [(1, 1)],                      # one row for two variables
+    [(1, 0), (0, 1), (1, 1)],      # three rows for two variables
+    [(1, 0), (0, 1, 1)],           # ragged rows
+    [(1, 0), (2, -1)],             # a negative entry
+    [(1, 0), (0, 0)],              # a zero row
+    [],
+])
+def test_a_bad_substitution_table_is_refused(table):
+    one = GaussianRational(1)
+    z = series(2, 3, {(1, 0): one, (0, 1): 5 * one, (1, 1): 7 * one})
+    with pytest.raises(PreconditionViolated):
+        monomial_substitute(z, table, 3)
 
 
 # -- constructors ---------------------------------------------------------

@@ -21,11 +21,16 @@ pairs the change wins (ties count for neither) and a verdict:
     within bound otherwise.
 
 The direction and bound of each metric are read from CHANGE's
-BENCHMARK.json.  With --record, the summary and every run are also written
-to PATH as JSON, in the layout of the committed BENCH_*.json files.
+BENCHMARK.json.  With --record, the summary and every run (with the
+requests it sent) are also written to PATH as JSON, in the layout of the
+committed BENCH_*.json files, with the code each side measured: a SHA-256
+over its src/blowdyn/*.py, and its `git rev-parse HEAD` where the checkout
+has a .git.  A change measured before it is committed has no commit of its
+own (its HEAD is the commit it sits on), so the source hash names its code.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -49,6 +54,24 @@ def run_once(checkout, workload, seed, seconds):
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("# environment ")), None)
     return env, json.loads(lines[-1])
+
+
+def measured_code(checkout):
+    """{"src_sha256", "git_head"} of a checkout: the SHA-256 of the lines
+    "<name> <SHA-256 of the file>" over src/blowdyn/*.py in name order, and
+    the commit HEAD names (None without a .git)."""
+    src = os.path.join(checkout, "src", "blowdyn")
+    digest = hashlib.sha256()
+    for name in sorted(f for f in os.listdir(src) if f.endswith(".py")):
+        with open(os.path.join(src, name), "rb") as fh:
+            line = "%s %s\n" % (name, hashlib.sha256(fh.read()).hexdigest())
+        digest.update(line.encode())
+    head = None
+    if os.path.exists(os.path.join(checkout, ".git")):
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
+                              stdout=subprocess.PIPE, text=True)
+        head = proc.stdout.strip() or None
+    return {"src_sha256": digest.hexdigest(), "git_head": head}
 
 
 def split_metrics(result, workload):
@@ -122,6 +145,7 @@ def main():
     kinds = {m["name"]: (m["better"] == "higher", m.get("bound"))
              for m in bench["end_to_end"] + bench["per_layer"]}
 
+    code = {side: measured_code(roots[side]) for side in SIDES}
     values = {}  # (workload, metric) -> {side: [value per pair]}
     runs, env = [], {}
     for pair in range(1, args.pairs + 1):
@@ -134,6 +158,7 @@ def main():
                         side].append(value)
                 runs.append({"pair": pair, "side": side, "workload": w,
                              "seed": args.seed, "correct": result["correct"],
+                             "attempted": result["attempted"],
                              "failed": result["failed"], "metrics": metrics})
             print("pair %d %s done" % (pair, side), file=sys.stderr,
                   flush=True)
@@ -162,6 +187,7 @@ def main():
                            "--seconds %g --trace 0"
                            % (args.workload, args.seed, seconds),
                 "environment": env,
+                "code": code,
                 "summary": summary,
                 "runs": runs,
             }, fh, indent=1)
