@@ -59,10 +59,11 @@ def main():
     banner("monomial charts of the stage-1 blow-up")
     pf = projection_formulas(S, 1)
     for j in range(1, S.n + 1):
-        e = pf.forward_monomial(j)
+        e = pf.forward[j - 1]
         mono = "*".join("w%d^%d" % (i + 1, p) for i, p in enumerate(e) if p)
         print("    z%d = %s" % (j, mono or "1"))
     print("inverse charts need nonzero coordinates:", pf.required_nonzero)
+    print("exceptional divisor: w_h = 0 for h in", pf.divisor)
     mism = compare_printed_tables(S, 1)
     print("chart formulas agree with the tabulated closed forms:",
           "yes" if not mism else mism)

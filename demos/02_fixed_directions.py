@@ -6,6 +6,8 @@ local dynamics.  Directions fixed by that quadratic map are the
 candidate tangents of parabolic curves; a direction is *allowable* when
 it is transverse to the exceptional divisor, and the eigenvalues of an
 associated attraction matrix govern the orbits that hug the curve.
+Given the block structure, every solver's directions come with that
+verdict, read off the divisor of the final chart.
 
 Three exact solvers are compared here: a closed form for fully lifted
 germs, a planar quadratic-formula solver, and the factored solver that
@@ -22,7 +24,6 @@ from fractions import Fraction
 
 from blowdyn import (
     GaussianRational,
-    allowable_filter,
     build_structure,
     characteristic_directions,
     germ_from_terms,
@@ -43,8 +44,9 @@ def banner(text):
 def fmt_dir(d):
     v = " + t ".join("[%s]" % " : ".join(str(x) for x in w)
                      for w in (d.v,) + d.span)
-    return "%s  multiplier %s%s" % (
-        v, d.lam, "  (degenerate)" if d.degenerate else "")
+    return "%s  multiplier %s%s%s" % (
+        v, d.lam, "  (degenerate)" if d.degenerate else "",
+        "  (allowable)" if d.allowable else "")
 
 
 def main():
@@ -59,17 +61,14 @@ def main():
     dirs = characteristic_directions(Q, mode="structured", structure=S)
     for d in dirs:
         print("  structured closed form :", fmt_dir(d))
-    allow = allowable_filter(dirs, S)
-    print("  allowable (transverse to the divisor):",
-          [fmt_dir(d) for d in allow])
 
-    exact = characteristic_directions(Q, mode="exact2d")
+    exact = characteristic_directions(Q, mode="exact2d", structure=S)
     print("  planar quadratic solver finds %d directions:" % len(exact))
     for d in exact:
         print("      ", fmt_dir(d))
     print("  ([1 : 2/3] is the same projective ray as [3 : 2]; the other")
-    print("   two rays meet the divisor, so only one direction survives")
-    print("   the allowability filter)")
+    print("   two rays meet the divisor w1 w2 = 0, so only one direction")
+    print("   is allowable)")
 
     # Every component of a lifted quadratic part is one coordinate times
     # a linear form, Q_j(v) = v_k l_j(v).  Writing u = v / lam, the
@@ -96,10 +95,13 @@ def main():
                                 (4, (2, 0, 0, 0)): G(1),
                                 (1, (1, 1, 0, 0)): G(1)}, cap=2)
     Q22 = lifted_quadratic_part(lift(F22, S22.ell, 2))
-    for d in characteristic_directions(Q22, mode="factored"):
+    for d in characteristic_directions(Q22, mode="factored",
+                                       structure=S22):
         print("      ", fmt_dir(d))
     print("  '[v] + t [w]' is a positive-dimensional set: every vector")
-    print("  v + t w is fixed with the same multiplier")
+    print("  v + t w is fixed with the same multiplier.  With tied leading")
+    print("  blocks the last chart's divisor is w1 w2 w4 = 0; every")
+    print("  direction here lies in it, so none is allowable")
 
     banner("planar nongeneric family: the refined invariants decide")
 

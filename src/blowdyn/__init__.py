@@ -82,7 +82,6 @@ from .dynamics import (
     RegularityReport,
     ClassificationReport,
     characteristic_directions,
-    allowable_filter,
     hakim_matrix,
     expected_asymptotics,
     orbit_iterate,

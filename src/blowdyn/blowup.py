@@ -66,10 +66,9 @@ class ProjectionFormulas:
     required_nonzero: tuple  # 1-based z-indices that must not vanish for inverse
     shapes: tuple    # row i of inverse as (j, t, h), 0-based: w_i = z_j^t/z_h,
                      # or w_i = z_j when h is None
-
-    def forward_monomial(self, j):
-        """Exponent vector of z_j(w) (1-based j)."""
-        return self.forward[j - 1]
+    divisor: tuple   # 1-based w-indices h whose forward column sums above
+                     # 1: the Jacobian of w -> w^A is +-w^(1A - 1), so the
+                     # exceptional divisor is the union of these w_h = 0
 
 
 def projection_formulas(S, k):
@@ -113,6 +112,8 @@ def _projection_formulas(S, k):
         inverse=inverse,
         required_nonzero=tuple(required),
         shapes=tuple(shapes),
+        divisor=tuple(h for h, col in enumerate(zip(*forward), start=1)
+                      if sum(col) > 1),
     )
 
 
@@ -128,21 +129,21 @@ def _eval_monomial(values, exps):
     return out
 
 
-def pi_forward(S, k, w, formulas=None):
+def pi_forward(S, k, w):
     """Project chart-k coordinates down to the original coordinates."""
-    pf = formulas if formulas is not None else projection_formulas(S, k)
+    pf = projection_formulas(S, k)
     if len(w) != S.n:
         raise PreconditionViolated("expected %d coordinates" % S.n)
     return [_eval_monomial(w, row) for row in pf.forward]
 
 
-def pi_inverse(S, k, z, formulas=None):
+def pi_inverse(S, k, z):
     """Chart-k coordinates of a point given in the original coordinates.
 
     Defined only off the relevant coordinate hyperplanes; raises
     ZeroCoordinate when a required z_h vanishes.
     """
-    pf = formulas if formulas is not None else projection_formulas(S, k)
+    pf = projection_formulas(S, k)
     if len(z) != S.n:
         raise PreconditionViolated("expected %d coordinates" % S.n)
     for j in pf.required_nonzero:
@@ -174,12 +175,8 @@ def compiled_pi_inverse(S, k):
 
 
 def on_singular_divisor(S, k, w):
-    """Whether the chart-k point w lies over the blown-up locus."""
-    if not 1 <= k <= S.ell:
-        raise PreconditionViolated("stage %d out of range 1..%d" % (k, S.ell))
-    sp = splitting(S, k)
-    block1 = sp.per_block[0]
-    return any(not w[h - 1] for h in block1)
+    """Whether the chart-k point w lies on the exceptional divisor."""
+    return any(not w[h - 1] for h in projection_formulas(S, k).divisor)
 
 
 # -- literal transcriptions of the quoted closed forms -------------------

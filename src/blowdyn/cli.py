@@ -198,7 +198,7 @@ def _expect(cond, message, *args):
 
 def _expect_range(flag, value, bounds):
     lo, hi = bounds
-    _expect(isinstance(value, int) and lo <= value <= hi,
+    _expect(type(value) is int and lo <= value <= hi,
             "%s must be an integer in %d..%d, got %r", flag, lo, hi, value)
 
 
@@ -220,7 +220,7 @@ def parse_map_spec(data):
     for i, b in enumerate(blocks):
         _expect(isinstance(b, dict), "blocks[%d] must be an object", i)
         mu = b.get("mu")
-        _expect(isinstance(mu, int) and mu >= 1,
+        _expect(type(mu) is int and mu >= 1,
                 "blocks[%d].mu must be a positive integer", i)
         mus.append(mu)
         try:
@@ -243,11 +243,11 @@ def parse_map_spec(data):
     for i, t in enumerate(raw_terms):
         _expect(isinstance(t, dict), "terms[%d] must be an object", i)
         j = t.get("j")
-        _expect(isinstance(j, int) and 1 <= j <= dim,
+        _expect(type(j) is int and 1 <= j <= dim,
                 "terms[%d].j must be in 1..%d", i, dim)
         e = t.get("exp")
         _expect(isinstance(e, list) and len(e) == dim
-                and all(isinstance(p, int) and p >= 0 for p in e),
+                and all(type(p) is int and p >= 0 for p in e),
                 "terms[%d].exp must be %d nonnegative integers", i, dim)
         deg = sum(e)
         _expect(deg >= 1, "terms[%d] has total degree 0", i)
@@ -451,8 +451,6 @@ def chardirs_cmd(map_path, mode):
     out = []
     for d in dirs:
         entry = _direction_json(d)
-        entry["allowable"] = bool(
-            d.allowable or dynamics.allowable_filter([d], S))
         if not (d.degenerate or d.span):
             try:
                 h = dynamics.hakim_matrix(Q, d.v)

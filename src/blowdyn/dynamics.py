@@ -145,11 +145,13 @@ class CharDirection:
     """A fixed direction of the quadratic part: Q(v) = lam * v.
 
     v is a projective representative; lam is tied to it (rescaling v by c
-    rescales lam by c).  allowable is None until the singular-divisor test
-    has been applied.  span is empty for an isolated direction; for a
+    rescales lam by c).  span is empty for an isolated direction; for a
     positive-dimensional set of fixed directions it holds exact vectors
     with Q(v + sum t_i span_i) = lam (v + sum t_i span_i) for all t, and
-    the set is the directions of those vectors.
+    the set is the directions of those vectors.  allowable: whether the
+    direction (for a set, its generic member) is transverse to the
+    exceptional divisor, i.e. some vector among v and span is nonzero at
+    each ProjectionFormulas.divisor coordinate; None without a structure.
     """
 
     v: tuple
@@ -171,8 +173,6 @@ def _structured_directions(Q, S):
     fixed-direction equations before being returned."""
     if S is None:
         raise PreconditionViolated("structured mode needs the block structure")
-    if Q.n != S.n:
-        raise PreconditionViolated("quadratic form / structure dimension mismatch")
     if any(x != QI_ONE for x in S.lam):
         raise UnsupportedSpectrum(
             "structured closed form requires every block eigenvalue equal to 1"
@@ -214,7 +214,6 @@ def _structured_directions(Q, S):
     return [
         CharDirection(
             v=tuple(v), lam=lam, degenerate=False, mode="structured",
-            allowable=True,
         )
     ]
 
@@ -390,49 +389,46 @@ def characteristic_directions(Q, mode="auto", structure=None):
     form, as in every lifted quadratic part measured so far; "exact2d"
     solves the planar slope quadratic in Q(i).  "auto" tries them in that
     order, falling through on preconditions.
+
+    With a structure, Q is its final-stage quadratic part, and every
+    direction returned has allowable decided against the final chart's
+    divisor (see CharDirection).
     """
-    if mode == "structured":
-        return _structured_directions(Q, structure)
-    if mode == "factored":
-        return _factored_directions(Q)
-    if mode == "exact2d":
-        return _exact2d_directions(Q)
-    if mode != "auto":
+    if structure is not None and Q.n != structure.n:
+        raise PreconditionViolated(
+            "quadratic form / structure dimension mismatch")
+    solvers = {"structured": lambda: _structured_directions(Q, structure),
+               "factored": lambda: _factored_directions(Q),
+               "exact2d": lambda: _exact2d_directions(Q)}
+    if mode == "auto":
+        order = (["structured"] * (structure is not None) + ["factored"]
+                 + ["exact2d"] * (Q.n == 2))
+    elif mode in solvers:
+        order = [mode]
+    else:
         raise PreconditionViolated("unknown mode %r" % (mode,))
     failures = []
+    for name in order:
+        try:
+            dirs = solvers[name]()
+            break
+        except (PreconditionViolated, UnsupportedSpectrum,
+                NoAllowableDirection) as e:
+            if mode != "auto":
+                raise
+            failures.append("%s: %s" % (name, e))
+    else:
+        raise PreconditionViolated("; ".join(failures))
     if structure is not None:
-        try:
-            return _structured_directions(Q, structure)
-        except (PreconditionViolated, UnsupportedSpectrum, NoAllowableDirection) as e:
-            failures.append("structured: %s" % e)
-    try:
-        return _factored_directions(Q)
-    except PreconditionViolated as e:
-        failures.append("factored: %s" % e)
-    if Q.n == 2:
-        try:
-            return _exact2d_directions(Q)
-        except PreconditionViolated as e:
-            failures.append("exact2d: %s" % e)
-    raise PreconditionViolated("; ".join(failures))
+        dirs = _decide_allowable(dirs, structure, structure.ell)
+    return dirs
 
 
-def allowable_filter(dirs, structure):
-    """Keep the directions transverse to the singular divisor.
-
-    A direction survives iff its first mu_1 coordinates are all nonzero;
-    a positive-dimensional set survives iff a generic member's are, that
-    is iff none of those coordinates vanishes on v and on all of span.
-    Returned directions carry allowable=True.
-    """
-    mu1 = structure.mu[0]
-    kept = []
-    for d in dirs:
-        if len(d.v) != structure.n:
-            raise PreconditionViolated("direction/structure dimension mismatch")
-        if all(any(x[h] for x in (d.v,) + d.span) for h in range(mu1)):
-            kept.append(replace(d, allowable=True))
-    return kept
+def _decide_allowable(dirs, S, k):
+    """dirs with allowable decided against the stage-k divisor of S."""
+    divisor = projection_formulas(S, k).divisor
+    return [replace(d, allowable=all(any(x[h - 1] for x in (d.v,) + d.span)
+                                     for h in divisor)) for d in dirs]
 
 
 # -- attraction matrix at a fixed direction ------------------------------
@@ -1051,7 +1047,7 @@ def _reference_directions(trace, S):
     try:
         Q = lifted_quadratic_part(lift(src, S.ell, 2))
         dirs = characteristic_directions(Q, mode="auto", structure=S)
-        dirs = [d for d in allowable_filter(dirs, S) if not d.span]
+        dirs = [d for d in dirs if d.allowable and not d.span]
     except BlowdynError as e:
         return None, "reference directions unavailable: %s" % e
     if not dirs:
@@ -1097,8 +1093,7 @@ def _stage_verdict(r, lifted, tol, width):
                         "norm trend is ambiguous (slope %.3f)" % slope)
 
 
-def regularity_classify(trace, structure, k0=0, directions=None,
-                        tau=None, window=None):
+def regularity_classify(trace, structure, k0=0, tau=None, window=None):
     """Classify an orbit through the regularity hierarchy of the tower.
 
     Only single-block structures are handled (the tower then has stages
@@ -1109,9 +1104,8 @@ def regularity_classify(trace, structure, k0=0, directions=None,
     stage).  An orbit second-kind through stage n is standard when its
     stage-n direction matches an isolated allowable fixed direction of the
     lifted quadratic part within STANDARD_MATCH_TOL; reference directions
-    are taken from the germ attached to the trace unless supplied
-    explicitly.  tau and window override DIRECTION_TOL and REG_WINDOW for
-    the windowed verdicts.
+    are taken from the germ attached to the trace.  tau and window
+    override DIRECTION_TOL and REG_WINDOW for the windowed verdicts.
 
     Every verdict is a floating-point test on the end of the trace.  A
     trace whose points are an (N, n) complex array, as the CLI reads a
@@ -1212,16 +1206,13 @@ def regularity_classify(trace, structure, k0=0, directions=None,
         return report("regular-nonstandard", False)
     # second kind through stage n: lifted is the stage-n chart copy
     v_est = _extrapolated_direction(*lifted.last(FIT_TAIL))
-    dirs = directions
+    dirs, why = _reference_directions(trace, S)
     if dirs is None:
-        dirs, why = _reference_directions(trace, S)
-        if dirs is None:
-            notes.append("standardness not evaluated: %s" % why)
-            return report("inconclusive", None)
-    best_d = min(dirs, key=lambda d: projective_distance(v_est, d.v),
-                 default=None)
-    best = None if best_d is None else projective_distance(v_est, best_d.v)
-    standard = best is not None and best < STANDARD_MATCH_TOL
+        notes.append("standardness not evaluated: %s" % why)
+        return report("inconclusive", None)
+    best_d = min(dirs, key=lambda d: projective_distance(v_est, d.v))
+    best = projective_distance(v_est, best_d.v)
+    standard = best < STANDARD_MATCH_TOL
     return report("standard" if standard else "regular-nonstandard", standard,
                   matched_direction=best_d, match_distance=best)
 
@@ -1339,13 +1330,13 @@ def planar_classification(F):
         deg = not lam if root is not None else abs(lam) <= DEGENERATE_EPS
         dirs.append(CharDirection(
             v=(one, t), lam=lam, degenerate=deg, mode="closed-form",
-            allowable=True,
             hakim_spectrum=None if deg else ((-2 * s) / (eps + s),),
         ))
     curves = sum(1 for d in dirs if not d.degenerate)
     return ClassificationReport(
         kind="planar-nongeneric", curves=curves, stage=1,
-        directions=tuple(dirs), invariants=inv, notes=tuple(notes),
+        directions=tuple(_decide_allowable(dirs, F.structure, 1)),
+        invariants=inv, notes=tuple(notes),
     )
 
 

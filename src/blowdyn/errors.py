@@ -30,7 +30,7 @@ class ZeroCoordinate(BlowdynError):
 
 
 class NoAllowableDirection(BlowdynError):
-    """No characteristic direction survives the allowability filter."""
+    """No characteristic direction is transverse to the divisor."""
 
 
 class DegenerateDirection(BlowdynError):

@@ -231,15 +231,17 @@ def _parse_real(tok, written):
 
 def parse_scalar(text):
     """Parse "3", "-1/2", "0.25", "1/2+1/3i", "2i", "-i", "1-2i" into a
-    GaussianRational.  Decimal literals are converted exactly."""
+    GaussianRational.  Decimal literals are converted exactly.  An int is
+    taken as it is; a bool, or a float (its binary rounding would pass
+    for an exact value), is refused like any other non-string."""
     if isinstance(text, GaussianRational):
         return text
-    if isinstance(text, int):
+    if type(text) is int:
         return GaussianRational(text)
-    if isinstance(text, float):
-        return GaussianRational(RAT(text))
     if not isinstance(text, str):
-        raise PreconditionViolated("cannot parse scalar from %r" % (text,))
+        raise PreconditionViolated(
+            "%r is not a string literal or an integer; quote the literal"
+            % (text,))
     m = _PLAIN_RATIONAL.fullmatch(text)
     if m is not None:
         try:

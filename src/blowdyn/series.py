@@ -32,6 +32,7 @@ GaussianRational}, is read-only; it is built from the integer form on
 first use and cached.
 """
 
+import functools
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
@@ -241,6 +242,8 @@ class TruncatedSeries:
         """Reinterpret at any cap, treating the stored terms as the complete
         expansion (exact polynomial).  Only sound when the value really is a
         polynomial with no dropped terms — lifting uses this for input maps."""
+        if cap < 0:
+            raise PreconditionViolated("negative degree cap")
         if cap == self.cap:
             return self  # series are immutable
         return TruncatedSeries._of_form(self.nvars, cap, _rekey(self, cap))
@@ -631,12 +634,21 @@ def monomial_substitute(f, forward, cap):
     at cap; terms of f that land on one monomial are summed.  The terms of
     f are read as a polynomial, whatever f's cap, and forward is f.nvars
     nonzero rows of nonnegative integers, all of one length."""
-    rows = [_monomial(row, len(forward[0])) for row in forward]
-    if len(rows) != f.nvars or not all(map(any, rows)) or cap < 0:
+    rows = _table_rows(tuple(map(tuple, forward)))
+    if rows is None or len(rows) != f.nvars or cap < 0:
         raise PreconditionViolated("bad table %r for %d variables at cap %d"
                                    % (forward, f.nvars, cap))
     return TruncatedSeries._of_form(len(rows[0]), cap,
                                     _rekey(f, cap, rows=rows))
+
+
+@functools.lru_cache(maxsize=256)
+def _table_rows(forward):
+    """The rows of a substitution table as _monomial tuples, or None when
+    one is zero; checked once per distinct table, since lift passes the
+    same chart table many times."""
+    rows = tuple(_monomial(row, len(forward[0])) for row in forward)
+    return rows if all(map(any, rows)) else None
 
 
 def series_evaluate(s, point):

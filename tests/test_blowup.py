@@ -13,7 +13,7 @@ from blowdyn.blowup import (
     projection_formulas,
 )
 from blowdyn.errors import PreconditionViolated, ZeroCoordinate
-from blowdyn.partition import build_structure
+from blowdyn.partition import build_structure, splitting
 from blowdyn.scalars import GaussianRational
 
 from conftest import STRUCTURES, partitions, rand_lambdas
@@ -112,14 +112,13 @@ def test_round_trip_at_random_points():
     for mu in STRUCTURES:
         S = S_of(mu)
         for k in range(1, S.ell + 1):
-            pf = projection_formulas(S, k)
             w = [GaussianRational(Fraction(rng.randint(1, 9),
                                            rng.randint(1, 9)))
                  for _ in range(S.n)]
-            z = pi_forward(S, k, w, pf)
-            back = pi_inverse(S, k, z, pf)
+            z = pi_forward(S, k, w)
+            back = pi_inverse(S, k, z)
             assert back == w
-            again = pi_forward(S, k, back, pf)
+            again = pi_forward(S, k, back)
             assert again == z
 
 
@@ -157,6 +156,28 @@ def test_singular_divisor_detection():
                                           GaussianRational(0)])
     assert on_singular_divisor(S, 2, [GaussianRational(1),
                                       GaussianRational(0)])
+    # tied leading blocks: the last stage's divisor adds the pivot w_4
+    S22 = S_of((2, 2))
+    one, zero = GaussianRational(1), GaussianRational(0)
+    assert on_singular_divisor(S22, 3, [one, one, one, zero])
+    assert not on_singular_divisor(S22, 3, [one, one, zero, one])
+
+
+def test_divisor_is_the_first_block_of_the_splitting():
+    """The divisor read off the folded forward table (columns summing
+    above 1) against the splitting's closed form, at every stage of every
+    structure with n <= 7."""
+    pairs = 0
+    for n in range(2, 8):
+        for mu in partitions(n):
+            if mu[0] < 2:
+                continue
+            S = S_of(mu)
+            for k in range(1, S.ell + 1):
+                pairs += 1
+                assert (projection_formulas(S, k).divisor
+                        == splitting(S, k).per_block[0]), (mu, k)
+    assert pairs == 132
 
 
 def test_printed_tables_agree_with_generated():

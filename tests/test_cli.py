@@ -437,6 +437,8 @@ def test_chardirs_reports_families_once_without_spectra(tmp_path):
     assert plane == [{"v": ["0", "0", "1", "0"], "lambda": "0",
                       "degenerate": True, "allowable": False,
                       "mode": "factored", "span": [["0", "0", "0", "1"]]}]
+    # the final chart's divisor is v1 v2 v4 = 0 and every entry lies in it
+    assert not any(d["allowable"] for d in out["directions"])
     for d in out["directions"]:
         assert ("attraction_spectrum" in d) == (
             not d["degenerate"] and "span" not in d)
@@ -880,6 +882,54 @@ def test_map_file_bounds(tmp_path, mangle, key):
     res = run("lift", "--map", write_spec(tmp_path, data), "--stage", "1")
     assert res.exit_code == 2
     assert json.loads(res.stderr)["error"] == "SchemaError"
+
+
+BASE_3 = {"dim": 3, "blocks": [{"mu": 2}, {"mu": 1, "lambda": "2"}],
+          "terms": [{"j": 2, "exp": [2, 0, 0], "coeff": "1"}],
+          "options": {"degree_cap": 2, "precision_bits": 128}}
+
+
+@pytest.mark.parametrize("mangle,message", [
+    (lambda d: d.update(dim=True), "dim must be an integer in 1..12"),
+    (lambda d: d["blocks"][1].update(mu=True),
+     "blocks[1].mu must be a positive integer"),
+    (lambda d: d["terms"][0].update(j=True), "terms[0].j must be in 1..3"),
+    (lambda d: d["terms"][0].update(exp=[True, True, 0]),
+     "terms[0].exp must be 3 nonnegative integers"),
+    (lambda d: d["options"].update(degree_cap=True),
+     "degree_cap must be an integer in 2..16"),
+    (lambda d: d["options"].update(precision_bits=False),
+     "precision_bits must be an integer in 24..4096"),
+    (lambda d: d["terms"][0].update(coeff=0.1),
+     "terms[0].coeff: 0.1 is not a string literal or an integer; quote "
+     "the literal"),
+    (lambda d: d["terms"][0].update(coeff=True),
+     "terms[0].coeff: True is not a string literal"),
+    (lambda d: d["blocks"][1].update({"lambda": 2.0}),
+     "blocks[1].lambda: 2.0 is not a string literal"),
+], ids=["dim", "mu", "j", "exp", "degree_cap", "precision_bits",
+        "float-coeff", "bool-coeff", "float-lambda"])
+def test_map_file_json_types(tmp_path, mangle, message):
+    """JSON true and false are not integers, and a JSON float is not an
+    exact coefficient or eigenvalue: each is refused with exit code 2."""
+    data = json.loads(json.dumps(BASE_3))
+    cli.parse_map_spec(json.loads(json.dumps(data)))
+    mangle(data)
+    with pytest.raises(SchemaError) as info:
+        cli.parse_map_spec(data)
+    assert str(info.value).startswith(message)
+    res = run("lift", "--map", write_spec(tmp_path, data), "--stage", "1")
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"] == "SchemaError"
+
+
+def test_map_file_integer_scalars_are_exact():
+    data = json.loads(json.dumps(BASE_3))
+    data["terms"][0]["coeff"] = -3
+    data["blocks"][1]["lambda"] = 2
+    germ, _ = cli.parse_map_spec(data)
+    assert germ.structure.lam[1] == GaussianRational(2)
+    assert germ.a(2, 1, 1) == GaussianRational(-3)
 
 
 def test_map_file_bounds_admit_their_limits():

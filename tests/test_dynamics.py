@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blowdyn import dynamics as dyn
+from blowdyn.blowup import on_singular_divisor
 from blowdyn.errors import (
     DegenerateDirection,
     InsufficientData,
@@ -217,11 +218,12 @@ def test_factored_unipotent_22_degenerate_plane_is_one_span_entry():
     assert plane.span == ((zero, zero, zero, one),)
     for d in ds:
         assert_fixed(Q, d)
-    # the plane {v1 = v2 = 0} lies in the divisor; a nondegenerate line
-    # whose generic member is transverse to it is allowable
-    kept = dyn.allowable_filter(ds, S22)
-    assert not any(d.degenerate for d in kept)
-    assert any(d.span for d in kept)
+    # with tied leading blocks the final chart's divisor is v1 v2 v4 = 0,
+    # and every entry lies in it (the lines in v4 = 0 too): none is
+    # allowable, as the closed form's refusal says
+    assert [d.allowable for d in ds] == [False] * len(ds)
+    with pytest.raises(NoAllowableDirection):
+        dyn.characteristic_directions(Q, mode="structured", structure=S22)
 
 
 def test_factored_every_direction_fixed_is_one_family():
@@ -239,8 +241,9 @@ def test_factored_every_direction_fixed_is_one_family():
         assert_fixed(Q, d)
     # a generic member of the line is transverse to the divisor, though
     # its representative v is not
-    assert [d.v for d in dyn.allowable_filter(ds, S2)] == [
-        (one, zero), (G(-1), one)]
+    ds = dyn.characteristic_directions(Q, mode="factored", structure=S2)
+    assert [(d.v, d.allowable) for d in ds] == [
+        ((one, zero), True), ((G(-1), one), True)]
 
 
 def test_factored_rejects_stage1_planar_and_auto_falls_back():
@@ -389,13 +392,46 @@ def test_factored_matches_sympy_solve(mu):
         assert sum(1 for d in ds if d.span) == families
 
 
-def test_allowable_filter_marks_divisor_transversality():
+def test_exact2d_directions_carry_divisor_transversality():
     _, Q = planar_stage1(1, 4, 4)
-    ds = dyn.characteristic_directions(Q, mode="exact2d")
-    kept = dyn.allowable_filter(ds, S2)
-    assert all(d.allowable is True for d in kept)
+    assert {d.allowable for d in dyn.characteristic_directions(
+        Q, mode="exact2d")} == {None}
+    ds = dyn.characteristic_directions(Q, mode="exact2d", structure=S2)
+    assert all(type(d.allowable) is bool for d in ds)
+    kept = [d for d in ds if d.allowable]
     assert {str(d.v[1]) for d in kept if d.v[0]} == {"-1", "2"}
     assert all(d.v[0] for d in kept)
+
+
+def test_unipotent_tied_germs_have_no_allowable_nondegenerate_direction():
+    rng = random.Random(23)
+    for mu in [(2, 2), (2, 2, 1), (3, 3)] * 4:
+        F = random_germ(rng, mu, lam=("1",) * len(mu))
+        S, Q = F.structure, final_q(F)
+        with pytest.raises(NoAllowableDirection):
+            dyn.characteristic_directions(Q, mode="structured", structure=S)
+        ds = dyn.characteristic_directions(Q, structure=S)
+        assert ds and all(type(d.allowable) is bool for d in ds)
+        assert not any(d.allowable and not d.degenerate for d in ds)
+
+
+def test_allowable_means_off_the_final_divisor():
+    """On random germs with random eigenvalues, tied or not, a direction
+    is allowable iff it (for a set, a random member) is off the final
+    chart's divisor."""
+    rng = random.Random(24)
+    verdicts = set()
+    for mu in [(2, 2), (2, 2, 1), (3, 3), (2, 1), (3, 2)] * 3:
+        F = random_germ(rng, mu)
+        S = F.structure
+        for d in dyn.characteristic_directions(final_q(F), structure=S):
+            w = list(d.v)
+            for b in d.span:
+                t = G(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
+                w = [x + t * y for x, y in zip(w, b)]
+            assert d.allowable is not on_singular_divisor(S, S.ell, w)
+            verdicts.add((len(mu) > 1 and mu[1] == mu[0], d.allowable))
+    assert verdicts == {(True, False), (False, False), (False, True)}
 
 
 # -- attraction spectra ----------------------------------------------------

@@ -95,8 +95,7 @@ def _ref_extrapolated_direction(ks, ws):
     return tuple(out)
 
 
-def _reference_classify(trace, S, k0=0, directions=None, tau=None,
-                        window=None):
+def _reference_classify(trace, S, k0=0, tau=None, window=None):
     Verdict, Report = dyn.StageVerdict, dyn.RegularityReport
     tol = dyn.DIRECTION_TOL if tau is None else tau
     width = dyn.REG_WINDOW if window is None else window
@@ -143,12 +142,11 @@ def _reference_classify(trace, S, k0=0, directions=None, tau=None,
             verdicts.append(Verdict(r, "first-kind", None,
                                     "inherited from stage %d" % frozen_at))
             continue
-        pf = projection_formulas(S, r)
         lifted = []
         skipped = 0
         for k, z in base:
             try:
-                w = pi_inverse(S, r, z, formulas=pf)
+                w = pi_inverse(S, r, z)
             except ZeroCoordinate:
                 skipped += 1
                 continue
@@ -220,12 +218,10 @@ def _reference_classify(trace, S, k0=0, directions=None, tau=None,
         return stop("regular-nonstandard", False)
     v_est = _ref_extrapolated_direction([k for k, _ in last_lifted],
                                         [w for _, w in last_lifted])
-    dirs = directions
+    dirs, why = dyn._reference_directions(trace, S)
     if dirs is None:
-        dirs, why = dyn._reference_directions(trace, S)
-        if dirs is None:
-            notes.append("standardness not evaluated: %s" % why)
-            return stop("inconclusive", None)
+        notes.append("standardness not evaluated: %s" % why)
+        return stop("inconclusive", None)
     best = best_d = None
     for d in dirs:
         dist = dyn.projective_distance(v_est, d.v)
@@ -249,8 +245,8 @@ def assert_same_report(trace, k0, window):
 
 # -- traces ----------------------------------------------------------------
 
-def _trace(pts):
-    return dyn.OrbitTrace(points=tuple(pts), precision_bits=53)
+def _trace(pts, source=None):
+    return dyn.OrbitTrace(points=tuple(pts), precision_bits=53, source=source)
 
 
 def power_law(count=2000):
@@ -421,12 +417,11 @@ def test_tail_pulls_back_only_what_the_verdicts_read():
     assert len(tail) == 3000
 
 
-FAR = dyn.CharDirection(v=(G(1), G(5)), lam=G(1), degenerate=False,
-                        mode="closed-form")
-
 # Each trace ends the classification at a different exit; the notes of the
 # verdicts from the first undecided or failing stage on are pinned, so an
-# exit that stops filling the later stages as before fails here.
+# exit that stops filling the later stages as before fails here.  The
+# dicts are keyword arguments of the trace: the power law's stage-2
+# direction is far from the planar example's [3 : 2].
 EXITS = [
     ("stage-0-windows", sparse, 1, {}, "inconclusive",
      ["not enough nonzero points for windows"] * 3),
@@ -445,7 +440,7 @@ EXITS = [
      ["direction of the base orbit converges",
       "chart copy grows: the limit lies outside this chart",
       "inherited from stage 1"]),
-    ("matched-nonstandard", power_law, 1, {"directions": [FAR]},
+    ("matched-nonstandard", power_law, 1, {"source": fatou_germ()},
      "regular-nonstandard", None),
 ]
 
@@ -455,15 +450,15 @@ EXITS = [
                          ids=[e[0] for e in EXITS])
 def test_every_exit_matches_reference(name, make, k0, kwargs, label, notes,
                                       window):
-    trace = _trace(make())
-    got = dyn.regularity_classify(trace, S2, k0=k0, window=window, **kwargs)
-    want = _reference_classify(trace, S2, k0=k0, window=window, **kwargs)
+    trace = _trace(make(), **kwargs)
+    got = dyn.regularity_classify(trace, S2, k0=k0, window=window)
+    want = _reference_classify(trace, S2, k0=k0, window=window)
     assert got == want and repr(got) == repr(want)
     assert got.classification == label
     if notes is not None:
         assert [v.note for v in got.verdicts] == notes
     else:
-        assert got.matched_direction is FAR
+        assert got.matched_direction.v == (G(3), G(2))
         assert got.match_distance > dyn.STANDARD_MATCH_TOL
         assert [v.verdict for v in got.verdicts] == ["second-kind"] * 3
 
@@ -624,14 +619,14 @@ def test_array_trace_gives_the_tuple_trace_report(name, make, k0, kwargs,
                                                   window):
     pts = make(window)
     array = dyn.OrbitTrace(points=np.array(pts, dtype=complex),
-                           precision_bits=53, diverged=True, diverged_at=9)
+                           precision_bits=53, diverged=True, diverged_at=9,
+                           **kwargs)
     assert isinstance(array.points, np.ndarray)
     assert array.n == 2 and len(array) == len(pts)
     tuples = dyn.OrbitTrace(points=tuple(pts), precision_bits=53,
-                            diverged=True, diverged_at=9)
-    got = dyn.regularity_classify(array, S2, k0=k0, window=window, **kwargs)
-    want = dyn.regularity_classify(tuples, S2, k0=k0, window=window,
-                                   **kwargs)
+                            diverged=True, diverged_at=9, **kwargs)
+    got = dyn.regularity_classify(array, S2, k0=k0, window=window)
+    want = dyn.regularity_classify(tuples, S2, k0=k0, window=window)
     assert repr(got) == repr(want)
 
 

@@ -182,6 +182,13 @@ def test_truncated_vs_polynomial_reinterpretation():
         s.truncated(5)
 
 
+@pytest.mark.parametrize("recap", ["truncated", "as_polynomial_cap"])
+def test_a_negative_cap_is_refused(recap):
+    s = TruncatedSeries(2, 4, {(1, 0): 1, (0, 0): 2})  # w1 + 2
+    with pytest.raises(PreconditionViolated, match="negative degree cap"):
+        getattr(s, recap)(-1)
+
+
 def test_reciprocal_needs_a_unit():
     w1 = TruncatedSeries.variable(1, 2, 3)
     with pytest.raises(PreconditionViolated):

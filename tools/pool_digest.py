@@ -1,7 +1,7 @@
 """Digest of every distinct benchmark pool request, run against one checkout.
 
     python3 tools/pool_digest.py CHECKOUT [--workload NAME]
-    python3 tools/pool_digest.py CHECKOUT --against PARENT_CHECKOUT
+    python3 tools/pool_digest.py CHECKOUT --against PARENT_CHECKOUT [--show]
 
 Builds the request pool of each workload from CHECKOUT/perfbench/workloads.py
 (read, never changed) and runs every distinct request once, in-process,
@@ -18,7 +18,10 @@ checkouts is one diff of two runs.
 
 With --against, each checkout is digested in its own subprocess (a process
 imports blowdyn from one checkout only), the differing lines are printed as
-a unified diff, and the exit status is 1 if any differ.
+a unified diff, and the exit status is 1 if any differ.  With --show as
+well, each request whose stdout digest differs is followed by a unified
+diff of its two stdouts (a CSV that differs stays digest-only); each
+subprocess then keeps its stdouts in a directory given by --keep.
 """
 
 import os
@@ -85,12 +88,17 @@ def distinct_groups(pool):
                 yield group
 
 
-def digest(main, workloads, name):
+def digest(main, workloads, name, keep=None):
+    """Print the digest line of each distinct request of the workload;
+    with keep, also write each stdout to keep/<SHA-256 of the key>."""
     pool = workloads.Pool(name, "pool")
     pool.write()
     for group in distinct_groups(pool):
         for req in group:
             code, out = invoke(main, req.argv())
+            if keep:
+                with open(os.path.join(keep, sha(req.key)), "w") as fh:
+                    fh.write(out)
             cells = [req.key, str(code), sha(out)]
             if req.cmd == "orbit":
                 with open(req.info["csv"], "rb") as fh:
@@ -98,23 +106,49 @@ def digest(main, workloads, name):
             print(" ".join(cells), flush=True)
 
 
-def compare(checkout, parent, workload):
+def compare(checkout, parent, workload, show):
     """Digest both checkouts, one subprocess each, and print a diff of the
-    two digests; 1 if they differ, else 0."""
-    digests = []
-    for root in (parent, checkout):
-        out = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), root,
-             "--workload", workload],
-            check=True, stdout=subprocess.PIPE, text=True).stdout
-        digests.append(out.splitlines())
-    diff = list(difflib.unified_diff(*digests, parent, checkout,
-                                     lineterm="", n=0))
-    for line in diff:
-        print(line)
+    two digests, then with show the stdout diff of each request whose
+    stdout digest differs; 1 if the digests differ, else 0."""
+    digests, kept = [], []
+    try:
+        for root in (parent, checkout):
+            argv = [sys.executable, os.path.abspath(__file__), root,
+                    "--workload", workload]
+            if show:
+                kept.append(tempfile.mkdtemp(prefix="pool-digest-out-"))
+                argv += ["--keep", kept[-1]]
+            out = subprocess.run(argv, check=True, stdout=subprocess.PIPE,
+                                 text=True).stdout
+            digests.append(out.splitlines())
+        diff = list(difflib.unified_diff(*digests, parent, checkout,
+                                         lineterm="", n=0))
+        for line in diff:
+            print(line)
+        if show:
+            before = {cells[0]: cells[2]
+                      for cells in map(str.split, digests[0])}
+            for key, _, out_sha, *_ in map(str.split, digests[1]):
+                if before.get(key, out_sha) != out_sha:
+                    show_stdouts(key, kept, (parent, checkout))
+    finally:
+        for path in kept:
+            shutil.rmtree(path, ignore_errors=True)
     print("pool_digest: %d lines, %s" % (len(digests[1]), "differ" if diff
                                           else "identical"), file=sys.stderr)
     return 1 if diff else 0
+
+
+def show_stdouts(key, kept, roots):
+    """Print the unified diff of one request's two kept stdouts."""
+    texts = []
+    for path in kept:
+        with open(os.path.join(path, sha(key))) as fh:
+            texts.append(fh.read().splitlines())
+    for line in difflib.unified_diff(
+            *texts, *("%s: %s" % (root, key) for root in roots),
+            lineterm=""):
+        print(line)
 
 
 def main():
@@ -124,18 +158,26 @@ def main():
                     default="all")
     ap.add_argument("--against", metavar="PARENT_CHECKOUT",
                     help="compare with this checkout's digest")
+    ap.add_argument("--show", action="store_true",
+                    help="with --against, diff the stdouts that differ")
+    ap.add_argument("--keep", metavar="DIR",
+                    help="write each request's stdout into DIR")
     args = ap.parse_args()
+    if args.show and not args.against:
+        ap.error("--show needs --against")
     if args.against:
         return compare(os.path.abspath(args.checkout),
-                       os.path.abspath(args.against), args.workload)
+                       os.path.abspath(args.against), args.workload,
+                       args.show)
     cli, workloads = load(os.path.abspath(args.checkout))
+    keep = args.keep and os.path.abspath(args.keep)
     here = os.getcwd()
     work = tempfile.mkdtemp(prefix="pool-digest-")
     os.chdir(work)
     try:
         for name in (WORKLOADS if args.workload == "all"
                      else (args.workload,)):
-            digest(cli, workloads, name)
+            digest(cli, workloads, name, keep)
     finally:
         os.chdir(here)
         shutil.rmtree(work, ignore_errors=True)
