@@ -5,8 +5,8 @@ The package follows one pipeline:
 
     structure -> charts -> lifted map -> quadratic data -> directions/orbits
 
-with an exact Gaussian-rational backend for everything algebraic and
-mpmath-based big floats for orbit work.
+with an exact Gaussian-rational backend for everything algebraic and a
+fixed-point engine over Gaussian integers (orbitplan) for orbit work.
 """
 
 from .errors import (

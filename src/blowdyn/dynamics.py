@@ -13,6 +13,12 @@ planar quadratic formula, the factored solver finds every fixed
 direction, and every positive-dimensional set of them, by linear
 branching on the factors the lifted quadratic part has.
 
+The generic parabolic curve has one closed form, the fixed direction v
+of _generic_direction.  The structured solver checks Q(v) = v exactly;
+the decay table is its chart image: orbits on the curve approach -v/k in
+the final chart, so z_j ~ prod_i (-v_i)^{F_ji} / k^{sum_i F_ji} with F
+the final stage's forward table.
+
 The second half of the module is numerical plumbing around actual orbits:
 high-precision iteration, power-law fitting of coordinate decay, the
 stage-by-stage regularity verdicts obtained by pulling an orbit back
@@ -46,7 +52,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .blowup import compiled_pi_inverse, projection_formulas
+from .blowup import compiled_pi_inverse, pi_forward, projection_formulas
 from .errors import (
     BlowdynError,
     DegenerateDirection,
@@ -182,29 +188,17 @@ def _structured_directions(Q, S):
             "tied leading blocks: no allowable nondegenerate direction exists "
             "at the final stage"
         )
-    mu1 = S.mu[0]
     # The leading coefficient reappears in the lifted chart as minus the
-    # w_1^2 coefficient of component 1.
+    # w_1^2 coefficient of component 1, and a trailing block's own leading
+    # coefficient as the w_1 w_{mu_1} monomial of its last component.
     a = -Q.monomial_coefficient(1, 1, 1)
     if not a:
         raise NoAllowableDirection(
             "leading quadratic coefficient vanishes; the closed form degenerates"
         )
     lam = QI_ONE
-    v = [QI_ZERO] * S.n
-    v[0] = GaussianRational(2 * mu1 - 1) / a
-    for j in range(2, mu1 + 1):
-        v[j - 1] = GaussianRational(mu1 + j - 2)
-    for l in range(2, S.rho + 1):
-        mul = S.mu[l - 1]
-        nul = S.nu[l - 1]
-        if mul == mu1 - 1:
-            # this block's own leading coefficient, read off the lifted chart:
-            # the w_1 w_{mu1} monomial of component nu_l + mu_l
-            al = Q.monomial_coefficient(nul + mul, 1, mu1)
-            for h in range(1, mul + 1):
-                v[nul + h - 1] = (al / a) * GaussianRational(mul + h)
-        # blocks with mul < mu1 - 1 stay identically zero
+    v = _generic_direction(
+        S, a, lambda j: Q.monomial_coefficient(j, 1, S.mu[0]))
     for j in range(1, S.n + 1):
         if Q.value(j, v) != lam * v[j - 1]:
             raise PreconditionViolated(
@@ -216,6 +210,25 @@ def _structured_directions(Q, S):
             v=tuple(v), lam=lam, degenerate=False, mode="structured",
         )
     ]
+
+
+def _generic_direction(S, a, lead):
+    """The closed-form fixed direction v, Q(v) = v, of a generic unipotent
+    germ at the final stage of S: a is the leading coefficient
+    a^{mu_1}_{11}, and lead(j) is the leading coefficient a_l of the block
+    of size mu_1 - 1 whose last coordinate is j.  Blocks shorter than
+    mu_1 - 1 stay zero."""
+    mu1 = S.mu[0]
+    v = [QI_ZERO] * S.n
+    v[0] = GaussianRational(2 * mu1 - 1) / a
+    for j in range(2, mu1 + 1):
+        v[j - 1] = GaussianRational(mu1 + j - 2)
+    for mul, nul in zip(S.mu[1:], S.nu[1:]):
+        if mul == mu1 - 1:
+            al = lead(nul + mul)
+            for h in range(1, mul + 1):
+                v[nul + h - 1] = (al / a) * GaussianRational(mul + h)
+    return v
 
 
 def _exact2d_directions(Q):
@@ -534,10 +547,13 @@ class AsymptoticRow:
 def expected_asymptotics(F):
     """The closed-form orbit decay table of a generic unipotent germ.
 
-    Block 1 coordinates decay like 1/k^{mu_1+j-1} with explicit constants
-    built from the leading coefficient; same-size-minus-one trailing
-    blocks get constants from their own leading coefficients; smaller
-    trailing blocks only get an upper bound.
+    It is the chart image of the closed-form direction: orbits on the
+    parabolic curve approach -v/k in the final chart (Hakim), so with F
+    the final stage's forward table, z_j ~ c_j / k^{m_j} with
+    c_j = prod_i (-v_i)^{F_ji} and m_j = sum_i F_ji.  v is built from the
+    leading coefficient a = a^{mu_1}_{11} and, for each trailing block of
+    size mu_1 - 1, its own leading coefficient a^{nu_l+mu_l}_{11}.  Rows of
+    blocks shorter than mu_1 - 1 have v_i = 0 and only get an upper bound.
     """
     S = F.structure
     if any(x != QI_ONE for x in S.lam):
@@ -551,41 +567,15 @@ def expected_asymptotics(F):
     a = F.leading_quadratic_coefficient()
     if not a:
         raise NonGeneric("leading quadratic coefficient vanishes")
-    mu1 = S.mu[0]
-    binom = math.comb(2 * mu1 - 2, mu1 - 1)
+    v = _generic_direction(S, a, lambda j: F.a(j, 1, 1))
+    forward = projection_formulas(S, S.ell).forward
+    image = pi_forward(S, S.ell, [-x for x in v])
     rows = []
-    for j in range(1, mu1 + 1):
-        sign = -1 if (mu1 + j - 1) % 2 else 1
-        numer = sign * (2 * mu1 - 1) * binom * math.factorial(mu1 + j - 2)
-        rows.append(
-            AsymptoticRow(
-                j=j, exponent=mu1 + j - 1,
-                constant=GaussianRational(numer) / a,
-            )
-        )
-    for l in range(2, S.rho + 1):
-        mul = S.mu[l - 1]
-        nul = S.nu[l - 1]
-        if mul < mu1 - 1:
-            for h in range(1, mul + 1):
-                rows.append(
-                    AsymptoticRow(
-                        j=nul + h, exponent=mu1 + h, constant=None,
-                        upper_bound_only=True,
-                    )
-                )
-        else:  # mul == mu1 - 1
-            al = F.a(nul + mul, 1, 1)
-            for h in range(1, mul + 1):
-                sign = -1 if (mu1 + h) % 2 else 1
-                numer = sign * (2 * mu1 - 1) * (mul + h) * binom
-                numer *= math.factorial(mu1 + h - 2)
-                rows.append(
-                    AsymptoticRow(
-                        j=nul + h, exponent=mu1 + h,
-                        constant=GaussianRational(numer) * al / a,
-                    )
-                )
+    for j, (c, row) in enumerate(zip(image, forward), start=1):
+        short = S.mu[S.block_of(j) - 1] < S.mu[0] - 1
+        rows.append(AsymptoticRow(j=j, exponent=sum(row),
+                                  constant=None if short else c,
+                                  upper_bound_only=short))
     return tuple(rows)
 
 

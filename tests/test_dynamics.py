@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from blowdyn import dynamics as dyn
-from blowdyn.blowup import on_singular_divisor
+from blowdyn.blowup import on_singular_divisor, projection_formulas
 from blowdyn.errors import (
     DegenerateDirection,
     InsufficientData,
@@ -27,7 +27,8 @@ from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
 from blowdyn.series import TruncatedSeries, series_reciprocal
 
-from conftest import fatou_germ, random_germ
+from conftest import (fatou_germ, partitions, quadratic_monomials,
+                      rand_rat, random_germ)
 
 S2 = build_structure((2,), (G(1),))
 S3 = build_structure((3,), (G(1),))
@@ -595,6 +596,100 @@ def test_expected_asymptotics_trailing_blocks():
     rows31 = {r.j: r for r in
               dyn.expected_asymptotics(mk(S31, {(3, (2, 0, 0, 0)): 1}))}
     assert rows31[4].upper_bound_only and rows31[4].constant is None
+
+    # a != 1: the trailing constants carry a_l / a^2, block 1 carries 1 / a
+    # (a = 1 above cannot tell a_l / a from a_l / a^2)
+    I = G(0, 1)
+    cases = [
+        ((3, 2), G(3), G(5), [(3, G(-20)), (4, G(60)), (5, G(-240)),
+                              (4, G(100)), (5, G(-400))]),
+        ((3, 2), I, G(5), [(3, G(0, 60)), (4, G(0, -180)), (5, G(0, 720)),
+                           (4, G(-900)), (5, G(3600))]),
+        ((2, 1), G(3), G(1), [(2, G(2)), (3, G(-4)),
+                              (3, G(Fraction(-4, 3)))]),
+        ((2, 1), G(2), G(5), [(2, G(3)), (3, G(-6)), (3, G(-15))]),
+        ((2, 1), I, G(1), [(2, G(0, -6)), (3, G(0, 12)), (3, G(12))]),
+    ]
+    for mu, a, al, want in cases:
+        S = build_structure(mu, (G(1), G(1)))
+        lead = tuple([2] + [0] * (S.n - 1))
+        g = mk(S, {(mu[0], lead): a, (S.n, lead): al})
+        got = [(r.exponent, r.constant) for r in dyn.expected_asymptotics(g)]
+        assert got == want, (mu, a, al)
+
+
+def test_trailing_block_orbit_matches_its_constant():
+    # (z1 + z2, z2 + 3 z1^2, z3 + z1^2): a = 3, a_2 = 1, so z3 ~ -4/3 / k^3.
+    # A seed built from a wrong constant starts off the curve, and the
+    # fitted z3 decay is then far from k^-3.
+    S21 = build_structure((2, 1), (G(1), G(1)))
+    g = mk(S21, {(2, (2, 0, 0)): 3, (3, (2, 0, 0)): 1})
+    assert dyn.expected_asymptotics(g)[2].constant == G(Fraction(-4, 3))
+    seed = dyn.standard_orbit_seed(g, k0=200, settle=2000, precision_bits=64)
+    tr = dyn.orbit_iterate(g, seed, 2000, precision_bits=64)
+    f3 = dyn.asymptotic_fit(tr, 3, window=400, k0=200)
+    assert abs(f3.exponent_fitted - 3) <= 0.01
+    assert abs(f3.constant + 4 / 3) <= 1e-3 * 4 / 3
+
+
+def _reference_asymptotics(F):
+    """The decay table as transcribed from the closed form: block 1 by
+    binomials and factorials over a, blocks of size mu_1 - 1 the same
+    with the factor a_l / a^2, smaller blocks an upper bound only."""
+    S = F.structure
+    mu1 = S.mu[0]
+    a = F.a(mu1, 1, 1)
+    binom = math.comb(2 * mu1 - 2, mu1 - 1)
+    rows = []
+    for j in range(1, mu1 + 1):
+        numer = ((-1) ** (mu1 + j - 1) * (2 * mu1 - 1) * binom
+                 * math.factorial(mu1 + j - 2))
+        rows.append((mu1 + j - 1, G(numer) / a))
+    for mul, nul in zip(S.mu[1:], S.nu[1:]):
+        for h in range(1, mul + 1):
+            if mul < mu1 - 1:
+                rows.append((mu1 + h, None))
+                continue
+            numer = ((-1) ** (mu1 + h) * (2 * mu1 - 1) * (mul + h) * binom
+                     * math.factorial(mu1 + h - 2))
+            rows.append((mu1 + h, G(numer) * F.a(nul + mul, 1, 1) / a / a))
+    return rows
+
+
+def test_decay_table_is_the_chart_image_of_the_direction():
+    # expected_asymptotics is the forward image of -v/k; compared here with
+    # the transcribed table, and the structured v is recovered from the
+    # table's constants through the inverse table (rows with only an upper
+    # bound read as 0: v vanishes on the blocks they belong to).
+    rng = random.Random(24)
+    shapes = [mu for n in range(2, 8) for mu in partitions(n)
+              if mu[0] >= 2 and (len(mu) == 1 or mu[1] < mu[0])]
+    assert len(shapes) == 29
+    for mu in shapes:
+        terms = {}
+        S = build_structure(mu, (G(1),) * len(mu))
+        for j in range(1, S.n + 1):
+            for e in quadratic_monomials(S.n):
+                if rng.random() < 0.5:
+                    terms[(j, e)] = G(rand_rat(rng), rand_rat(rng))
+        lead = tuple([2] + [0] * (S.n - 1))
+        for j in (mu[0],) + tuple(nu + m for nu, m in zip(S.nu[1:], mu[1:])):
+            terms[(j, lead)] = G(rand_rat(rng, nonzero=True),
+                                 rand_rat(rng, nonzero=True))
+        F = germ_from_terms(S, terms, cap=2)
+        want = _reference_asymptotics(F)
+        rows = dyn.expected_asymptotics(F)
+        assert [(r.exponent, r.constant) for r in rows] == want, mu
+        assert all(r.upper_bound_only == (c is None)
+                   for r, (_, c) in zip(rows, want))
+        Q = lifted_quadratic_part(lift(F, S.ell, 2))
+        (d,) = dyn.characteristic_directions(Q, mode="structured",
+                                             structure=S)
+        consts = [G(0) if c is None else c for _, c in want]
+        inverse = projection_formulas(S, S.ell).inverse
+        assert d.v == tuple(-math.prod((c ** p for c, p in zip(consts, row)
+                                        if p), start=G(1))
+                            for row in inverse), mu
 
 
 def test_profile_point_values(fatou):

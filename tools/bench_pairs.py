@@ -20,6 +20,14 @@ pairs the change wins (ties count for neither) and a verdict:
                  and not every change run beats every parent run;
     within bound otherwise.
 
+A run whose result says `correct: false`, or which failed more requests
+than the other side's run of the same pair and workload, timed a program
+that gave wrong answers: such runs are printed, every metric row of their
+workload reads `incorrect` instead of a verdict, and the script exits 1.
+In a run of all workloads, a workload's failed requests are its "FAILED"
+lines; each recorded run keeps its own workload's `correct` and `failed`,
+and `attempted` counts the whole run.
+
 The direction and bound of each metric are read from CHANGE's
 BENCHMARK.json.  With --record, the summary and every run (with the
 requests it sent) are also written to PATH as JSON, in the layout of the
@@ -41,7 +49,8 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed, seconds):
-    """(environment, result) of one benchmark run in `checkout`."""
+    """(environment, result, {workload: failed requests}) of one benchmark
+    run in `checkout`."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE,
@@ -53,7 +62,34 @@ def run_once(checkout, workload, seed, seconds):
                             proc.stderr))
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("# environment ")), None)
-    return env, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    return env, result, workload_failures(lines, workload, result)
+
+
+def workload_failures(lines, workload, result):
+    """{workload: failed requests} of one run.  A run of all workloads
+    prints each one's report under a "== <name>" line, with one "FAILED"
+    line per failed request."""
+    if workload != "all":
+        return {workload: result["failed"]}
+    out, current = {}, None
+    for line in lines[:-1]:
+        if line.startswith("== "):
+            current = line[3:].strip()
+            out[current] = 0
+        elif line.startswith("FAILED ") and current is not None:
+            out[current] += 1
+    return out
+
+
+def incorrect_runs(runs):
+    """The runs that are not correct, or that failed more requests than
+    the other side's run of the same pair and workload."""
+    failed = {(r["pair"], r["workload"], r["side"]): r["failed"]
+              for r in runs}
+    other = dict(zip(SIDES, SIDES[::-1]))
+    return [r for r in runs if not r["correct"] or r["failed"] > failed.get(
+        (r["pair"], r["workload"], other[r["side"]]), r["failed"])]
 
 
 def measured_code(checkout):
@@ -150,19 +186,28 @@ def main():
     runs, env = [], {}
     for pair in range(1, args.pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:
-            env[side], result = run_once(roots[side], args.workload,
-                                         args.seed, seconds)
+            env[side], result, failures = run_once(
+                roots[side], args.workload, args.seed, seconds)
             for w, metrics in split_metrics(result, args.workload).items():
+                failed = failures.get(w, result["failed"])
+                correct = (result["correct"] if args.workload != "all"
+                           else not failed)
                 for metric, value in metrics.items():
                     values.setdefault((w, metric), {s: [] for s in SIDES})[
                         side].append(value)
                 runs.append({"pair": pair, "side": side, "workload": w,
-                             "seed": args.seed, "correct": result["correct"],
+                             "seed": args.seed, "correct": correct,
                              "attempted": result["attempted"],
-                             "failed": result["failed"], "metrics": metrics})
+                             "failed": failed, "metrics": metrics})
             print("pair %d %s done" % (pair, side), file=sys.stderr,
                   flush=True)
 
+    bad = incorrect_runs(runs)
+    for r in bad:
+        print("incorrect run: pair %d %s %s: correct %s, %d failed"
+              % (r["pair"], r["side"], r["workload"],
+                 str(r["correct"]).lower(), r["failed"]))
+    suspect = {r["workload"] for r in bad}
     summary = {}
     row = "%-16s %-14s %12s %25s %12s %25s %6s  %s"
     print(row % ("workload", "metric", "parent", "[q1, q3]", "change",
@@ -172,6 +217,8 @@ def main():
         s = summarize(sides["parent"], sides["change"])
         wins, v = verdict(s, sides["parent"], sides["change"], higher,
                           bound)
+        if w in suspect:
+            v = "incorrect"
         s["change_better_pairs"] = wins
         s["verdict"] = v
         summary.setdefault(w, {})[metric] = s
@@ -191,7 +238,7 @@ def main():
                 "summary": summary,
                 "runs": runs,
             }, fh, indent=1)
-    return 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
