@@ -55,6 +55,7 @@ PREC_RANGE = (24, 4096)          # --prec and options.precision_bits, bits
 STEPS_RANGE = (1, 10 ** 6)       # --steps and --settle
 WINDOW_RANGE = (5, 10 ** 6)      # --window
 K0_RANGE = (-2 ** 62, 2 ** 62)   # --k0: with STEPS_RANGE, every k fits int64
+NORMALFORM_COST = 6000           # normalform: dim * C(dim + degree_cap, dim)
 
 
 # -- scalar/JSON plumbing --------------------------------------------------
@@ -603,8 +604,17 @@ def normalform_cmd(map_path):
     """Quadratic normal form for a germ whose linear part is the
     unipotent Jordan block, with the epsilon table and conjugator.  At
     degree caps >= 3 the conjugator is exact only modulo degree 3."""
-    F, _ = load_map_spec(map_path)
-    nf = normal_form(F)
+    F, opts = load_map_spec(map_path)
+    n, cap = F.structure.n, opts["degree_cap"]
+    cost = n * math.comb(n + cap, n)
+    _expect(cost <= NORMALFORM_COST, "degree_cap %d with dim %d: normalform "
+            "cost dim*C(dim+degree_cap, dim) = %d exceeds %d",
+            cap, n, cost, NORMALFORM_COST)
+    return normalform_payload(normal_form(F))
+
+
+def normalform_payload(nf):
+    """The normalform command's payload for a NormalFormResult."""
     return {
         "epsilon_table": [[jval(x) for x in row] for row in nf.epsilon],
         "epsilon_vector": [jval(x) for x in epsilon_vector(nf)],

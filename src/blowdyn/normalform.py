@@ -22,8 +22,10 @@ The two building blocks operate on symmetric coefficient matrices:
 ``normal_form`` runs every reduction on the n quadratic matrices alone.  A
 step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
 J, changes them by the closed rule of ``transform_forms``, which is
-``_shift_correct`` alone when T = I.  The step maps are composed into one
-conjugator chi, the normalized series N is solved for once from
+``_shift_correct`` alone when T = I.  Each step is kept as the data
+(T or None, m, B), and ``compose_steps`` builds the one conjugator chi from
+them at the germ's cap, one quadratic form per step, with no series
+composition.  The normalized series N is solved for once, online, from
 chi o N = F o chi (chi is never inverted), and the quadratic matrices of
 N are compared with the tracked prediction.  ``eliminate_offdiagonal``
 eliminates its linear system once per n and reuses it for every form.
@@ -40,8 +42,8 @@ from .lifting import jordan_matrix
 from .partition import build_structure
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
-    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, _unit,
-    germ_solve,
+    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, germ_solve,
+    series_combination,
 )
 
 
@@ -338,15 +340,22 @@ def _require_unipotent_block(g):
                 )
 
 
-def _jet_map(cap, t, m, b):
-    """The step map z -> Tz + e_m z^t B z as a polynomial germ."""
-    n = len(t)
-    comps = []
-    for i, row in enumerate(t):
-        coeffs = _form_coeffs(b) if i + 1 == m else {}
-        coeffs.update((_unit(j, n), c) for j, c in enumerate(row) if c)
-        comps.append(TruncatedSeries(n, cap, coeffs))
-    return PolyMapGerm(comps)
+def compose_steps(steps, n, cap):
+    """chi = chi_1 o ... o chi_s at cap, for the steps (T or None, m, B)
+    of chi_s(z) = Tz + e_m z^t B z (T = I for None), built from the right:
+    from the identity, each step, last to first, acts on the running map M
+    on the left.  It mixes M's components by T when it has one, and adds
+    the quadratic form of the old M, sum_h M_h (sum_k B_hk M_k), to
+    component m."""
+    M = [TruncatedSeries.variable(i + 1, n, cap) for i in range(n)]
+    for t, m, b in reversed(steps):
+        quad = [(QI_ONE, Mh * series_combination(zip(row, M)))
+                for Mh, row in zip(M, b) if any(row)]
+        if t is not None:
+            M = [series_combination(zip(row, M)) for row in t]
+        if quad:
+            M[m - 1] = M[m - 1] + series_combination(quad)
+    return PolyMapGerm(M)
 
 
 def normal_form(F):
@@ -355,13 +364,15 @@ def normal_form(F):
     linear part is upper Toeplitz.
 
     Each reduction step chi_s(z) = T_s z + e_m z^t B_s z is chosen on the
-    tracked quadratic matrices.  The one Toeplitz step goes through
-    ``transform_forms``; the n steps with T_s = I only shift-correct.  The
-    steps compose into chi = chi_1 o ... o chi_{n+1}, normalized is solved
-    for once from chi o normalized = F o chi, and every component's
-    quadratic matrix in that series must equal the tracked prediction.  At
-    cap >= 3 the reported conjugator is the degree-2 truncation of chi, so
-    it conjugates F to normalized only modulo degree 3."""
+    tracked quadratic matrices and kept as (T_s or None, m, B_s).  The one
+    Toeplitz step goes through ``transform_forms``; the n steps with
+    T_s = I only shift-correct.  ``compose_steps`` builds
+    chi = chi_1 o ... o chi_{n+1} from the step data, normalized is solved
+    for once from chi o normalized = F o chi by ``germ_solve``, degree by
+    degree, and every component's quadratic matrix in that series must
+    equal the tracked prediction.  At cap >= 3 the reported conjugator is
+    the degree-2 truncation of chi, so it conjugates F to normalized only
+    modulo degree 3."""
     g = _as_germ(F)
     n, cap = g.n, g.cap
     if n < 2:
@@ -370,13 +381,12 @@ def normal_form(F):
         raise PreconditionViolated("truncation cap must be at least 2")
     _require_unipotent_block(g)
 
-    identity_rows = toeplitz_upper([QI_ONE] + [QI_ZERO] * (n - 1))
     forms = _quadratic_matrices(g)
     steps = []
 
     def shift_step(forms, m):
         psi, _ = eliminate_offdiagonal(forms[m - 1])
-        steps.append(_jet_map(cap, identity_rows, m, psi))
+        steps.append((None, m, psi))
         return _shift_correct(forms, m, psi)
 
     # diagonalize the last component's quadratic form
@@ -384,17 +394,16 @@ def normal_form(F):
 
     # Toeplitz reduction of that diagonal to a single square term
     alpha, psi, _ = reduce_diagonal_tail(forms[n - 1])
-    t = toeplitz_upper(alpha)
-    steps.append(_jet_map(cap, t, n, psi))
-    forms = transform_forms(forms, t, n, psi)
+    t = toeplitz_upper(alpha) if any(alpha[1:]) else None  # None: T = I
+    steps.append((t, n, psi))
+    forms = (transform_forms(forms, t, n, psi) if t
+             else _shift_correct(forms, n, psi))
 
     # sweep the remaining components; cleaning component h pollutes only h-1
     for h in range(n - 1, 0, -1):
         forms = shift_step(forms, h)
 
-    chi = steps[0]
-    for s in steps[1:]:
-        chi = chi.compose(s)
+    chi = compose_steps(steps, n, cap)
     work = germ_solve(chi, g.compose(chi))
     _require_unipotent_block(work)
     for h, (got, want) in enumerate(zip(_quadratic_matrices(work), forms), 1):

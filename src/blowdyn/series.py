@@ -44,6 +44,7 @@ __all__ = [
     "PolyMapGerm",
     "series_add",
     "series_multiply",
+    "series_combination",
     "series_compose",
     "series_reciprocal",
     "monomial_divide",
@@ -466,6 +467,17 @@ def series_power(a, p):
     )
 
 
+def series_combination(pairs):
+    """sum c s over the (c, s) pairs, c a scalar and s a series, all of
+    one variable count and cap (the zero series when no c is nonzero)."""
+    cs, ss = zip(*pairs)
+    for s in ss:
+        _check_pair(ss[0], s)
+    den, terms = _integral([_as_scalar(c) for c in cs])
+    return TruncatedSeries._of_form(ss[0].nvars, ss[0].cap, _combine(
+        [(cr, ci, ss[j]._form) for cr, ci, j in terms], den))
+
+
 def series_compose(outer, inner, _power_cache=None):
     """outer(inner_1, ..., inner_m), truncated at the shared cap.
 
@@ -511,18 +523,23 @@ def series_compose(outer, inner, _power_cache=None):
     oden, ore, oim = outer._form
     obase = outer.cap + 1
     oshift = _shift(m, outer.cap)
-    terms = []
-    for k in (ore.keys() | oim.keys()) if oim else ore:
-        if k // oshift > cap:
-            continue
-        e = _unpack(k, m, obase)
-        terms.append((ore.get(k, 0), oim.get(k, 0),
-                      monomial(e) if k else _ONE_FORM))
-    # one integer accumulator over the common denominator of every term
-    den = math.lcm(*[f[0] for _, _, f in terms]) if terms else 1
+    terms = [(ore.get(k, 0), oim.get(k, 0),
+              monomial(_unpack(k, m, obase)) if k else _ONE_FORM)
+             for k in ((ore.keys() | oim.keys()) if oim else ore)
+             if k // oshift <= cap]
+    return TruncatedSeries._of_form(tmpl.nvars, cap, _combine(terms, oden))
+
+
+def _combine(terms, den=1):
+    """The integer form of sum (cr + ci i) f / den over the (cr, ci, f)
+    in terms, with cr and ci integers: one integer accumulator over the
+    common denominator of every f."""
+    if len(terms) == 1 and den == 1 and terms[0][:2] == (1, 0):
+        return terms[0][2]
+    lcm = math.lcm(*[f[0] for _, _, f in terms]) if terms else 1
     re, im = {}, {}
     for cr, ci, (d, fr, fi) in terms:
-        s = den // d
+        s = lcm // d
         cr, ci = cr * s, ci * s
         if cr:
             for k, v in fr.items():
@@ -534,9 +551,7 @@ def series_compose(outer, inner, _power_cache=None):
                 im[k] = im.get(k, 0) + ci * v
             for k, v in fi.items():
                 re[k] = re.get(k, 0) - ci * v
-    return TruncatedSeries._of_form(
-        tmpl.nvars, cap, _normal(den * oden, re, im)
-    )
+    return _normal(lcm * den, re, im)
 
 
 def series_reciprocal(u):
@@ -769,41 +784,59 @@ def identity_germ(n, cap):
 
 
 def germ_solve(chi, h):
-    """The germ N with chi o N = h, at h's cap.
+    """The germ N with chi o N = h, at h's cap, solved online.
 
     chi is read as a polynomial, and its linear part T must be invertible;
     h must fix the origin.  Write chi = T + R, with R the terms of degree
-    >= 2.  Then N = T^-1 (h - R o N), and the part of R o N of degree d
-    reads only the terms of N below degree d.  So N starts as T^-1 h at
-    cap 1, and pass d = 2..cap solves again at cap d, with the previous
-    pass's N inside R.
+    2..cap.  Then N = T^-1 (h - R o N), and the degree-d part of R o N
+    reads only the parts of N below degree d.  So N is built one degree at
+    a time from h's homogeneous parts, R's terms read once, and one memo of
+    the homogeneous parts of the products prod_i N_i^e_i, each one product
+    on top of a smaller cached part (online evaluation, as in J. van der
+    Hoeven, "Relax, but don't be too lazy", J. Symbolic Comput. 34 (2002)).
     """
     n, cap = h.n, h.cap
     if chi.n != n:
         raise PreconditionViolated("variable count mismatch")
-    tinv = invert_matrix(chi.linear_matrix())
-    shift = _shift(n, chi.cap)
-    rest = [
-        TruncatedSeries._of_form(n, s.cap, _select(s._form,
-                                                   lambda k: k >= 2 * shift))
-        for s in chi.components
-    ]
-    N = None
+    tinv = [_integral(row) for row in invert_matrix(chi.linear_matrix())]
+    shift, cshift = _shift(n, cap), _shift(n, chi.cap)
+    rest = [(den, [(-re.get(k, 0), -im.get(k, 0), _unpack(k, n, chi.cap + 1),
+                    k // cshift)
+                   for k in re.keys() | im.keys() if 2 <= k // cshift <= cap])
+            for den, re, im in (s._form for s in chi.components)]
+    graded = [[s.homogeneous_part(d)._form for d in range(cap + 1)]
+              for s in h.components]
+    units = [_unit(i, n) for i in range(n)]
+    memo = {}  # (e, d): the degree-d part of prod_i N_i^e_i
+
+    def part(e, d):
+        hit = memo.get((e, d))
+        if hit is None:
+            last = max(i for i, p in enumerate(e) if p)
+            head = e[:last] + (e[last] - 1,) + e[last + 1:]
+            pairs = [(part(head, d - j), memo[units[last], j])
+                     for j in range(1, d - sum(head) + 1)]
+            hit = memo[e, d] = _combine(
+                [(1, 0, _mul(f, g, cap, shift)) for f, g in pairs
+                 if f is not _ZERO_FORM and g is not _ZERO_FORM])
+        return hit
+
     for d in range(1, cap + 1):
-        rhs = [s.truncated(d)._form for s in h.components]
-        if N is not None:
-            inner = [s.as_polynomial_cap(d) for s in N]
-            cache = {}
-            rhs = [_add(f, _negate(series_compose(r, inner, cache)._form))
-                   for f, r in zip(rhs, rest)]
-        N = []
-        for row in tinv:
-            acc = _ZERO_FORM
-            for c, f in zip(row, rhs):
-                if c:
-                    acc = _add(acc, _scale(f, c))
-            N.append(TruncatedSeries._of_form(n, d, acc))
-    return PolyMapGerm(N)
+        rhs = [_combine([(den, 0, hd[d])] + [(cr, ci, part(e, d))
+                                             for cr, ci, e, k in terms
+                                             if k <= d], den)
+               for hd, (den, terms) in zip(graded, rest)]
+        for e, (den, row) in zip(units, tinv):
+            memo[e, d] = _combine([(cr, ci, rhs[j]) for cr, ci, j in row], den)
+    return PolyMapGerm([TruncatedSeries._of_form(n, cap, _combine(
+        [(1, 0, memo[e, d]) for d in range(1, cap + 1)])) for e in units])
+
+
+def _integral(coeffs):
+    """(den, [(cr, ci, index)]): coeffs' nonzero entries over one den."""
+    den = math.lcm(*[c.d for c in coeffs if c])
+    return den, [(c.a * (den // c.d), c.b * (den // c.d), j)
+                 for j, c in enumerate(coeffs) if c]
 
 
 def germ_inverse(chi, cap=None):

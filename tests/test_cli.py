@@ -678,6 +678,45 @@ def test_normalform_command(tmp_path):
     assert out["alpha"] == ["1", "0"]
 
 
+def unipotent_spec(n, cap):
+    return {"dim": n, "blocks": [{"mu": n}],
+            "terms": [{"j": n, "exp": [2] + [0] * (n - 1), "coeff": "1"}],
+            "options": {"degree_cap": cap}}
+
+
+@pytest.mark.parametrize("n,cap", [(7, 6), (9, 4), (4, 12), (12, 16)])
+def test_normalform_refuses_shapes_over_the_joint_bound(tmp_path,
+                                                        monkeypatch, n, cap):
+    """dim and degree_cap are each in range, but their joint cost is not:
+    the refusal comes before any solve."""
+    def solved(*args):
+        raise AssertionError("normalform solved a refused shape")
+
+    monkeypatch.setattr(cli, "normal_form", solved)
+    cost = n * math.comb(n + cap, n)
+    assert cost > cli.NORMALFORM_COST
+    path = write_spec(tmp_path, unipotent_spec(n, cap))
+    res = run("normalform", "--map", path)
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    err = json.loads(res.stderr)
+    assert err["error"] == "SchemaError"
+    assert err["message"] == (
+        "degree_cap %d with dim %d: normalform cost dim*C(dim+degree_cap, "
+        "dim) = %d exceeds %d" % (cap, n, cost, cli.NORMALFORM_COST))
+
+
+@pytest.mark.parametrize("n,cap", [(6, 3), (12, 3), (3, 16)])
+def test_normalform_accepts_shapes_within_the_joint_bound(tmp_path, n, cap):
+    # (6, 3) is the largest benchmark shape; (12, 3) and (3, 16) reach the
+    # dim and degree_cap limits inside the joint bound
+    assert n * math.comb(n + cap, n) <= cli.NORMALFORM_COST
+    path = write_spec(tmp_path, unipotent_spec(n, cap))
+    res = run("normalform", "--map", path)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["j0"] == 1
+
+
 def test_fatou_demo_command():
     res = run("fatou-demo", "--settle", "2000", "--steps", "800")
     assert res.exit_code == 0, res.output

@@ -457,6 +457,39 @@ def test_step_rule_with_toeplitz_linear_part():
                             == want, (n, cap, m)
 
 
+def random_symmetric(rng, n):
+    b = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < 0.7:
+                b[i][j] = b[j][i] = Q(rand_rat(rng, span=4),
+                                      rand_rat(rng, span=2))
+    return tuple(map(tuple, b))
+
+
+def test_compose_steps_matches_the_composed_step_germs():
+    # the reference is the old route: each step z -> Tz + e_m z^t B z as
+    # a germ at the cap, and n full compositions chi_1 o ... o chi_{n+1}
+    rng = random.Random(88)
+    for n in range(2, 7):
+        for cap in range(2, 6):
+            alpha = [Q(1)] + [Q(rand_rat(rng, nonzero=True, span=4))
+                              for _ in range(n - 1)]
+            unit = [Q(1)] + [ZERO] * (n - 1)
+            data = [(unit, n), (alpha, n)] + [(unit, h)
+                                              for h in range(n - 1, 0, -1)]
+            steps, germs = [], []
+            for al, m in data:
+                b = random_symmetric(rng, n)
+                t = None if al is unit else toeplitz_upper(al)
+                steps.append((t, m, b))
+                germs.append(jet_step(al, m, b, cap))
+            want = germs[0]
+            for s in germs[1:]:
+                want = want.compose(s)
+            assert normalform.compose_steps(steps, n, cap) == want, (n, cap)
+
+
 def test_normal_form_conjugates_the_series_once(monkeypatch):
     # one solve of chi o N = F o chi, and no inverse of chi
     calls = []

@@ -340,6 +340,26 @@ def test_germ_solve_reads_chi_as_a_polynomial():
         assert germ_inverse(chi, 4) == reference_germ_inverse(chi, 4)
 
 
+def test_germ_solve_at_higher_caps_and_edge_cases():
+    # caps 6-8; a chi stored above h's cap, whose terms above the cap
+    # cannot enter; a linear chi (R = 0); an h that is only linear
+    rng = random.Random(89)
+    for n in (1, 2, 3):
+        for cap in (6, 7, 8):
+            chi = random_invertible_germ(rng, n, cap + 2, n > 1)
+            assert chi != chi.truncated(cap).as_polynomial_cap(cap + 2)
+            h = random_invertible_germ(rng, n, cap, False)
+            linear_chi = chi.truncated(1)
+            linear_h = h.truncated(1).as_polynomial_cap(cap)
+            cases = [(chi.truncated(cap), h), (chi, h), (linear_chi, h),
+                     (chi, linear_h)]
+            for k, (c, target) in enumerate(cases):
+                want = reference_germ_inverse(c, cap).compose(target)
+                got = germ_solve(c, target)
+                assert got.cap == cap and got == want, (n, cap, k)
+            assert germ_solve(chi, h) == germ_solve(chi.truncated(cap), h)
+
+
 def test_quadratic_coefficient_symmetrization():
     n, cap = 2, 2
     w1 = TruncatedSeries.variable(1, n, cap)
