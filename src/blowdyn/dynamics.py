@@ -63,7 +63,9 @@ from .errors import (
     PreconditionViolated,
     UnsupportedSpectrum,
 )
-from .exactalg import extend_reduced, qi, reduced_solution
+from .exactalg import (
+    extend_reduced, gaussian_dot, gaussian_mul, imat, qi, reduced_solution,
+)
 from .lifting import (
     is_diagonalizable,
     lift,
@@ -77,7 +79,7 @@ from .orbitplan import (
     radius_test,
     rounded_parts,
 )
-from .scalars import QI_ONE, QI_ZERO, GaussianRational, gaussian_sqrt
+from .scalars import QI_ONE, QI_ZERO, GaussianRational, _of, gaussian_sqrt
 from .series import _as_germ
 
 # Numeric policy (declared, not derived):
@@ -474,6 +476,13 @@ def hakim_matrix(Q, v, chart=None):
 
     With w = v / v_{i0} and A_j = M_j w for the matrices M_j of Q: q_j =
     w . A_j, lam = q_{i0}, H_jk = (A_jk - w_j A_{i0,k}) / lam - delta_jk / 2.
+    The work runs on Gaussian integers: u is v times its common
+    denominator, p = u_{i0}, and A'_j = M_j u is read off Q.stacked, the
+    matrices over one denominator D.  With s_j = u . A'_j (over D),
+    A_j = A'_j / p and q_j = s_j / p^2, so v is fixed when
+    p s_j = u_j s_{i0} for every j, lam = s_{i0} / p^2 and
+    H_jk = (p A'_jk - u_j A'_{i0,k}) / s_{i0} - delta_jk / 2, in which D
+    cancels.  Only lam and H's entries are built as GaussianRational.
     """
     n = Q.n
     if len(v) != n:
@@ -483,35 +492,47 @@ def hakim_matrix(Q, v, chart=None):
                for x in (*v, *(x for m in mats for row in m for x in row))):
         raise PreconditionViolated(
             "the attraction matrix is computed for exact input only")
+    _, (ur,), ui = imat([v])
+    ui = ui and ui[0]
+    u = list(zip(ur, ui or (0,) * n))
     if chart is not None:
         if not 1 <= chart <= n:
             raise PreconditionViolated("chart index out of range")
         i0 = chart - 1
         if not v[i0]:
             raise PreconditionViolated("chosen chart coordinate of v vanishes")
-    else:
-        i0 = _argmax_abs(v)
-    piv = v[i0]
-    w = [x / piv for x in v]
-    A = [[_dot(row, w) for row in m] for m in mats]
-    qs = [_dot(w, a) for a in A]
-    lamp = qs[i0]
-    for j, q in enumerate(qs):
-        if q != lamp * w[j]:
+    else:  # the largest modulus, first on ties
+        i0 = max(range(n), key=lambda i: u[i][0] ** 2 + u[i][1] ** 2)
+    p = u[i0]
+    # row j*n + k of Q.stacked is row k of M_j, so A'_jk is at j*n + k
+    den, sr, si = Q.stacked
+    A = [gaussian_dot(row, si and si[r], ur, ui) for r, row in enumerate(sr)]
+    s = [gaussian_dot(*zip(*A[j * n:j * n + n]), ur, ui) for j in range(n)]
+    for j, sj in enumerate(s):
+        if gaussian_mul(p, sj) != gaussian_mul(u[j], s[i0]):
             raise PreconditionViolated(
                 "v is not a fixed direction of this quadratic part (component %d)"
                 % (j + 1)
             )
-    if not lamp:
+    s0 = s[i0]
+    if s0 == (0, 0):
         raise DegenerateDirection("multiplier vanishes at this direction")
+    lamp = _of(*s0, den) / _of(*gaussian_mul(p, p), 1)
+    # H_jk = (2 N_jk - delta_jk s0) conj(s0) / (2 |s0|^2), with s0 = s_{i0}
+    # and N_jk = p A'_jk - u_j A'_{i0,k}
+    conj = (s0[0], -s0[1])
+    norm = 2 * (s0[0] * s0[0] + s0[1] * s0[1])
     idxs = [t for t in range(n) if t != i0]
-    half = Fraction(1, 2)
     rows = []
     for j in idxs:
         out = []
         for k in idxs:
-            d = (A[j][k] - w[j] * A[i0][k]) / lamp
-            out.append(d - half if j == k else d)
+            (ar, ai), (br, bi) = (gaussian_mul(p, A[j * n + k]),
+                                  gaussian_mul(u[j], A[i0 * n + k]))
+            nr, ni = 2 * (ar - br), 2 * (ai - bi)
+            if j == k:
+                nr, ni = nr - s0[0], ni - s0[1]
+            out.append(_of(*gaussian_mul((nr, ni), conj), norm))
         rows.append(tuple(out))
     mat = tuple(rows)
     m = len(mat)

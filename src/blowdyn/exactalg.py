@@ -1,8 +1,7 @@
 """Small exact linear-algebra toolkit over the Gaussian rationals.
 
-Matrices are plain lists of lists of GaussianRational.  Everything here is
-dense and meant for the small dimensions this package works at (n <= 10 or
-so); clarity and exactness beat asymptotics.
+Everything here is dense and meant for the small dimensions this package
+works at (n <= 10 or so); clarity and exactness beat asymptotics.
 
 There is one elimination: extend_reduced adds one equation to a reduced
 row echelon form.  solve_linear and invert_matrix fold it over their
@@ -10,50 +9,152 @@ rows, callers that branch on a shared prefix of equations extend the
 prefix's form once per branch, and folded over a matrix's rows alone it
 gives the rank, hence kernel dimensions.  Spectra are read off the
 diagonal of matrices that some ordering of the indices makes triangular.
+These take matrices as lists of rows of GaussianRational.
+
+Matrix arithmetic runs on the layout the series kernel uses for a whole
+series: one common denominator and Gaussian-integer numerators.  An
+integer matrix is (den, re, im), den a positive integer, re and im tuples
+of rows of integers, and im None for a real matrix; the matrix is
+(re + im i) / den.  Products and linear combinations are integer
+arithmetic, and each result is normalised once (the content it shares
+with den divided out), so equal matrices have equal triples.
+GaussianRational entries are built only where a caller converts back.
+gaussian_mul and gaussian_dot are the same arithmetic entry by entry,
+for callers that read single entries of such matrices.
 """
 
+import math
+from itertools import chain
+from operator import mul
+
 from .errors import PreconditionViolated
-from .scalars import GaussianRational, QI_ONE, QI_ZERO
+from .scalars import GaussianRational, QI_ONE, QI_ZERO, _of
 
 
 def qi(x):
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
-def zeros(r, c):
-    return [[QI_ZERO for _ in range(c)] for _ in range(r)]
-
-
 def identity(n):
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = QI_ONE
-    return m
+    return [[QI_ONE if i == j else QI_ZERO for j in range(n)]
+            for i in range(n)]
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] = oi[j] + aik * bk[j]
-    return out
+# -- integer matrices over one denominator ----------------------------------
+
+def imat(rows):
+    """The integer matrix (den, re, im) of rows of GaussianRational."""
+    flat = [x for row in rows for x in row]
+    # each entry is reduced, so no prime divides den (the lcm of the
+    # entries' d) and every numerator: the triple is already normal
+    den = math.lcm(*[x.d for x in flat])
+    width = len(rows[0])
+    re = tuple(zip(*[iter([x.a * (den // x.d) for x in flat])] * width))
+    im = None
+    if any([x.b for x in flat]):
+        im = tuple(zip(*[iter([x.b * (den // x.d) for x in flat])] * width))
+    return den, re, im
 
 
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def imat_of(den, re, im):
+    """The integer matrix (re + im i) / den, for den > 0 and re and im
+    rows of integers (im None or all 0 for a real matrix), normalised."""
+    if im is not None and not any(map(any, im)):
+        im = None
+    g = math.gcd(den, *chain.from_iterable(re),
+                 *(chain.from_iterable(im) if im is not None else ()))
+    if g == 1:
+        return den, tuple(map(tuple, re)), im and tuple(map(tuple, im))
+    return den // g, tuple(tuple([x // g for x in row]) for row in re), (
+        im and tuple(tuple([x // g for x in row]) for row in im))
 
 
-def mat_scale(a, c):
-    return [[c * x for x in row] for row in a]
+def imat_rows(m):
+    """The integer matrix m as a tuple of rows of GaussianRational."""
+    den, re, im = m
+    if im is None:
+        return tuple(tuple(_of(a, 0, den) if a else QI_ZERO for a in row)
+                     for row in re)
+    return tuple(tuple(_of(a, b, den) if a or b else QI_ZERO
+                       for a, b in zip(ra, rb)) for ra, rb in zip(re, im))
+
+
+def imat_entry(m, i, j):
+    """Entry (i, j) of the integer matrix m, as a GaussianRational."""
+    den, re, im = m
+    return _of(re[i][j], 0 if im is None else im[i][j], den)
+
+
+def imat_transpose(m):
+    """The transpose of the integer matrix m."""
+    den, re, im = m
+    return den, tuple(zip(*re)), im and tuple(zip(*im))
+
+
+def imat_mul(x, y):
+    """The product x y of two integer matrices."""
+    dx, xr, xi = x
+    dy, yr, yi = y
+    re = _product(xr, yr)
+    im = None if xi is None else _product(xi, yr)
+    if yi is not None:
+        im = _axpy(im, 1, _product(xr, yi))
+        if xi is not None:
+            re = _axpy(re, -1, _product(xi, yi))
+    return imat_of(dx * dy, re, im)
+
+
+def imat_combine(terms, den=1):
+    """The integer matrix of sum (cr + ci i) X / den over the (cr, ci, X)
+    in terms (at least one), with cr and ci integers and the X integer
+    matrices of one shape: one accumulator over the X's common
+    denominator."""
+    lcm = math.lcm(*[x[0] for _, _, x in terms])
+    re = [[0] * len(row) for row in terms[0][2][1]]
+    im = None
+    for cr, ci, (d, xr, xi) in terms:
+        s = lcm // d
+        cr, ci = cr * s, ci * s
+        if cr:
+            re = _axpy(re, cr, xr)
+            if xi is not None:
+                im = _axpy(im, cr, xi)
+        if ci:
+            im = _axpy(im, ci, xr)
+            if xi is not None:
+                re = _axpy(re, -ci, xi)
+    return imat_of(lcm * den, re, im)
+
+
+def gaussian_mul(x, y):
+    """The product of two Gaussian integers given as (re, im) pairs."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def gaussian_dot(xr, xi, yr, yi):
+    """sum_k x_k y_k, as a (re, im) pair, for two Gaussian-integer vectors
+    given by their real and imaginary parts (xi or yi None: all 0)."""
+    re, im = sum(map(mul, xr, yr)), 0
+    if xi is not None:
+        im = sum(map(mul, xi, yr))
+        if yi is not None:
+            re -= sum(map(mul, xi, yi))
+    if yi is not None:
+        im += sum(map(mul, xr, yi))
+    return re, im
+
+
+def _product(p, q):
+    """The product of two matrices of integers, as lists of rows."""
+    cols = list(zip(*q))
+    return [[sum(map(mul, row, col)) for col in cols] for row in p]
+
+
+def _axpy(acc, c, x):
+    """acc + c x for matrices of integers (acc None: the zero matrix)."""
+    if acc is None:
+        return [[c * b for b in row] for row in x]
+    return [[a + c * b for a, b in zip(ra, rx)] for ra, rx in zip(acc, x)]
 
 
 def extend_reduced(reduced, row, ncols):

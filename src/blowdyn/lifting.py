@@ -26,7 +26,7 @@ from .errors import (
     NotJordan,
     PreconditionViolated,
 )
-from .exactalg import extend_reduced, triangular_diagonal
+from .exactalg import extend_reduced, imat, triangular_diagonal
 from .partition import splitting
 from .scalars import QI_ONE, QI_ZERO, GaussianRational
 from .series import (
@@ -245,6 +245,13 @@ class ChartQuadraticForm:
 
     n: int
     matrices: tuple  # n symmetric n x n matrices of exact scalars
+
+    @functools.cached_property
+    def stacked(self):
+        """The matrices stacked into one n^2 x n integer matrix over one
+        denominator (exactalg.imat), built on first use; exact entries
+        only."""
+        return imat([row for m in self.matrices for row in m])
 
     def value(self, j, v):
         q = self.matrices[j - 1]

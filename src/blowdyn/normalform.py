@@ -22,13 +22,19 @@ The two building blocks operate on symmetric coefficient matrices:
 ``normal_form`` runs every reduction on the n quadratic matrices alone.  A
 step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
 J, changes them by the closed rule of ``transform_forms``, which is
-``_shift_correct`` alone when T = I.  Each step is kept as the data
-(T or None, m, B), and ``compose_steps`` builds the one conjugator chi from
-them at the germ's cap, one quadratic form per step, with no series
-composition.  The normalized series N is solved for once, online, from
-chi o N = F o chi (chi is never inverted), and the quadratic matrices of
-N are compared with the tracked prediction.  ``eliminate_offdiagonal``
-eliminates its linear system once per n and reuses it for every form.
+``_shift_correct`` alone when T = I; T^{-1} is the Toeplitz matrix of one
+power-series reciprocal (``toeplitz_inverse_row``).  The matrices are
+integer matrices over one common denominator (exactalg.imat) from the
+germ's quadratic part to the last step, so the step choice builds no
+GaussianRational but the secant solve's few scalars; the public
+functions take and return rows of GaussianRational and convert at the
+boundary.  Each step is kept as the data (T or None, m, B), and
+``compose_steps`` builds the one conjugator chi from them at the germ's
+cap, one quadratic form per step, with no series composition.  The
+normalized series N is solved for once, online, from chi o N = F o chi
+(chi is never inverted), and the quadratic matrices of N are compared
+with the tracked prediction.  ``eliminate_offdiagonal`` eliminates its
+linear system once per n and reuses it for every form.
 """
 
 import functools
@@ -36,14 +42,13 @@ from dataclasses import dataclass
 
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import (
-    extend_reduced, invert_matrix, mat_add, mat_mul, mat_scale, qi, zeros,
+    extend_reduced, identity, imat, imat_combine, imat_entry, imat_mul,
+    imat_of, imat_rows, imat_transpose, qi,
 )
-from .lifting import jordan_matrix
-from .partition import build_structure
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
-    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_matrices, germ_solve,
-    series_combination,
+    PolyMapGerm, TruncatedSeries, _as_germ, _quadratic_forms, _series_row,
+    germ_solve, series_reciprocal,
 )
 
 
@@ -74,18 +79,24 @@ def _symmetric(rows):
 
 def correction_image(b):
     """Apply the shift-correction operator L to a symmetric matrix."""
-    return _correction_image(_symmetric(b))
+    return _correction_rows(_symmetric(b), QI_ZERO)
 
 
-def _correction_image(b):
-    """L(B) for a symmetric tuple b of Gaussian rationals, as built in
-    this module: only the in-range entries are added, so row 0 and
+def _correction_rows(b, zero):
+    """L(B) for the rows b of a symmetric matrix, with zero the zero of
+    its entries: only the in-range entries are added, so row 0 and
     column 0 are shifted copies of b."""
-    out = [(QI_ZERO,) + row[:-1] for row in b[:1]]
+    out = [(zero,) + tuple(b[0][:-1])]
     for up, row in zip(b, b[1:]):
         out.append((up[0],) + tuple(
             x + y + z for x, y, z in zip(up, row, up[1:])))
     return tuple(out)
+
+
+def _correction_image(b):
+    """L(B) of the integer matrix b, not normalised."""
+    den, re, im = b
+    return den, _correction_rows(re, 0), im and _correction_rows(im, 0)
 
 
 def toeplitz_upper(alpha):
@@ -99,22 +110,41 @@ def toeplitz_upper(alpha):
     )
 
 
+def toeplitz_inverse_row(alpha):
+    """The first row of T^{-1}, T = toeplitz_upper(alpha), alpha_0 != 0.
+
+    Upper Toeplitz matrices multiply as power series truncated at x^n,
+    so T^{-1} is the Toeplitz matrix of the reciprocal of
+    alpha_0 + alpha_1 x + ... + alpha_{n-1} x^{n-1} (D. Bini and V. Pan,
+    Polynomial and Matrix Computations, vol. 1, Birkhauser 1994)."""
+    n = len(alpha)
+    r = series_reciprocal(TruncatedSeries(
+        1, n - 1, {(k,): a for k, a in enumerate(alpha)}))
+    return tuple(r.coefficient((k,)) for k in range(n))
+
+
+def _exact(rows):
+    """The integer matrix of rows of exact scalars."""
+    return imat([[qi(x) for x in row] for row in rows])
+
+
 def conjugate_form(a, t):
     """Coefficient matrix of z -> phi(Tz), i.e. T^t A T."""
-    tt = [list(col) for col in zip(*t)]
-    return tuple(map(tuple, mat_mul(mat_mul(tt, a), t)))
+    return imat_rows(_conjugate(_exact(a), _exact(t)))
+
+
+def _conjugate(a, t):
+    return imat_mul(imat_transpose(t), imat_mul(a, t))
 
 
 def _shift_correct(forms, m, b):
-    """The quadratic matrices after the step chi(z) = z + e_m z^t B z:
+    """The integer quadratic matrices after the step chi(z) = z + e_m z^t B z:
     L(B) is subtracted from component m and B added to component m-1."""
     out = list(forms)
-    out[m - 1] = tuple(
-        tuple(x - y for x, y in zip(rp, rl))
-        for rp, rl in zip(forms[m - 1], _correction_image(b))
-    )
+    out[m - 1] = imat_combine([(1, 0, forms[m - 1]),
+                               (-1, 0, _correction_image(b))])
     if m > 1:
-        out[m - 2] = tuple(map(tuple, mat_add(forms[m - 2], b)))
+        out[m - 2] = imat_combine([(1, 0, forms[m - 2]), (1, 0, b)])
     return tuple(out)
 
 
@@ -125,20 +155,25 @@ def transform_forms(forms, t, m, b):
     Toeplitz, so that T commutes with J.
 
     With W_k = T^t P_k T, the step applies _shift_correct to the W_k; the
-    new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.
+    new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k, and T^{-1} is
+    the Toeplitz matrix of toeplitz_inverse_row(T's first row).
     """
-    n = len(forms)
-    w = _shift_correct([conjugate_form(p, t) for p in forms], m,
-                       _symmetric(b))
-    tinv = invert_matrix(t)
-    out = []
-    for i in range(n):
-        acc = zeros(n, n)
-        for k in range(i, n):
-            if tinv[i][k]:
-                acc = mat_add(acc, mat_scale(w[k], tinv[i][k]))
-        out.append(tuple(map(tuple, acc)))
-    return tuple(out)
+    out = _transform_forms([_exact(p) for p in forms], _exact(t),
+                           imat([toeplitz_inverse_row(t[0])]), m,
+                           imat(_symmetric(b)))
+    return tuple(map(imat_rows, out))
+
+
+def _transform_forms(forms, t, tinv, m, b):
+    """transform_forms on integer matrices, with tinv the first row of
+    T^{-1} as a 1 x n integer matrix."""
+    w = _shift_correct([_conjugate(p, t) for p in forms], m, b)
+    den, (br,), bi = tinv
+    bi = bi[0] if bi else (0,) * len(br)
+    return tuple(
+        imat_combine([(br[k - i], bi[k - i], w[k]) for k in range(i, len(w))
+                      if br[k - i] or bi[k - i]], den)
+        for i in range(len(w)))
 
 
 def _form_coeffs(b):
@@ -175,8 +210,10 @@ def _offdiagonal_operator(n):
     rank, so it is consistent for every phi.  Eliminating it with an
     identity block as its right-hand side gives, for each pivot unknown,
     its value as a combination of those entries of phi; the free unknowns
-    are 0, as in solve_linear.  Returns ((i, j), ((h, k), weight), ...)
-    for each pivot unknown with a nonzero combination.
+    are 0, as in solve_linear.  The weights are real rationals.  Returns
+    (den, rows), with one row ((i, j), ((h, k), weight), ...) for each
+    pivot unknown with a nonzero combination, each weight an integer
+    over den.
     """
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: c for c, p in enumerate(pairs)}
@@ -194,10 +231,10 @@ def _offdiagonal_operator(n):
         if reduced is None:
             raise BlowdynError("off-diagonal elimination system is "
                                "inconsistent for some quadratic forms")
-    return tuple(
-        (pairs[col], tuple((t, w) for t, w in zip(targets, row[len(pairs):])
-                           if w))
-        for col, row in reduced
+    den, weights, _ = imat([row[len(pairs):] for _, row in reduced])
+    return den, tuple(
+        (pairs[col], tuple((t, w) for t, w in zip(targets, row) if w))
+        for (col, _), row in zip(reduced, weights)
     )
 
 
@@ -211,36 +248,41 @@ def eliminate_offdiagonal(phi):
     B is one product of phi's entries with the operator that
     _offdiagonal_operator eliminates once per n.
     """
-    a = _symmetric(phi)
-    n = len(a)
-    b = [[QI_ZERO] * n for _ in range(n)]
-    for (i, j), weights in _offdiagonal_operator(n):
-        c = QI_ZERO
-        for (h, k), w in weights:
-            if a[h][k]:
-                c = c + w * a[h][k]
-        b[i][j] = b[j][i] = c
-    b = tuple(tuple(row) for row in b)
-    l = _correction_image(b)
-    red = tuple(
-        tuple(a[h][k] - l[h][k] for k in range(n)) for h in range(n)
-    )
+    b, red = _eliminate_offdiagonal(imat(_symmetric(phi)))
+    return imat_rows(b), imat_rows(red)
+
+
+def _eliminate_offdiagonal(a):
+    """eliminate_offdiagonal on an integer matrix."""
+    den, ar, ai = a
+    n = len(ar)
+    wden, operator = _offdiagonal_operator(n)
+    parts = [ar] if ai is None else [ar, ai]
+    b = [[[0] * n for _ in range(n)] for _ in parts]
+    for (i, j), weights in operator:
+        for bp, p in zip(b, parts):
+            bp[i][j] = bp[j][i] = sum(w * p[h][k] for (h, k), w in weights)
+    b = imat_of(wden * den, b[0], b[1] if ai else None)
+    red = imat_combine([(1, 0, a), (-1, 0, _correction_image(b))])
     _check_trimmed_diagonal(red)
-    if red[0][0] != a[0][0]:
+    if imat_entry(red, 0, 0) != imat_entry(a, 0, 0):
         raise BlowdynError("leading square coefficient was not preserved")
     return b, red
 
 
 def _check_trimmed_diagonal(red):
-    n = len(red)
+    """Raise unless the integer matrix red is diagonal with no square
+    beyond the cutoff."""
+    _, re, im = red
+    n = len(re)
     cut = diagonal_cutoff(n)
     for h in range(n):
         for k in range(n):
-            if h != k and red[h][k]:
+            if h != k and (re[h][k] or im and im[h][k]):
                 raise BlowdynError(
                     "off-diagonal entry (%d,%d) survived elimination" % (h + 1, k + 1)
                 )
-        if h >= cut and red[h][h]:
+        if h >= cut and (re[h][h] or im and im[h][h]):
             raise BlowdynError(
                 "square term beyond the cutoff survived at index %d" % (h + 1,)
             )
@@ -263,18 +305,24 @@ def reduce_diagonal_tail(phi):
         for k in range(n):
             if h != k and a[h][k]:
                 raise PreconditionViolated("diagonal quadratic form expected")
-    eps = [a[j][j] for j in range(n)]
+    alpha, b, red = _reduce_diagonal_tail(imat(a))
+    return alpha, imat_rows(b), imat_rows(red)
+
+
+def _reduce_diagonal_tail(a):
+    """reduce_diagonal_tail on a diagonal integer matrix."""
+    n = len(a[1])
+    eps = [imat_entry(a, j, j) for j in range(n)]
     alpha = [QI_ONE] + [QI_ZERO] * (n - 1)
     j0 = next((j for j, e in enumerate(eps) if e), None)
-    zero = tuple(tuple(QI_ZERO for _ in range(n)) for _ in range(n))
     if j0 is None:
+        zero = (1, ((0,) * n,) * n, None)
         return tuple(alpha), zero, zero
     cut = diagonal_cutoff(n)
 
     def retained(al, pos):
-        t = toeplitz_upper(al)
-        _, red = eliminate_offdiagonal(conjugate_form(a, t))
-        return red[pos][pos]
+        _, red = _eliminate_offdiagonal(_conjugate(a, imat(toeplitz_upper(al))))
+        return imat_entry(red, pos, pos)
 
     for pos in range(j0 + 1, cut):
         idx = 2 * (pos - j0)
@@ -288,13 +336,16 @@ def reduce_diagonal_tail(phi):
             raise BlowdynError(
                 "surviving square term at index %d cannot be removed" % (pos + 1,)
             )
-    t = toeplitz_upper(alpha)
-    b, red = eliminate_offdiagonal(conjugate_form(a, t))
+    b, red = _eliminate_offdiagonal(_conjugate(a, imat(toeplitz_upper(alpha))))
     expect_val = alpha[0] * alpha[0] * eps[j0] if j0 < cut else QI_ZERO
+    _, re, im = red
     for h in range(n):
         for k in range(n):
-            want = expect_val if (h == k == j0 and j0 < cut) else QI_ZERO
-            if red[h][k] != want:
+            if h == k == j0 and j0 < cut:
+                bad = imat_entry(red, h, k) != expect_val
+            else:
+                bad = re[h][k] or im and im[h][k]
+            if bad:
                 raise BlowdynError(
                     "diagonal tail reduction left an unexpected entry at (%d,%d)"
                     % (h + 1, k + 1)
@@ -330,10 +381,9 @@ class NormalFormResult:
 
 
 def _require_unipotent_block(g):
-    block = jordan_matrix(build_structure((g.n,), (QI_ONE,)))
     for i, row in enumerate(g.linear_matrix()):
         for j, x in enumerate(row):
-            if x != block[i][j]:
+            if x != (QI_ONE if j in (i, i + 1) else QI_ZERO):
                 raise NotJordan(
                     "linear part is not the unipotent Jordan block: entry (%d,%d)"
                     % (i + 1, j + 1)
@@ -347,14 +397,23 @@ def compose_steps(steps, n, cap):
     on the left.  It mixes M's components by T when it has one, and adds
     the quadratic form of the old M, sum_h M_h (sum_k B_hk M_k), to
     component m."""
+    return _compose_steps([(None if t is None else imat(t), m, imat(b))
+                           for t, m, b in steps], n, cap)
+
+
+def _compose_steps(steps, n, cap):
+    """compose_steps for steps whose T and B are integer matrices."""
     M = [TruncatedSeries.variable(i + 1, n, cap) for i in range(n)]
-    for t, m, b in reversed(steps):
-        quad = [(QI_ONE, Mh * series_combination(zip(row, M)))
-                for Mh, row in zip(M, b) if any(row)]
+    for t, m, (den, br, bi) in reversed(steps):
+        quad = [M[h] * _series_row(1, row, bi and bi[h], M)
+                for h, row in enumerate(br) if any(row) or bi and any(bi[h])]
         if t is not None:
-            M = [series_combination(zip(row, M)) for row in t]
+            tden, tr, ti = t
+            M = [_series_row(tden, row, ti and ti[h], M)
+                 for h, row in enumerate(tr)]
         if quad:
-            M[m - 1] = M[m - 1] + series_combination(quad)
+            M[m - 1] = M[m - 1] + _series_row(den, (1,) * len(quad), None,
+                                              quad)
     return PolyMapGerm(M)
 
 
@@ -364,14 +423,18 @@ def normal_form(F):
     linear part is upper Toeplitz.
 
     Each reduction step chi_s(z) = T_s z + e_m z^t B_s z is chosen on the
-    tracked quadratic matrices and kept as (T_s or None, m, B_s).  The one
-    Toeplitz step goes through ``transform_forms``; the n steps with
-    T_s = I only shift-correct.  ``compose_steps`` builds
-    chi = chi_1 o ... o chi_{n+1} from the step data, normalized is solved
-    for once from chi o normalized = F o chi by ``germ_solve``, degree by
-    degree, and every component's quadratic matrix in that series must
-    equal the tracked prediction.  At cap >= 3 the reported conjugator is
-    the degree-2 truncation of chi, so it conjugates F to normalized only
+    tracked quadratic matrices, kept as integer matrices over one
+    denominator (exactalg.imat) from the germ's quadratic part to the
+    last step, and kept as (T_s or None, m, B_s).  The one Toeplitz step
+    goes through the rule of ``transform_forms``; the n steps with
+    T_s = I only shift-correct.  T_s^{-1} is computed once, as the
+    Toeplitz row ``toeplitz_inverse_row``, for both that rule and the
+    solve.  ``compose_steps`` builds chi = chi_1 o ... o chi_{n+1} from
+    the step data, normalized is solved for once from
+    chi o normalized = F o chi by ``germ_solve``, degree by degree, and
+    every component's quadratic matrix in that series must equal the
+    tracked prediction.  At cap >= 3 the reported conjugator is the
+    degree-2 truncation of chi, so it conjugates F to normalized only
     modulo degree 3."""
     g = _as_germ(F)
     n, cap = g.n, g.cap
@@ -381,11 +444,11 @@ def normal_form(F):
         raise PreconditionViolated("truncation cap must be at least 2")
     _require_unipotent_block(g)
 
-    forms = _quadratic_matrices(g)
+    forms = _quadratic_forms(g)
     steps = []
 
     def shift_step(forms, m):
-        psi, _ = eliminate_offdiagonal(forms[m - 1])
+        psi, _ = _eliminate_offdiagonal(forms[m - 1])
         steps.append((None, m, psi))
         return _shift_correct(forms, m, psi)
 
@@ -393,20 +456,25 @@ def normal_form(F):
     forms = shift_step(forms, n)
 
     # Toeplitz reduction of that diagonal to a single square term
-    alpha, psi, _ = reduce_diagonal_tail(forms[n - 1])
-    t = toeplitz_upper(alpha) if any(alpha[1:]) else None  # None: T = I
+    alpha, psi, _ = _reduce_diagonal_tail(forms[n - 1])
+    if any(alpha[1:]):
+        t = imat(toeplitz_upper(alpha))
+        beta = toeplitz_inverse_row(alpha)
+        tinv = toeplitz_upper(beta)
+        forms = _transform_forms(forms, t, imat([beta]), n, psi)
+    else:  # T = I
+        t, tinv = None, identity(n)
+        forms = _shift_correct(forms, n, psi)
     steps.append((t, n, psi))
-    forms = (transform_forms(forms, t, n, psi) if t
-             else _shift_correct(forms, n, psi))
 
     # sweep the remaining components; cleaning component h pollutes only h-1
     for h in range(n - 1, 0, -1):
         forms = shift_step(forms, h)
 
-    chi = compose_steps(steps, n, cap)
-    work = germ_solve(chi, g.compose(chi))
+    chi = _compose_steps(steps, n, cap)
+    work = germ_solve(chi, g.compose(chi), linear_inverse=tinv)
     _require_unipotent_block(work)
-    for h, (got, want) in enumerate(zip(_quadratic_matrices(work), forms), 1):
+    for h, (got, want) in enumerate(zip(_quadratic_forms(work), forms), 1):
         if got != want:
             raise BlowdynError(
                 "quadratic part of component %d differs from the step-rule "
@@ -416,7 +484,8 @@ def normal_form(F):
 
     for m in forms:
         _check_trimmed_diagonal(m)
-    epsilon = tuple(tuple(m[k][k] for k in range(n)) for m in forms)
+    epsilon = tuple(tuple(imat_entry(m, k, k) for k in range(n))
+                    for m in forms)
     nonzero = [i for i in range(n) if epsilon[n - 1][i]]
     if len(nonzero) > 1:
         raise BlowdynError("last component carries more than one square term")

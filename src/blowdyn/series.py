@@ -36,7 +36,7 @@ import functools
 import math
 
 from .errors import DivisionObstruction, PreconditionViolated
-from .exactalg import invert_matrix
+from .exactalg import imat, imat_of, imat_rows, invert_matrix
 from .scalars import QI_ONE, QI_ZERO, _as_scalar, _of, format_triple
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "PolyMapGerm",
     "series_add",
     "series_multiply",
-    "series_combination",
     "series_compose",
     "series_reciprocal",
     "monomial_divide",
@@ -467,15 +466,12 @@ def series_power(a, p):
     )
 
 
-def series_combination(pairs):
-    """sum c s over the (c, s) pairs, c a scalar and s a series, all of
-    one variable count and cap (the zero series when no c is nonzero)."""
-    cs, ss = zip(*pairs)
-    for s in ss:
-        _check_pair(ss[0], s)
-    den, terms = _integral([_as_scalar(c) for c in cs])
+def _series_row(den, re, im, ss):
+    """sum (re_k + im_k i) s_k / den over the series s_k, for integer rows
+    re and im (im None for a real row): one integer accumulator."""
+    im = im or (0,) * len(re)
     return TruncatedSeries._of_form(ss[0].nvars, ss[0].cap, _combine(
-        [(cr, ci, ss[j]._form) for cr, ci, j in terms], den))
+        [(r, i, s._form) for r, i, s in zip(re, im, ss) if r or i], den))
 
 
 def series_compose(outer, inner, _power_cache=None):
@@ -756,15 +752,23 @@ class PolyMapGerm:
 def _quadratic_matrices(g):
     """The symmetric matrices of the quadratic part of the germ g, one per
     component: m[j-1][h-1][k-1] is g.quadratic_coefficient(j, h, k)."""
-    n = g.n
-    mats = []
-    for comp in g.components:
-        q = [[QI_ZERO] * n for _ in range(n)]
-        for e, c in comp.homogeneous_part(2).coeffs.items():
-            h, k = [i for i, p in enumerate(e) for _ in range(p)]
-            q[h][k] = q[k][h] = c if h == k else c / 2
-        mats.append(tuple(map(tuple, q)))
-    return tuple(mats)
+    return tuple(map(imat_rows, _quadratic_forms(g)))
+
+
+def _quadratic_forms(g):
+    """_quadratic_matrices(g) as integer matrices (exactalg.imat), read
+    off the components' integer forms: each over twice its component's
+    denominator, so that the halved cross terms stay integral."""
+    n, base = g.n, g.cap + 1
+    keys = [[2 * base ** n + base ** (n - 1 - h) + base ** (n - 1 - k)
+             for k in range(n)] for h in range(n)]
+
+    def numerators(p):
+        return [[p.get(key, 0) * (2 if h == k else 1)
+                 for k, key in enumerate(row)] for h, row in enumerate(keys)]
+
+    return tuple(imat_of(2 * den, numerators(re), im and numerators(im))
+                 for den, re, im in (s._form for s in g.components))
 
 
 def _as_germ(f):
@@ -783,12 +787,14 @@ def identity_germ(n, cap):
     )
 
 
-def germ_solve(chi, h):
+def germ_solve(chi, h, linear_inverse=None):
     """The germ N with chi o N = h, at h's cap, solved online.
 
     chi is read as a polynomial, and its linear part T must be invertible;
-    h must fix the origin.  Write chi = T + R, with R the terms of degree
-    2..cap.  Then N = T^-1 (h - R o N), and the degree-d part of R o N
+    h must fix the origin.  A caller that already holds T^-1 passes it as
+    linear_inverse (rows of scalars); otherwise it is computed here.
+    Write chi = T + R, with R the terms of degree 2..cap.  Then
+    N = T^-1 (h - R o N), and the degree-d part of R o N
     reads only the parts of N below degree d.  So N is built one degree at
     a time from h's homogeneous parts, R's terms read once, and one memo of
     the homogeneous parts of the products prod_i N_i^e_i, each one product
@@ -798,7 +804,11 @@ def germ_solve(chi, h):
     n, cap = h.n, h.cap
     if chi.n != n:
         raise PreconditionViolated("variable count mismatch")
-    tinv = [_integral(row) for row in invert_matrix(chi.linear_matrix())]
+    if linear_inverse is None:
+        linear_inverse = invert_matrix(chi.linear_matrix())
+    tden, tr, ti = imat(linear_inverse)
+    tinv = [[(cr, ci, j) for j, (cr, ci) in enumerate(zip(rr, ri)) if cr or ci]
+            for rr, ri in zip(tr, ti or [(0,) * n] * n)]
     shift, cshift = _shift(n, cap), _shift(n, chi.cap)
     rest = [(den, [(-re.get(k, 0), -im.get(k, 0), _unpack(k, n, chi.cap + 1),
                     k // cshift)
@@ -826,17 +836,11 @@ def germ_solve(chi, h):
                                              for cr, ci, e, k in terms
                                              if k <= d], den)
                for hd, (den, terms) in zip(graded, rest)]
-        for e, (den, row) in zip(units, tinv):
-            memo[e, d] = _combine([(cr, ci, rhs[j]) for cr, ci, j in row], den)
+        for e, row in zip(units, tinv):
+            memo[e, d] = _combine([(cr, ci, rhs[j]) for cr, ci, j in row],
+                                  tden)
     return PolyMapGerm([TruncatedSeries._of_form(n, cap, _combine(
         [(1, 0, memo[e, d]) for d in range(1, cap + 1)])) for e in units])
-
-
-def _integral(coeffs):
-    """(den, [(cr, ci, index)]): coeffs' nonzero entries over one den."""
-    den = math.lcm(*[c.d for c in coeffs if c])
-    return den, [(c.a * (den // c.d), c.b * (den // c.d), j)
-                 for j, c in enumerate(coeffs) if c]
 
 
 def germ_inverse(chi, cap=None):

@@ -82,6 +82,13 @@ def random_germ(rng, mu, lam=None, cap=2, density=0.5, force_generic=True,
     return germ_from_terms(S, terms, cap=cap)
 
 
+def mat_mul(a, b):
+    """The product of two matrices of exact scalars, as lists of rows."""
+    zero = GaussianRational(0)
+    return [[sum((x * y for x, y in zip(row, col)), zero) for col in zip(*b)]
+            for row in a]
+
+
 def fatou_germ(cap=4):
     """The classical planar example (z1 + z2, z2 + z1^2)."""
     S = build_structure((2,), (GaussianRational(1),))

@@ -555,6 +555,93 @@ def test_hakim_matrix_is_half_the_chart_derivative_deviation():
     assert checked > 20
 
 
+def reference_hakim(Q, v, i0):
+    """(matrix, lam) of the attraction matrix in GaussianRational
+    arithmetic, the formula of hakim_matrix's docstring term by term."""
+    n = Q.n
+    w = [x / v[i0] for x in v]
+    A = [[sum((a * b for a, b in zip(row, w)), G(0)) for row in m]
+         for m in Q.matrices]
+    qs = [sum((a * b for a, b in zip(w, row)), G(0)) for row in A]
+    lam = qs[i0]
+    unfixed = [j for j in range(n) if qs[j] != lam * w[j]]
+    idxs = [t for t in range(n) if t != i0]
+    half = G(Fraction(1, 2))
+    mat = tuple(tuple((A[j][k] - w[j] * A[i0][k]) / lam
+                      - (half if j == k else G(0)) for k in idxs)
+                for j in idxs) if lam and not unfixed else None
+    return mat, lam, unfixed
+
+
+def complex_fixed_form(rng, n, lam):
+    """(Q, v): random symmetric complex matrices M_j, each corrected by a
+    multiple of e_a e_a^t so that the complex direction v is fixed,
+    with Q_j(v) = lam v_j."""
+    def rq():
+        return G(rand_rat(rng, span=5), rand_rat(rng, span=5))
+    v = [rq() if rng.random() < 0.8 else G(0) for _ in range(n)]
+    a = rng.randrange(n)
+    v[a] = G(rand_rat(rng, nonzero=True, span=5), rand_rat(rng, span=5))
+    mats = []
+    for j in range(n):
+        m = [[G(0)] * n for _ in range(n)]
+        for h in range(n):
+            for k in range(h, n):
+                if rng.random() < 0.6:
+                    m[h][k] = m[k][h] = rq()
+        value = sum((m[h][k] * v[h] * v[k] for h in range(n)
+                     for k in range(n)), G(0))
+        m[a][a] = m[a][a] + (lam * v[j] - value) / (v[a] * v[a])
+        mats.append(tuple(map(tuple, m)))
+    return ChartQuadraticForm(n, tuple(mats)), tuple(v)
+
+
+def test_hakim_matrix_matches_the_scalar_formula_on_complex_forms():
+    rng = random.Random(32)
+    for n in range(2, 7):
+        for _ in range(4):
+            lam = G(rand_rat(rng, nonzero=True, span=4), rand_rat(rng, span=4))
+            Q, v = complex_fixed_form(rng, n, lam)
+            i0 = dyn._argmax_abs(v)
+            charts = [None] + [c + 1 for c in range(n) if v[c]]
+            for chart in charts:
+                h = dyn.hakim_matrix(Q, v, chart=chart)
+                at = i0 if chart is None else chart - 1
+                mat, lam_w, _ = reference_hakim(Q, v, at)
+                assert h.chart == at + 1
+                assert (h.matrix, h.lam) == (mat, lam_w), (n, chart)
+                assert h.lam == lam / v[at]
+
+
+def test_hakim_matrix_refusals_on_complex_forms():
+    rng = random.Random(33)
+    for n in range(2, 6):
+        for _ in range(4):
+            # a multiplier of zero
+            Q, v = complex_fixed_form(rng, n, G(0))
+            with pytest.raises(DegenerateDirection,
+                               match="multiplier vanishes"):
+                dyn.hakim_matrix(Q, v)
+            # one matrix moved off the fixed-point equation
+            Q, v = complex_fixed_form(rng, n, G(rand_rat(rng, nonzero=True)))
+            j = rng.randrange(n)
+            c = rng.randrange(n)
+            if not v[c]:
+                continue
+            mats = [list(map(list, m)) for m in Q.matrices]
+            mats[j][c][c] = mats[j][c][c] + G(1, 1)
+            bad = ChartQuadraticForm(n, tuple(tuple(map(tuple, m))
+                                              for m in mats))
+            for chart in (None, c + 1):
+                at = dyn._argmax_abs(v) if chart is None else chart - 1
+                _, _, unfixed = reference_hakim(bad, v, at)
+                assert unfixed
+                with pytest.raises(PreconditionViolated,
+                                   match=r"\(component %d\)"
+                                   % (unfixed[0] + 1)):
+                    dyn.hakim_matrix(bad, v, chart=chart)
+
+
 def test_single_block_attraction_spectra_nonpositive():
     worst = -1.0
     for n in range(2, 8):

@@ -5,16 +5,24 @@ import pytest
 
 from blowdyn.errors import PreconditionViolated
 from blowdyn.exactalg import (
+    gaussian_dot,
+    gaussian_mul,
     identity,
+    imat,
+    imat_combine,
+    imat_entry,
+    imat_mul,
+    imat_of,
+    imat_rows,
+    imat_transpose,
     invert_matrix,
     invert_unimodular_int_matrix,
-    mat_mul,
     solve_linear,
     triangular_diagonal,
 )
 from blowdyn.scalars import GaussianRational
 
-from conftest import partitions
+from conftest import mat_mul, partitions
 
 Q = GaussianRational
 ZERO = Q(0)
@@ -292,3 +300,70 @@ def test_triangular_diagonal_reads_the_diagonal_under_any_ordering():
 def test_triangular_diagonal_refuses_a_cycle(a):
     with pytest.raises(PreconditionViolated):
         triangular_diagonal([[Q(x) for x in row] for row in a])
+
+
+# -- integer matrices over one denominator -----------------------------------
+
+def random_matrix(rng, rows, cols, complex_entries=True, density=0.7):
+    return [[Q(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+               Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+               if complex_entries else 0)
+             if rng.random() < density else ZERO
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def test_imat_round_trip_and_normal_form():
+    # equal matrices have equal triples, whatever denominator they are
+    # written over, and a real matrix has no imaginary part
+    rng = random.Random(41)
+    for _ in range(60):
+        r, c = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, r, c, complex_entries=rng.random() < 0.5)
+        m = imat(a)
+        assert imat_rows(m) == tuple(map(tuple, a))
+        assert (m[2] is None) == all(not x.b for row in a for x in row)
+        for i in range(r):
+            for j in range(c):
+                assert imat_entry(m, i, j) == a[i][j]
+        k = rng.randint(2, 9)
+        den, re, im = m
+        scaled = imat_of(den * k, [[x * k for x in row] for row in re],
+                         im and [[x * k for x in row] for row in im])
+        assert scaled == m
+        assert imat_of(den, re, [[0] * c for _ in range(r)]) == imat(
+            [[Q(x.re) for x in row] for row in a])
+    assert imat([[ZERO, ZERO]]) == (1, ((0, 0),), None)
+
+
+def test_imat_mul_and_combine_match_scalar_arithmetic():
+    rng = random.Random(42)
+    for _ in range(60):
+        r, k, c = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, r, k, complex_entries=rng.random() < 0.6)
+        b = random_matrix(rng, k, c, complex_entries=rng.random() < 0.6)
+        assert imat_mul(imat(a), imat(b)) == imat(mat_mul(a, b))
+        assert imat_transpose(imat(a)) == imat(list(zip(*a)))
+        terms = [(rng.randint(-5, 5), rng.randint(-5, 5) * rng.randint(0, 1),
+                  random_matrix(rng, r, k, rng.random() < 0.5))
+                 for _ in range(rng.randint(1, 4))]
+        den = rng.randint(1, 7)
+        want = [[sum((Q(cr, ci) * x[i][j] for cr, ci, x in terms), ZERO)
+                 / den for j in range(k)] for i in range(r)]
+        got = imat_combine([(cr, ci, imat(x)) for cr, ci, x in terms], den)
+        assert got == imat(want)
+
+
+def test_gaussian_integer_helpers():
+    rng = random.Random(43)
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        x = [complex(rng.randint(-9, 9), rng.randint(-9, 9) * (i % 2))
+             for i in range(n)]
+        y = [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in x]
+        parts = [[int(z.real) for z in x], [int(z.imag) for z in x]]
+        want = sum(a * b for a, b in zip(x, y))
+        got = gaussian_dot(parts[0], parts[1] if any(parts[1]) else None,
+                           [int(z.real) for z in y], [int(z.imag) for z in y])
+        assert complex(*got) == want
+        g, h = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in "gh"]
+        assert complex(*gaussian_mul(g, h)) == complex(*g) * complex(*h)

@@ -8,7 +8,7 @@ import pytest
 from blowdyn import lifting
 from blowdyn.blowup import projection_formulas
 from blowdyn.errors import DivisionObstruction, NotJordan, PreconditionViolated
-from blowdyn.exactalg import invert_matrix, mat_mul
+from blowdyn.exactalg import invert_matrix
 from blowdyn.lifting import (
     InputGerm,
     compare_quadratic_with_prediction,
@@ -36,6 +36,7 @@ from conftest import (
     STRUCTURES,
     TOWER_SHAPES,
     fatou_germ,
+    mat_mul,
     partitions,
     rand_lambdas,
     rand_rat,

@@ -4,11 +4,12 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from blowdyn.errors import GenericInput, PreconditionViolated
-from blowdyn.exactalg import solve_linear
+from blowdyn.errors import GenericInput, NotJordan, PreconditionViolated
+from blowdyn.exactalg import imat, imat_rows, invert_matrix, solve_linear
 from blowdyn.lifting import germ_from_terms
 from blowdyn import normalform, series
 from blowdyn.normalform import (
+    conjugate_form,
     correction_image,
     diagonal_cutoff,
     eliminate_offdiagonal,
@@ -18,6 +19,7 @@ from blowdyn.normalform import (
     leading_epsilon_column,
     normal_form,
     reduce_diagonal_tail,
+    toeplitz_inverse_row,
     toeplitz_upper,
     transform_forms,
 )
@@ -27,7 +29,7 @@ from blowdyn.series import (
     PolyMapGerm, TruncatedSeries, _quadratic_matrices, germ_inverse,
 )
 
-from conftest import fatou_germ, rand_rat, random_germ
+from conftest import fatou_germ, mat_mul, rand_rat, random_germ
 
 Q = GaussianRational
 ZERO = Q(0)
@@ -152,7 +154,7 @@ def test_offdiagonal_system_has_full_row_rank():
         pairs, targets, rows = offdiagonal_system(n)
         _, basis = solve_linear(rows, [ZERO] * len(rows))
         assert len(pairs) - len(basis) == len(rows), n
-        assert len(normalform._offdiagonal_operator(n)) == len(rows), n
+        assert len(normalform._offdiagonal_operator(n)[1]) == len(rows), n
 
 
 def test_eliminate_matches_one_solve_per_call():
@@ -453,8 +455,9 @@ def test_step_rule_with_toeplitz_linear_part():
                     if al is identity:
                         # the shift-only steps of normal_form use the rule
                         # without the conjugation and the T^{-1} mix
-                        assert normalform._shift_correct(forms, m, b) \
-                            == want, (n, cap, m)
+                        got = normalform._shift_correct(
+                            tuple(map(imat, forms)), m, imat(b))
+                        assert tuple(map(imat_rows, got)) == want, (n, cap, m)
 
 
 def random_symmetric(rng, n):
@@ -488,6 +491,82 @@ def test_compose_steps_matches_the_composed_step_germs():
             for s in germs[1:]:
                 want = want.compose(s)
             assert normalform.compose_steps(steps, n, cap) == want, (n, cap)
+
+
+def scalar_conjugate_form(a, t):
+    """T^t A T in GaussianRational arithmetic (the scalar route)."""
+    return tuple(map(tuple, mat_mul(mat_mul(list(zip(*t)), a), t)))
+
+
+def scalar_transform_forms(forms, t, m, b):
+    """transform_forms in GaussianRational arithmetic, with T^{-1} from
+    invert_matrix (the scalar route)."""
+    n = len(forms)
+    w = [scalar_conjugate_form(p, t) for p in forms]
+    w[m - 1] = tuple(tuple(x - y for x, y in zip(rw, rl))
+                     for rw, rl in zip(w[m - 1], correction_image(b)))
+    if m > 1:
+        w[m - 2] = tuple(tuple(x + y for x, y in zip(rw, rb))
+                         for rw, rb in zip(w[m - 2], b))
+    tinv = invert_matrix(t)
+    return tuple(
+        tuple(tuple(sum((tinv[i][k] * w[k][h][c] for k in range(i, n)), ZERO)
+                    for c in range(n)) for h in range(n))
+        for i in range(n))
+
+
+def random_alpha(rng, n, complex_entries=True):
+    def part():
+        return rand_rat(rng, span=4) if complex_entries else 0
+    return [Q(rand_rat(rng, nonzero=True, span=4), part())] + [
+        Q(rand_rat(rng, span=4), part()) for _ in range(n - 1)]
+
+
+def test_integer_step_rule_matches_the_scalar_route():
+    rng = random.Random(89)
+    for n in range(2, 9):
+        for unit in (False, True):
+            alpha = random_alpha(rng, n)
+            if unit:  # alpha_0 = 1, as normal_form's Toeplitz step has
+                alpha[0] = Q(1)
+            t = toeplitz_upper(alpha)
+            a = random_symmetric(rng, n)
+            assert conjugate_form(a, t) == scalar_conjugate_form(a, t), n
+            forms = tuple(random_symmetric(rng, n) for _ in range(n))
+            b = random_symmetric(rng, n)
+            m = rng.randint(1, n)
+            assert transform_forms(forms, t, m, b) \
+                == scalar_transform_forms(forms, t, m, b), (n, m)
+
+
+def test_toeplitz_inverse_row_matches_invert_matrix():
+    rng = random.Random(90)
+    for n in range(1, 9):
+        for complex_entries in (False, True):
+            alpha = random_alpha(rng, n, complex_entries)
+            beta = toeplitz_inverse_row(alpha)
+            assert toeplitz_upper(beta) == tuple(map(
+                tuple, invert_matrix(toeplitz_upper(alpha)))), n
+    with pytest.raises(PreconditionViolated):
+        toeplitz_inverse_row([ZERO, Q(1)])
+
+
+def test_unipotent_block_check_names_the_entry():
+    # every entry of the linear part, moved off the Jordan block
+    for n in (2, 3, 4):
+        for i in range(n):
+            for j in range(n):
+                comps = []
+                for r in range(n):
+                    lin = {c: Q(1) for c in (r, r + 1) if c < n}
+                    if r == i:
+                        lin[j] = lin.get(j, ZERO) + Q(1, -1)
+                    comps.append(TruncatedSeries(n, 2, {
+                        tuple(int(k == c) for k in range(n)): x
+                        for c, x in lin.items()}))
+                with pytest.raises(NotJordan, match=r"entry \(%d,%d\)$"
+                                   % (i + 1, j + 1)):
+                    normal_form(PolyMapGerm(comps))
 
 
 def test_normal_form_conjugates_the_series_once(monkeypatch):
