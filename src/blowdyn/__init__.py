@@ -89,7 +89,6 @@ from .dynamics import (
     standard_orbit_seed,
     asymptotic_fit,
     regularity_classify,
-    cesaro_limit,
     parabolic_classification,
     planar_classification,
     projective_distance,

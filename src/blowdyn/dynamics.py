@@ -20,10 +20,9 @@ the final chart, so z_j ~ prod_i (-v_i)^{F_ji} / k^{sum_i F_ji} with F
 the final stage's forward table.
 
 The second half of the module is numerical plumbing around actual orbits:
-high-precision iteration, power-law fitting of coordinate decay, the
-stage-by-stage regularity verdicts obtained by pulling an orbit back
-through the chart transitions, and the Cesaro-type limit used to justify
-the 1/k rates.
+high-precision iteration, power-law fitting of coordinate decay, and
+the stage-by-stage regularity verdicts obtained by pulling an orbit back
+through the chart transitions.
 
 Orbits run on the fixed-point engine of orbitplan: the germ compiled
 into a monomial plan over Gaussian-integer coefficients, evaluated on
@@ -64,7 +63,7 @@ from .errors import (
     UnsupportedSpectrum,
 )
 from .exactalg import (
-    extend_reduced, gaussian_dot, gaussian_mul, imat, qi, reduced_solution,
+    extend_reduced, imat, qi, reduced_solution, _gaussian_dot, _gaussian_mul,
 )
 from .lifting import (
     is_diagonalizable,
@@ -506,10 +505,11 @@ def hakim_matrix(Q, v, chart=None):
     p = u[i0]
     # row j*n + k of Q.stacked is row k of M_j, so A'_jk is at j*n + k
     den, sr, si = Q.stacked
-    A = [gaussian_dot(row, si and si[r], ur, ui) for r, row in enumerate(sr)]
-    s = [gaussian_dot(*zip(*A[j * n:j * n + n]), ur, ui) for j in range(n)]
+    A = [_gaussian_dot(row, si and si[r], ur, ui)
+         for r, row in enumerate(sr)]
+    s = [_gaussian_dot(*zip(*A[j * n:j * n + n]), ur, ui) for j in range(n)]
     for j, sj in enumerate(s):
-        if gaussian_mul(p, sj) != gaussian_mul(u[j], s[i0]):
+        if _gaussian_mul(p, sj) != _gaussian_mul(u[j], s[i0]):
             raise PreconditionViolated(
                 "v is not a fixed direction of this quadratic part (component %d)"
                 % (j + 1)
@@ -517,7 +517,7 @@ def hakim_matrix(Q, v, chart=None):
     s0 = s[i0]
     if s0 == (0, 0):
         raise DegenerateDirection("multiplier vanishes at this direction")
-    lamp = _of(*s0, den) / _of(*gaussian_mul(p, p), 1)
+    lamp = _of(*s0, den) / _of(*_gaussian_mul(p, p), 1)
     # H_jk = (2 N_jk - delta_jk s0) conj(s0) / (2 |s0|^2), with s0 = s_{i0}
     # and N_jk = p A'_jk - u_j A'_{i0,k}
     conj = (s0[0], -s0[1])
@@ -527,12 +527,12 @@ def hakim_matrix(Q, v, chart=None):
     for j in idxs:
         out = []
         for k in idxs:
-            (ar, ai), (br, bi) = (gaussian_mul(p, A[j * n + k]),
-                                  gaussian_mul(u[j], A[i0 * n + k]))
+            (ar, ai), (br, bi) = (_gaussian_mul(p, A[j * n + k]),
+                                  _gaussian_mul(u[j], A[i0 * n + k]))
             nr, ni = 2 * (ar - br), 2 * (ai - bi)
             if j == k:
                 nr, ni = nr - s0[0], ni - s0[1]
-            out.append(_of(*gaussian_mul((nr, ni), conj), norm))
+            out.append(_of(*_gaussian_mul((nr, ni), conj), norm))
         rows.append(tuple(out))
     mat = tuple(rows)
     m = len(mat)
@@ -817,7 +817,8 @@ def asymptotic_fit(trace, j, window=200, k0=0):
     """Fit |z_j^k| ~ |c| k^{-m} on the last `window` points of the trace.
 
     The iteration index of trace.points[i] is k0 + i; pass the k0 used to
-    seed the orbit so the fitted constants refer to the true index.
+    seed the orbit so the fitted constants refer to the true index.  The
+    log-log fit needs every time in the window to be at least 1.
     """
     if trace.diverged:
         raise NonConvergent(
@@ -828,10 +829,14 @@ def asymptotic_fit(trace, j, window=200, k0=0):
     if not 1 <= j <= trace.n:
         raise PreconditionViolated("coordinate index out of range")
     start = m - window
-    if start < (1 if k0 == 0 else 0):
+    if start < 0:
         raise InsufficientData(
             "trace has %d points; cannot form a %d-point window" % (m, window)
         )
+    if k0 + start < 1:
+        raise InsufficientData(
+            "the window starts at time %d; the fit needs times k >= 1"
+            % (k0 + start,))
     ks, norms, zs = [], [], []
     for i in range(start, m):
         x = pts[i][j - 1]
@@ -1226,48 +1231,6 @@ def regularity_classify(trace, structure, k0=0, tau=None, window=None):
     standard = best < STANDARD_MATCH_TOL
     return report("standard" if standard else "regular-nonstandard", standard,
                   matched_direction=best_d, match_distance=best)
-
-
-# -- Cesaro-type limit ----------------------------------------------------
-
-@dataclass(frozen=True)
-class CesaroEstimate:
-    limit: complex      # empirical lim 1/(k w_k)
-    c: complex          # empirical lim u_k / w_k
-    agreement: float    # |limit + c| relative to |c|
-    samples: int
-
-
-def cesaro_limit(w, u, window=200, k0=0):
-    """Estimate lim 1/(k w_k) for a sequence w_{k+1} = w_k (1 + u_k) + ...
-
-    w[i] is the iterate at time k0 + i (default: w[0] is the start, time
-    0).  The estimate is the tail median of 1/(k w_k); c is the tail
-    median of u_k/w_k; when the recurrence really is of the stated shape
-    the two satisfy limit = -c, and `agreement` measures how closely
-    they do.
-    """
-    if len(w) != len(u):
-        raise PreconditionViolated("sequences have different lengths")
-    window = min(window, len(w) // 4)
-    if window < 10:
-        raise InsufficientData("sequences too short for a tail window")
-    wc = [complex(x) for x in w]
-    aw = [abs(x) for x in wc]
-    if any(x == 0.0 for x in aw):
-        raise PreconditionViolated("w must be nonzero along the sequence")
-    first = sum(aw[:window]) / window
-    last = sum(aw[-window:]) / window
-    if not last < 0.5 * first:
-        raise PreconditionViolated("|w_k| does not tend to zero")
-    ts, cs = [], []
-    for i in range(max(len(w) - window, 1 - k0), len(w)):    # times k >= 1
-        ts.append(1.0 / ((k0 + i) * wc[i]))
-        cs.append(complex(u[i]) / wc[i])
-    limit = _complex_median(ts)
-    c = _complex_median(cs)
-    agreement = abs(limit + c) / max(abs(c), 1e-300)
-    return CesaroEstimate(limit=limit, c=c, agreement=agreement, samples=len(ts))
 
 
 # -- parabolic-curve classification --------------------------------------

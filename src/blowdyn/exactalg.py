@@ -19,8 +19,9 @@ of rows of integers, and im None for a real matrix; the matrix is
 arithmetic, and each result is normalised once (the content it shares
 with den divided out), so equal matrices have equal triples.
 GaussianRational entries are built only where a caller converts back.
-gaussian_mul and gaussian_dot are the same arithmetic entry by entry,
-for callers that read single entries of such matrices.
+The private _gaussian_mul and _gaussian_dot are the same arithmetic entry
+by entry, for the package's callers that read single entries of such
+matrices.
 """
 
 import math
@@ -126,12 +127,12 @@ def imat_combine(terms, den=1):
     return imat_of(lcm * den, re, im)
 
 
-def gaussian_mul(x, y):
+def _gaussian_mul(x, y):
     """The product of two Gaussian integers given as (re, im) pairs."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def gaussian_dot(xr, xi, yr, yi):
+def _gaussian_dot(xr, xi, yr, yi):
     """sum_k x_k y_k, as a (re, im) pair, for two Gaussian-integer vectors
     given by their real and imaginary parts (xi or yi None: all 0)."""
     re, im = sum(map(mul, xr, yr)), 0

@@ -269,11 +269,6 @@ class ChartQuadraticForm:
             total = 0 * v[0] if v else QI_ZERO
         return total
 
-    def entry(self, j, h, k):
-        """Symmetric coefficient; the w_h w_k monomial coefficient is twice
-        this for h != k."""
-        return self.matrices[j - 1][h - 1][k - 1]
-
     def monomial_coefficient(self, j, h, k):
         c = self.matrices[j - 1][h - 1][k - 1]
         return c + c if h != k else c

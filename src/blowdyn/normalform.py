@@ -23,12 +23,11 @@ The two building blocks operate on symmetric coefficient matrices:
 step chi(z) = Tz + e_m z^t B z, with T upper Toeplitz and so commuting with
 J, changes them by the closed rule of ``transform_forms``, which is
 ``_shift_correct`` alone when T = I; T^{-1} is the Toeplitz matrix of one
-power-series reciprocal (``toeplitz_inverse_row``).  The matrices are
-integer matrices over one common denominator (exactalg.imat) from the
-germ's quadratic part to the last step, so the step choice builds no
-GaussianRational but the secant solve's few scalars; the public
-functions take and return rows of GaussianRational and convert at the
-boundary.  Each step is kept as the data (T or None, m, B), and
+power-series reciprocal (``toeplitz_inverse_row``).  Every step function
+takes and returns integer matrices over one common denominator
+(exactalg.imat), so the step choice builds no GaussianRational from the
+germ's quadratic part to the last step but the secant solve's few
+scalars.  Each step is kept as the data (T or None, m, B), and
 ``compose_steps`` builds the one conjugator chi from them at the germ's
 cap, one quadratic form per step, with no series composition.  The
 normalized series N is solved for once, online, from chi o N = F o chi
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 from .errors import BlowdynError, GenericInput, NotJordan, PreconditionViolated
 from .exactalg import (
     extend_reduced, identity, imat, imat_combine, imat_entry, imat_mul,
-    imat_of, imat_rows, imat_transpose, qi,
+    imat_of, imat_transpose, qi,
 )
 from .scalars import QI_ONE, QI_ZERO
 from .series import (
@@ -58,45 +57,23 @@ def diagonal_cutoff(n):
 
 
 # ---------------------------------------------------------------------------
-# symmetric coefficient matrices
-
-
-def _symmetric(rows):
-    a = tuple(tuple(qi(x) for x in row) for row in rows)
-    n = len(a)
-    for row in a:
-        if len(row) != n:
-            raise PreconditionViolated("quadratic form matrix must be square")
-    for h in range(n):
-        for k in range(h + 1, n):
-            if a[h][k] != a[k][h]:
-                raise PreconditionViolated(
-                    "quadratic form matrix must be symmetric (entries %d,%d)"
-                    % (h + 1, k + 1)
-                )
-    return a
+# integer coefficient matrices
 
 
 def correction_image(b):
-    """Apply the shift-correction operator L to a symmetric matrix."""
-    return _correction_rows(_symmetric(b), QI_ZERO)
-
-
-def _correction_rows(b, zero):
-    """L(B) for the rows b of a symmetric matrix, with zero the zero of
-    its entries: only the in-range entries are added, so row 0 and
+    """L(B) of the symmetric integer matrix b, over b's denominator and
+    not normalised: only the in-range entries are added, so row 0 and
     column 0 are shifted copies of b."""
-    out = [(zero,) + tuple(b[0][:-1])]
+    den, re, im = b
+    return den, _correction_rows(re), im and _correction_rows(im)
+
+
+def _correction_rows(b):
+    out = [(0,) + tuple(b[0][:-1])]
     for up, row in zip(b, b[1:]):
         out.append((up[0],) + tuple(
             x + y + z for x, y, z in zip(up, row, up[1:])))
     return tuple(out)
-
-
-def _correction_image(b):
-    """L(B) of the integer matrix b, not normalised."""
-    den, re, im = b
-    return den, _correction_rows(re, 0), im and _correction_rows(im, 0)
 
 
 def toeplitz_upper(alpha):
@@ -123,17 +100,9 @@ def toeplitz_inverse_row(alpha):
     return tuple(r.coefficient((k,)) for k in range(n))
 
 
-def _exact(rows):
-    """The integer matrix of rows of exact scalars."""
-    return imat([[qi(x) for x in row] for row in rows])
-
-
 def conjugate_form(a, t):
-    """Coefficient matrix of z -> phi(Tz), i.e. T^t A T."""
-    return imat_rows(_conjugate(_exact(a), _exact(t)))
-
-
-def _conjugate(a, t):
+    """T^t A T, the coefficient matrix of z -> phi(Tz), for integer
+    matrices a (of phi) and t."""
     return imat_mul(imat_transpose(t), imat_mul(a, t))
 
 
@@ -142,58 +111,30 @@ def _shift_correct(forms, m, b):
     L(B) is subtracted from component m and B added to component m-1."""
     out = list(forms)
     out[m - 1] = imat_combine([(1, 0, forms[m - 1]),
-                               (-1, 0, _correction_image(b))])
+                               (-1, 0, correction_image(b))])
     if m > 1:
         out[m - 2] = imat_combine([(1, 0, forms[m - 2]), (1, 0, b)])
     return tuple(out)
 
 
-def transform_forms(forms, t, m, b):
+def transform_forms(forms, t, tinv, m, b):
     """Quadratic matrices of chi^{-1} o F o chi for a germ F with the
     unipotent Jordan linear part J and quadratic matrices forms (forms[k-1]
     for component k), and the step chi(z) = Tz + e_m z^t B z with T upper
-    Toeplitz, so that T commutes with J.
+    Toeplitz, so that T commutes with J.  All matrices are integer
+    matrices; tinv is the first row of T^{-1}, as a 1 x n integer matrix
+    (toeplitz_inverse_row of T's first row).
 
     With W_k = T^t P_k T, the step applies _shift_correct to the W_k; the
-    new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k, and T^{-1} is
-    the Toeplitz matrix of toeplitz_inverse_row(T's first row).
+    new matrices are P'_i = sum_{k>=i} (T^{-1})_{ik} W_k.
     """
-    out = _transform_forms([_exact(p) for p in forms], _exact(t),
-                           imat([toeplitz_inverse_row(t[0])]), m,
-                           imat(_symmetric(b)))
-    return tuple(map(imat_rows, out))
-
-
-def _transform_forms(forms, t, tinv, m, b):
-    """transform_forms on integer matrices, with tinv the first row of
-    T^{-1} as a 1 x n integer matrix."""
-    w = _shift_correct([_conjugate(p, t) for p in forms], m, b)
+    w = _shift_correct([conjugate_form(p, t) for p in forms], m, b)
     den, (br,), bi = tinv
     bi = bi[0] if bi else (0,) * len(br)
     return tuple(
         imat_combine([(br[k - i], bi[k - i], w[k]) for k in range(i, len(w))
                       if br[k - i] or bi[k - i]], den)
         for i in range(len(w)))
-
-
-def _form_coeffs(b):
-    """{exponent: coefficient} of the quadratic form with symmetric matrix b."""
-    n = len(b)
-    coeffs = {}
-    for h in range(n):
-        for k in range(h, n):
-            c = b[h][k] if h == k else b[h][k] + b[k][h]
-            if c:
-                e = [0] * n
-                e[h] += 1
-                e[k] += 1
-                coeffs[tuple(e)] = c
-    return coeffs
-
-
-def form_series(b, cap):
-    """The quadratic form with symmetric matrix b as a truncated series."""
-    return TruncatedSeries(len(b), cap, _form_coeffs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -238,22 +179,17 @@ def _offdiagonal_operator(n):
     )
 
 
-def eliminate_offdiagonal(phi):
-    """Pick a symmetric B with phi - L(B) diagonal and free of square terms
-    beyond index ceil(n/2).  Returns (B, reduced matrix).
+def eliminate_offdiagonal(a):
+    """Pick a symmetric B with A - L(B) diagonal and free of square terms
+    beyond index ceil(n/2), for the symmetric integer matrix a of A.
+    Returns (B, reduced matrix), both integer matrices.
 
     The (1,1) entry is preserved; the surviving diagonal entries up to the
     cutoff are the same for every valid choice of B, so setting the free
     unknowns to zero keeps the output deterministic without losing anything.
-    B is one product of phi's entries with the operator that
+    B is one product of A's entries with the operator that
     _offdiagonal_operator eliminates once per n.
     """
-    b, red = _eliminate_offdiagonal(imat(_symmetric(phi)))
-    return imat_rows(b), imat_rows(red)
-
-
-def _eliminate_offdiagonal(a):
-    """eliminate_offdiagonal on an integer matrix."""
     den, ar, ai = a
     n = len(ar)
     wden, operator = _offdiagonal_operator(n)
@@ -263,7 +199,7 @@ def _eliminate_offdiagonal(a):
         for bp, p in zip(b, parts):
             bp[i][j] = bp[j][i] = sum(w * p[h][k] for (h, k), w in weights)
     b = imat_of(wden * den, b[0], b[1] if ai else None)
-    red = imat_combine([(1, 0, a), (-1, 0, _correction_image(b))])
+    red = imat_combine([(1, 0, a), (-1, 0, correction_image(b))])
     _check_trimmed_diagonal(red)
     if imat_entry(red, 0, 0) != imat_entry(a, 0, 0):
         raise BlowdynError("leading square coefficient was not preserved")
@@ -288,30 +224,24 @@ def _check_trimmed_diagonal(red):
             )
 
 
-def reduce_diagonal_tail(phi):
-    """Reduce a diagonal quadratic form to its earliest square term.
+def reduce_diagonal_tail(a):
+    """Reduce a diagonal quadratic form, given by its integer matrix a, to
+    its earliest square term.
 
-    Returns (alpha, B, reduced): with T the Toeplitz matrix of alpha, the
-    matrix ``T^t . phi . T - L(B)`` equals reduced, which is
-    alpha_0^2 * eps_{j0} at position (j0, j0) when the earliest nonzero
-    diagonal index j0 is at most ceil(n/2), and zero otherwise.  alpha_0 is
-    fixed to 1 and the odd-index alphas stay 0; each even-index alpha is
-    determined by an exact secant solve, valid because the surviving square
-    term at position j0+m depends affinely on alpha_{2m}.
+    Returns (alpha, B, reduced), B and reduced integer matrices: with T
+    the Toeplitz matrix of alpha, the matrix ``T^t . A . T - L(B)`` equals
+    reduced, which is alpha_0^2 * eps_{j0} at position (j0, j0) when the
+    earliest nonzero diagonal index j0 is at most ceil(n/2), and zero
+    otherwise.  alpha_0 is fixed to 1 and the odd-index alphas stay 0;
+    each even-index alpha is determined by an exact secant solve, valid
+    because the surviving square term at position j0+m depends affinely
+    on alpha_{2m}.
     """
-    a = _symmetric(phi)
-    n = len(a)
-    for h in range(n):
-        for k in range(n):
-            if h != k and a[h][k]:
-                raise PreconditionViolated("diagonal quadratic form expected")
-    alpha, b, red = _reduce_diagonal_tail(imat(a))
-    return alpha, imat_rows(b), imat_rows(red)
-
-
-def _reduce_diagonal_tail(a):
-    """reduce_diagonal_tail on a diagonal integer matrix."""
-    n = len(a[1])
+    _, re, im = a
+    n = len(re)
+    if any(re[h][k] or im and im[h][k]
+           for h in range(n) for k in range(n) if h != k):
+        raise PreconditionViolated("diagonal quadratic form expected")
     eps = [imat_entry(a, j, j) for j in range(n)]
     alpha = [QI_ONE] + [QI_ZERO] * (n - 1)
     j0 = next((j for j, e in enumerate(eps) if e), None)
@@ -321,7 +251,7 @@ def _reduce_diagonal_tail(a):
     cut = diagonal_cutoff(n)
 
     def retained(al, pos):
-        _, red = _eliminate_offdiagonal(_conjugate(a, imat(toeplitz_upper(al))))
+        _, red = eliminate_offdiagonal(conjugate_form(a, imat(toeplitz_upper(al))))
         return imat_entry(red, pos, pos)
 
     for pos in range(j0 + 1, cut):
@@ -336,7 +266,7 @@ def _reduce_diagonal_tail(a):
             raise BlowdynError(
                 "surviving square term at index %d cannot be removed" % (pos + 1,)
             )
-    b, red = _eliminate_offdiagonal(_conjugate(a, imat(toeplitz_upper(alpha))))
+    b, red = eliminate_offdiagonal(conjugate_form(a, imat(toeplitz_upper(alpha))))
     expect_val = alpha[0] * alpha[0] * eps[j0] if j0 < cut else QI_ZERO
     _, re, im = red
     for h in range(n):
@@ -392,17 +322,11 @@ def _require_unipotent_block(g):
 
 def compose_steps(steps, n, cap):
     """chi = chi_1 o ... o chi_s at cap, for the steps (T or None, m, B)
-    of chi_s(z) = Tz + e_m z^t B z (T = I for None), built from the right:
-    from the identity, each step, last to first, acts on the running map M
-    on the left.  It mixes M's components by T when it has one, and adds
-    the quadratic form of the old M, sum_h M_h (sum_k B_hk M_k), to
-    component m."""
-    return _compose_steps([(None if t is None else imat(t), m, imat(b))
-                           for t, m, b in steps], n, cap)
-
-
-def _compose_steps(steps, n, cap):
-    """compose_steps for steps whose T and B are integer matrices."""
+    of chi_s(z) = Tz + e_m z^t B z (T = I for None), T and B integer
+    matrices, built from the right: from the identity, each step, last to
+    first, acts on the running map M on the left.  It mixes M's components
+    by T when it has one, and adds the quadratic form of the old M,
+    sum_h M_h (sum_k B_hk M_k), to component m."""
     M = [TruncatedSeries.variable(i + 1, n, cap) for i in range(n)]
     for t, m, (den, br, bi) in reversed(steps):
         quad = [M[h] * _series_row(1, row, bi and bi[h], M)
@@ -448,7 +372,7 @@ def normal_form(F):
     steps = []
 
     def shift_step(forms, m):
-        psi, _ = _eliminate_offdiagonal(forms[m - 1])
+        psi, _ = eliminate_offdiagonal(forms[m - 1])
         steps.append((None, m, psi))
         return _shift_correct(forms, m, psi)
 
@@ -456,12 +380,12 @@ def normal_form(F):
     forms = shift_step(forms, n)
 
     # Toeplitz reduction of that diagonal to a single square term
-    alpha, psi, _ = _reduce_diagonal_tail(forms[n - 1])
+    alpha, psi, _ = reduce_diagonal_tail(forms[n - 1])
     if any(alpha[1:]):
         t = imat(toeplitz_upper(alpha))
         beta = toeplitz_inverse_row(alpha)
         tinv = toeplitz_upper(beta)
-        forms = _transform_forms(forms, t, imat([beta]), n, psi)
+        forms = transform_forms(forms, t, imat([beta]), n, psi)
     else:  # T = I
         t, tinv = None, identity(n)
         forms = _shift_correct(forms, n, psi)
@@ -471,7 +395,7 @@ def normal_form(F):
     for h in range(n - 1, 0, -1):
         forms = shift_step(forms, h)
 
-    chi = _compose_steps(steps, n, cap)
+    chi = compose_steps(steps, n, cap)
     work = germ_solve(chi, g.compose(chi), linear_inverse=tinv)
     _require_unipotent_block(work)
     for h, (got, want) in enumerate(zip(_quadratic_forms(work), forms), 1):

@@ -909,32 +909,6 @@ def test_regularity_window_overrides(refined_trace):
         dyn.regularity_classify(refined_trace, S2, k0=50, window=2)
 
 
-# -- averaged reciprocal estimates ----------------------------------------
-
-def test_cesaro_on_logistic_like_recursion():
-    w = [0.1]
-    for _ in range(10000):
-        w.append(w[-1] * (1 - w[-1]))
-    u = [-x for x in w]
-    ce = dyn.cesaro_limit(w[:-1], u[:-1])
-    assert abs(ce.limit - 1) < 0.02
-    assert abs(ce.c + 1) < 0.02
-    assert ce.agreement < 0.05
-
-
-def test_cesaro_exact_reciprocal_sequence():
-    w = [-1.0 / (2 * k) for k in range(1, 5001)]
-    u = [w[k + 1] / w[k] - 1 for k in range(len(w) - 1)] + [0.0]
-    ce = dyn.cesaro_limit(w, u, k0=1)
-    assert abs(ce.limit + 2) < 1e-6
-    assert abs(ce.c - 2) < 1e-2
-
-
-def test_cesaro_rejects_non_vanishing_sequence():
-    with pytest.raises(PreconditionViolated):
-        dyn.cesaro_limit([0.5] * 1000, [0.0] * 1000)
-
-
 # -- end-to-end parabolic classification ----------------------------------
 
 def test_classification_generic(fatou):
@@ -1041,6 +1015,9 @@ def _refusal_cases():
     growing = dyn.OrbitTrace(
         points=tuple((k + 0j, 1j * k) for k in range(1, 301)),
         precision_bits=53)
+    decaying = dyn.OrbitTrace(
+        points=tuple((1 / k + 0j, 0j) for k in range(1, 301)),
+        precision_bits=53)
     # not factored (component 1 is w1^2 + w2^2) and with a w2^2 term in
     # component 1, for a structure whose eigenvalue is not 1
     neither = ChartQuadraticForm(2, (
@@ -1077,13 +1054,9 @@ def _refusal_cases():
          lambda F: dyn.asymptotic_fit(growing, 3, window=100)),
         ("fit-growing", NonConvergent, "window norms are not decreasing",
          lambda F: dyn.asymptotic_fit(growing, 1, window=100)),
-        ("cesaro-lengths", PreconditionViolated, "different lengths",
-         lambda F: dyn.cesaro_limit([0.5] * 100, [0.0] * 99)),
-        ("cesaro-zero", PreconditionViolated, "nonzero along the sequence",
-         lambda F: dyn.cesaro_limit([0.0] + [0.5] * 99, [0.0] * 100)),
-        ("cesaro-not-vanishing", PreconditionViolated,
-         r"\|w_k\| does not tend to zero",
-         lambda F: dyn.cesaro_limit([0.5] * 100, [0.0] * 100)),
+        ("fit-nonpositive-time", InsufficientData,
+         r"window starts at time -50; the fit needs times k >= 1",
+         lambda F: dyn.asymptotic_fit(decaying, 1, window=250, k0=-100)),
         ("directions-mode", PreconditionViolated, "unknown mode 'newton'",
          lambda F: dyn.characteristic_directions(neither, mode="newton")),
         ("directions-auto", PreconditionViolated,

@@ -5,8 +5,6 @@ import pytest
 
 from blowdyn.errors import PreconditionViolated
 from blowdyn.exactalg import (
-    gaussian_dot,
-    gaussian_mul,
     identity,
     imat,
     imat_combine,
@@ -19,6 +17,8 @@ from blowdyn.exactalg import (
     invert_unimodular_int_matrix,
     solve_linear,
     triangular_diagonal,
+    _gaussian_dot,
+    _gaussian_mul,
 )
 from blowdyn.scalars import GaussianRational
 
@@ -362,8 +362,8 @@ def test_gaussian_integer_helpers():
         y = [complex(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in x]
         parts = [[int(z.real) for z in x], [int(z.imag) for z in x]]
         want = sum(a * b for a, b in zip(x, y))
-        got = gaussian_dot(parts[0], parts[1] if any(parts[1]) else None,
-                           [int(z.real) for z in y], [int(z.imag) for z in y])
+        got = _gaussian_dot(parts[0], parts[1] if any(parts[1]) else None,
+                            [int(z.real) for z in y], [int(z.imag) for z in y])
         assert complex(*got) == want
         g, h = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in "gh"]
-        assert complex(*gaussian_mul(g, h)) == complex(*g) * complex(*h)
+        assert complex(*_gaussian_mul(g, h)) == complex(*g) * complex(*h)

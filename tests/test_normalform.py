@@ -9,19 +9,13 @@ from blowdyn.exactalg import imat, imat_rows, invert_matrix, solve_linear
 from blowdyn.lifting import germ_from_terms
 from blowdyn import normalform, series
 from blowdyn.normalform import (
-    conjugate_form,
-    correction_image,
     diagonal_cutoff,
-    eliminate_offdiagonal,
     epsilon_vector,
-    form_series,
     invariants_2d,
     leading_epsilon_column,
     normal_form,
-    reduce_diagonal_tail,
     toeplitz_inverse_row,
     toeplitz_upper,
-    transform_forms,
 )
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational
@@ -33,6 +27,67 @@ from conftest import fatou_germ, mat_mul, rand_rat, random_germ
 
 Q = GaussianRational
 ZERO = Q(0)
+
+
+# -- the step functions on rows of exact scalars ----------------------------
+# The module's step functions take and return integer matrices
+# (exactalg.imat); these adapters convert at the test boundary.
+
+def correction_image(b):
+    return imat_rows(normalform.correction_image(imat(b)))
+
+
+def conjugate_form(a, t):
+    return imat_rows(normalform.conjugate_form(imat(a), imat(t)))
+
+
+def transform_forms(forms, t, m, b):
+    tinv = imat([toeplitz_inverse_row(t[0])])
+    out = normalform.transform_forms([imat(p) for p in forms], imat(t), tinv,
+                                     m, imat(b))
+    return tuple(map(imat_rows, out))
+
+
+def eliminate_offdiagonal(phi):
+    b, red = normalform.eliminate_offdiagonal(imat(phi))
+    return imat_rows(b), imat_rows(red)
+
+
+def reduce_diagonal_tail(phi):
+    alpha, b, red = normalform.reduce_diagonal_tail(imat(phi))
+    return alpha, imat_rows(b), imat_rows(red)
+
+
+def compose_steps(steps, n, cap):
+    return normalform.compose_steps(
+        [(None if t is None else imat(t), m, imat(b)) for t, m, b in steps],
+        n, cap)
+
+
+def scalar_correction_image(b):
+    """L(B)_{hk} = B_{h-1,k-1} + B_{h,k-1} + B_{h-1,k} entry by entry, the
+    out-of-range entries 0 (the scalar route)."""
+    n = len(b)
+
+    def at(i, j):
+        return b[i][j] if i >= 0 and j >= 0 else ZERO
+    return tuple(tuple(at(h - 1, k - 1) + at(h, k - 1) + at(h - 1, k)
+                       for k in range(n)) for h in range(n))
+
+
+def form_series(b, cap):
+    """The quadratic form z^t B z as a truncated series."""
+    n = len(b)
+    coeffs = {}
+    for h in range(n):
+        for k in range(h, n):
+            c = b[h][k] if h == k else b[h][k] + b[k][h]
+            if c:
+                e = [0] * n
+                e[h] += 1
+                e[k] += 1
+                coeffs[tuple(e)] = c
+    return TruncatedSeries(n, cap, coeffs)
 
 
 def unipotent_germ(n, terms, cap=2):
@@ -70,6 +125,10 @@ def test_correction_operator_shifts_and_sums():
     assert l[0][1] == Q(1)
     assert l[1][0] == Q(1)
     assert l[1][1] == Q(5)
+    rng = random.Random(20)
+    for n in range(1, 7):
+        b = random_symmetric(rng, n)
+        assert correction_image(b) == scalar_correction_image(b), n
 
 
 def test_eliminate_cross_term_planar():
@@ -141,7 +200,7 @@ def reference_eliminate_offdiagonal(phi):
     for (i, j), c in zip(pairs, x):
         b[i][j] = b[j][i] = c
     b = tuple(map(tuple, b))
-    l = correction_image(b)
+    l = scalar_correction_image(b)
     red = tuple(tuple(phi[h][k] - l[h][k] for k in range(n))
                 for h in range(n))
     return b, red
@@ -490,7 +549,7 @@ def test_compose_steps_matches_the_composed_step_germs():
             want = germs[0]
             for s in germs[1:]:
                 want = want.compose(s)
-            assert normalform.compose_steps(steps, n, cap) == want, (n, cap)
+            assert compose_steps(steps, n, cap) == want, (n, cap)
 
 
 def scalar_conjugate_form(a, t):
@@ -504,7 +563,7 @@ def scalar_transform_forms(forms, t, m, b):
     n = len(forms)
     w = [scalar_conjugate_form(p, t) for p in forms]
     w[m - 1] = tuple(tuple(x - y for x, y in zip(rw, rl))
-                     for rw, rl in zip(w[m - 1], correction_image(b)))
+                     for rw, rl in zip(w[m - 1], scalar_correction_image(b)))
     if m > 1:
         w[m - 2] = tuple(tuple(x + y for x, y in zip(rw, rb))
                          for rw, rb in zip(w[m - 2], b))
@@ -589,3 +648,22 @@ def test_normal_form_conjugates_the_series_once(monkeypatch):
         del calls[:]
         normal_form(random_unipotent_germ(rng, n, 3))
         assert len(calls) == 1
+
+
+def test_normal_form_steps_through_the_public_step_functions(monkeypatch):
+    # the benchmark's per-layer metrics time the public step functions
+    calls = {}
+    names = ("eliminate_offdiagonal", "reduce_diagonal_tail",
+             "transform_forms", "compose_steps")
+    for name in names:
+        def counted(*args, real=getattr(normalform, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+        monkeypatch.setattr(normalform, name, counted)
+    nf = normal_form(random_unipotent_germ(random.Random(86), 4, 3))
+    assert any(nf.alpha[1:])  # a Toeplitz step, so transform_forms runs
+    assert calls["reduce_diagonal_tail"] == 1
+    assert calls["transform_forms"] == 1
+    assert calls["compose_steps"] == 1
+    # one per component, and the tail reduction's secant probes
+    assert calls["eliminate_offdiagonal"] > 4
