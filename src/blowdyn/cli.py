@@ -11,8 +11,10 @@ A map description is a JSON object:
       "options": {"degree_cap": 4, "precision_bits": 128}
     }
 
-The linear part is implied by the blocks; a degree-1 entry in `terms` is
-only accepted when it restates the implied matrix exactly.  Coefficients
+The linear part is implied by the blocks.  Entries of `terms` with the
+same j and exponent are summed, degree-1 entries included, and the sum of
+the degree-1 entries at a place must restate the implied matrix exactly
+(a JordanMismatch otherwise).  Coefficients
 are exact literals ("-3/4", "1/2+1/3i", "0.25" — decimals convert
 exactly).  Every command prints JSON on stdout (except the CSV the orbit
 command writes) and, on failure, a machine-readable error object on
@@ -37,6 +39,7 @@ from .errors import (BlowdynError, JordanMismatch, PreconditionViolated,
                      SchemaError)
 from .lifting import (
     germ_from_terms,
+    germ_from_triples,
     jordan_matrix,
     lift,
     lifted_quadratic_part,
@@ -44,7 +47,8 @@ from .lifting import (
 )
 from .normalform import epsilon_vector, normal_form
 from .partition import build_structure, splitting
-from .scalars import QI_ONE, GaussianRational, parse_scalar
+from .scalars import (QI_ONE, GaussianRational, format_triple, parse_scalar,
+                      parse_triple)
 
 SCHEMA = "blowdyn/1"
 # Declared ranges (inclusive) of the map file's sizes and of the command
@@ -98,8 +102,9 @@ class TermTable:
     """A JSON list with one object per nonzero term of each of `series`,
     in order: {"exp": [...], "coeff": "..."}, or {"j": j, "exp": [...],
     "coeff": "..."} when `numbered`, j the series' 1-based position.
-    json_text spells it straight from each series' spelled_terms(),
-    building no object per term."""
+    json_text spells each series' terms through one template, n %d slots
+    for the exponent and one %s for the coefficient, building no object
+    per term."""
 
     __slots__ = ("series", "numbered")
 
@@ -111,16 +116,19 @@ class TermTable:
         item = nl + "  "
         key = item + "  "
         digit = key + "  "
-        mid = key + '],' + key + '"coeff": '
         items = []
         for j, s in enumerate(self.series, start=1):
-            head = "{" + key + ('"j": %d,' % j + key if self.numbered else "")
-            head += '"exp": [' + digit
-            items += [head + ("," + digit).join(map(int.__repr__, e)) + mid
-                      + _quote(c) + item + "}" for e, c in s.spelled_terms()]
+            # a coefficient's text is ASCII digits, "/", "+", "-" and "i",
+            # which JSON quotes as they are
+            template = (item + "{" + key
+                        + ('"j": %d,' % j + key if self.numbered else "")
+                        + '"exp": [' + digit + ("," + digit).join(
+                            ["%d"] * s.nvars) + key + '],' + key
+                        + '"coeff": "%s"' + item + "}")
+            items += s.spelled_terms(template)
         if not items:
             return "[]"
-        return "[" + item + ("," + item).join(items) + nl + "]"
+        return "[" + ",".join(items) + nl + "]"
 
 
 _INTS = {int}
@@ -238,8 +246,10 @@ def parse_map_spec(data):
             "only the exact coefficient field is supported")
     raw_terms = data.get("terms") or []
     _expect(isinstance(raw_terms, list), "terms must be a list")
-    J = jordan_matrix(S)
-    terms = {}
+    # each term is checked once; coefficients stay integer triples
+    # (a, b, d), summed per component and exponent
+    terms = [{} for _ in range(dim)]
+    linear = {}  # (j, variable index): the sum of the degree-1 entries
     maxdeg = 2
     for i, t in enumerate(raw_terms):
         _expect(isinstance(t, dict), "terms[%d] must be an object", i)
@@ -248,33 +258,38 @@ def parse_map_spec(data):
                 "terms[%d].j must be in 1..%d", i, dim)
         e = t.get("exp")
         _expect(isinstance(e, list) and len(e) == dim
-                and all(type(p) is int and p >= 0 for p in e),
+                and _INTS.issuperset(map(type, e)) and min(e) >= 0,
                 "terms[%d].exp must be %d nonnegative integers", i, dim)
         deg = sum(e)
         _expect(deg >= 1, "terms[%d] has total degree 0", i)
         try:
-            c = parse_scalar(t.get("coeff", "1"))
+            c = parse_triple(t.get("coeff", "1"))
         except BlowdynError as exc:
             raise SchemaError("terms[%d].coeff: %s" % (i, exc))
         if deg == 1:
-            h = e.index(1)
-            want = J[j - 1][h]
-            if c != want:
-                raise JordanMismatch(
-                    "linear term (component %d, variable %d) is %s but the "
-                    "declared blocks require %s" % (j, h + 1, c, want))
-            continue
-        maxdeg = max(maxdeg, deg)
-        key = (j, tuple(e))
-        prev = terms.get(key)
-        terms[key] = c if prev is None else prev + c
+            key, acc = (j, e.index(1)), linear
+        else:
+            key, acc = tuple(e), terms[j - 1]
+            if deg > maxdeg:
+                maxdeg = deg
+        if key in acc:  # summed as a triple, not reduced
+            (a, b, d), (a2, b2, d2) = acc[key], c
+            c = a * d2 + a2 * d, b * d2 + b2 * d, d * d2
+        acc[key] = c
+    for (j, h), (a, b, d) in linear.items():
+        want = jordan_matrix(S)[j - 1][h]
+        if a * want.d != want.a * d or b * want.d != want.b * d:
+            raise JordanMismatch(
+                "linear term (component %d, variable %d) is %s but the "
+                "declared blocks require %s"
+                % (j, h + 1, format_triple(a, b, d), want))
     cap = opts.get("degree_cap", maxdeg)
     _expect_range("degree_cap", cap, CAP_RANGE)
     _expect(cap >= maxdeg, "degree_cap %d below a declared term of degree %d",
             cap, maxdeg)
     prec = opts.get("precision_bits", 128)
     _expect_range("precision_bits", prec, PREC_RANGE)
-    germ = germ_from_terms(S, terms, cap=cap)
+    germ = germ_from_triples(S, cap, terms)
     return germ, {"degree_cap": cap, "precision_bits": prec}
 
 

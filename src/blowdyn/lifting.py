@@ -33,6 +33,7 @@ from .series import (
     PolyMapGerm,
     TruncatedSeries,
     _quadratic_matrices,
+    _term_triples,
     _unit,
     monomial_divide,
     monomial_substitute,
@@ -64,9 +65,7 @@ def germ_from_terms(S, terms, cap=2):
     and demo germs.
     """
     n = S.n
-    # component j - 1 -> its coefficients, the Jordan linear part first
-    by_comp = [{_unit(i, n): c for i, c in enumerate(row) if c}
-               for row in jordan_matrix(S)]
+    by_comp = [{} for _ in range(n)]
     for (j, exps), c in terms.items():
         if not 1 <= j <= n:
             raise PreconditionViolated(
@@ -77,8 +76,24 @@ def germ_from_terms(S, terms, cap=2):
                 "comes from the structure"
             )
         by_comp[j - 1][tuple(exps)] = c
-    comps = [TruncatedSeries(n, cap, coeffs) for coeffs in by_comp]
-    return InputGerm(S, PolyMapGerm(comps))
+    return germ_from_triples(S, cap,
+                             [_term_triples(c, n, cap) for c in by_comp])
+
+
+def germ_from_triples(S, cap, comps):
+    """The InputGerm over S at cap whose component j is row j of the
+    Jordan matrix plus the terms comps[j - 1], a dict {exponent tuple:
+    (a, b, d)} for the coefficient (a + b i) / d, d > 0 and the triple
+    not necessarily reduced.  The exponents are taken as given: n
+    nonnegative integers of total degree 2..cap each, which the callers
+    (germ_from_terms, the map file parser) check.  Every component's
+    integer form is built by series._form_of, whatever the caller."""
+    n = S.n
+    return InputGerm(S, PolyMapGerm([
+        TruncatedSeries._of_triples(n, cap, {
+            **{_unit(h, n): (c.a, c.b, c.d) for h, c in enumerate(row) if c},
+            **terms})
+        for row, terms in zip(jordan_matrix(S), comps)]))
 
 
 class InputGerm:
@@ -94,15 +109,12 @@ class InputGerm:
     def __init__(self, structure, polymap):
         if polymap.n != structure.n:
             raise PreconditionViolated("dimension mismatch")
-        J = jordan_matrix(structure)
-        L = polymap.linear_matrix()
-        for i in range(structure.n):
-            for j in range(structure.n):
-                if L[i][j] != J[i][j]:
-                    raise NotJordan(
-                        "linear part entry (%d,%d) is %s, expected %s"
-                        % (i + 1, j + 1, L[i][j], J[i][j])
-                    )
+        bad = polymap.linear_mismatch(jordan_matrix(structure))
+        if bad is not None:
+            i, j = bad
+            raise NotJordan("linear part entry (%d,%d) is %s, expected %s"
+                            % (i + 1, j + 1, polymap.linear_matrix()[i][j],
+                               jordan_matrix(structure)[i][j]))
         self.structure = structure
         self.map = polymap
 

@@ -236,8 +236,15 @@ def parse_scalar(text):
     for an exact value), is refused like any other non-string."""
     if isinstance(text, GaussianRational):
         return text
+    return _of(*parse_triple(text))
+
+
+def parse_triple(text):
+    """parse_scalar(text) as integers (a, b, d), d > 0, of the value
+    (a + b i) / d, with the same refusals; the triple need not be
+    reduced.  A GaussianRational is not accepted."""
     if type(text) is int:
-        return GaussianRational(text)
+        return text, 0, 1
     if not isinstance(text, str):
         raise PreconditionViolated(
             "%r is not a string literal or an integer; quote the literal"
@@ -249,7 +256,7 @@ def parse_scalar(text):
         except ValueError:  # over int()'s digit limit: reported below
             den = 0
         if den:
-            return _of(num, 0, den)
+            return num, 0, den
     s = text.replace(" ", "")
     if not s:
         raise SchemaError("empty scalar literal")
@@ -286,9 +293,9 @@ def parse_scalar(text):
             seen_re = True
     if not (seen_re or seen_im):
         raise SchemaError("unparseable scalar %r" % text)
-    return _of(re_part.numerator * im_part.denominator,
-               im_part.numerator * re_part.denominator,
-               re_part.denominator * im_part.denominator)
+    return (re_part.numerator * im_part.denominator,
+            im_part.numerator * re_part.denominator,
+            re_part.denominator * im_part.denominator)
 
 
 def _fmt_part(n, d):

@@ -34,6 +34,7 @@ first use and cached.
 
 import functools
 import math
+import operator
 
 from .errors import DivisionObstruction, PreconditionViolated
 from .exactalg import imat, imat_of, imat_rows, invert_matrix
@@ -67,28 +68,9 @@ class TruncatedSeries:
         self.cap = cap = int(cap)
         if cap < 0:
             raise PreconditionViolated("negative degree cap")
-        terms = {}  # packed key -> nonzero GaussianRational
-        for e, c in (coeffs or {}).items():
-            e = _monomial(e, nvars)
-            if sum(e) > cap:
-                raise PreconditionViolated(
-                    "multi-index %r above cap %d" % (e, cap)
-                )
-            c = _as_scalar(c)
-            if c:
-                terms[_pack(e, cap + 1)] = c
-        # each c is reduced, so no prime divides den (the lcm of the c.d)
-        # and every numerator: the form is already normal
-        den = math.lcm(*[c.d for c in terms.values()])
-        re, im = {}, {}
-        for k, c in terms.items():
-            s = den // c.d
-            if c.a:
-                re[k] = c.a * s
-            if c.b:
-                im[k] = c.b * s
         self._coeffs = None
-        self._form = den, re, im
+        self._form = _form_of(_packed(_term_triples(coeffs or {}, nvars, cap),
+                                      nvars, cap))
 
     @classmethod
     def _of_form(cls, nvars, cap, form):
@@ -99,6 +81,14 @@ class TruncatedSeries:
         s._coeffs = None
         s._form = form
         return s
+
+    @classmethod
+    def _of_triples(cls, nvars, cap, terms):
+        """Series of the terms {exponent tuple: (a, b, d)}, each the
+        coefficient (a + b i) / d, d > 0 and the triple not necessarily
+        reduced; the exponents are taken as given (nvars nonnegative
+        integers of total degree at most cap)."""
+        return cls._of_form(nvars, cap, _form_of(_packed(terms, nvars, cap)))
 
     @property
     def coeffs(self):
@@ -141,19 +131,22 @@ class TruncatedSeries:
         k = _pack(e, self.cap + 1)
         return _of(re.get(k, 0), im.get(k, 0), den)
 
-    def spelled_terms(self):
-        """[(exponent as a list, str(coefficient))] for the nonzero terms,
-        sorted by exponent, spelled straight from the integer form."""
+    def spelled_terms(self, template):
+        """[template % (e_1, ..., e_n, str(coefficient))] for the nonzero
+        terms w^e, sorted by exponent, spelled straight from the integer
+        form: each exponent digit is read off the packed keys a column at
+        a time."""
         den, re, im = self._form
         base = self.cap + 1
         # below the degree digit a packed key is the exponent in base B,
         # so sorting keys modulo B**n sorts terms by exponent
         keys = sorted((re.keys() | im.keys()) if im else re,
                       key=_shift(self.nvars, self.cap).__rmod__)
-        weights = [base ** i for i in range(self.nvars - 1, -1, -1)]
-        return [([k // w % base for w in weights],
-                 format_triple(re.get(k, 0), im.get(k, 0), den))
-                for k in keys]
+        digits = [map(base.__rmod__, map((base ** i).__rfloordiv__, keys))
+                  for i in range(self.nvars - 1, -1, -1)]
+        texts = [format_triple(re.get(k, 0), im.get(k, 0), den)
+                 for k in keys]
+        return list(map(template.__mod__, zip(*digits, texts)))
 
     def constant_term(self):
         den, re, im = self._form
@@ -263,6 +256,13 @@ def _pack(e, base):
     return k
 
 
+def _unit_keys(nvars, cap):
+    """The packed key of each coordinate w_1, ..., w_n; by linearity, a
+    term's key is the sum of its exponents times these."""
+    base = cap + 1
+    return [base ** nvars + base ** (nvars - 1 - i) for i in range(nvars)]
+
+
 def _unit(i, nvars):
     """The exponent of the coordinate w_(i+1)."""
     return (0,) * i + (1,) + (0,) * (nvars - 1 - i)
@@ -284,11 +284,46 @@ def _coeffs_of(form, nvars, cap):
     }
 
 
+def _term_triples(coeffs, nvars, cap):
+    """{exponent tuple: (a, b, d)} of a coefficient dict {exponent: exact
+    scalar}, each exponent checked against nvars and cap and each
+    coefficient taken by _as_scalar."""
+    out = {}
+    for e, c in coeffs.items():
+        e = _monomial(e, nvars)
+        if sum(e) > cap:
+            raise PreconditionViolated("multi-index %r above cap %d" % (e, cap))
+        c = _as_scalar(c)
+        out[e] = c.a, c.b, c.d
+    return out
+
+
+def _packed(terms, nvars, cap):
+    """{packed key: v} of {exponent tuple: v}, each exponent nvars
+    nonnegative integers of total degree at most cap (not checked)."""
+    keys = _unit_keys(nvars, cap)
+    return {sum(map(operator.mul, e, keys)): v for e, v in terms.items()}
+
+
+def _form_of(terms):
+    """The integer form of the sum of (a + b i) / d over the triples
+    {packed key: (a, b, d)} of terms, each d > 0 and not necessarily
+    reduced: the one builder of a form from coefficients."""
+    den = math.lcm(*[d for _, _, d in terms.values()])
+    re = {k: a * (den // d) for k, (a, _, d) in terms.items() if a}
+    im = {k: b * (den // d) for k, (_, b, d) in terms.items() if b}
+    return _reduced(den, re, im)
+
+
 def _normal(den, re, im):
     """The integer form of (re + i im) / den: zero numerators dropped and
     the content shared with den divided out."""
-    re = {k: v for k, v in re.items() if v}
-    im = {k: v for k, v in im.items() if v}
+    return _reduced(den, {k: v for k, v in re.items() if v},
+                    {k: v for k, v in im.items() if v})
+
+
+def _reduced(den, re, im):
+    """_normal(den, re, im) for dicts that hold no zero numerator."""
     if not re and not im:
         return _ZERO_FORM
     if den != 1:
@@ -316,7 +351,7 @@ def _rekey(s, cap, factor=None, rows=None):
     n, base = s.nvars, s.cap + 1
     factor = factor or (0,) * n
     weights = ([_pack(row, cap + 1) for row in rows] if rows else
-               [_shift(n, cap) + (cap + 1) ** (n - 1 - i) for i in range(n)])
+               _unit_keys(n, cap))
     steps = list(zip(weights, factor))[::-1]
     start = sum(w * f for w, f in steps)
     top = (cap + 1) * _shift(len(rows[0]) if rows else n, cap)
@@ -694,7 +729,8 @@ class PolyMapGerm:
                 raise PreconditionViolated("germ components must be series")
             if s.nvars != tmpl.nvars or s.cap != tmpl.cap:
                 raise PreconditionViolated("germ components disagree on nvars/cap")
-            if s.constant_term():
+            _, re, im = s._form
+            if 0 in re or 0 in im:  # key 0: the zero exponent
                 raise PreconditionViolated("germ must fix the origin")
         if len(components) != tmpl.nvars:
             raise PreconditionViolated(
@@ -708,11 +744,23 @@ class PolyMapGerm:
         return self.components[0].cap
 
     def linear_matrix(self):
-        n, cap = self.n, self.cap
-        # the packed key of w_(j+1) is B**n + B**(n-1-j)
-        keys = [_shift(n, cap) + (cap + 1) ** (n - 1 - j) for j in range(n)]
+        keys = _unit_keys(self.n, self.cap)
         return [[_of(re.get(k, 0), im.get(k, 0), den) for k in keys]
                 for den, re, im in (s._form for s in self.components)]
+
+    def linear_mismatch(self, rows):
+        """The first entry (i, h), 0-based and row by row, at which the
+        linear part differs from the n x n matrix `rows` of exact
+        scalars, or None; read off the integer forms, building no
+        scalar."""
+        keys = _unit_keys(self.n, self.cap)
+        for i, (row, s) in enumerate(zip(rows, self.components)):
+            den, re, im = s._form
+            for h, (k, c) in enumerate(zip(keys, row)):
+                if re.get(k, 0) * c.d != c.a * den or \
+                        im.get(k, 0) * c.d != c.b * den:
+                    return i, h
+        return None
 
     def quadratic_coefficient(self, j, h, k):
         """Symmetrized quadratic coefficient a^j_{hk} (1-based); the z_h z_k

@@ -134,11 +134,42 @@ def test_parse_map_spec_linear_conflict_is_jordan_mismatch():
         cli.parse_map_spec(data)
 
 
+def test_parse_map_spec_sums_split_linear_entries():
+    """Degree-1 entries are summed like every other term: two halves of
+    the Jordan entry restate it."""
+    data = json.loads(json.dumps(FATOU_SPEC))
+    data["terms"] += [{"j": 1, "exp": [0, 1], "coeff": "1/2"},
+                      {"j": 1, "exp": [0, 1], "coeff": "1/2"}]
+    germ, _ = cli.parse_map_spec(data)
+    assert germ.map.components[0].coefficient((0, 1)) == GaussianRational(1)
+    assert [s._form for s in germ.map.components] == [
+        s._form for s in cli.parse_map_spec(FATOU_SPEC)[0].map.components]
+
+
+def test_parse_map_spec_repeated_linear_entry_is_jordan_mismatch(tmp_path):
+    """A Jordan entry listed twice sums to twice the entry: refused, with
+    exit code 2 from the command line."""
+    data = json.loads(json.dumps(FATOU_SPEC))
+    data["terms"] += [{"j": 1, "exp": [0, 1], "coeff": "1"},
+                      {"j": 1, "exp": [0, 1], "coeff": "1"}]
+    with pytest.raises(JordanMismatch) as info:
+        cli.parse_map_spec(data)
+    assert str(info.value) == ("linear term (component 1, variable 2) is 2 "
+                               "but the declared blocks require 1")
+    res = run("lift", "--map", write_spec(tmp_path, data), "--stage", "2")
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["error"] == "JordanMismatch"
+
+
 def test_parse_map_spec_rejects_zero_eigenvalue():
     data = json.loads(json.dumps(FATOU_SPEC))
     data["blocks"][0]["lambda"] = "0"
     with pytest.raises(Exception):
         cli.parse_map_spec(data)
+
+
+class Exact(str):
+    """A refusal's whole message, where a plain str is a fragment of it."""
 
 
 @pytest.mark.parametrize("mangle,msgpart", [
@@ -153,13 +184,40 @@ def test_parse_map_spec_rejects_zero_eigenvalue():
     (lambda d: d.setdefault("options", {}).update(field="float"), "field"),
     (lambda d: d.setdefault("options", {}).update(degree_cap=1),
      "degree_cap"),
+    pytest.param(lambda d: d["terms"].append([1, [2, 0], "1"]),
+                 Exact("terms[1] must be an object"), id="term-not-object"),
+    pytest.param(lambda d: d["terms"].append({"j": True, "exp": [2, 0]}),
+                 Exact("terms[1].j must be in 1..2"), id="j-true"),
+    pytest.param(lambda d: d["terms"].append({"j": 1, "exp": [True, 1]}),
+                 Exact("terms[1].exp must be 2 nonnegative integers"),
+                 id="exp-true"),
+    pytest.param(lambda d: d["terms"].append({"j": 1, "exp": [3, -1]}),
+                 Exact("terms[1].exp must be 2 nonnegative integers"),
+                 id="exp-negative"),
+    pytest.param(lambda d: d["terms"].append(
+        {"j": 1, "exp": [2, 0], "coeff": 0.5}),
+        Exact("terms[1].coeff: 0.5 is not a string literal or an integer; "
+              "quote the literal"), id="coeff-float"),
+    pytest.param(lambda d: d["options"].update(precision_bits=8),
+                 Exact("precision_bits must be an integer in 24..4096, "
+                       "got 8"), id="precision-low"),
+    pytest.param(lambda d: d["options"].update(precision_bits=True),
+                 Exact("precision_bits must be an integer in 24..4096, "
+                       "got True"), id="precision-bool"),
+    pytest.param(lambda d: d["options"].update(degree_cap=2)
+                 or d["terms"].append({"j": 1, "exp": [1, 2]}),
+                 Exact("degree_cap 2 below a declared term of degree 3"),
+                 id="cap-below-degree"),
 ])
 def test_parse_map_spec_field_level_errors(mangle, msgpart):
     data = json.loads(json.dumps(FATOU_SPEC))
     mangle(data)
     with pytest.raises(SchemaError) as info:
         cli.parse_map_spec(data)
-    assert msgpart in str(info.value)
+    if isinstance(msgpart, Exact):
+        assert str(info.value) == msgpart
+    else:
+        assert msgpart in str(info.value)
 
 
 def _reference_forms(doc):
@@ -394,20 +452,43 @@ def test_normalform_writes_the_reference_json(tmp_path, spec):
 
 def test_term_tables_spell_like_json_dumps():
     """TermTable inside json_text, at several indents and with empty
-    series, against json.dumps of the reference term list."""
+    series, against json.dumps of the reference term list; up to the
+    tower's sizes, where exponents have two digits and caps exceed 9."""
     rng = random.Random(21)
-    for nvars, cap in [(1, 0), (1, 5), (2, 4), (4, 3)]:
+    units = [parse_scalar(x) for x in ("i", "-i", "-1/3i", "2-i")]
+    spelled = set()
+    for nvars, cap in [(1, 0), (1, 5), (2, 4), (4, 3), (6, 10), (8, 16)]:
+        def exponent():
+            # degree on one or two variables, so one exponent can reach cap
+            e = [0] * nvars
+            hot = rng.sample(range(nvars), rng.randint(1, min(2, nvars)))
+            for _ in range(rng.randint(0, cap)):
+                e[rng.choice(hot)] += 1
+            return tuple(e)
+
+        def coefficient():
+            if rng.random() < 0.3:
+                return rng.choice(units)
+            return GaussianRational(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                rng.choice([0, Fraction(-1, 3), 2]))
+
+        size = 4 if cap < 10 else 40
         comps = [TruncatedSeries(nvars, cap, {
-            tuple(rng.randint(0, cap // nvars) for _ in range(nvars)):
-            GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
-                             rng.choice([0, Fraction(-1, 3), 2]))
-            for _ in range(rng.randint(0, 4))}) for _ in range(3)]
+            exponent(): coefficient() for _ in range(rng.randint(0, size))})
+            for _ in range(3)]
+        comps.append(TruncatedSeries(nvars, cap,
+                                     {exponent(): c for c in units}))
         comps.append(TruncatedSeries.zero(nvars, cap))
+        if cap >= 10:
+            assert any(max(e) >= 10 for s in comps for e in s.coeffs)
+        spelled |= {str(c) for s in comps for c in s.coeffs.values()}
         for numbered in (False, True):
             x = {"a": [cli.TermTable(comps, numbered), cli.TermTable([])],
-                 "b": cli.TermTable(comps[3:], numbered)}
+                 "b": cli.TermTable(comps[4:], numbered)}
             want = {"a": [term_table(comps, numbered), []], "b": []}
             assert cli.json_text(x) == json.dumps(want, indent=2)
+    assert {"i", "-i", "-1/3i", "2-i"} <= spelled
 
 
 def test_chardirs_command(tmp_path):

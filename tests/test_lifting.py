@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from blowdyn import lifting
+from blowdyn import lifting, series
 from blowdyn.blowup import projection_formulas
 from blowdyn.errors import DivisionObstruction, NotJordan, PreconditionViolated
 from blowdyn.exactalg import invert_matrix
@@ -114,6 +114,80 @@ def test_input_germ_rejects_wrong_linear_part():
     bad = PolyMapGerm([w1 + 2 * w2, w2])  # off-diagonal 2 instead of 1
     with pytest.raises(NotJordan):
         InputGerm(S, bad)
+
+
+def test_input_germ_reads_the_linear_part_off_the_integer_form():
+    """InputGerm's check on the integer forms against the comparison of
+    the scalar matrices: on Jordan parts with complex, imaginary and
+    fractional eigenvalues, each refused (with the first differing entry
+    named) exactly when one entry is moved, dropped or added."""
+    rng = random.Random(28)
+    q = GaussianRational
+    lams = [q(1), q(0, 1), q(0, -1), q(Fraction(-2, 3), Fraction(1, 5)),
+            q(Fraction(7, 4))]
+    verdicts = set()
+    for mu in [(2,), (3,), (3, 1), (2, 2), (2, 1, 1)]:
+        S = S_of(mu, tuple(rng.choice(lams) for _ in mu))
+        n, J = S.n, jordan_matrix(S)
+        for _ in range(12):
+            entries = {(i, h): J[i][h] for i in range(n) for h in range(n)}
+            row, col = rng.randrange(n), rng.randrange(n)
+            entries[row, col] = rng.choice([q(0), q(1), J[row][col], q(0, 1),
+                                            J[row][col] + q(Fraction(1, 3))])
+            comps = [TruncatedSeries(n, 3, {
+                **{tuple(int(k == h) for k in range(n)): entries[i, h]
+                   for h in range(n)},
+                (2,) + (0,) * (n - 1): q(Fraction(i + 1, 5))})
+                for i in range(n)]
+            g = PolyMapGerm(comps)
+            L = g.linear_matrix()
+            bad = [(a, b) for a in range(n) for b in range(n)
+                   if L[a][b] != J[a][b]]
+            verdicts.add(bool(bad))
+            if not bad:
+                assert InputGerm(S, g).map is g
+                continue
+            a, b = bad[0]
+            with pytest.raises(NotJordan) as info:
+                InputGerm(S, g)
+            assert str(info.value) == (
+                "linear part entry (%d,%d) is %s, expected %s"
+                % (a + 1, b + 1, L[a][b], J[a][b]))
+    assert verdicts == {False, True}
+
+
+def test_germs_must_fix_the_origin():
+    w1 = TruncatedSeries.variable(1, 2, 2)
+    w2 = TruncatedSeries.variable(2, 2, 2)
+    for c in (GaussianRational(1), GaussianRational(0, -1)):
+        with pytest.raises(PreconditionViolated, match="fix the origin"):
+            PolyMapGerm([w1, w2 + TruncatedSeries.constant(c, 2, 2)])
+    assert PolyMapGerm([w1, w2 + w1 * w1]).n == 2
+
+
+def test_map_parser_and_germ_from_terms_share_one_form_builder(monkeypatch):
+    """Both routes build every component through series._form_of, and
+    agree on the germ."""
+    from blowdyn import cli
+
+    built = []
+
+    def counted(terms):
+        built.append(len(terms))
+        return form_of(terms)
+
+    form_of = series._form_of
+    monkeypatch.setattr(series, "_form_of", counted)
+    doc = {"dim": 3, "blocks": [{"mu": 2, "lambda": "1/2+i"},
+                                {"mu": 1, "lambda": "-3"}],
+           "terms": [{"j": 2, "exp": [2, 0, 0], "coeff": "-2/3+1/5i"},
+                     {"j": 3, "exp": [0, 1, 2], "coeff": "7"}],
+           "options": {"degree_cap": 3}}
+    F, _ = cli.parse_map_spec(doc)
+    G = germ_from_terms(F.structure, {(2, (2, 0, 0)): "-2/3+1/5i",
+                                      (3, (0, 1, 2)): 7}, cap=3)
+    assert built == [2, 2, 2] * 2
+    assert F.map == G.map
 
 
 def test_leading_coefficient_and_symmetrization():

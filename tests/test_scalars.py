@@ -19,6 +19,7 @@ from blowdyn.scalars import (
     format_scalar,
     gaussian_sqrt,
     parse_scalar,
+    parse_triple,
     sqrt_exact_rational,
 )
 
@@ -118,6 +119,26 @@ def test_literals_outside_the_plain_form_keep_their_results(monkeypatch):
     with pytest.raises(SchemaError) as slow:
         parse_scalar(big)
     assert str(fast.value) == str(slow.value)
+
+
+def test_parse_triple_is_parse_scalar_on_integers():
+    """The map parser's triples hold parse_scalar's value, with a positive
+    denominator, not always reduced; the refusals are the same."""
+    lits = _plain_literals(random.Random(29), 100) + [
+        "1/2+1/3i", "-i", "2J", "0.25", "1e-3", "-4/6-2/8i", " 3/4 ", 7, -12]
+    for t in lits:
+        a, b, d = parse_triple(t)
+        assert d > 0 and _of(a, b, d) == parse_scalar(t), t
+    assert parse_triple("-2/4") == (-2, 0, 4)
+    for bad in ["", "1/0", "x", "1++2i", 0.5, True, None,
+                GaussianRational(1)]:
+        with pytest.raises((SchemaError, PreconditionViolated)) as want:
+            parse_triple(bad)
+        if isinstance(bad, GaussianRational):
+            continue  # parse_scalar passes a scalar through
+        with pytest.raises(type(want.value)) as got:
+            parse_scalar(bad)
+        assert str(got.value) == str(want.value)
 
 
 def test_format_parse_round_trip_random():

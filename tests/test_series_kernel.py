@@ -294,8 +294,9 @@ def test_spelled_terms_match_the_coefficient_view(nvars, cap, kind):
         a = series(nvars, cap, rand_coeffs(rng, nvars, cap, 12, kind))
         b = series(nvars, cap, rand_coeffs(rng, nvars, cap, 12, kind))
         for s in (a, b, series_multiply(a, b), a - a):  # integer-form results
-            assert s.spelled_terms() == [
-                (list(e), str(c)) for e, c in sorted(s.coeffs.items())]
+            assert s.spelled_terms("%d," * nvars + "<%s>") == [
+                "".join("%d," % x for x in e) + "<%s>" % c
+                for e, c in sorted(s.coeffs.items())]
 
 
 # -- monomial maps ----------------------------------------------------------

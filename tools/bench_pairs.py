@@ -28,6 +28,11 @@ In a run of all workloads, a workload's failed requests are its "FAILED"
 lines; each recorded run keeps its own workload's `correct` and `failed`,
 and `attempted` counts the whole run.
 
+Each run's "# run" line (under its "== <name>" line in a run of all
+workloads) holds the median latency of each CLI command; each side's
+median of those per-command medians is printed after the verdicts, as
+information with no verdict of its own, and --record keeps them.
+
 The direction and bound of each metric are read from CHANGE's
 BENCHMARK.json.  With --record, the summary and every run (with the
 requests it sent) are also written to PATH as JSON, in the layout of the
@@ -49,8 +54,8 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed, seconds):
-    """(environment, result, {workload: failed requests}) of one benchmark
-    run in `checkout`."""
+    """(environment, result, {workload: failed requests}, {workload:
+    {command: p50 latency}}) of one benchmark run in `checkout`."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload,
             "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, stdout=subprocess.PIPE,
@@ -63,7 +68,21 @@ def run_once(checkout, workload, seed, seconds):
     env = next((json.loads(line.split(" ", 2)[2]) for line in lines
                 if line.startswith("# environment ")), None)
     result = json.loads(lines[-1])
-    return env, result, workload_failures(lines, workload, result)
+    return (env, result, workload_failures(lines, workload, result),
+            command_p50s(lines, workload))
+
+
+def command_p50s(lines, workload):
+    """{workload: {command: p50 latency, s}} from the "# run" line of each
+    workload of one run."""
+    out, current = {}, workload
+    for line in lines:
+        if line.startswith("== "):
+            current = line[3:].strip()
+        elif line.startswith("# run "):
+            out[current] = json.loads(line[len("# run "):]).get(
+                "p50_by_command_s", {})
+    return out
 
 
 def workload_failures(lines, workload, result):
@@ -183,10 +202,11 @@ def main():
 
     code = {side: measured_code(roots[side]) for side in SIDES}
     values = {}  # (workload, metric) -> {side: [value per pair]}
+    latency = {}  # (workload, command) -> {side: [p50 per pair]}
     runs, env = [], {}
     for pair in range(1, args.pairs + 1):
         for side in SIDES if pair % 2 else SIDES[::-1]:
-            env[side], result, failures = run_once(
+            env[side], result, failures, p50s = run_once(
                 roots[side], args.workload, args.seed, seconds)
             for w, metrics in split_metrics(result, args.workload).items():
                 failed = failures.get(w, result["failed"])
@@ -195,10 +215,14 @@ def main():
                 for metric, value in metrics.items():
                     values.setdefault((w, metric), {s: [] for s in SIDES})[
                         side].append(value)
+                for cmd, value in p50s.get(w, {}).items():
+                    latency.setdefault((w, cmd), {s: [] for s in SIDES})[
+                        side].append(value)
                 runs.append({"pair": pair, "side": side, "workload": w,
                              "seed": args.seed, "correct": correct,
                              "attempted": result["attempted"],
-                             "failed": failed, "metrics": metrics})
+                             "failed": failed, "metrics": metrics,
+                             "p50_by_command_s": p50s.get(w, {})})
             print("pair %d %s done" % (pair, side), file=sys.stderr,
                   flush=True)
 
@@ -227,6 +251,16 @@ def main():
                      "%.6g" % s["change_median"],
                      "[%.6g, %.6g]" % tuple(s["change_quartiles"]),
                      "%d/%d" % (wins, s["pairs"]), v))
+    by_command = {}
+    print("\nper-command p50 latency, s (information, no verdict)")
+    for (w, cmd), sides in latency.items():
+        s = summarize(sides["parent"], sides["change"])
+        by_command.setdefault(w, {})[cmd] = s
+        print(row % (w, cmd, "%.6g" % s["parent_median"],
+                     "[%.6g, %.6g]" % tuple(s["parent_quartiles"]),
+                     "%.6g" % s["change_median"],
+                     "[%.6g, %.6g]" % tuple(s["change_quartiles"]),
+                     "", "info"))
     if args.record:
         with open(args.record, "w") as fh:
             json.dump({
@@ -236,6 +270,7 @@ def main():
                 "environment": env,
                 "code": code,
                 "summary": summary,
+                "p50_by_command_s": by_command,
                 "runs": runs,
             }, fh, indent=1)
     return 1 if bad else 0
