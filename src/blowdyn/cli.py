@@ -240,11 +240,13 @@ def parse_map_spec(data):
     _expect(sum(mus) == dim, "block sizes sum to %d, dim says %d",
             sum(mus), dim)
     S = _structure("blocks", mus, lams)
-    opts = data.get("options") or {}
+    # an absent key takes the default; a present one, null included, must
+    # have the right type
+    opts = data.get("options", {})
     _expect(isinstance(opts, dict), "options must be an object")
     _expect(opts.get("field", "exact") == "exact",
             "only the exact coefficient field is supported")
-    raw_terms = data.get("terms") or []
+    raw_terms = data.get("terms", [])
     _expect(isinstance(raw_terms, list), "terms must be a list")
     # each term is checked once; coefficients stay integer triples
     # (a, b, d), summed per component and exponent

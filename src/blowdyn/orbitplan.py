@@ -8,13 +8,14 @@ im_n), so that z_j = 2^exp (re_j + i im_j).  After every step it is
 renormalised so that its largest mantissa has work = precision_bits +
 ORBIT_GUARD_BITS bits, whether the orbit passes near zero or far out.  The
 forward step (OrbitPlan.step, the image and the renormalisation in one
-compiled function), the Jacobian and the Newton preimage step run on the
-same plan, and nothing is converted to a float.  mpmath appears only where
-a point enters (OrbitPlan.point) or leaves as mpmath values (rounded_parts,
-mpc_point).  The orbit CSV is spelled from the integers, one point at a
-time (decimal_speller), with the working sizes of each binary order
-computed once; it calls mpmath's to_str only for values more than 3500
-binary orders from 1.
+compiled function) and the Newton preimage step (OrbitPlan.preimage, the
+seed, the image, the Jacobian and the unrolled elimination in one compiled
+function) run on the same plan, and nothing is converted to a float.
+mpmath appears only where a point enters (OrbitPlan.point) or leaves as
+mpmath values (rounded_parts, mpc_point).  The orbit CSV is spelled from
+the integers, one point at a time (decimal_speller), with the working
+sizes of each binary order computed once; it calls mpmath's to_str only
+for values more than 3500 binary orders from 1.
 
 dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
 entry points.
@@ -238,18 +239,19 @@ class OrbitPlan:
     monomial times one variable; every component and every Jacobian entry
     is a sum of (degree, [(slot, re, im), ...]) groups over it.
 
-    The plan is compiled into straight-line integer code:
-    image(m, exp, target) gives F at the point 2^exp m minus `target`, on
-    the grid 2^(exp - work), and jacobian(m, exp) gives DF there, as the
-    matrices of real and of imaginary parts at scale 2^-scale.  Each
-    degree's exact sum is rounded once (toward -infinity) onto that grid.
-    The grid lies work bits below the point's own last bit, so F(z) loses
+    The plan is compiled into straight-line integer code (_plan_source).
+    Its image code gives F at the point 2^exp m on the grid
+    2^(exp - work), and its Jacobian code gives DF there, as the matrices
+    of real and of imaginary parts at scale 2^-scale.  Each degree's
+    exact sum is rounded once (toward -infinity) onto that grid.  The
+    grid lies work bits below the point's own last bit, so F(z) loses
     nothing at the point's precision unless |F(z)| < 2^-work |z|.
-    step(exp, m) is the forward step: the same image, renormalised inline
-    as _renormalize does it, returned as a new point (exp, man).  Only
-    step is compiled with the plan (its code is `source`); image and
-    jacobian, which only preimage needs, are each compiled the first time
-    it is read.
+    step(exp, m) is the forward step: the image, renormalised inline as
+    _renormalize does it, returned as a new point (exp, man).
+    preimage(w, step) is the Newton preimage step, with the image and
+    Jacobian code inlined.  step is compiled with the plan (its code is
+    `source`); preimage, which only standard_orbit_seed needs, is
+    compiled the first time it is read, once per plan.
     """
 
     def __init__(self, g, precision_bits):
@@ -288,14 +290,6 @@ class OrbitPlan:
         self.step = _compiled(self.source, "step")
         self._jordan = g.linear_matrix()
 
-    @functools.cached_property
-    def image(self):
-        return _compiled(_plan_source(*self._tables, "image"), "image")
-
-    @functools.cached_property
-    def jacobian(self):
-        return _compiled(_plan_source(*self._tables, "jacobian"), "jacobian")
-
     def point(self, z):
         """Engine form of a point given by scalars of any supported kind."""
         parts = [q for x in z for q in _exact_parts(x, self.work)]
@@ -305,59 +299,6 @@ class OrbitPlan:
         man = [(q.numerator << -exp) // q.denominator if exp <= 0
                else q.numerator // (q.denominator << exp) for q in parts]
         return _renormalize(exp, man, self.work)
-
-    def solve(self, jac, r):
-        """x with A x = r, for A = jac (as returned by jacobian, and
-        overwritten) and r, x flat re/im mantissa lists on one grid.
-        Gaussian elimination with partial pivoting; multipliers and pivot
-        reciprocals are held at scale 2^-scale.  None when A is singular."""
-        n, sc = self.n, self.scale
-        ar, ai = jac
-        rr, ri = r[::2], r[1::2]
-        inv = []
-        for k in range(n):
-            p, den = k, 0
-            for q in range(k, n):
-                x, y = ar[q][k], ai[q][k]
-                m = x * x + y * y
-                if m > den:
-                    p, den = q, m
-            if not den:
-                return None
-            if p != k:
-                for v in (ar, ai, rr, ri):
-                    v[k], v[p] = v[p], v[k]
-            kr, ki = ar[k], ai[k]
-            # 1/pivot = conj(pivot) / |pivot|^2
-            ur = (kr[k] << 2 * sc) // den
-            ui = (-ki[k] << 2 * sc) // den
-            inv.append((ur, ui))
-            for q in range(k + 1, n):
-                qr, qi = ar[q], ai[q]
-                x, y = qr[k], qi[k]
-                if not (x or y):
-                    continue
-                mr = (x * ur - y * ui) >> sc
-                mi = (x * ui + y * ur) >> sc
-                for c in range(k + 1, n):
-                    x, y = kr[c], ki[c]
-                    qr[c] -= (mr * x - mi * y) >> sc
-                    qi[c] -= (mr * y + mi * x) >> sc
-                x, y = rr[k], ri[k]
-                rr[q] -= (mr * x - mi * y) >> sc
-                ri[q] -= (mr * y + mi * x) >> sc
-        out = [0] * (2 * n)
-        for k in range(n - 1, -1, -1):
-            kr, ki = ar[k], ai[k]
-            tr, ti = rr[k], ri[k]
-            for c in range(k + 1, n):
-                x, y = out[2 * c], out[2 * c + 1]
-                tr -= (kr[c] * x - ki[c] * y) >> sc
-                ti -= (kr[c] * y + ki[c] * x) >> sc
-            ur, ui = inv[k]
-            out[2 * k] = (tr * ur - ti * ui) >> sc
-            out[2 * k + 1] = (tr * ui + ti * ur) >> sc
-        return out
 
     @functools.cached_property
     def _linear(self):
@@ -374,8 +315,10 @@ class OrbitPlan:
                 for row in invert_matrix(self._jordan)]
         return rows, max(0, norm.bit_length() - sc)
 
-    def preimage(self, w, step):
-        """The point z near w with F(z) = w, by Newton's method.
+    @functools.cached_property
+    def preimage(self):
+        """preimage(w, step): the point z near w with F(z) = w, by
+        Newton's method.
 
         The seed is the first Jordan back-substitution J^-1 (w - H(w)),
         with H the nonlinear part.  The iterates share one exponent, as
@@ -383,52 +326,23 @@ class OrbitPlan:
         F by at most one unit of w's last bit.  Each Newton step must at
         least halve the residual F(z) - w, which is done once it is within
         2^PREIMAGE_TOL_BITS units of w's last bit; otherwise, or after
-        PREIMAGE_MAX_ITER steps, NonConvergent is raised with `step`."""
-        work, sc = self.work, self.scale
-        back, gain = self._linear
-        half = 1 << (work - 1)
-        image, jacobian, solve = self.image, self.jacobian, self.solve
-        exp, wm = w
-        exp -= gain
-        wm = [m << gain for m in wm]
-        target = [m << work for m in wm]     # w on the image grid
-        res = [(x + half) >> work for x in image(wm, exp, target)]
-        z = list(wm)
-        for j, row in enumerate(back):
-            for i, cr, ci in row:
-                xr, xi = res[2 * i], res[2 * i + 1]
-                z[2 * j] -= (cr * xr - ci * xi) >> sc
-                z[2 * j + 1] -= (cr * xi + ci * xr) >> sc
-        goal = work + gain + PREIMAGE_TOL_BITS
-        last = None
-        for _ in range(PREIMAGE_MAX_ITER):
-            res = image(z, exp, target)
-            size = max(map(int.bit_length, res))
-            if size <= goal:
-                return _renormalize(exp, z, work)
-            if last is not None and size > last - 1:
-                raise NonConvergent(
-                    "preimage Newton iteration stopped contracting",
-                    step=step)
-            last = size
-            delta = solve(jacobian(z, exp), [(x + half) >> work for x in res])
-            if delta is None:
-                raise NonConvergent(
-                    "singular Jacobian in the preimage Newton iteration",
-                    step=step)
-            z = [m - d for m, d in zip(z, delta)]
-        raise NonConvergent("preimage Newton iteration stalled", step=step)
+        PREIMAGE_MAX_ITER steps, NonConvergent is raised with `step`.
+        The whole step is one compiled function (see _plan_source)."""
+        return _compiled(_plan_source(*self._tables, "preimage",
+                                      self._linear), "preimage")
 
 
 def _compiled(source, name):
     """The function `name` that the plan source defines."""
-    space = {}
+    space = {"NonConvergent": NonConvergent}
     exec(compile(source, "<orbit plan>", "exec"), space)
     return space[name]
 
 
-def _plan_source(n, work, scale, products, comps, jac, function):
-    """Python source of one plan function: image, step or jacobian.
+def _plan_source(n, work, scale, products, comps, jac, function,
+                 linear=None):
+    """Python source of one plan function: image, step, jacobian or
+    preimage (which takes the plan's _linear as `linear`).
 
     Slot k's value is x<k> + i y<k>; slot n is the constant 1 and is
     folded into the coefficients.  Only the slots a function reads are
@@ -453,18 +367,21 @@ def _plan_source(n, work, scale, products, comps, jac, function):
                          % (k, p, i, p, i))
         return lines
 
+    def times(cr, ci, x, y, im):
+        """Summands of the real or imaginary part of (cr + i ci)(x + i y)
+        for integer constants cr, ci."""
+        pairs = [(cr, y), (ci, x)] if im else [(cr, x), (-ci, y)]
+        return ["%d * %s" % (c, v) for c, v in pairs if c]
+
     def part(terms, im):
         """Summands of the real or imaginary part of sum c v_slot."""
         out = []
         for k, cr, ci in terms:
             if k == n:
-                pairs = [(ci if im else cr, None)]
-            elif im:
-                pairs = [(cr, "y%d" % k), (ci, "x%d" % k)]
+                c = ci if im else cr
+                out += ["%d" % c] if c else []
             else:
-                pairs = [(cr, "x%d" % k), (-ci, "y%d" % k)]
-            out += ["%d * %s" % (c, v) if v else "%d" % c
-                    for c, v in pairs if c]
+                out += times(cr, ci, "x%d" % k, "y%d" % k, im)
         return out
 
     def assign(name, summands):
@@ -476,77 +393,175 @@ def _plan_source(n, work, scale, products, comps, jac, function):
             summands[i:i + PLAN_LINE_TERMS]))
             for i in range(0, len(summands), PLAN_LINE_TERMS)]
 
-    def rounded(groups, name, im, const=(), fixed=None):
+    def rounded(groups, name, im, const=(), fixed=None, shift="s"):
         """Lines setting `name` to the constant terms plus the sum of the
-        groups, each degree's exact sum shifted right by s<degree> (left
-        when that is negative); degree 1's shift is the constant `fixed`
-        when that is given."""
+        groups, each degree's exact sum shifted right by <shift><degree>
+        (left when that is negative); degree 1's shift is the constant
+        `fixed` when that is given."""
         lines = assign(name, part(const, im))
         for d, terms in groups:
             lines += assign("a", part(terms, im))
             if d == 1 and fixed is not None:
                 lines.append("    %s += a >> %d" % (name, fixed))
             else:
-                lines.append("    %s += a >> s%d if s%d >= 0 else a << -s%d"
-                             % (name, d, d, d))
+                lines.append("    %s += a >> %s%d if %s%d >= 0 else a << -%s%d"
+                             % (name, shift, d, shift, d, shift, d))
         return lines
 
+    def renormalized(values, at):
+        """Lines returning the point of mantissas `values` renormalised as
+        _renormalize does it, with exponent `at` (an expression in s); the
+        largest bit length is that of the OR of the absolute values."""
+        def mantissas(fmt):
+            return "(%s,)" % ", ".join(fmt % v for v in values)
+        return ["    s = (%s).bit_length() - %d" % (
+                    " | ".join("abs(%s)" % v for v in values), work),
+                "    if s > 0:",
+                "        return %s, %s" % (at, mantissas("%s >> s")),
+                "    if s == -%d:" % work,
+                "        return -%d, %s" % (work, mantissas("%s")),
+                "    return %s, %s" % (at, mantissas("%s << -s"))]
+
     unpack = "    %s = m" % ", ".join("x%d, y%d" % (i, i) for i in range(n))
-    # degree d's sum is shifted by scale - work - (d - 1) exp; for d = 1
-    # that is the constant scale - work > 0
+    # the image: degree d's sum is shifted by scale - work - (d - 1) exp;
+    # for d = 1 that is the constant scale - work > 0
     groups = [g for row in comps for g in row.values()]
-    degrees = sorted({d for row in comps for d in row} - {1})
-    body = [unpack] + ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
-                       for d in degrees]
-    body += table(needed([(0, t) for t in groups]))
+    image_shifts = ["    s%d = %d - %d * exp" % (d, scale - work, d - 1)
+                    for d in sorted({d for row in comps for d in row} - {1})]
+    image_slots = needed([(0, t) for t in groups])
+    image = table(image_slots)
     for j, row in enumerate(comps):
         items = sorted(row.items())
-        body += (rounded(items, "r%d" % j, False, fixed=scale - work)
-                 + rounded(items, "i%d" % j, True, fixed=scale - work))
+        image += (rounded(items, "r%d" % j, False, fixed=scale - work)
+                  + rounded(items, "i%d" % j, True, fixed=scale - work))
     parts = [v for j in range(n) for v in ("r%d" % j, "i%d" % j)]
 
-    def mantissas(fmt):
-        return "(%s,)" % ", ".join(fmt % v for v in parts)
-
     if function == "image":
-        src = ["def image(m, exp, target):"] + body
+        src = ["def image(m, exp, target):", unpack] + image_shifts + image
         src.append("    return [%s]" % ", ".join(
             "%s - target[%d]" % (v, k) for k, v in enumerate(parts)))
         return "\n".join(src) + "\n"
     if function == "step":
-        # the image renormalised as _renormalize does it; the largest bit
-        # length is that of the OR of the absolute values
-        src = ["def step(exp, m):"] + body
-        src.append("    s = (%s).bit_length() - %d" % (
-            " | ".join("abs(%s)" % v for v in parts), work))
-        src.append("    if s > 0:")
-        src.append("        return exp + s - %d, %s"
-                   % (work, mantissas("%s >> s")))
-        src.append("    if s == -%d:" % work)
-        src.append("        return -%d, %s" % (work, mantissas("%s")))
-        src.append("    return exp + s - %d, %s"
-                   % (work, mantissas("%s << -s")))
+        src = ["def step(exp, m):", unpack] + image_shifts + image
+        src += renormalized(parts, "exp + s - %d" % work)
         return "\n".join(src) + "\n"
 
+    # the Jacobian: entry (j, i) of degree d is shifted by t<d> = -d exp
     entries = [g for row in jac for entry in row for g in entry.items()
                if g[0]]
-    src = ["def jacobian(m, exp):", unpack]
-    src += ["    s%d = %d * exp" % (d, -d)
-            for d in sorted({d for d, _ in entries})]
-    src += table(needed(entries))
-    rows = {0: [], 1: []}
-    for j in range(n):
-        for i in range(n):
-            entry = jac[j][i]
-            const = entry.get(0, [])
-            rest = sorted((d, t) for d, t in entry.items() if d)
-            for im in (0, 1):
-                name = "%s%d_%d" % ("im" if im else "re", j, i)
-                src += rounded(rest, name, im, const)
-                rows[im].append(name)
-    for im in (0, 1):
-        src.append("    %s = [%s]" % ("mi" if im else "mr", ", ".join(
-            "[%s]" % ", ".join(rows[im][j * n:(j + 1) * n])
-            for j in range(n))))
-    src.append("    return mr, mi")
+    jacobian_shifts = ["    t%d = %d * exp" % (d, -d)
+                       for d in sorted({d for d, _ in entries})]
+    entry = [[("re%d_%d" % (j, i), "im%d_%d" % (j, i)) for i in range(n)]
+             for j in range(n)]
+
+    def jacobian(known):
+        """Lines setting every entry; slots in `known` are already set."""
+        lines = table(needed(entries) - known)
+        for j in range(n):
+            for i in range(n):
+                const = jac[j][i].get(0, [])
+                rest = sorted((d, t) for d, t in jac[j][i].items() if d)
+                for im in (0, 1):
+                    lines += rounded(rest, entry[j][i][im], im, const,
+                                     shift="t")
+        return lines
+
+    if function == "jacobian":
+        src = (["def jacobian(m, exp):", unpack] + jacobian_shifts
+               + jacobian(set()))
+        for im in (0, 1):
+            src.append("    %s = [%s]" % ("mi" if im else "mr", ", ".join(
+                "[%s]" % ", ".join(v[im] for v in row) for row in entry)))
+        src.append("    return mr, mi")
+        return "\n".join(src) + "\n"
+
+    # preimage: the iterate z is x0 + i y0, ..., the slots of the variables;
+    # w is kept on the image grid as w<k>, and e<k> is the residual F(z) - w
+    back, gain = linear
+    sc, half = scale, 1 << (work - 1)
+    point = [v for i in range(n) for v in ("x%d" % i, "y%d" % i)]
+    res = [("e%d" % (2 * j), "e%d" % (2 * j + 1)) for j in range(n)]
+    residual = ["    e%d = %s - w%d" % (k, v, k) for k, v in enumerate(parts)]
+    src = ["def preimage(w, step):", "    exp, m = w", unpack]
+    if gain:
+        src.append("    exp -= %d" % gain)
+        src += ["    %s <<= %d" % (v, gain) for v in point]
+    src += ["    w%d = %s << %d" % (k, v, work) for k, v in enumerate(point)]
+    src += image_shifts + jacobian_shifts + image
+    # the seed: z = w - J^-1 (F(w) - w), the residual rounded to w's grid
+    src += ["    e%d = (%s - w%d + %d) >> %d" % (k, v, k, half, work)
+            for k, v in enumerate(parts)]
+    for j, row in enumerate(back):
+        for im in (0, 1):
+            src.append("    %s -= %s" % (point[2 * j + im], " + ".join(
+                "((%s) >> %d)" % (" + ".join(times(cr, ci, *res[i], im)), sc)
+                for i, cr, ci in row)))
+    loop = image + residual
+    loop.append("    size = (%s).bit_length()"
+                % " | ".join("abs(e%d)" % k for k in range(2 * n)))
+    loop.append("    if size <= %d:" % (work + gain + PREIMAGE_TOL_BITS))
+    loop += ["    " + line for line in renormalized(point, "exp + s")]
+    loop += ["    if last is not None and size > last - 1:",
+             "        raise NonConvergent(%r, step=step)"
+             % "preimage Newton iteration stopped contracting",
+             "    last = size"]
+    loop += jacobian(image_slots)
+    loop += ["    e%d = (e%d + %d) >> %d" % (k, k, half, work)
+             for k in range(2 * n)]
+    # DF(z) d = e by Gaussian elimination with partial pivoting, the pivot
+    # row swapped in by one tuple assignment; multipliers and the pivot
+    # reciprocals u<k> are held at scale 2^-scale
+    for k in range(n):
+        pr, pi = entry[k][k]
+        loop.append("    den = %s * %s + %s * %s" % (pr, pr, pi, pi))
+        if k < n - 1:
+            loop.append("    p = %d" % k)
+        for q in range(k + 1, n):
+            x, y = entry[q][k]
+            loop += ["    mag = %s * %s + %s * %s" % (x, x, y, y),
+                     "    if mag > den:",
+                     "        p, den = %d, mag" % q]
+        loop += ["    if not den:",
+                 "        raise NonConvergent(%r, step=step)"
+                 % "singular Jacobian in the preimage Newton iteration"]
+
+        def row(q):
+            return [v for c in range(k, n) for v in entry[q][c]] + [*res[q]]
+        for q in range(k + 1, n):
+            loop += ["    %s p == %d:" % ("elif" if q > k + 1 else "if", q),
+                     "        %s = %s" % (", ".join(row(k) + row(q)),
+                                          ", ".join(row(q) + row(k)))]
+        loop += ["    ur%d = (%s << %d) // den" % (k, pr, 2 * sc),
+                 "    ui%d = (-%s << %d) // den" % (k, pi, 2 * sc)]
+        for q in range(k + 1, n):
+            x, y = entry[q][k]
+            loop += ["    mr = (%s * ur%d - %s * ui%d) >> %d"
+                     % (x, k, y, k, sc),
+                     "    mi = (%s * ui%d + %s * ur%d) >> %d"
+                     % (x, k, y, k, sc)]
+            pairs = [(entry[k][c], entry[q][c]) for c in range(k + 1, n)]
+            for (xr, xi), (tr, ti) in pairs + [(res[k], res[q])]:
+                loop += ["    %s -= (mr * %s - mi * %s) >> %d"
+                         % (tr, xr, xi, sc),
+                         "    %s -= (mr * %s + mi * %s) >> %d"
+                         % (ti, xi, xr, sc)]
+    for k in range(n - 1, -1, -1):
+        tr, ti = res[k]
+        for c in range(k + 1, n):
+            xr, xi = entry[k][c]
+            loop += ["    %s -= (%s * dr%d - %s * di%d) >> %d"
+                     % (tr, xr, c, xi, c, sc),
+                     "    %s -= (%s * di%d + %s * dr%d) >> %d"
+                     % (ti, xr, c, xi, c, sc)]
+        loop += ["    dr%d = (%s * ur%d - %s * ui%d) >> %d"
+                 % (k, tr, k, ti, k, sc),
+                 "    di%d = (%s * ui%d + %s * ur%d) >> %d"
+                 % (k, tr, k, ti, k, sc)]
+    loop += ["    x%d -= dr%d" % (k, k) for k in range(n)]
+    loop += ["    y%d -= di%d" % (k, k) for k in range(n)]
+    src += ["    last = None",
+            "    for _ in range(%d):" % PREIMAGE_MAX_ITER]
+    src += ["    " + line for line in loop]
+    src.append("    raise NonConvergent(%r, step=step)"
+               % "preimage Newton iteration stalled")
     return "\n".join(src) + "\n"

@@ -1052,6 +1052,32 @@ def test_map_file_integer_scalars_are_exact():
     assert germ.a(2, 1, 1) == GaussianRational(-3)
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("terms", {}, "terms must be a list"),
+    ("terms", 0, "terms must be a list"),
+    ("terms", "", "terms must be a list"),
+    ("terms", False, "terms must be a list"),
+    ("terms", None, "terms must be a list"),
+    ("options", [], "options must be an object"),
+    ("options", 0, "options must be an object"),
+    ("options", None, "options must be an object"),
+], ids=["terms-object", "terms-0", "terms-empty-string", "terms-false",
+        "terms-null", "options-list", "options-0", "options-null"])
+def test_map_file_terms_and_options_types(tmp_path, key, value, message):
+    """An absent terms or options key takes its default; a present value
+    of the wrong type is refused, an empty or null one included."""
+    data = json.loads(json.dumps(BASE_3))
+    del data[key]
+    cli.parse_map_spec(json.loads(json.dumps(data)))
+    data[key] = value
+    with pytest.raises(SchemaError) as info:
+        cli.parse_map_spec(data)
+    assert str(info.value) == message
+    res = run("lift", "--map", write_spec(tmp_path, data), "--stage", "1")
+    assert res.exit_code == 2
+    assert json.loads(res.stderr)["message"] == message
+
+
 def test_map_file_bounds_admit_their_limits():
     data = {"dim": 12, "blocks": [{"mu": 12}],
             "options": {"degree_cap": 16, "precision_bits": 4096}}

@@ -7,6 +7,7 @@ uses.  The fatou germ's literal profile seed and its refined standard seed
 are compared with straightforward mpmath references.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -15,12 +16,15 @@ import pytest
 from mpmath.libmp import from_man_exp, round_nearest, to_digits_exp, to_str
 
 from blowdyn import dynamics as dyn
+from blowdyn import orbitplan
 from blowdyn.errors import NonConvergent, PreconditionViolated
 from blowdyn.lifting import germ_from_terms
-from blowdyn.orbitplan import OrbitPlan, _renormalize, decimal_speller
+from blowdyn.orbitplan import (PREIMAGE_MAX_ITER, PREIMAGE_TOL_BITS,
+                               OrbitPlan, _compiled, _plan_source,
+                               _renormalize, decimal_speller)
 from blowdyn.partition import build_structure
 from blowdyn.scalars import GaussianRational as G
-from blowdyn.series import _as_germ
+from blowdyn.series import PolyMapGerm, TruncatedSeries, _as_germ
 
 from conftest import fatou_germ
 
@@ -159,9 +163,123 @@ def test_zero_start_point_and_orbit_through_zero():
     assert tr.points[2] == (0.25, 0.125 + 0.015625)
 
 
+# -- the interpreted Newton step, kept as the reference ----------------------
+
+@functools.cache
+def plan_function(plan, kind):
+    """The plan's image or jacobian, compiled on its own."""
+    return _compiled(_plan_source(*plan._tables, kind), kind)
+
+
+def reference_solve(plan, jac, r, swaps=None):
+    """x with A x = r, for A = jac (as returned by jacobian, and
+    overwritten) and r, x flat re/im mantissa lists on one grid.
+    Gaussian elimination with partial pivoting; multipliers and pivot
+    reciprocals are held at scale 2^-scale.  None when A is singular.
+    Each row swap (k, p) is appended to `swaps` when that is given."""
+    n, sc = plan.n, plan.scale
+    ar, ai = jac
+    rr, ri = r[::2], r[1::2]
+    inv = []
+    for k in range(n):
+        p, den = k, 0
+        for q in range(k, n):
+            x, y = ar[q][k], ai[q][k]
+            m = x * x + y * y
+            if m > den:
+                p, den = q, m
+        if not den:
+            return None
+        if p != k:
+            if swaps is not None:
+                swaps.append((k, p))
+            for v in (ar, ai, rr, ri):
+                v[k], v[p] = v[p], v[k]
+        kr, ki = ar[k], ai[k]
+        # 1/pivot = conj(pivot) / |pivot|^2
+        ur = (kr[k] << 2 * sc) // den
+        ui = (-ki[k] << 2 * sc) // den
+        inv.append((ur, ui))
+        for q in range(k + 1, n):
+            qr, qi = ar[q], ai[q]
+            x, y = qr[k], qi[k]
+            if not (x or y):
+                continue
+            mr = (x * ur - y * ui) >> sc
+            mi = (x * ui + y * ur) >> sc
+            for c in range(k + 1, n):
+                x, y = kr[c], ki[c]
+                qr[c] -= (mr * x - mi * y) >> sc
+                qi[c] -= (mr * y + mi * x) >> sc
+            x, y = rr[k], ri[k]
+            rr[q] -= (mr * x - mi * y) >> sc
+            ri[q] -= (mr * y + mi * x) >> sc
+    out = [0] * (2 * n)
+    for k in range(n - 1, -1, -1):
+        kr, ki = ar[k], ai[k]
+        tr, ti = rr[k], ri[k]
+        for c in range(k + 1, n):
+            x, y = out[2 * c], out[2 * c + 1]
+            tr -= (kr[c] * x - ki[c] * y) >> sc
+            ti -= (kr[c] * y + ki[c] * x) >> sc
+        ur, ui = inv[k]
+        out[2 * k] = (tr * ur - ti * ui) >> sc
+        out[2 * k + 1] = (tr * ui + ti * ur) >> sc
+    return out
+
+
+def reference_preimage(plan, w, step, swaps=None):
+    """OrbitPlan.preimage as an interpreted loop over the plan's image and
+    jacobian and reference_solve."""
+    work, sc = plan.work, plan.scale
+    back, gain = plan._linear
+    half = 1 << (work - 1)
+    image = plan_function(plan, "image")
+    jacobian = plan_function(plan, "jacobian")
+    exp, wm = w
+    exp -= gain
+    wm = [m << gain for m in wm]
+    target = [m << work for m in wm]     # w on the image grid
+    res = [(x + half) >> work for x in image(wm, exp, target)]
+    z = list(wm)
+    for j, row in enumerate(back):
+        for i, cr, ci in row:
+            xr, xi = res[2 * i], res[2 * i + 1]
+            z[2 * j] -= (cr * xr - ci * xi) >> sc
+            z[2 * j + 1] -= (cr * xi + ci * xr) >> sc
+    goal = work + gain + PREIMAGE_TOL_BITS
+    last = None
+    for _ in range(PREIMAGE_MAX_ITER):
+        res = image(z, exp, target)
+        size = max(map(int.bit_length, res))
+        if size <= goal:
+            return _renormalize(exp, z, work)
+        if last is not None and size > last - 1:
+            raise NonConvergent(
+                "preimage Newton iteration stopped contracting", step=step)
+        last = size
+        delta = reference_solve(plan, jacobian(z, exp),
+                                [(x + half) >> work for x in res], swaps)
+        if delta is None:
+            raise NonConvergent(
+                "singular Jacobian in the preimage Newton iteration",
+                step=step)
+        z = [m - d for m, d in zip(z, delta)]
+    raise NonConvergent("preimage Newton iteration stalled", step=step)
+
+
+def outcome(preimage, *args):
+    """The point preimage(*args) returns, or the message and step it
+    raises."""
+    try:
+        return preimage(*args)
+    except NonConvergent as exc:
+        return str(exc), exc.step
+
+
 def reference_step(plan, exp, man):
     """The forward step as the image followed by _renormalize."""
-    image = plan.image(man, exp, [0] * len(man))
+    image = plan_function(plan, "image")(man, exp, [0] * len(man))
     return _renormalize(exp - plan.work, image, plan.work)
 
 
@@ -182,7 +300,7 @@ def test_step_matches_image_then_renormalize():
         for exp, man in starts:
             want = reference_step(plan, exp, man)
             assert plan.step(exp, man) == want, (mu, exp, man)
-            image = plan.image(man, exp, [0] * n2)
+            image = plan_function(plan, "image")(man, exp, [0] * n2)
             s = max(map(int.bit_length, image)) - plan.work
             kinds["zero" if s == -plan.work else "grow" if s > 0
                   else "keep" if s == 0 else "shrink"] += 1
@@ -197,17 +315,113 @@ def test_step_matches_image_then_renormalize():
     assert all(count >= 3 for count in kinds.values()), kinds
 
 
-def test_plan_compiles_image_and_jacobian_on_first_use():
-    plan = OrbitPlan(_as_germ(fatou_germ()), 64)
+@pytest.mark.parametrize("mu,cap,prec", CASES)
+def test_compiled_preimage_matches_the_interpreted_loop(mu, cap, prec):
+    rng = random.Random("compiled preimage/%s/%d/%d" % (mu, cap, prec))
+    F = random_germ(rng, mu, cap)
+    plan = OrbitPlan(_as_germ(F), prec)
+    n = sum(mu)
+    points = 0
+    for step in range(1, 41):
+        # small w converge; w of size about 1 often raise
+        den = rng.choice((64, 64, 8, 1))
+        w = plan.point([G(_q(rng) / den, _q(rng) / den) for _ in range(n)])
+        want = outcome(reference_preimage, plan, w, step)
+        assert outcome(plan.preimage, w, step) == want, (w, step)
+        points += isinstance(want[1], tuple)
+    assert 20 <= points < 40
+
+
+def test_compiled_preimage_with_and_without_a_gain():
+    # |J| > 1 for a Jordan block of size 2 or more: the iterates sit gain
+    # bits below w; a contracting diagonal germ keeps w's exponent
+    rng = random.Random("compiled preimage/gain")
+    diagonal = PolyMapGerm([
+        TruncatedSeries(2, 2, {(1, 0): G(Fraction(1, 2)),
+                               (1, 1): G(1, -2)}),
+        TruncatedSeries(2, 2, {(0, 1): G(Fraction(-1, 4), Fraction(1, 4)),
+                               (2, 0): G(Fraction(1, 3))})])
+    gains = {}
+    for F in (fatou_germ(), random_germ(rng, (3, 1), 3), diagonal):
+        for prec in (64, 128):
+            plan = OrbitPlan(_as_germ(F), prec)
+            points = 0
+            for step in range(1, 21):
+                w = plan.point([G(_q(rng) / 32, _q(rng) / 32)
+                                for _ in range(plan.n)])
+                want = outcome(reference_preimage, plan, w, step)
+                assert outcome(plan.preimage, w, step) == want
+                points += isinstance(want[1], tuple)
+            gain = plan._linear[1]
+            gains[gain] = gains.get(gain, 0) + points
+    assert gains[0] >= 30 and sum(gains.values()) - gains[0] >= 60, gains
+
+
+def test_compiled_preimage_swaps_rows_as_the_elimination_does():
+    # DF(z) = [[1, 1], [2 z1, 1]] for the fatou germ: the pivot search
+    # takes the second row once 2 |z1| > 1
+    swapped = 0
+    for prec in (64, 128, 256):
+        plan = OrbitPlan(_as_germ(fatou_germ()), prec)
+        for w in ((0, 2), (Fraction(1, 3), 3), (G(1, 1), G(-1, 2)),
+                  (Fraction(-2, 5), Fraction(5, 4))):
+            swaps = []
+            w = plan.point(w)
+            want = reference_preimage(plan, w, 1, swaps)
+            assert plan.preimage(w, 1) == want
+            swapped += bool(swaps)
+    assert swapped == 12
+    # a 4 x 4 Jacobian: each row below the pivot is swapped in somewhere
+    rng = random.Random("compiled preimage/swaps")
+    plan = OrbitPlan(_as_germ(random_germ(rng, (3, 1), 3)), 64)
+    swaps = []
+    for step in range(1, 41):
+        w = plan.point([G(_q(rng) / 2, _q(rng) / 2) for _ in range(4)])
+        want = outcome(reference_preimage, plan, w, step, swaps)
+        assert outcome(plan.preimage, w, step) == want
+    assert set(swaps) == {(k, p) for p in range(4) for k in range(p)}
+
+
+@pytest.mark.parametrize("w,message", [
+    ((0, -1), "stopped contracting"),
+    # z1 = 1/2 exactly: the seed lands on the fold det DF = 1 - 2 z1 = 0
+    ((0, Fraction(-1, 2)), "singular Jacobian"),
+    # a double root at z1 = 1/2: Newton only halves the error each step
+    ((Fraction(1, 4), 0), "stalled")])
+def test_compiled_preimage_exits_as_the_interpreted_loop(w, message):
+    for prec in (64, 128):
+        plan = OrbitPlan(_as_germ(fatou_germ()), prec)
+        for step in (1, 7, 10000):
+            want = outcome(reference_preimage, plan, plan.point(w), step)
+            assert message in want[0] and want[1] == step
+            assert outcome(plan.preimage, plan.point(w), step) == want
+
+
+def test_plan_compiles_the_preimage_once_on_first_use(monkeypatch):
+    compiled = []
+
+    def spy(source, name):
+        compiled.append(name)
+        return real(source, name)
+    real = orbitplan._compiled
+    monkeypatch.setattr(orbitplan, "_compiled", spy)
+    F = fatou_germ()
+    dyn.orbit_iterate(F, (Fraction(1, 3), Fraction(-1, 7)), 20,
+                      precision_bits=64)
+    assert compiled == ["step"]
+    plan = OrbitPlan(_as_germ(F), 64)
     # only step is compiled with the plan, its degree-1 shift a constant
-    assert "def step(" in plan.source and "def image(" not in plan.source
+    assert "def step(" in plan.source and "def preimage(" not in plan.source
     assert "s1" not in plan.source
-    assert not {"image", "jacobian"} & set(vars(plan))
-    jacobian = plan.jacobian
-    assert "jacobian" in vars(plan) and "image" not in vars(plan)
-    assert plan.jacobian is jacobian
-    image = plan.image
-    assert plan.image is image
+    assert "preimage" not in vars(plan)
+    preimage = plan.preimage
+    for step in range(1, 4):
+        plan.preimage(plan.point((Fraction(1, 8), 0)), step)
+    assert plan.preimage is preimage
+    assert compiled == ["step", "step", "preimage"]
+    compiled.clear()
+    dyn.standard_orbit_seed(F, k0=50, settle=30, precision_bits=64)
+    assert compiled == ["step", "preimage"]
 
 
 @pytest.mark.parametrize("mu", [(2,), (3,), (4,), (5,), (2, 1), (2, 2),
@@ -220,15 +434,16 @@ def test_linear_inverse_matches_the_fixed_point_solve_on_unipotent_germs(mu):
     F = germ_from_terms(S, {(n, (2,) + (0,) * (n - 1)): G(1)}, cap=3)
     for prec in (64, 128, 256):
         plan = OrbitPlan(_as_germ(F), prec)
+        jacobian = plan_function(plan, "jacobian")
         sc, zero = plan.scale, (0,) * (2 * n)
-        jr, ji = plan.jacobian(zero, 0)
+        jr, ji = jacobian(zero, 0)
         norm = max(sum(abs(x) + abs(y) for x, y in zip(r, i))
                    for r, i in zip(jr, ji))
         cols = []
         for i in range(n):
             unit = [0] * (2 * n)
             unit[2 * i] = 1 << sc
-            cols.append(plan.solve(plan.jacobian(zero, 0), unit))
+            cols.append(reference_solve(plan, jacobian(zero, 0), unit))
         rows = [[(i, c[2 * j], c[2 * j + 1]) for i, c in enumerate(cols)
                  if c[2 * j] or c[2 * j + 1]] for j in range(n)]
         assert plan._linear == (rows, max(0, norm.bit_length() - sc))
