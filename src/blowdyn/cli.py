@@ -541,10 +541,11 @@ def orbit_cmd(map_path, start_text, steps, prec, csv_path, k0, radius):
 
 
 def _read_trace_csv(path, n):
-    """The k column and the points of a trace CSV written by the orbit
-    command, parsed in one pass: k as a list of integers, and the points
-    as the (N, n) complex array that holds each re/im pair as one complex
-    of the correctly rounded doubles."""
+    """The first k and the points of a trace CSV written by the orbit
+    command, parsed in one pass: k0 as an int (the k column is checked to
+    rise by 1 on its array), and the points as the (N, n) complex array
+    that holds each re/im pair as one complex of the correctly rounded
+    doubles."""
     import numpy as np
 
     with open(path) as fh:
@@ -571,7 +572,7 @@ def _read_trace_csv(path, n):
         r, c = bad[0]
         raise SchemaError("CSV value %s at k = %d, column %s, is not a finite "
                           "double" % (rows["z"][r, c], ks[r], head[1 + c]))
-    return ks.tolist(), np.ascontiguousarray(rows["z"]).view(complex)
+    return int(ks[0]), np.ascontiguousarray(rows["z"]).view(complex)
 
 
 @_command("classify")
@@ -591,10 +592,10 @@ def classify_cmd(map_path, csv_path, tau, window):
     _expect(tau is None or (math.isfinite(tau) and tau > 0),
             "--tau must be finite and positive, got %r", tau)
     F, _ = load_map_spec(map_path)
-    ks, pts = _read_trace_csv(csv_path, F.structure.n)
+    k0, pts = _read_trace_csv(csv_path, F.structure.n)
     trace = dynamics.OrbitTrace(points=pts, precision_bits=53, source=F)
     rep = dynamics.regularity_classify(
-        trace, F.structure, k0=ks[0], tau=tau, window=window)
+        trace, F.structure, k0=k0, tau=tau, window=window)
     return {
         "classification": rep.classification,
         "standard": rep.standard,

@@ -30,10 +30,10 @@ block-floating-point points with orbitplan.ORBIT_GUARD_BITS bits beyond
 the requested precision.  Each stored orbit point is the image of the one
 before it to 2^-precision_bits relative to its sup norm; divergence past
 the radius is decided exactly; a preimage step is Newton's method on the
-plan's Jacobian, checked to contract at every iteration.  mpmath is used
-only at the boundaries: input conversion, the decay profile and the mpc
-view of a trace.  The CLI's decimal output is spelled from the engine's
-integers.
+plan's Jacobian, checked to contract at every iteration.  mpmath is used,
+and imported, only at the boundaries: input conversion, the decay profile
+and the mpc view of a trace.  The CLI's decimal output is spelled from the
+engine's integers.
 
 Conventions.  Directions are stored as projective representatives; the
 multiplier lam scales linearly with the representative (Q(cv) = c lam on
@@ -48,8 +48,6 @@ import math
 import statistics
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import mpmath
 
 from .blowup import compiled_pi_inverse, pi_forward, projection_formulas
 from .errors import (
@@ -716,6 +714,8 @@ def profile_point(F, k, precision_bits=128):
     Components whose constant is known only as an upper bound are seeded
     at zero.  Returns a tuple of mpc values at the requested precision.
     """
+    import mpmath
+
     rows = expected_asymptotics(F)
     if k < 1:
         raise PreconditionViolated("profile time must be positive")
@@ -795,15 +795,15 @@ class AsymptoticFit:
 
 def _log_slope(ks, vals):
     """Least-squares slope of log v against log k over the samples with
-    v > 0; None with fewer than 10 of them or when every log k is equal."""
+    v > 0, for rising ks; None with fewer than 10 of them or when every
+    log k is equal (a mean of equal logs can round off them, so the
+    variance need not be 0 then)."""
     pts = [(math.log(k), math.log(v)) for k, v in zip(ks, vals) if v > 0.0]
-    if len(pts) < 10:
+    if len(pts) < 10 or pts[0][0] == pts[-1][0]:
         return None
     xbar = sum(p[0] for p in pts) / len(pts)
     ybar = sum(p[1] for p in pts) / len(pts)
     var = sum((p[0] - xbar) ** 2 for p in pts)
-    if var == 0.0:
-        return None
     return sum((p[0] - xbar) * (p[1] - ybar) for p in pts) / var
 
 
@@ -900,77 +900,160 @@ class RegularityReport:
     notes: tuple = ()
 
 
-def _windows(seq, width):
-    """The trailing full windows of seq, oldest first, at most
-    REG_WINDOWS."""
-    use = min(len(seq) // width, REG_WINDOWS)
+def _moduli(W):
+    """abs() of every entry of the complex array W, as CPython computes
+    it: libm's hypot of the parts (numpy's complex absolute differs in the
+    last bit).  Raises OverflowError where abs() does, at a finite entry
+    whose modulus overflows."""
+    import numpy as np
+
+    with np.errstate(over="ignore"):
+        A = np.hypot(W.real, W.imag)
+    if (np.isinf(A) & np.isfinite(W)).any():
+        raise OverflowError("absolute value too large")
+    return A
+
+
+def _quotient(a, b):
+    """a / b for complex arrays a and b that broadcast together (b
+    nonzero), with the floats of CPython's complex division, _Py_c_quot:
+    both are divided through by the part of b of larger modulus, Re b on
+    a tie.  Each step is one real-array ufunc call, so no multiply-add is
+    fused."""
+    import numpy as np
+
+    a, b = np.asarray(a), np.asarray(b)
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+
+    def by_real():
+        ratio = bi / br
+        denom = br + bi * ratio
+        return (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+
+    def by_imag():
+        ratio = br / bi
+        denom = br * ratio + bi
+        return (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+
+    by_re = np.abs(br) >= np.abs(bi)
+    with np.errstate(all="ignore"):     # a branch not taken may divide by 0
+        if by_re.all():                 # every divisor, or there is none
+            re, im = by_real()
+        elif not by_re.any():
+            re, im = by_imag()
+        else:
+            (re, im), (re2, im2) = by_real(), by_imag()
+            re, im = np.where(by_re, re, re2), np.where(by_re, im, im2)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _representatives(W):
+    """Each row of the complex array W divided by its pivot, the first
+    entry of largest modulus, with CPython's moduli and division; a zero
+    row raises ZeroDivisionError, as its Python division would."""
+    import numpy as np
+
+    A = _moduli(W)
+    col = A.argmax(axis=1)
+    at = np.arange(len(W))
+    if not A[at, col].all():
+        raise ZeroDivisionError("complex division by zero")
+    return _quotient(W, W[at, col][:, None])
+
+
+def _means(X):
+    """The mean of the rows of each (L, n) block of the complex array X,
+    of shape (..., L, n), as CPython's sum(col) / len(col) gives it: the
+    left-to-right sum from 0 (which turns a leading -0.0 into 0.0), then
+    _quotient by complex(L)."""
+    import numpy as np
+
+    Y = np.zeros(X.shape[:-2] + (X.shape[-2] + 1, X.shape[-1]), complex)
+    Y[..., 1:, :] = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.accumulate(Y, axis=-2)[..., -1, :]
+    return _quotient(sums, complex(X.shape[-2]))
+
+
+def _window_means(V, width):
+    """_means of the trailing full windows of `width` rows of the complex
+    array V, oldest first and at most REG_WINDOWS of them; None when
+    fewer than two fit."""
+    use = min(len(V) // width, REG_WINDOWS)
     if use < 2:
-        return []
-    end = len(seq)
-    return [seq[end - t * width:end - (t - 1) * width]
-            for t in range(use, 0, -1)]
+        return None
+    return _means(V[len(V) - use * width:].reshape(use, width, -1))
 
 
-def _mean_vec(vecs):
-    return tuple(sum(col) / len(vecs) for col in zip(*vecs))
+def _scatter(R, center):
+    """Largest projective distance from a row of the complex array R (no
+    row zero) to the nonzero vector center.  It feeds only a threshold
+    test, so it is numpy's arithmetic."""
+    import numpy as np
+
+    c = np.array(_normalised(center))
+    U = R / np.linalg.norm(R, axis=1, keepdims=True)
+    inner = (U * c.conj()).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        phase = inner / np.abs(inner)
+    d = np.linalg.norm(U - phase[:, None] * c, axis=1)
+    d[inner == 0] = math.sqrt(2.0)
+    return float(d.max())
 
 
-def _scatter(vecs, center):
-    """max(projective_distance(v, center) for v in vecs) over vectors of
-    center's length, with center normalised once."""
-    zb = _normalised([complex(x) for x in center])
-    return max(_unit_distance(_normalised([complex(x) for x in a]), zb)
-               for a in vecs)
+def _norm_slope(ks, norms):
+    """_log_slope of the arrays ks and norms.  It feeds only threshold
+    tests (and the %.3f of an ambiguous verdict's note), so it is numpy's
+    arithmetic; asymptotic_fit keeps _log_slope, whose slope it reports."""
+    import numpy as np
+
+    keep = norms > 0.0
+    if np.count_nonzero(keep) < 10:
+        return None
+    x = np.log(ks[keep].astype(float))
+    if x[0] == x[-1]:
+        return None
+    y = np.log(norms[keep])
+    x -= x.mean()
+    return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
-def _direction_cauchy(latest, tol, width):
-    """Test projective convergence of a sequence of complex vectors.
+def _direction_cauchy(tail, tol, width):
+    """Test projective convergence of the points of a _ChartTail.
 
-    latest yields the vectors newest first.  Zero vectors are skipped and
-    only the newest REG_WINDOWS * width others are drawn, as no window
-    reaches further back.  Each is replaced by its canonical
-    representative, window means are formed, and the distance between the
-    last two means is compared against tol.  Window means alone would
-    average away a direction that keeps oscillating, so the spread of the
-    last window around its mean must also stay below
-    DIRECTION_SCATTER_TOL.  Returns (converged, last mean rep, distances).
-
-    Each vector's moduli are taken once, for the zero test and for the
-    pivot of its representative (the first largest, as _rep picks it).
+    Zero vectors are skipped, and only the newest REG_WINDOWS * width
+    others are read, as no window reaches further back.  Each is
+    replaced by its canonical representative, window means
+    are formed, and the distance between the last two means is compared
+    against tol.  Window means alone would average away a direction that
+    keeps oscillating, so the spread of the last window around its mean
+    must also stay below DIRECTION_SCATTER_TOL.  Returns (converged, last
+    mean rep, distances).  The representatives and means are CPython's
+    floats (_representatives, _window_means); the distances and the rep
+    are computed on Python numbers.
     """
-    reps = []
-    need = REG_WINDOWS * width
-    for w in latest:
-        a = list(map(abs, w))
-        top = max(a)
-        if top == 0.0:
-            continue
-        piv = w[a.index(top)]
-        reps.append(tuple([x / piv for x in w]))
-        if len(reps) == need:
-            break
-    reps.reverse()
-    wins = _windows(reps, width)
-    if not wins:
+    reps = _representatives(tail.nonzero_last(REG_WINDOWS * width, width))
+    means = _window_means(reps, width)
+    if means is None:
         return None, None, ()
-    means = [_mean_vec(w) for w in wins]
-    dists = tuple(
-        projective_distance(means[t], means[t + 1]) for t in range(len(means) - 1)
-    )
-    scatter = _scatter(wins[-1], means[-1])
+    means = means.tolist()
+    dists = tuple(projective_distance(a, b) for a, b in zip(means, means[1:]))
+    scatter = _scatter(reps[len(reps) - width:], means[-1])
     rep, _ = _rep(means[-1])
     converged = dists[-1] < tol and scatter < DIRECTION_SCATTER_TOL
     return converged, rep, dists
 
 
-def _extrapolated_direction(ks, ws):
+def _extrapolated_direction(ks, W):
     """Direction limit of a vanishing sequence, given by its trailing
-    samples, refined by fitting each affine coordinate as A + B/k and
-    keeping the intercepts."""
-    meanrep = _mean_vec([_rep(w)[0] for w in ws[-REG_WINDOW:]])
+    samples (the times ks and the rows of W), refined by fitting each
+    affine coordinate as A + B/k and keeping the intercepts."""
+    meanrep = tuple(_means(_representatives(W[-REG_WINDOW:])).tolist())
     i0 = _argmax_abs(meanrep)
     xs, us = [], []
-    for k, w in zip(ks, ws):
+    for k, w in zip(ks.tolist(), W.tolist()):
         if w[i0] == 0:
             continue
         xs.append(1.0 / k)
@@ -998,10 +1081,13 @@ class _ChartTail:
     ever converted.
 
     Z is the trace as an (N, n) complex array, rows the indices of the
-    samples (oldest first, time k = k0 + index) and pull maps a point, a
-    list of Python complex numbers, to its chart coordinates (None:
-    identity); regularity_classify passes the stage's compiled pull-back
-    through _chart_point.  Only the rows read are made Python numbers.
+    samples (oldest first, time k = k0 + index) and pull maps a list of
+    points, each a list of Python complex numbers, to the array of their
+    chart coordinates (None: identity); regularity_classify passes the
+    stage's compiled pull-back through _chart_points, which runs it per
+    point on Python complex numbers, so its floats (its ** included) are
+    CPython's.  The pulled-back samples are kept as one (m, n) complex
+    array.
     """
 
     def __init__(self, Z, rows, k0, pull=None):
@@ -1009,45 +1095,62 @@ class _ChartTail:
         self._rows = rows
         self._k0 = k0
         self._pull = pull
-        self._pts = []      # chart points of the trailing len(_pts) rows
+        self._W = Z[:0]     # chart points of the trailing len(_W) rows
 
     def __len__(self):
         return len(self._rows)
 
     def _pull_back(self, m):
         """Make sure the trailing min(m, len) samples are pulled back."""
+        import numpy as np
+
         total = len(self._rows)
         m = min(m, total)
-        have = len(self._pts)
+        have = len(self._W)
         if m > have:
-            new = self._Z[self._rows[total - m:total - have]].tolist()
+            new = self._Z[self._rows[total - m:total - have]]
             if self._pull is not None:
-                new = [self._pull(z) for z in new]
-            self._pts[:0] = new
+                new = self._pull(new.tolist())
+            self._W = np.concatenate((new, self._W))
         return m
 
     def last(self, m):
-        """(ks, points) of the trailing min(m, len) samples, oldest first."""
+        """(ks, points) of the trailing min(m, len) samples, oldest first,
+        as two arrays."""
         m = self._pull_back(m)
-        ks = [self._k0 + i for i in self._rows[len(self._rows) - m:].tolist()]
-        return ks, self._pts[len(self._pts) - m:]
+        rows = self._rows[len(self._rows) - m:]
+        k0 = self._k0
+        ks = rows + k0 if abs(k0) < 2 ** 62 else rows.astype(object) + k0
+        return ks, self._W[len(self._W) - m:]
 
-    def newest_first(self, step):
-        """Every point, newest first, pulled back step samples at a time."""
-        for i in range(len(self._rows)):
-            if i == len(self._pts):
-                self._pull_back(i + step)
-            yield self._pts[-1 - i]
+    def nonzero_last(self, need, step):
+        """The newest `need` nonzero points (all of them, if fewer), oldest
+        first, as one array.  The trailing `need` samples are pulled back
+        first, then `step` more at a time while zero points keep the count
+        short, so a point further back is never converted."""
+        import numpy as np
+
+        self._pull_back(need)
+        while True:
+            nonzero = np.flatnonzero((self._W != 0).any(axis=1))
+            if len(nonzero) >= need or len(self._W) == len(self._rows):
+                break
+            self._pull_back(len(self._W) + step)
+        return self._W[nonzero[max(0, len(nonzero) - need):]]
 
 
-def _chart_point(pull, r, z):
-    """The stage-r chart coordinates pull(z) of the complex point z, pull
-    being compiled_pi_inverse of the stage; raises NonConvergent where one
-    of them does not fit in a double."""
+def _chart_points(pull, r, points):
+    """The stage-r chart coordinates pull(z) of each point z, a list of
+    Python complex numbers, as one (m, n) complex array, pull being
+    compiled_pi_inverse of the stage; raises NonConvergent where one of
+    them does not fit in a double."""
+    import numpy as np
+
     try:
-        w = pull(z)
-        if all(map(cmath.isfinite, w)):
-            return w
+        W = np.fromiter(itertools.chain.from_iterable(map(pull, points)),
+                        complex).reshape(len(points), -1)
+        if np.isfinite(W).all():
+            return W
     except (OverflowError, ZeroDivisionError):  # x ** p out of range
         pass
     raise NonConvergent("stage %d chart coordinates overflow double "
@@ -1075,13 +1178,12 @@ def _stage_verdict(r, lifted, tol, width):
     """Verdict at stage r >= 1 from the stage-r chart copy of the orbit."""
     if len(lifted) < 3 * width:
         return StageVerdict(r, "inconclusive", None, "too few liftable points")
-    ks, ws = lifted.last(REG_WINDOWS * width)
-    slope = _log_slope(ks, [max(map(abs, w)) for w in ws])
+    ks, W = lifted.last(REG_WINDOWS * width)
+    slope = _norm_slope(ks, _moduli(W).max(axis=1))
     if slope is None:
         return StageVerdict(r, "inconclusive", None, "degenerate norm data")
     if slope < -0.2:
-        conv, rep, _ = _direction_cauchy(lifted.newest_first(width), tol,
-                                         width)
+        conv, rep, _ = _direction_cauchy(lifted, tol, width)
         if conv is None:
             return StageVerdict(r, "inconclusive", None,
                                 "not enough points for windows")
@@ -1096,15 +1198,14 @@ def _stage_verdict(r, lifted, tol, width):
             r, "first-kind", None,
             "chart copy grows: the limit lies outside this chart")
     if abs(slope) <= 0.05:
-        wins = _windows(ws, width)      # none, or at least two
-        if wins:
-            means = [_mean_vec(w) for w in wins]
-            scale = max(abs(x) for x in means[-1])
-            gap = max(abs(a - b) for a, b in zip(means[-1], means[-2]))
-            if scale > 1e-8 and gap / scale < tol:
-                return StageVerdict(
-                    r, "first-kind", tuple(means[-1]),
-                    "chart copy settles away from the chart center")
+        # W has at least 3 * width rows, so there are at least 3 windows
+        prev, last = _window_means(W, width)[-2:].tolist()
+        scale = max(abs(x) for x in last)
+        gap = max(abs(a - b) for a, b in zip(last, prev))
+        if scale > 1e-8 and gap / scale < tol:
+            return StageVerdict(
+                r, "first-kind", tuple(last),
+                "chart copy settles away from the chart center")
     return StageVerdict(r, "inconclusive", None,
                         "norm trend is ambiguous (slope %.3f)" % slope)
 
@@ -1129,9 +1230,18 @@ def regularity_classify(trace, structure, k0=0, tau=None, window=None):
     once, into one array.  One array pass finds, per stage, which points
     are liftable (and how many sit on coordinate hyperplanes); only the
     trailing max(REG_WINDOWS * window, FIT_TAIL) liftable samples of a
-    stage (and, past zero vectors, the few more the direction test skips)
-    are made Python complex numbers and pulled back by the stage's
-    compiled_pi_inverse, which computes pi_inverse's floats.
+    stage (and, past zero vectors, the few more the direction test skips,
+    window at a time) are made Python complex numbers and pulled back by
+    the stage's compiled_pi_inverse, which computes pi_inverse's floats.
+
+    The samples read come back as one (rows, n) complex array per stage
+    (_ChartTail), and the verdicts are array passes over it.  What can
+    reach a report keeps CPython's floats: the moduli (_moduli), the
+    representatives (_representatives, by _quotient, the formula of
+    CPython's complex division) and the window means (_means, the
+    left-to-right sum from 0, then _quotient).  The scatter and the norm
+    slope feed only threshold tests (and the slope the %.3f of an
+    ambiguous verdict's note), so they use numpy's arithmetic.
     """
     import numpy as np
 
@@ -1173,8 +1283,8 @@ def regularity_classify(trace, structure, k0=0, tau=None, window=None):
     frozen_at = None
     for r in range(n + 1):
         if r == 0:
-            conv, rep, _ = _direction_cauchy(
-                _ChartTail(Z, base_rows, k0).newest_first(width), tol, width)
+            conv, rep, _ = _direction_cauchy(_ChartTail(Z, base_rows, k0),
+                                             tol, width)
             if conv is None:
                 v = StageVerdict(0, "inconclusive", None,
                                  "not enough nonzero points for windows")
@@ -1195,8 +1305,8 @@ def regularity_classify(trace, structure, k0=0, tau=None, window=None):
             if skipped:
                 notes.append("stage %d: %d points on coordinate hyperplanes "
                              "skipped" % (r, skipped))
-            pull = functools.partial(_chart_point, compiled_pi_inverse(S, r),
-                                     r)
+            pull = functools.partial(_chart_points,
+                                     compiled_pi_inverse(S, r), r)
             lifted = _ChartTail(Z, rows, k0, pull)
             v = _stage_verdict(r, lifted, tol, width)
             if v.verdict == "first-kind":

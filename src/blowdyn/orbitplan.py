@@ -12,10 +12,11 @@ compiled function) and the Newton preimage step (OrbitPlan.preimage, the
 seed, the image, the Jacobian and the unrolled elimination in one compiled
 function) run on the same plan, and nothing is converted to a float.
 mpmath appears only where a point enters (OrbitPlan.point) or leaves as
-mpmath values (rounded_parts, mpc_point).  The orbit CSV is spelled from
-the integers, one point at a time (decimal_speller), with the working
-sizes of each binary order computed once; it calls mpmath's to_str only
-for values more than 3500 binary orders from 1.
+mpmath values (rounded_parts, mpc_point), and is imported only there, so
+a command that runs none of them never loads it.  The orbit CSV is
+spelled from the integers, one point at a time (decimal_speller), with
+the working sizes of each binary order computed once; it calls mpmath's
+to_str only for values more than 3500 binary orders from 1.
 
 dynamics.orbit_iterate and dynamics.standard_orbit_seed are the public
 entry points.
@@ -24,9 +25,6 @@ entry points.
 import functools
 import math
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .errors import NonConvergent, PreconditionViolated
 from .exactalg import invert_matrix
@@ -47,6 +45,8 @@ def _exact_parts(x, prec):
         return x.re, x.im
     if isinstance(x, (int, Fraction)):
         return Fraction(x), Fraction(0)
+    import mpmath
+
     with mpmath.workprec(prec):
         parts = mpmath.mpc(x)._mpc_
     out = []
@@ -61,8 +61,12 @@ def _exact_parts(x, prec):
 def rounded_parts(pt, prec):
     """The mpmath value tuples (re_1, im_1, ..., re_n, im_n) of an engine
     point, rounded to prec bits."""
+    import mpmath
+
+    libmp = mpmath.libmp
     exp, man = pt
-    return [from_man_exp(m, exp, prec, round_nearest) for m in man]
+    return [libmp.from_man_exp(m, exp, prec, libmp.round_nearest)
+            for m in man]
 
 
 _LOG2_10 = math.log(10, 2)     # the float mpmath.libmp.to_digits_exp uses
@@ -142,6 +146,8 @@ def decimal_speller(prec, dps):
             top = e + a.bit_length()
             sizes = orders.get(top) or order(top)
             if sizes is None:
+                from mpmath.libmp import from_man_exp, round_nearest, to_str
+
                 append(to_str(from_man_exp(m, exp, prec, round_nearest), dps))
                 continue
             fixprec, ten, above, low, high = sizes
@@ -176,6 +182,8 @@ def decimal_speller(prec, dps):
 
 def mpc_point(parts):
     """The tuple of mpc coordinates with the given (re, im) value tuples."""
+    import mpmath
+
     make = mpmath.mp.make_mpc
     return tuple(make(pair) for pair in zip(parts[::2], parts[1::2]))
 

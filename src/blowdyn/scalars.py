@@ -13,8 +13,6 @@ import re as _re
 import sys
 from fractions import Fraction as RAT
 
-import mpmath
-
 from .errors import PreconditionViolated, SchemaError
 
 _ZERO = RAT(0)
@@ -143,6 +141,8 @@ class GaussianRational:
     __complex__ = to_complex
 
     def to_mpc(self, prec=53):
+        import mpmath
+
         with mpmath.workprec(prec):
             re = mpmath.mpf(int(self.re.numerator)) / int(self.re.denominator)
             im = mpmath.mpf(int(self.im.numerator)) / int(self.im.denominator)

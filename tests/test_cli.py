@@ -680,9 +680,10 @@ def test_classify_reads_the_doubles_float_reads(tmp_path):
               "--steps", "200", "--prec", "256", "--csv", str(csv_path),
               "--k0", "50")
     assert res.exit_code == 0, res.output
-    ks, z = cli._read_trace_csv(str(csv_path), 2)
+    k0, z = cli._read_trace_csv(str(csv_path), 2)
     rows = list(csv.reader(csv_path.read_text().splitlines()))[1:]
-    assert ks == [int(r[0]) for r in rows] == list(range(50, 251))
+    assert [int(r[0]) for r in rows] == list(range(50, 251))
+    assert type(k0) is int and k0 == 50
     want = [[complex(float(r[1 + 2 * j]), float(r[2 + 2 * j]))
              for j in range(2)] for r in rows]
     assert z.shape == (201, 2)

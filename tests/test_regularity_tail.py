@@ -1,13 +1,16 @@
 """regularity_classify reads only the end of a trace; these tests pin it to
 a whole-trace reference.
 
-_reference_classify below is the whole-trace algorithm: it converts and
-pulls back every point of the trace at every stage, and its windows and
-fits slice the trailing samples out of the full lists.  The library must
-give the same report, float for float, on every trace here.  The steps
-the library computes differently (the compiled pull-back, the one-pass
-representative, the scatter with its center normalised once, and the
-array form of a trace) are pinned to their plain forms the same way.
+_reference_classify below is the whole-trace algorithm on Python
+numbers: it converts and pulls back every point of the trace at every
+stage, and its windows and fits slice the trailing samples out of the full
+lists.  A chart point that overflows raises only where a verdict reads it.
+The library must give the same report, float for float, on every trace
+here.  The steps the library computes differently (the compiled pull-back,
+the representatives, window means and moduli on arrays, and the array
+form of a trace) are pinned to their plain forms the same way; the
+scatter and the norm slope, which feed only threshold tests, are pinned
+to a tolerance.
 """
 
 import cmath
@@ -47,6 +50,10 @@ def _ref_windows(seq, width, maxwin=6):
     return out
 
 
+def _mean_vec(vecs):
+    return tuple(sum(col) / len(vecs) for col in zip(*vecs))
+
+
 def _ref_direction_cauchy(points, tol, width):
     reps = []
     for w in points:
@@ -57,7 +64,7 @@ def _ref_direction_cauchy(points, tol, width):
     wins = _ref_windows(reps, width)
     if not wins:
         return None, None, ()
-    means = [dyn._mean_vec(w) for w in wins]
+    means = [_mean_vec(w) for w in wins]
     dists = tuple(dyn.projective_distance(means[t], means[t + 1])
                   for t in range(len(means) - 1))
     scatter = max(dyn.projective_distance(r, means[-1]) for r in wins[-1])
@@ -70,7 +77,7 @@ def _ref_extrapolated_direction(ks, ws):
     tail = min(len(ws), 1000)
     ks = ks[-tail:]
     ws = [[complex(x) for x in w] for w in ws[-tail:]]
-    meanrep = dyn._mean_vec([dyn._rep(w)[0] for w in ws[-dyn.REG_WINDOW:]])
+    meanrep = _mean_vec([dyn._rep(w)[0] for w in ws[-dyn.REG_WINDOW:]])
     i0 = dyn._argmax_abs(meanrep)
     xs, us = [], []
     for k, w in zip(ks, ws):
@@ -93,6 +100,28 @@ def _ref_extrapolated_direction(ks, ws):
         out.append((s2 * t0 - s1 * t1) / det)
     out[i0] = 1.0 + 0.0j
     return tuple(out)
+
+
+def _read(lifted, r):
+    """The (k, chart point) pairs of lifted, a verdict's read; a point
+    that overflowed raises as the library's pull-back does."""
+    if any(w is None for _, w in lifted):
+        raise NonConvergent("stage %d chart coordinates overflow double "
+                            "precision" % r)
+    return lifted
+
+
+def _ref_newest_nonzero(lifted, need, r):
+    """The chart points the direction test reads: newest first back to the
+    need-th nonzero one, returned oldest first."""
+    out, count = [], 0
+    for pair in reversed(lifted):
+        _read([pair], r)
+        out.append(pair[1])
+        count += any(pair[1])
+        if count == need:
+            break
+    return out[::-1]
 
 
 def _reference_classify(trace, S, k0=0, tau=None, window=None):
@@ -146,10 +175,12 @@ def _reference_classify(trace, S, k0=0, tau=None, window=None):
         skipped = 0
         for k, z in base:
             try:
-                w = pi_inverse(S, r, z)
+                w = _reference_chart_point(S, r, z)
             except ZeroCoordinate:
                 skipped += 1
                 continue
+            except NonConvergent:
+                w = None            # raises in _read if a verdict reads it
             lifted.append((k, w))
         if skipped:
             notes.append("stage %d: %d points on coordinate hyperplanes "
@@ -159,18 +190,18 @@ def _reference_classify(trace, S, k0=0, tau=None, window=None):
                                     "too few liftable points"))
             fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
             return stop("inconclusive", None)
-        ks = [k for k, _ in lifted]
-        norms = [max(float(abs(complex(x))) for x in w) for _, w in lifted]
-        tail = min(len(lifted), 6 * width)
-        slope = dyn._log_slope(ks[-tail:], norms[-tail:])
+        read = _read(lifted[-6 * width:], r)
+        slope = dyn._log_slope(
+            [k for k, _ in read],
+            [max(float(abs(complex(x))) for x in w) for _, w in read])
         if slope is None:
             verdicts.append(Verdict(r, "inconclusive", None,
                                     "degenerate norm data"))
             fill_rest(r + 1, "inconclusive", "undecided at stage %d" % r)
             return stop("inconclusive", None)
         if slope < -0.2:
-            conv, rep, _ = _ref_direction_cauchy([w for _, w in lifted], tol,
-                                                 width)
+            conv, rep, _ = _ref_direction_cauchy(
+                _ref_newest_nonzero(lifted, 6 * width, r), tol, width)
             if conv is None:
                 verdicts.append(Verdict(r, "inconclusive", None,
                                         "not enough points for windows"))
@@ -194,10 +225,10 @@ def _reference_classify(trace, S, k0=0, tau=None, window=None):
             frozen_at = r
             continue
         if abs(slope) <= 0.05:
-            vecs = [[complex(x) for x in w] for _, w in lifted]
+            vecs = [[complex(x) for x in w] for _, w in read]
             wins = _ref_windows(vecs, width)
             if wins:
-                means = [dyn._mean_vec(w) for w in wins]
+                means = [_mean_vec(w) for w in wins]
                 scale = max(abs(x) for x in means[-1])
                 gap = max(abs(a - b) for a, b in zip(means[-1], means[-2]))
                 if scale > 1e-8 and gap / scale < tol:
@@ -216,8 +247,9 @@ def _reference_classify(trace, S, k0=0, tau=None, window=None):
         notes.append("regular of first kind from stage %d on; no direction "
                      "to match against the fixed directions" % frozen_at)
         return stop("regular-nonstandard", False)
-    v_est = _ref_extrapolated_direction([k for k, _ in last_lifted],
-                                        [w for _, w in last_lifted])
+    read = _read(last_lifted[-1000:], n)
+    v_est = _ref_extrapolated_direction([k for k, _ in read],
+                                        [w for _, w in read])
     dirs, why = dyn._reference_directions(trace, S)
     if dirs is None:
         notes.append("standardness not evaluated: %s" % why)
@@ -327,6 +359,25 @@ def growing():
     return [(1.0 / k + 0j, k ** -0.5 + 0j) for k in range(1, 1201)]
 
 
+def signed_zeros(width, count=1200, overflow_read=False):
+    """z = (i/k, i(1/k + 1/k^2)) with every real part -0.0, so the base
+    direction settles at [1 : 1], through the division branch by Im, and
+    the stage-1 chart copy (z1, z2/z1) settles off its center, with
+    windows whose entries all have Re z1 = -0.0.  Zero rows (of +0.0 and
+    -0.0 parts) sit inside the last six windows.  The point just before
+    the newest 6 * width nonzero ones has z1 = 1e-320 i, whose stage-1
+    chart point overflows; no verdict reads it, unless overflow_read
+    moves it one point later."""
+    pts = [(complex(-0.0, 1.0 / k), complex(-0.0, 1.0 / k + 1.0 / k ** 2))
+           for k in range(1, count + 1)]
+    for i in (count - 2, count - 4 - width, count - 1 - 4 * width):
+        pts[i] = (complex(-0.0, -0.0), 0j)
+    nonzero = [i for i, z in enumerate(pts) if any(z)]
+    i = nonzero[-6 * width - (0 if overflow_read else 1)]
+    pts[i] = (complex(-0.0, 1e-320), pts[i][1])
+    return pts
+
+
 @pytest.fixture(scope="module")
 def refined_trace():
     F = fatou_germ()
@@ -374,43 +425,72 @@ def test_slope_reads_six_windows(window):
     assert rep.verdicts[1].note.startswith("norm trend is ambiguous")
 
 
+@pytest.mark.parametrize("window", [5, 40, 50, 100])
+def test_tail_matches_reference_with_signed_zeros(window):
+    rep = assert_same_report(_trace(signed_zeros(window)), 1, window)
+    assert [v.verdict for v in rep.verdicts] == [
+        "second-kind", "first-kind", "first-kind"]
+    # every window entry has Re z1 = -0.0; the sum from 0 makes it 0.0
+    assert repr(rep.verdicts[1].limit[0].real) == "0.0"
+
+
+@pytest.mark.parametrize("window", [5, 50])
+def test_overflow_raises_once_a_verdict_reads_it(window):
+    pts = signed_zeros(window, overflow_read=True)
+    for classify in (dyn.regularity_classify, _reference_classify):
+        with pytest.raises(NonConvergent, match="stage 1 chart coordinates"):
+            classify(_trace(pts), S2, k0=1, window=window)
+
+
+def test_times_beyond_the_int64_range():
+    # every time rounds to the double 2^64, so every log k is equal
+    rep = assert_same_report(_trace(power_law(600)), 2 ** 64, 50)
+    assert rep.verdicts[1].note == "degenerate norm data"
+
+
 def test_direction_test_walks_back_past_zero_vectors():
     # the newest 400 chart points are zero but for every fifth, so the
-    # direction test must pull back far beyond its six windows
+    # direction test must pull back beyond its six windows: 120 nonzero
+    # points are the 80 among the newest 400 and the 40 before them, and
+    # they are pulled back 20 at a time
     width = 20
     count = 1000
     Z = np.array([(1.0 / k + 0.5j / k ** 2, 1.0 / k ** 1.5 + 0j)
                   for k in range(1, count + 1)])
 
-    def pull(z):
+    def pull_one(z):
         k = round(1.0 / z[0].real)
         return [0j, 0j] if k > count - 400 and k % 5 else z
 
-    want = _ref_direction_cauchy([pull(z) for z in Z.tolist()],
+    def pull(points):
+        return np.array([pull_one(z) for z in points], complex)
+
+    want = _ref_direction_cauchy([pull_one(z) for z in Z.tolist()],
                                  dyn.DIRECTION_TOL, width)
     tail = dyn._ChartTail(Z, np.arange(count), 1, pull)
-    got = dyn._direction_cauchy(tail.newest_first(width), dyn.DIRECTION_TOL,
-                                width)
+    got = dyn._direction_cauchy(tail, dyn.DIRECTION_TOL, width)
     assert repr(got) == repr(want)
     assert len(got[2]) == 5
-    assert len(tail._pts) < count
+    assert len(tail._W) == 440
 
 
 def test_tail_pulls_back_only_what_the_verdicts_read():
     calls = []
 
-    def pull(z):
-        calls.append(z)
-        return z
+    def pull(points):
+        calls.extend(points)
+        return np.array(points, complex)
 
     Z = np.array(power_law(3000))
     tail = dyn._ChartTail(Z, np.arange(3000), 1, pull)
-    ks, ws = tail.last(300)
-    assert ks == list(range(2701, 3001))
-    assert ws == Z[2700:].tolist()
-    assert all(type(x) is complex for w in ws for x in w)
+    ks, W = tail.last(300)
+    assert ks.tolist() == list(range(2701, 3001))
+    assert W.tolist() == Z[2700:].tolist()
+    # the pull-back sees Python complex numbers, so its floats are CPython's
+    assert all(type(x) is complex for z in calls for x in z)
     assert len(calls) == 300
     tail.last(250)
+    tail.nonzero_last(300, 50)
     assert len(calls) == 300
     ks, _ = tail.last(1000)
     assert ks[0] == 2001 and len(calls) == 1000
@@ -425,6 +505,8 @@ def test_tail_pulls_back_only_what_the_verdicts_read():
 EXITS = [
     ("stage-0-windows", sparse, 1, {}, "inconclusive",
      ["not enough nonzero points for windows"] * 3),
+    ("no-nonzero-point", lambda: [(0j, complex(-0.0, 0.0))] * 200, 1, {},
+     "inconclusive", ["not enough nonzero points for windows"] * 3),
     ("too-few-liftable", on_second_axis, 1, {}, "inconclusive",
      ["direction of the base orbit converges", "too few liftable points",
       "undecided at stage 1"]),
@@ -476,7 +558,7 @@ def test_divergence_note_leads_the_notes(window):
 # -- the compiled steps equal their plain forms ------------------------------
 
 def _reference_chart_point(S, r, z):
-    """The stage-r chart point as pi_inverse gives it, with _chart_point's
+    """The stage-r chart point as pi_inverse gives it, with _chart_points's
     overflow rule."""
     try:
         w = pi_inverse(S, r, z)
@@ -527,7 +609,8 @@ def test_compiled_pull_back_equals_pi_inverse(n):
         required = projection_formulas(S, r).required_nonzero
         for _ in range(2000):
             z = _random_point(rng, n, required)
-            got = _outcome(dyn._chart_point, pull, r, z)
+            got = _outcome(
+                lambda z: dyn._chart_points(pull, r, [z])[0].tolist(), z)
             assert got == _outcome(_reference_chart_point, S, r, z), (r, z)
             overflows += got.startswith("NonConvergent")
     assert overflows > 100
@@ -553,6 +636,8 @@ def _reference_projective_distance(a, b):
 
 
 def test_scatter_equals_projective_distances():
+    # the scatter feeds only a threshold test, so numpy's arithmetic need
+    # only agree to rounding
     rng = random.Random(5)
     for n in (2, 3, 5):
         for _ in range(300):
@@ -567,9 +652,13 @@ def test_scatter_equals_projective_distances():
             want = [_reference_projective_distance(v, center) for v in vecs]
             got = [dyn.projective_distance(v, center) for v in vecs]
             assert repr(got) == repr(want)
-            assert repr(dyn._scatter(vecs, center)) == repr(max(want))
+            for v, d in zip(vecs, want):
+                assert abs(dyn._scatter(np.array([v]), center) - d) < 1e-14
+            assert abs(dyn._scatter(np.array(vecs), center)
+                       - max(want)) < 1e-14
+    assert dyn._scatter(np.array([(1.0, 0j)]), (0j, 1.0)) == math.sqrt(2.0)
     with pytest.raises(PreconditionViolated, match="no projective class"):
-        dyn._scatter([(1j, 1.0)], (0j, 0j))
+        dyn._scatter(np.array([(1j, 1.0)]), (0j, 0j))
 
 
 def _tied_vectors(rng, count, n):
@@ -597,9 +686,15 @@ def test_one_pass_representatives_equal_rep(n):
     rng = random.Random(10 + n)
     for width in (5, 7, 20):
         vecs = _tied_vectors(rng, 8 * width, n)
-        got = dyn._direction_cauchy(reversed(vecs), 0.5, width)
+        nonzero = [list(map(complex, v)) for v in vecs if any(v)]
+        assert repr(dyn._representatives(np.array(nonzero)).tolist()) == \
+            repr([list(dyn._rep(v)[0]) for v in nonzero])
+        tail = dyn._ChartTail(np.array(vecs), np.arange(len(vecs)), 1)
+        got = dyn._direction_cauchy(tail, 0.5, width)
         want = _ref_direction_cauchy(vecs, 0.5, width)
         assert repr(got) == repr(want)
+    with pytest.raises(ZeroDivisionError):
+        dyn._representatives(np.array([[1j] * n, [0j] * n]))
 
 
 ARRAY_CASES = [
@@ -608,6 +703,7 @@ ARRAY_CASES = [
     ("first-kind", lambda w: first_kind(), 1, {}),
     ("hyperplanes", on_hyperplanes, -4, {}),
     ("kinked", kinked, 1, {}),
+    ("signed-zeros", signed_zeros, 1, {}),
 ] + [(name, lambda w, make=make: make(), k0, kwargs)
      for name, make, k0, kwargs, _, _ in EXITS]
 
@@ -638,3 +734,123 @@ def test_array_trace_of_refined_orbit(refined_trace):
     assert got.classification == "standard"
     assert repr(got) == repr(dyn.regularity_classify(refined_trace, S2,
                                                      k0=50))
+
+
+# -- the array arithmetic is CPython's ----------------------------------------
+
+TINY = (5e-324, 1e-310, 2.2250738585072014e-308)   # subnormal to least normal
+HUGE = 1.7976931348623157e308
+
+
+def _edge_part(rng):
+    """A double that is now and then a signed zero, subnormal or within a
+    factor ten of overflow, otherwise Gaussian."""
+    u = rng.random()
+    sign = rng.choice((1.0, -1.0))
+    if u < 0.15:
+        return sign * 0.0
+    if u < 0.3:
+        return sign * rng.choice(TINY) * rng.uniform(1, 100)
+    if u < 0.45:
+        return sign * HUGE * rng.uniform(0.1, 1)
+    return rng.gauss(0, 1)
+
+
+def _edge_complex(rng):
+    return complex(_edge_part(rng), _edge_part(rng))
+
+
+def test_array_division_is_cpythons():
+    rng = random.Random(30)
+    a, b = [], []
+    while len(a) < 20000:
+        x, y = _edge_complex(rng), _edge_complex(rng)
+        if rng.random() < 0.2:          # equal moduli: a tie divides by Re
+            t = abs(y.real) or 1.0
+            y = complex(rng.choice((t, -t)), rng.choice((t, -t)))
+        if y:
+            a.append(x)
+            b.append(y)
+    by_re = sum(abs(y.real) >= abs(y.imag) for y in b)
+    assert 5000 < by_re < 15000
+    want = repr([x / y for x, y in zip(a, b)])
+    assert repr(dyn._quotient(np.array(a), np.array(b)).tolist()) == want
+    # one divisor per row, as the representatives divide by their pivots
+    A = np.array(a).reshape(-1, 4)
+    B = np.array(b[::4])
+    assert repr(dyn._quotient(A, B[:, None]).tolist()) == \
+        repr([[x / y for x in row] for row, y in zip(A.tolist(), b[::4])])
+    # only one branch taken, either way
+    for pick in (lambda y: abs(y.real) >= abs(y.imag),
+                 lambda y: abs(y.real) < abs(y.imag)):
+        pairs = [(x, y) for x, y in zip(a, b) if pick(y)]
+        got = dyn._quotient(np.array([x for x, _ in pairs]),
+                            np.array([y for _, y in pairs]))
+        assert repr(got.tolist()) == repr([x / y for x, y in pairs])
+
+
+def test_window_mean_is_cpythons():
+    rng = random.Random(31)
+    for _ in range(500):
+        length, n = rng.randint(1, 60), rng.randint(1, 4)
+        rows = [[_edge_complex(rng) for _ in range(n)] for _ in range(length)]
+        u = rng.random()
+        if u < 0.3:                     # a column of -0.0 parts only
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = complex(-0.0, rng.choice((-0.0, row[j].imag)))
+        elif u < 0.5:                   # -0.0 in the window's first entry
+            rows[0] = [complex(-0.0, -0.0)] * n
+        elif u < 0.7:                   # Gaussian values only
+            rows = [[complex(rng.gauss(0, 1), rng.gauss(0, 1))
+                     for _ in range(n)] for _ in range(length)]
+        want = [sum(col) / len(col) for col in zip(*rows)]
+        got = dyn._means(np.array(rows, complex)).tolist()
+        assert repr(got) == repr(want)
+    assert repr(dyn._means(np.array([[complex(-0.0, -0.0)]])).tolist()) == \
+        repr([sum([complex(-0.0, -0.0)]) / 1]) == "[0j]"
+
+
+@pytest.mark.parametrize("width", [5, 7, 50])
+def test_window_means_are_the_trailing_windows(width):
+    rng = random.Random(width)
+    for count in (width, 2 * width, 3 * width + 2, 8 * width - 1):
+        rows = [[_edge_complex(rng) for _ in range(3)] for _ in range(count)]
+        want = [list(_mean_vec(w)) for w in _ref_windows(rows, width)]
+        got = dyn._window_means(np.array(rows, complex), width)
+        assert repr(want) == repr([] if got is None else got.tolist())
+
+
+def test_norm_slope_equals_log_slope():
+    # numpy's sums and logs, against _log_slope's, to rounding
+    rng = random.Random(33)
+    for _ in range(300):
+        count = rng.randint(5, 400)
+        k0 = rng.choice((1, 50, 10 ** 6, 2 ** 62 - 2 ** 20))
+        ks = list(range(k0, k0 + count))
+        p = rng.uniform(-3, 3)
+        norms = [rng.choice((0.0, 1.0)) if rng.random() < 0.05
+                 else k ** p * rng.uniform(0.5, 2) for k in ks]
+        want = dyn._log_slope(ks, norms)
+        got = dyn._norm_slope(np.array(ks), np.array(norms))
+        if want is None:
+            assert got is None
+        else:
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+def test_moduli_are_cpythons_abs():
+    rng = random.Random(32)
+    vals = [_edge_complex(rng) for _ in range(20000)]
+    finite = []
+    for z in vals:
+        try:
+            finite.append((z, abs(z)))
+        except OverflowError:
+            with pytest.raises(OverflowError, match="absolute value too large"):
+                dyn._moduli(np.array([z]))
+    assert len(finite) < len(vals)
+    got = dyn._moduli(np.array([z for z, _ in finite]))
+    assert repr(got.tolist()) == repr([m for _, m in finite])
+    inf = float("inf")
+    assert dyn._moduli(np.array([complex(inf, 1.0)])).tolist() == [inf]
